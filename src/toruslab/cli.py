@@ -4,9 +4,9 @@ Reads a strict JSON config, runs the requested stages (hypothesis checks,
 torus splitting, factory construction, quasimode verification, wavefront
 verdicts), and writes report.json, decay.csv, massmap.csv and an echo of
 the materialized config.  All artifacts are byte-deterministic for a fixed
-config and seed: keys are sorted, floats are printed at 17 significant
-digits, and BLAS threading is pinned before numpy loads so reduction
-orders cannot drift with the ambient thread count.
+config: keys are sorted, floats are printed at 17 significant digits, and
+BLAS threading is pinned before numpy loads so reduction orders cannot
+drift with the ambient thread count.
 
 Exit codes: 0 when all requested checks pass, 2 when a check fails, 1 on
 usage errors.
@@ -36,6 +36,7 @@ from .exact import (
     IrrationalBasis,
     InvariantViolation,
     find_resonant_mode,
+    parse_rational,
     relation_lattice,
     split_frequencies,
 )
@@ -152,7 +153,6 @@ _DEFAULTS = {
     "basis": {"names": ["1"], "values": [1.0]},
     "c": "resonant",
     "factory": None,
-    "r": None,
     "remainder": False,
     "h_ladder": "4..12",
     "truncation": 16,
@@ -166,7 +166,6 @@ _DEFAULTS = {
         "fill_fraction": 0.95,
         "null_tol": NULL_TOL,
     },
-    "seed": 0,
     "out": "results",
 }
 
@@ -184,7 +183,6 @@ class LabConfig:
     c_spec: object  # "resonant" or ExactNumber
     factory_alpha0: Optional[tuple[int, ...]]
     factory_v: Optional[TrigPolynomial]
-    r: Optional[TrigPolynomial]
     remainder: bool
     h_ladder: tuple[float, ...]
     truncation: int
@@ -195,7 +193,6 @@ class LabConfig:
     grid_xi: object  # "units" or tuple of covectors
     thresholds: VerdictThresholds
     null_tol: float
-    seed: int
     out: str
     echo: dict
 
@@ -214,14 +211,33 @@ def parse_ladder(value) -> tuple[float, ...]:
     return ladder
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token} is not allowed")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"number {token} overflows to {value}")
+    return value
+
+
+def _load_json(text: str):
+    """Decode JSON text, rejecting NaN, Infinity and literals that
+    overflow to infinity; valid numbers decode to the same floats."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([("<document>", f"not valid JSON: {exc}")])
+    except ValueError as exc:
+        raise ConfigError([("<document>", str(exc))])
+
+
 def parse_config(text: str) -> LabConfig:
     """Validate a JSON config; unknown keys are rejected, defaults are
     materialized into the echoed copy."""
     errors: list[tuple[str, str]] = []
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError([("<document>", f"not valid JSON: {exc}")])
+    raw = _load_json(text)
     if not isinstance(raw, dict):
         raise ConfigError([("<document>", "top level must be an object")])
 
@@ -283,11 +299,11 @@ def parse_config(text: str) -> LabConfig:
         try:
             row = c_spec if isinstance(c_spec, list) else [c_spec]
             coeffs = [x for x in row] + [0] * (basis.dim - len(row))
-            c_spec = basis.number([_to_fraction(x) for x in coeffs])
+            c_spec = basis.number([parse_rational(x) for x in coeffs])
         except (TypeError, ValueError) as exc:
             errors.append(("c", str(exc)))
 
-    # factory / r
+    # factory
     factory_alpha0 = None
     factory_v = None
     factory_raw = merged["factory"]
@@ -302,17 +318,6 @@ def parse_config(text: str) -> LabConfig:
                 )
             except (KeyError, TypeError, ValueError, IndexError) as exc:
                 errors.append(("factory", str(exc)))
-    r_poly = None
-    r_raw = merged["r"]
-    if r_raw is not None:
-        try:
-            r_poly = TrigPolynomial.from_json_obj(r_raw, dim=dimension)
-            if not r_poly.is_real_valued(1e-12):
-                errors.append(("r", "multiplier must be real-valued"))
-        except (KeyError, TypeError, ValueError) as exc:
-            errors.append(("r", str(exc)))
-    if factory_raw is not None and r_raw is not None:
-        errors.append(("factory", "factory block and explicit r are mutually exclusive"))
 
     if not isinstance(merged["remainder"], bool):
         errors.append(("remainder", "must be a boolean"))
@@ -387,10 +392,6 @@ def parse_config(text: str) -> LabConfig:
         except (TypeError, ValueError) as exc:
             errors.append(("thresholds", str(exc)))
 
-    seed = merged["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        errors.append(("seed", "must be an integer"))
-        seed = 0
     out = merged["out"]
     if not isinstance(out, str) or not out:
         errors.append(("out", "must be a nonempty string"))
@@ -409,7 +410,6 @@ def parse_config(text: str) -> LabConfig:
         "factory": None
         if factory_v is None
         else {"alpha0": list(factory_alpha0), "v": factory_v.to_json_obj()},
-        "r": None if r_poly is None else r_poly.to_json_obj(),
         "remainder": merged["remainder"],
         "h_ladder": list(ladder),
         "truncation": truncation,
@@ -418,7 +418,6 @@ def parse_config(text: str) -> LabConfig:
         "subdomain": [subdomain[0], subdomain[1]],
         "grid": grid_block,
         "thresholds": dict(merged["thresholds"]),
-        "seed": seed,
         "out": out,
     }
     return LabConfig(
@@ -429,7 +428,6 @@ def parse_config(text: str) -> LabConfig:
         c_spec=c_spec,
         factory_alpha0=factory_alpha0,
         factory_v=factory_v,
-        r=r_poly,
         remainder=bool(merged["remainder"]),
         h_ladder=ladder,
         truncation=truncation,
@@ -440,16 +438,9 @@ def parse_config(text: str) -> LabConfig:
         grid_xi=grid_xi,
         thresholds=thresholds,
         null_tol=null_tol,
-        seed=seed,
         out=out,
         echo=echo,
     )
-
-
-def _to_fraction(value):
-    from .exact import parse_rational
-
-    return parse_rational(value)
 
 
 # ---------------------------------------------------------------------------
@@ -753,36 +744,28 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the JSON config")
         cmd.add_argument("--out", default=None, help="output directory override")
         cmd.add_argument("--ladder", default=None, help="h ladder override, e.g. '4..12'")
-        cmd.add_argument("--seed", type=int, default=None, help="seed override")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on bad arguments, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_PASS
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        raw = json.loads(text)
+        raw = _load_json(text)
         if isinstance(raw, dict):
             if args.ladder is not None:
                 raw["h_ladder"] = args.ladder
-            if args.seed is not None:
-                raw["seed"] = args.seed
             if args.out is not None:
                 raw["out"] = args.out
         config = parse_config(json.dumps(raw))
-    except (ConfigError, json.JSONDecodeError) as exc:
-        if isinstance(exc, ConfigError):
-            for path, message in exc.errors:
-                print(f"config error at {path}: {message}", file=sys.stderr)
-        else:
-            print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    out_dir = Path(config.out)
-    try:
+        out_dir = Path(config.out)
         code, report = run_pipeline(config, _COMMAND_STAGES[args.command], out_dir)
     except ConfigError as exc:
         for path, message in exc.errors:

@@ -353,10 +353,6 @@ class ExactNumber:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    @property
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
     def _check_compatible(self, other: "ExactNumber"):
         if self.dim != other.dim:
             raise ValueError("numbers declared over different bases")

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "HessianForm",
-    "BorderedMatrix",
     "bordered_determinant",
     "frequency_orthocomplement",
     "is_quasiconvex",
@@ -55,34 +54,22 @@ class HessianForm:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class BorderedMatrix:
-    """The Hessian bordered by the frequency vector, zero in the corner."""
-
-    entries: np.ndarray
-
-    @staticmethod
-    def assemble(hessian: HessianForm, omega) -> "BorderedMatrix":
-        w = np.asarray(omega, dtype=float)
-        n = hessian.dimension
-        if w.shape != (n,):
-            raise ValueError("frequency vector length does not match the Hessian")
-        big = np.zeros((n + 1, n + 1))
-        big[:n, :n] = hessian.entries
-        big[:n, n] = w
-        big[n, :n] = w
-        big.setflags(write=False)
-        return BorderedMatrix(big)
-
-
 def bordered_determinant(hessian: HessianForm, omega) -> tuple[float, bool]:
-    """Determinant of the bordered matrix and the nondegeneracy verdict.
+    """Determinant of the Hessian bordered by the frequency vector (zero in
+    the corner) and the nondegeneracy verdict.
 
     Nondegenerate means |det| exceeds a threshold relative to the matrix
     max-norm raised to the matrix size, which makes the open condition
     decidable in floating point.
     """
-    bordered = BorderedMatrix.assemble(hessian, omega).entries
+    w = np.asarray(omega, dtype=float)
+    n = hessian.dimension
+    if w.shape != (n,):
+        raise ValueError("frequency vector length does not match the Hessian")
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = hessian.entries
+    bordered[:n, n] = w
+    bordered[n, :n] = w
     det = float(np.linalg.det(bordered))
     scale = float(np.max(np.abs(bordered)))
     tol = TOL_DET_SCALE * scale ** (bordered.shape[0]) if scale > 0 else 0.0

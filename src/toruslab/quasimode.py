@@ -13,6 +13,7 @@ that certified families must exhibit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -242,9 +243,6 @@ class ModeDecomposition:
                 out[self.split.to_torus_frequency(along, across)] = value
         return TrigPolynomial(n, out)
 
-    def norms(self) -> dict[tuple[int, ...], float]:
-        return {alpha: profile.norm() for alpha, profile in self.modes.items()}
-
 
 def decompose_along_T(u: TrigPolynomial, split: UnimodularSplitting) -> ModeDecomposition:
     """Regroup coefficients by their mode along the orbit closure.
@@ -419,16 +417,6 @@ class GalerkinNullspace:
         return TrigPolynomial(q, {beta: out[i] for i, beta in enumerate(self.frequencies)})
 
 
-def _enumerate_betas(q: int, N: int) -> list[tuple[int, ...]]:
-    if q == 0:
-        return [()]
-    rng = range(-N, N + 1)
-    out = [()]
-    for _ in range(q):
-        out = [prefix + (b,) for prefix in out for b in rng]
-    return sorted(out)
-
-
 def galerkin_nullspace(
     op: OperatorOnTPrime, N: int, null_tol: float = NULL_TOL
 ) -> GalerkinNullspace:
@@ -460,19 +448,17 @@ def galerkin_nullspace(
             raise ValueError(
                 f"truncation {N} too small for multiplier support {essential}"
             )
-    betas = _enumerate_betas(q, N)
+    # betas in lexicographic order: beta + delta, when inside the box, is
+    # delta . strides rows away from beta
+    betas = list(itertools.product(range(-N, N + 1), repeat=q))
     size = len(betas)
+    coords = np.array(betas, dtype=int).reshape(size, q)
+    strides = (2 * N + 1) ** np.arange(q - 1, -1, -1)
     matrix = np.zeros((size, size), dtype=complex)
-    for i, beta in enumerate(betas):
-        matrix[i, i] = op.symbol(beta)
-    if r0:
-        index = {beta: i for i, beta in enumerate(betas)}
-        for i, beta_i in enumerate(betas):
-            for delta, value in r0.items():
-                target = tuple(b + d for b, d in zip(beta_i, delta))
-                j = index.get(target)
-                if j is not None:
-                    matrix[j, i] += value
+    np.fill_diagonal(matrix, [op.symbol(beta) for beta in betas])
+    for delta, value in r0.items():
+        cols = np.flatnonzero(np.all(np.abs(coords + delta) <= N, axis=1))
+        matrix[cols + int(np.dot(delta, strides)), cols] += value
     matrix = 0.5 * (matrix + matrix.conj().T)
     eigvals, eigvecs = np.linalg.eigh(matrix)
     diag_peak = float(np.max(np.abs(np.real(np.diagonal(matrix))))) if size else 0.0

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .quasimode import DecayFit, QuasimodeFamily, default_h_ladder, fit_decay_exponent
+from .quasimode import QuasimodeFamily, default_h_ladder, fit_decay_exponent
 from .trigpoly import TrigPolynomial
 
 __all__ = [
@@ -233,13 +233,6 @@ class MassMap:
     masses: np.ndarray
     exponents: np.ndarray
     residuals: np.ndarray
-
-    def fit(self, xi_index: int, node_index: int) -> DecayFit:
-        return DecayFit(
-            float(self.exponents[xi_index, node_index]),
-            float(self.residuals[xi_index, node_index]),
-            tuple(float(x) for x in self.masses[xi_index, node_index, :]),
-        )
 
     def csv_rows(self):
         """Deterministic row stream: x coords, xi coords, h, mass."""

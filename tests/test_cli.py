@@ -54,9 +54,11 @@ def test_parse_golden_materializes_defaults(tmp_path):
 
 
 def test_parse_rejects_unknown_key(tmp_path):
-    with pytest.raises(ConfigError) as err:
-        parse_config(_config(tmp_path, {"foo": 1}).read_text())
-    assert any(path == "foo" for path, _ in err.value.errors)
+    # seed and r are not config keys: nothing would read them
+    for key, value in (("foo", 1), ("seed", 0), ("r", [{"alpha": [0, 0], "re": 0.25}])):
+        with pytest.raises(ConfigError) as err:
+            parse_config(_config(tmp_path, {key: value}).read_text())
+        assert (key, "unknown key") in err.value.errors
 
 
 def test_parse_rejects_dimension_mismatch(tmp_path):
@@ -66,11 +68,14 @@ def test_parse_rejects_dimension_mismatch(tmp_path):
     assert any(path == "hessian" for path, _ in err.value.errors)
 
 
-def test_parse_rejects_nonreal_multiplier(tmp_path):
-    bad = {"factory": None, "r": [{"alpha": [1, 0], "re": 1.0}]}
-    with pytest.raises(ConfigError) as err:
-        parse_config(_config(tmp_path, bad).read_text())
-    assert any(path == "r" for path, _ in err.value.errors)
+def test_parse_rejects_non_finite_numbers(tmp_path):
+    nan_hessian = _config(tmp_path, {"hessian": [[float("nan"), 0.0], [0.0, 1.0]]}).read_text()
+    inf_profile = _config(tmp_path).read_text().replace('"re": 2.0', '"re": Infinity')
+    overflow = _config(tmp_path).read_text().replace('"re": 2.0', '"re": 1e999')
+    for text, token in ((nan_hessian, "NaN"), (inf_profile, "Infinity"), (overflow, "1e999")):
+        assert token in text
+        with pytest.raises(ConfigError, match=token):
+            parse_config(text)
 
 
 def test_canonical_json_is_sorted_and_stable():
@@ -125,11 +130,7 @@ def test_pipeline_failing_quasiconvexity_names_hypothesis(tmp_path):
 
 
 def test_pipeline_without_factory_skips_quasimode_stages(tmp_path):
-    overrides = {
-        "factory": None,
-        "r": [{"alpha": [0, 0], "re": 0.25}],
-        "c": ["-5"],
-    }
+    overrides = {"factory": None, "c": ["-5"]}
     config = parse_config(_config(tmp_path, overrides).read_text())
     code, report = run_pipeline(
         config, ("hypotheses", "split", "build", "verify", "wavefront"), tmp_path / "out"
@@ -160,6 +161,18 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["all", "--config", str(bad)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "foo" in err
+    nan = _config(tmp_path, {"hessian": [[float("nan"), 0.0], [0.0, 1.0]]}, name="nan.json")
+    assert main(["all", "--config", str(nan)]) == EXIT_USAGE
+    assert "NaN" in capsys.readouterr().err
+    # argument errors are usage errors too; --help is not an error
+    for argv, cause in (
+        (["all", "--config", str(config_path), "--bogus"], "--bogus"),
+        (["all"], "--config"),
+        (["all", "--config", str(config_path), "--seed", "3"], "--seed"),
+    ):
+        assert main(argv) == EXIT_USAGE
+        assert cause in capsys.readouterr().err
+    assert main(["all", "--help"]) == EXIT_PASS
 
 
 def test_main_ladder_override(tmp_path):

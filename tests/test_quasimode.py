@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from toruslab import (
     FrequencyVector,
     HessianForm,
     ModelOperatorSpec,
+    OperatorOnTPrime,
     QuasimodeFamily,
     RemainderTerm,
     TrigPolynomial,
@@ -301,6 +303,42 @@ def test_galerkin_guards(golden):
         galerkin_nullspace(op, 4)
     with pytest.raises(ValueError, match="at least 4"):
         galerkin_nullspace(op, 3)
+
+
+def _galerkin_case(name, golden):
+    if name == "q0":
+        return OperatorOnTPrime(np.zeros((0, 0)), np.zeros(0), 1.5, TrigPolynomial(0, {(): 0.75})), 4
+    if name == "q1-golden":
+        return _golden_operator(golden), 16
+    # shifts up to 2 per axis, so every shift leaves the N = 4 box somewhere
+    raw = {(0, 0): 0.5, (1, 0): 0.25 + 0.5j, (0, 2): -0.75, (1, 1): 0.3j, (2, -1): 0.125}
+    raw.update({(-a, -b): complex(z).conjugate() for (a, b), z in list(raw.items())})
+    block = np.array([[1.0, 0.25], [0.25, 2.0]])
+    return OperatorOnTPrime(block, np.array([0.5, -0.25]), 0.1, TrigPolynomial(2, raw)), 4
+
+
+@pytest.mark.parametrize("name", ["q0", "q1-golden", "q2-shifts-leave-box"])
+def test_galerkin_matrix_matches_dense_oracle(golden, name):
+    op, N = _galerkin_case(name, golden)
+    q = op.dimension
+    r0 = op.zero_mode_multiplier
+    betas = sorted(itertools.product(range(-N, N + 1), repeat=q))
+    # <e_bj, L e_bi> = symbol(bi) [i == j] + r0(bj - bi), entry by entry
+    oracle = np.array(
+        [
+            [
+                (op.symbol(bi) if i == j else 0.0)
+                + r0.coefficient(tuple(b - a for a, b in zip(bi, bj)))
+                for i, bi in enumerate(betas)
+            ]
+            for j, bj in enumerate(betas)
+        ]
+    )
+    null = galerkin_nullspace(op, N)
+    assert list(null.frequencies) == betas
+    rebuilt = null._eigvecs @ np.diag(null._eigvals) @ null._eigvecs.conj().T
+    np.testing.assert_allclose(rebuilt, oracle, rtol=0, atol=1e-12 * null.scale)
+    np.testing.assert_allclose(null.spectrum, np.linalg.eigvalsh(oracle), rtol=0, atol=1e-12 * null.scale)
 
 
 def test_factory_mode_galerkin_residual(golden):
