@@ -68,6 +68,14 @@ def test_parse_rejects_dimension_mismatch(tmp_path):
     assert any(path == "hessian" for path, _ in err.value.errors)
 
 
+def test_parse_rejects_nonreal_multiplier(tmp_path):
+    # an explicit multiplier cannot be supplied at all: r is refused as a key
+    bad = {"factory": None, "r": [{"alpha": [1, 0], "re": 1.0}]}
+    with pytest.raises(ConfigError) as err:
+        parse_config(_config(tmp_path, bad).read_text())
+    assert ("r", "unknown key") in err.value.errors
+
+
 def test_parse_rejects_non_finite_numbers(tmp_path):
     nan_hessian = _config(tmp_path, {"hessian": [[float("nan"), 0.0], [0.0, 1.0]]}).read_text()
     inf_profile = _config(tmp_path).read_text().replace('"re": 2.0', '"re": Infinity')
