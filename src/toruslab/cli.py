@@ -135,14 +135,24 @@ def write_report(results: dict, path: Path) -> None:
     path.write_text(canonical_json(results) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            cells.append(_format_float(float(cell)) if isinstance(cell, float) else str(cell))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: Sequence[str], lines) -> None:
+    """Write a header and preformatted lines, streaming them to the file."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(line + "\n" for line in lines)
+
+
+def _massmap_lines(mass_map):
+    """One line per ``masses[xi, node, h]`` in C order: x coordinates,
+    covector, h, mass.  Each coordinate, h and mass is formatted once."""
+    grid = mass_map.grid
+    nodes = [",".join(map(_format_float, node)) for node in grid.x_nodes.tolist()]
+    hs = [_format_float(h) for h in grid.h_ladder]
+    for xi, plane in zip(grid.xi_points, mass_map.masses):
+        xi_text = ",".join(map(_format_float, xi))
+        for node_text, row in zip(nodes, plane.tolist()):
+            for h_text, mass in zip(hs, row):
+                yield f"{node_text},{xi_text},{h_text},{_format_float(mass)}"
 
 
 # ---------------------------------------------------------------------------
@@ -211,26 +221,54 @@ def parse_ladder(value) -> tuple[float, ...]:
     return ladder
 
 
+class _Rejected(str):
+    """A number no config field can hold, decoded as the reason why."""
+
+
 def _reject_constant(token: str):
-    raise ValueError(f"non-finite number {token} is not allowed")
+    return _Rejected(f"non-finite number {token} is not allowed")
 
 
-def _finite_float(token: str) -> float:
+def _finite_float(token: str):
     value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"number {token} overflows to {value}")
-    return value
+    return value if math.isfinite(value) else _Rejected(f"number {token} overflows to {value}")
+
+
+def _float_range_int(token: str):
+    value = int(token)
+    if abs(value) <= sys.float_info.max:
+        return value
+    return _Rejected(f"integer of {len(token)} characters exceeds the float range")
+
+
+def _rejected_numbers(obj, path: str):
+    """(path, message) for every rejected number inside decoded JSON."""
+    if isinstance(obj, _Rejected):
+        yield path or "<document>", str(obj)
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _rejected_numbers(value, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for index, value in enumerate(obj):
+            yield from _rejected_numbers(value, f"{path}[{index}]")
 
 
 def _load_json(text: str):
-    """Decode JSON text, rejecting NaN, Infinity and literals that
-    overflow to infinity; valid numbers decode to the same floats."""
+    """Decode JSON text, rejecting NaN, Infinity, literals that overflow
+    to infinity and integers beyond the float range at their paths; valid
+    numbers decode to the same values."""
     try:
-        return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
+        raw = json.loads(
+            text, parse_constant=_reject_constant, parse_float=_finite_float, parse_int=_float_range_int
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError([("<document>", f"not valid JSON: {exc}")])
     except ValueError as exc:
         raise ConfigError([("<document>", str(exc))])
+    rejected = list(_rejected_numbers(raw, ""))
+    if rejected:
+        raise ConfigError(rejected)
+    return raw
 
 
 def parse_config(text: str) -> LabConfig:
@@ -357,8 +395,8 @@ def parse_config(text: str) -> LabConfig:
         errors.append(("grid", "must be an object with keys 'points_per_axis' and 'xi'"))
     else:
         grid_points = grid_raw.get("points_per_axis", 32)
-        if not isinstance(grid_points, int) or isinstance(grid_points, bool) or grid_points < 0:
-            errors.append(("grid.points_per_axis", "must be a nonnegative integer"))
+        if not isinstance(grid_points, int) or isinstance(grid_points, bool) or grid_points < 2:
+            errors.append(("grid.points_per_axis", "must be an integer of at least 2"))
             grid_points = 32
         grid_xi = grid_raw.get("xi", "units")
         if grid_xi != "units":
@@ -626,7 +664,7 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
                 + tuple(f"xi{i}" for i in range(config.dimension))
                 + ("h", "mass")
             )
-            _write_csv(out_dir / "massmap.csv", header, mass_map.csv_rows())
+            _write_csv(out_dir / "massmap.csv", header, _massmap_lines(mass_map))
             artifacts["massmap.csv"] = "written"
     elif "wavefront" in requested:
         report["wavefront"] = {"status": "skipped", "detail": "no family built"}
@@ -643,16 +681,14 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
 
 
 def _run_verify_stage(config, split, spec, family, alpha0, report, checks, out_dir):
-    decay_rows: list[tuple] = []
     order = verify_quasimode_order(family, spec, config.delta)
-    for h, value in zip(family.h_ladder, order.residual_norms):
-        decay_rows.append(("residual", h, value))
     concentration = check_mode_concentration(family, split, alpha0, config.epsilon)
-    for mode in sorted(concentration.mode_fits):
-        fit = concentration.mode_fits[mode]
-        label = "mode[" + ",".join(str(a) for a in mode) + "]"
-        for h, value in zip(family.h_ladder, fit.values):
-            decay_rows.append((label, h, value))
+    series = [("residual", order.residual_norms)] + [
+        ("mode[" + ",".join(str(a) for a in mode) + "]", concentration.mode_fits[mode].values)
+        for mode in sorted(concentration.mode_fits)
+    ]
+    hs = [_format_float(h) for h in family.h_ladder]
+    decay_lines = (f"{label},{h},{_format_float(v)}" for label, vs in series for h, v in zip(hs, vs))
     form = transform_quadratic_form(config.hessian, split)
     r0 = _transverse_multiplier(spec, split)
     op = assemble_Q_alpha(form, alpha0, r0)
@@ -705,7 +741,7 @@ def _run_verify_stage(config, split, spec, family, alpha0, report, checks, out_d
     checks["mode concentration"] = concentration.passed and concentration.alpha0_floor_ok
     checks["galerkin nullspace"] = len(null.basis) >= 1
     checks["unique continuation"] = uc_positive
-    _write_csv(out_dir / "decay.csv", ("series", "h", "value"), decay_rows)
+    _write_csv(out_dir / "decay.csv", ("series", "h", "value"), decay_lines)
 
 
 def _spec_provenance(spec: ModelOperatorSpec) -> dict:

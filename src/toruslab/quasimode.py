@@ -194,35 +194,30 @@ class QuasimodeFamily:
         return zip(self.h_ladder, self.members)
 
     def save(self, directory, provenance: Optional[dict] = None):
-        """Write one coefficient file per ladder point plus a manifest."""
+        """Write ``manifest.json``: each distinct member once, in order of
+        first appearance, and one member index per ladder point."""
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
-        names = []
-        for idx, u in enumerate(self.members):
-            name = f"member_{idx:03d}.json"
-            (root / name).write_text(
-                json.dumps({"dim": u.dim, "coeffs": u.to_json_obj()}, sort_keys=True)
-            )
-            names.append(name)
+        distinct: dict[TrigPolynomial, int] = {}
+        member_index = [distinct.setdefault(u, len(distinct)) for u in self.members]
         manifest = {
             "h_ladder": list(self.h_ladder),
             "normalization": list(self.normalization),
-            "members": names,
+            "members": [{"dim": u.dim, "coeffs": u.to_json_obj()} for u in distinct],
+            "member_index": member_index,
             "provenance": provenance or {},
         }
-        (root / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
+        (root / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
 
     @staticmethod
     def load(directory) -> "QuasimodeFamily":
-        root = Path(directory)
-        manifest = json.loads((root / "manifest.json").read_text())
-        members = []
-        for name in manifest["members"]:
-            payload = json.loads((root / name).read_text())
-            members.append(TrigPolynomial.from_json_obj(payload["coeffs"], dim=payload["dim"]))
+        manifest = json.loads((Path(directory) / "manifest.json").read_text())
+        members = [
+            TrigPolynomial.from_json_obj(m["coeffs"], dim=m["dim"]) for m in manifest["members"]
+        ]
         return QuasimodeFamily(
             tuple(manifest["h_ladder"]),
-            tuple(members),
+            tuple(members[i] for i in manifest["member_index"]),
             tuple(manifest["normalization"]),
         )
 

@@ -115,13 +115,11 @@ def coherent_state(
 
 def _mass_on_nodes(
     u: TrigPolynomial, nodes: np.ndarray, xi0: Sequence[float], h: float
-) -> np.ndarray:
-    """|<u, probe at each node>|^2, vectorized over the x grid."""
+) -> tuple[np.ndarray, float]:
+    """|<u, probe at each node>|^2, vectorized over the x grid, and the
+    exact x-average of that mass (a Parseval sum over u's coefficients)."""
     if not u:
-        return np.zeros(nodes.shape[0])
-    if u.dim == 0:
-        value = abs(u.coefficient(())) ** 2
-        return np.full(nodes.shape[0], value)
+        return np.zeros(nodes.shape[0]), 0.0
     support = u.support()
     alphas = np.array(support, dtype=float)
     weights = _weights(alphas, xi0, h)
@@ -131,7 +129,8 @@ def _mass_on_nodes(
     phase = np.exp(2j * np.pi * (nodes @ alphas.T))
     amplitude = np.sum(phase * weighted[None, :], axis=1)
     norm_sq = _probe_norm_squared(xi0, h, u.dim)
-    return np.abs(amplitude) ** 2 / norm_sq
+    exact_average = float(np.sum(np.abs(weighted) ** 2) / norm_sq)
+    return np.abs(amplitude) ** 2 / norm_sq, exact_average
 
 
 def coherent_mass(u: TrigPolynomial, x0, xi0, h: float) -> float:
@@ -143,7 +142,7 @@ def coherent_mass(u: TrigPolynomial, x0, xi0, h: float) -> float:
     node = np.asarray(x0, dtype=float).reshape(1, -1)
     if node.shape[1] != u.dim:
         raise ValueError("base point has wrong dimension")
-    return float(_mass_on_nodes(u, node, xi0, h)[0])
+    return float(_mass_on_nodes(u, node, xi0, h)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +165,8 @@ class PhaseSpaceGrid:
         pts = int(self.points_per_axis)
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        if pts < 0:
-            raise ValueError("points per axis must be nonnegative")
+        if pts < 2:
+            raise ValueError("need at least 2 points per axis")
         xi = tuple(tuple(float(c) for c in covector) for covector in self.xi_points)
         if any(len(covector) != dim for covector in xi):
             raise ValueError("covector dimension mismatch")
@@ -201,15 +200,9 @@ class PhaseSpaceGrid:
             h_ladder=tuple(h_ladder) if h_ladder is not None else default_h_ladder(),
         )
 
-    @property
-    def node_count(self) -> int:
-        return self.points_per_axis**self.dimension
-
     @cached_property
     def x_nodes(self) -> np.ndarray:
-        """All grid nodes, shape (node_count, dimension), C order."""
-        if self.points_per_axis == 0:
-            return np.zeros((0, self.dimension))
+        """All grid nodes, one row per node, C order."""
         axis = np.arange(self.points_per_axis, dtype=float) / self.points_per_axis
         mesh = np.meshgrid(*([axis] * self.dimension), indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=1)
@@ -234,18 +227,12 @@ class MassMap:
     exponents: np.ndarray
     residuals: np.ndarray
 
-    def csv_rows(self):
-        """Deterministic row stream: x coords, xi coords, h, mass."""
-        nodes = self.grid.x_nodes
-        for xi_index, xi in enumerate(self.grid.xi_points):
-            for node_index in range(nodes.shape[0]):
-                for h_index, h in enumerate(self.grid.h_ladder):
-                    yield (
-                        *(float(c) for c in nodes[node_index]),
-                        *(float(c) for c in xi),
-                        float(h),
-                        float(self.masses[xi_index, node_index, h_index]),
-                    )
+
+def _fit_rows(ladder: Sequence[float], normalized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents and residuals of one decay fit per row of a
+    (rows, ladder points) array of symbol-normalized masses."""
+    fits = [fit_decay_exponent(ladder, row) for row in normalized.tolist()]
+    return np.array([f.exponent for f in fits]), np.array([f.residual for f in fits])
 
 
 def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap:
@@ -266,33 +253,18 @@ def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap
     for xi_index, xi in enumerate(grid.xi_points):
         for h_index, h in enumerate(grid.h_ladder):
             u = family.member(h)
-            row = _mass_on_nodes(u, nodes, xi, h)
+            row, exact_average = _mass_on_nodes(u, nodes, xi, h)
             masses[xi_index, :, h_index] = row
             budget = symbol_scale(grid.dimension, h) * (1.0 + _MASS_BUDGET_SLACK)
-            support = u.support()
-            if support:
-                alphas = np.array(support, dtype=float)
-                weights = _weights(alphas, xi, h)
-                coeffs = np.array([abs(u.coefficient(a)) for a in support])
-                exact_average = float(
-                    np.sum((coeffs * weights) ** 2) / _probe_norm_squared(xi, h, u.dim)
-                )
-                if exact_average > budget:
-                    raise ArithmeticError("mass budget exceeded; probe normalization is off")
+            if exact_average > budget:
+                raise ArithmeticError("mass budget exceeded; probe normalization is off")
             resolved = 2 * u.support_radius() < grid.points_per_axis
-            if resolved and nodes.shape[0]:
-                if float(np.mean(row)) > budget:
-                    raise ArithmeticError("grid mass average exceeded the budget")
-    exponents = np.zeros((n_xi, nodes.shape[0]))
-    residuals = np.zeros((n_xi, nodes.shape[0]))
+            if resolved and float(np.mean(row)) > budget:
+                raise ArithmeticError("grid mass average exceeded the budget")
     scales = np.array([symbol_scale(grid.dimension, h) for h in grid.h_ladder])
-    for xi_index in range(n_xi):
-        for node_index in range(nodes.shape[0]):
-            fit = fit_decay_exponent(
-                grid.h_ladder, masses[xi_index, node_index, :] / scales
-            )
-            exponents[xi_index, node_index] = fit.exponent
-            residuals[xi_index, node_index] = fit.residual
+    exponents, residuals = _fit_rows(grid.h_ladder, (masses / scales).reshape(-1, n_h))
+    exponents = exponents.reshape(n_xi, -1)
+    residuals = residuals.reshape(n_xi, -1)
     for arr in (masses, exponents, residuals):
         arr.setflags(write=False)
     return MassMap(grid=grid, masses=masses, exponents=exponents, residuals=residuals)
@@ -351,8 +323,6 @@ def _classify(exponents: np.ndarray, thresholds: VerdictThresholds) -> np.ndarra
 def _has_full_block(mask: np.ndarray) -> bool:
     """Whether a 2-per-axis contiguous block of True exists, wrapping
     around the torus."""
-    if mask.size == 0:
-        return False
     acc = mask.copy()
     for axis in range(mask.ndim):
         acc = acc & np.roll(acc, -1, axis=axis)
@@ -374,17 +344,14 @@ def nonconcentration_report(
     classes = _classify(mass_map.exponents, thresholds)
     zero_index = grid.zero_xi_index
     zero_classes = classes[zero_index]
-    node_count = zero_classes.shape[0]
-    fill = float(np.mean(zero_classes == IN)) if node_count else 0.0
-    fills_torus = node_count > 0 and fill >= thresholds.fill_fraction
+    fill = float(np.mean(zero_classes == IN))
+    fills_torus = fill >= thresholds.fill_fraction
     off_rows = [i for i in range(len(grid.xi_points)) if i != zero_index]
     lagrangian_supported = all(
         bool(np.all(classes[i] == OUT)) for i in off_rows
     ) and bool(off_rows)
     shape = (grid.points_per_axis,) * grid.dimension
-    interior = (
-        _has_full_block((zero_classes == IN).reshape(shape)) if node_count else False
-    )
+    interior = _has_full_block((zero_classes == IN).reshape(shape))
 
     # diagnostic: worst IN fraction over long contiguous ladder windows,
     # a proxy for stability along subsequences of h
@@ -392,19 +359,11 @@ def nonconcentration_report(
     window = max(4, len(ladder) // 2)
     min_fill = fill
     scales = np.array([symbol_scale(grid.dimension, h) for h in ladder])
-    if node_count:
-        for start in range(0, len(ladder) - window + 1):
-            stop = start + window
-            sub_in = 0
-            for node_index in range(node_count):
-                fit = fit_decay_exponent(
-                    ladder[start:stop],
-                    mass_map.masses[zero_index, node_index, start:stop]
-                    / scales[start:stop],
-                )
-                if fit.exponent < thresholds.in_exponent:
-                    sub_in += 1
-            min_fill = min(min_fill, sub_in / node_count)
+    normalized = mass_map.masses[zero_index] / scales
+    for start in range(0, len(ladder) - window + 1):
+        stop = start + window
+        exponents, _ = _fit_rows(ladder[start:stop], normalized[:, start:stop])
+        min_fill = min(min_fill, float(np.mean(exponents < thresholds.in_exponent)))
 
     return WavefrontReport(
         classifications=classes,

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from toruslab import cli, quasimode, trigpoly, wavefront
 from toruslab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_PASS,
@@ -77,13 +81,29 @@ def test_parse_rejects_nonreal_multiplier(tmp_path):
 
 
 def test_parse_rejects_non_finite_numbers(tmp_path):
-    nan_hessian = _config(tmp_path, {"hessian": [[float("nan"), 0.0], [0.0, 1.0]]}).read_text()
-    inf_profile = _config(tmp_path).read_text().replace('"re": 2.0', '"re": Infinity')
-    overflow = _config(tmp_path).read_text().replace('"re": 2.0', '"re": 1e999')
-    for text, token in ((nan_hessian, "NaN"), (inf_profile, "Infinity"), (overflow, "1e999")):
-        assert token in text
-        with pytest.raises(ConfigError, match=token):
+    huge = 10**400  # an integer literal beyond the float range
+    golden = _config(tmp_path).read_text()
+    profile = "factory.v[1].re"  # the "re": 2.0 entry
+    cases = [
+        (_config(tmp_path, {"hessian": [[float("nan"), 0.0], [0.0, 1.0]]}).read_text(), "hessian[0][0]", "NaN"),
+        (golden.replace('"re": 2.0', '"re": Infinity'), profile, "Infinity"),
+        (golden.replace('"re": 2.0', '"re": 1e999'), profile, "1e999"),
+        (golden.replace('"re": 2.0', f'"re": {huge}'), profile, "float range"),
+    ]
+    for overrides, path in (
+        ({"hessian": [[huge, 0.0], [0.0, 1.0]]}, "hessian[0][0]"),
+        ({"thresholds": {"in_exponent": huge}}, "thresholds.in_exponent"),
+        ({"grid": {"points_per_axis": 4, "xi": [[0.0, 0.0], [-huge, 0.0]]}}, "grid.xi[1][0]"),
+        ({"subdomain": [0.0, huge]}, "subdomain[1]"),
+        ({"delta": huge}, "delta"),
+        ({"basis": {"names": ["1"], "values": [huge]}}, "basis.values[0]"),
+    ):
+        cases.append((_config(tmp_path, overrides).read_text(), path, "float range"))
+    for text, path, cause in cases:
+        with pytest.raises(ConfigError) as err:
             parse_config(text)
+        ((where, message),) = err.value.errors
+        assert where == path and cause in message
 
 
 def test_canonical_json_is_sorted_and_stable():
@@ -169,9 +189,15 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["all", "--config", str(bad)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "foo" in err
-    nan = _config(tmp_path, {"hessian": [[float("nan"), 0.0], [0.0, 1.0]]}, name="nan.json")
-    assert main(["all", "--config", str(nan)]) == EXIT_USAGE
-    assert "NaN" in capsys.readouterr().err
+    for overrides, cause in (
+        ({"hessian": [[float("nan"), 0.0], [0.0, 1.0]]}, "hessian[0][0]: non-finite number NaN"),
+        ({"delta": 10**400}, "delta: integer"),
+        ({"grid": {"points_per_axis": 0}}, "grid.points_per_axis"),
+        ({"grid": {"points_per_axis": 1}}, "grid.points_per_axis"),
+    ):
+        rejected = _config(tmp_path, overrides, name="rejected.json")
+        assert main(["all", "--config", str(rejected)]) == EXIT_USAGE
+        assert cause in capsys.readouterr().err
     # argument errors are usage errors too; --help is not an error
     for argv, cause in (
         (["all", "--config", str(config_path), "--bogus"], "--bogus"),
@@ -195,3 +221,44 @@ def test_echoed_config_reparses_identically(tmp_path):
     echo_text = canonical_json(config.echo)
     config2 = parse_config(echo_text)
     assert config2.echo == config.echo
+
+
+def test_massmap_csv_matches_slow_oracle(tmp_path, monkeypatch):
+    # covectors with a -0.0 component and integral entries; off the zero
+    # covector the masses underflow to 1e-300 and below
+    xi = [[0.0, 0.0], [1.0, -0.0], [-0.0, -1.0]]
+    config = parse_config(
+        _config(tmp_path, {"grid": {"points_per_axis": 4, "xi": xi}}).read_text()
+    )
+    seen = []
+
+    def spy(family, grid):
+        seen.append(wavefront.wavefront_mass_map(family, grid))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "wavefront_mass_map", spy)
+    out = tmp_path / "out"
+    run_pipeline(config, ("split", "build", "wavefront"), out)
+    (mass_map,) = seen
+    grid = mass_map.grid
+    lines = ["x0,x1,xi0,xi1,h,mass"]
+    for i, covector in enumerate(grid.xi_points):
+        for j, node in enumerate(grid.x_nodes):
+            for l, h in enumerate(grid.h_ladder):
+                cells = [*node, *covector, h, mass_map.masses[i, j, l]]
+                lines.append(",".join(format(float(c), ".17g") for c in cells))
+    cells = {cell for line in lines[1:] for cell in line.split(",")}
+    assert {"-0", "0", "0.5", "1", "-1"} <= cells
+    assert np.any(mass_map.masses <= 1e-300)
+    assert (out / "massmap.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_benchmark_tracer_probes_exist():
+    # perfbench/tracing.py wraps each probe with owner.__dict__[attr]; a
+    # renamed or removed name would make a traced run raise KeyError
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for owner, attr, *_ in tracing.probes(cli, quasimode, wavefront, trigpoly):
+        assert attr in vars(owner), f"{owner.__name__}.{attr}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from toruslab import (
     assemble_Q_alpha,
     build_factory_quasimode,
     check_mode_concentration,
+    coherent_state,
     decompose_along_T,
     default_h_ladder,
     fit_decay_exponent,
@@ -192,6 +194,21 @@ def test_family_save_load_round_trip(tmp_path, golden):
     assert loaded.h_ladder == golden.family.h_ladder
     assert loaded.members == golden.family.members
     assert loaded.normalization == golden.family.normalization
+    # a factory family has one member at every h and stores it once
+    assert [p.name for p in (tmp_path / "fam").iterdir()] == ["manifest.json"]
+    manifest = json.loads((tmp_path / "fam" / "manifest.json").read_text())
+    assert len(manifest["members"]) == 1
+    assert manifest["member_index"] == [0] * len(golden.ladder)
+    # a family whose members all differ round-trips member for member
+    ladder = default_h_ladder()
+    family = QuasimodeFamily.from_members(
+        ladder, [coherent_state(1, [0.3], [0.5], h) for h in ladder]
+    )
+    assert len(set(family.members)) == len(ladder)
+    family.save(tmp_path / "coherent")
+    loaded = QuasimodeFamily.load(tmp_path / "coherent")
+    assert loaded.members == family.members
+    assert loaded.normalization == family.normalization
 
 
 # ---------------------------------------------------------------------------
