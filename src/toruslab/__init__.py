@@ -7,6 +7,13 @@ operator, and coherent-state mass maps render the nonconcentration
 verdicts.
 """
 
+import os
+
+# One BLAS thread, set before numpy loads: reduction orders, and with them
+# artifact bytes, must not depend on the ambient thread count.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 from .exact import (
     ExactNumber,
     FrequencyVector,

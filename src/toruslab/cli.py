@@ -5,19 +5,14 @@ torus splitting, factory construction, quasimode verification, wavefront
 verdicts), and writes report.json, decay.csv, massmap.csv and an echo of
 the materialized config.  All artifacts are byte-deterministic for a fixed
 config: keys are sorted, floats are printed at 17 significant digits, and
-BLAS threading is pinned before numpy loads so reduction orders cannot
-drift with the ambient thread count.
+importing toruslab pins BLAS threading before numpy loads, so reduction
+orders cannot drift with the ambient thread count.
 
 Exit codes: 0 when all requested checks pass, 2 when a check fails, 1 on
 usage errors.
 """
 
 from __future__ import annotations
-
-import os
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"
 
 import argparse
 import json
@@ -509,7 +504,6 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
     split = None
     spec = None
     family = None
-    alpha0 = None
 
     if "hypotheses" in requested:
         det, nondegenerate = bordered_determinant(config.hessian, omega_floats)
@@ -555,7 +549,6 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
             except InvariantViolation as exc:
                 report["notes"].append(str(exc))
                 resonant = None
-        alpha0 = resonant
         report["splitting"] = {
             "relation_lattice": {
                 "rank": relations.rank,
@@ -625,7 +618,7 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
 
     if "verify" in requested and family is not None:
         try:
-            _run_verify_stage(config, split, spec, family, alpha0, report, checks, out_dir)
+            _run_verify_stage(config, split, spec, family, report, checks, out_dir)
             artifacts["decay.csv"] = "written"
         except (ValueError, ArithmeticError, InvariantViolation) as exc:
             report["quasimode_verify"] = {"status": "error", "detail": str(exc)}
@@ -680,9 +673,9 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
     return (EXIT_PASS if not failures else EXIT_CHECK_FAILED), report
 
 
-def _run_verify_stage(config, split, spec, family, alpha0, report, checks, out_dir):
+def _run_verify_stage(config, split, spec, family, report, checks, out_dir):
     order = verify_quasimode_order(family, spec, config.delta)
-    concentration = check_mode_concentration(family, split, alpha0, config.epsilon)
+    concentration = check_mode_concentration(family, split, config.factory_alpha0, config.epsilon)
     series = [("residual", order.residual_norms)] + [
         ("mode[" + ",".join(str(a) for a in mode) + "]", concentration.mode_fits[mode].values)
         for mode in sorted(concentration.mode_fits)
@@ -691,7 +684,7 @@ def _run_verify_stage(config, split, spec, family, alpha0, report, checks, out_d
     decay_lines = (f"{label},{h},{_format_float(v)}" for label, vs in series for h, v in zip(hs, vs))
     form = transform_quadratic_form(config.hessian, split)
     r0 = _transverse_multiplier(spec, split)
-    op = assemble_Q_alpha(form, alpha0, r0)
+    op = assemble_Q_alpha(form, config.factory_alpha0, r0)
     null = galerkin_nullspace(op, config.truncation, null_tol=config.null_tol)
     box = [(config.subdomain[0], config.subdomain[1])] * (
         config.dimension - split.orbit_dimension

@@ -89,45 +89,55 @@ _NORMALIZATION_TOL = 1e-8
 @dataclass(frozen=True)
 class DecayFit:
     """Fitted slope of log(value) against log(h), with the worst absolute
-    deviation of the fit; fits with residual above 0.5 are unreliable."""
+    deviation of the fit; fits with residual above 0.5 are unreliable.
+    A fit of a stack of series holds arrays of the stack's leading shape."""
 
-    exponent: float
-    residual: float
-    values: tuple[float, ...]
+    exponent: float | np.ndarray
+    residual: float | np.ndarray
+    values: tuple[float, ...] | np.ndarray
 
     @property
-    def reliable(self) -> bool:
+    def reliable(self) -> bool | np.ndarray:
         return self.residual <= 0.5
 
 
-def fit_decay_exponent(h_ladder: Sequence[float], values: Sequence[float]) -> DecayFit:
+def fit_decay_exponent(h_ladder: Sequence[float], values: Sequence | np.ndarray) -> DecayFit:
     """Least-squares decay order of positive values over an h ladder.
 
-    A ladder needs at least four points for a meaningful fit.  Exact zeros
-    short-circuit to an infinite exponent, the faster-than-any-power flag.
+    ``values`` is one series or a stack of series along its last axis.  A
+    ladder needs at least four points for a meaningful fit.  A series with
+    an exact zero short-circuits to an infinite exponent, the
+    faster-than-any-power flag.  Every series gets the bits it would get
+    alone: math.log and per-row math.fsum (numpy's log and sum round
+    differently), scalar ladder terms, and only elementwise numpy arithmetic.
     """
     hs = [float(h) for h in h_ladder]
-    vals = [float(v) for v in values]
-    if len(hs) != len(vals):
+    vals = np.array(values, dtype=float)
+    if vals.ndim == 0 or vals.shape[-1] != len(hs):
         raise ValueError("ladder and values have different lengths")
     if len(hs) < 4:
         raise ValueError("need at least four ladder points to fit")
     if any(h <= 0 for h in hs):
         raise ValueError("ladder values must be positive")
-    if any(v < 0 for v in vals):
+    if np.any(vals < 0):
         raise ValueError("values must be nonnegative")
-    if any(v == 0.0 for v in vals):
-        return DecayFit(float("inf"), 0.0, tuple(vals))
+    live = ~np.any(vals == 0.0, axis=-1)
     xs = [math.log(h) for h in hs]
-    ys = [math.log(v) for v in vals]
     xbar = math.fsum(xs) / len(xs)
-    ybar = math.fsum(ys) / len(ys)
     sxx = math.fsum((x - xbar) ** 2 for x in xs)
-    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    slope = sxy / sxx
+    ys = np.fromiter(map(math.log, vals[live].ravel().tolist()), float).reshape(-1, len(hs))
+    ybar = np.array(list(map(math.fsum, ys.tolist()))) / len(xs)
+    deviations = np.array([x - xbar for x in xs]) * (ys - ybar[:, None])
+    slope = np.array(list(map(math.fsum, deviations.tolist()))) / sxx
     intercept = ybar - slope * xbar
-    residual = max(abs(y - (intercept + slope * x)) for x, y in zip(xs, ys))
-    return DecayFit(slope, residual, tuple(vals))
+    fitted = intercept[:, None] + slope[:, None] * np.array(xs)
+    exponent = np.full(vals.shape[:-1], math.inf)
+    residual = np.zeros(vals.shape[:-1])
+    exponent[live] = slope
+    residual[live] = np.max(np.abs(ys - fitted), axis=1)
+    if vals.ndim == 1:
+        return DecayFit(float(exponent), float(residual), tuple(vals.tolist()))
+    return DecayFit(exponent, residual, vals)
 
 
 def default_h_ladder(start: int = 4, stop: int = 12) -> tuple[float, ...]:
@@ -663,15 +673,14 @@ def check_mode_concentration(
     seen: set[tuple[int, ...]] = set()
     for decomposition in per_h:
         seen.update(decomposition.modes.keys())
-    fits: dict[tuple[int, ...], DecayFit] = {}
-    for alpha in sorted(seen - {alpha0}):
-        norms = [
-            dec.modes[alpha].norm() if alpha in dec.modes else 0.0 for dec in per_h
-        ]
-        fits[alpha] = fit_decay_exponent(family.h_ladder, norms)
-    alpha0_norms = tuple(
-        dec.modes[alpha0].norm() if alpha0 in dec.modes else 0.0 for dec in per_h
-    )
+    modes = sorted(seen - {alpha0})
+    norms = [[d.modes[a].norm() if a in d.modes else 0.0 for d in per_h] for a in modes + [alpha0]]
+    stack = fit_decay_exponent(family.h_ladder, np.reshape(norms[:-1], (len(modes), len(per_h))))
+    fits = {
+        alpha: DecayFit(float(stack.exponent[i]), float(stack.residual[i]), tuple(norms[i]))
+        for i, alpha in enumerate(modes)
+    }
+    alpha0_norms = tuple(norms[-1])
     threshold = 1.0 - float(epsilon) - FIT_TOL
     passed = all(f.exponent >= threshold for f in fits.values())
     floor_ok = alpha0_norms[-1] >= 0.5

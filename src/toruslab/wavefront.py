@@ -228,13 +228,6 @@ class MassMap:
     residuals: np.ndarray
 
 
-def _fit_rows(ladder: Sequence[float], normalized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents and residuals of one decay fit per row of a
-    (rows, ladder points) array of symbol-normalized masses."""
-    fits = [fit_decay_exponent(ladder, row) for row in normalized.tolist()]
-    return np.array([f.exponent for f in fits]), np.array([f.residual for f in fits])
-
-
 def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap:
     """Evaluate coherent masses on the whole grid and fit per-node decay.
 
@@ -247,9 +240,7 @@ def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap
     if family.dimension != grid.dimension:
         raise ValueError("family and grid dimensions differ")
     nodes = grid.x_nodes
-    n_xi = len(grid.xi_points)
-    n_h = len(grid.h_ladder)
-    masses = np.zeros((n_xi, nodes.shape[0], n_h))
+    masses = np.zeros((len(grid.xi_points), nodes.shape[0], len(grid.h_ladder)))
     for xi_index, xi in enumerate(grid.xi_points):
         for h_index, h in enumerate(grid.h_ladder):
             u = family.member(h)
@@ -262,12 +253,10 @@ def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap
             if resolved and float(np.mean(row)) > budget:
                 raise ArithmeticError("grid mass average exceeded the budget")
     scales = np.array([symbol_scale(grid.dimension, h) for h in grid.h_ladder])
-    exponents, residuals = _fit_rows(grid.h_ladder, (masses / scales).reshape(-1, n_h))
-    exponents = exponents.reshape(n_xi, -1)
-    residuals = residuals.reshape(n_xi, -1)
-    for arr in (masses, exponents, residuals):
+    fit = fit_decay_exponent(grid.h_ladder, masses / scales)
+    for arr in (masses, fit.exponent, fit.residual):
         arr.setflags(write=False)
-    return MassMap(grid=grid, masses=masses, exponents=exponents, residuals=residuals)
+    return MassMap(grid=grid, masses=masses, exponents=fit.exponent, residuals=fit.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +351,7 @@ def nonconcentration_report(
     normalized = mass_map.masses[zero_index] / scales
     for start in range(0, len(ladder) - window + 1):
         stop = start + window
-        exponents, _ = _fit_rows(ladder[start:stop], normalized[:, start:stop])
+        exponents = fit_decay_exponent(ladder[start:stop], normalized[:, start:stop]).exponent
         min_fill = min(min_fill, float(np.mean(exponents < thresholds.in_exponent)))
 
     return WavefrontReport(

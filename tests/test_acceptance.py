@@ -336,38 +336,61 @@ def test_criterion_09_maslov_congruence():
     )
 
 
+_GOLDEN_CONFIG = {
+    "dimension": 2,
+    "omega": [["2"], ["3"]],
+    "hessian": [[1.0, 0.0], [0.0, 1.0]],
+    "factory": {
+        "alpha0": [0],
+        "v": [
+            {"alpha": [-1], "re": 0.5},
+            {"alpha": [0], "re": 2.0},
+            {"alpha": [1], "re": 0.5},
+        ],
+    },
+}
+
+# q = 2: a two-dimensional transverse torus, whose Galerkin eigensolve and
+# unique-continuation Gram go through multi-threaded BLAS unless it is pinned
+_THREE_TORUS_CONFIG = {
+    "dimension": 3,
+    "omega": [["1"], ["2"], ["3"]],
+    "hessian": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "factory": {
+        "alpha0": [0],
+        "v": [
+            {"alpha": [0, 0], "re": 3.0},
+            {"alpha": [-1, 0], "re": 0.5},
+            {"alpha": [1, 0], "re": 0.5},
+            {"alpha": [0, -1], "re": 0.5},
+            {"alpha": [0, 1], "re": 0.5},
+        ],
+    },
+    "truncation": 8,
+    "grid": {"points_per_axis": 4, "xi": "units"},
+    "h_ladder": "4..7",
+}
+
+
 def test_criterion_10_end_to_end_determinism(tmp_path):
-    config = {
-        "dimension": 2,
-        "omega": [["2"], ["3"]],
-        "hessian": [[1.0, 0.0], [0.0, 1.0]],
-        "factory": {
-            "alpha0": [0],
-            "v": [
-                {"alpha": [-1], "re": 0.5},
-                {"alpha": [0], "re": 2.0},
-                {"alpha": [1], "re": 0.5},
-            ],
-        },
-        "out": str(tmp_path / "out"),
-    }
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
     artifacts = ("report.json", "massmap.csv", "decay.csv", "config.echo")
-    snapshots = []
-    for threads in ("1", "4"):
-        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
-        result = subprocess.run(
-            [sys.executable, "-m", "toruslab.cli", "all", "--config", str(config_path)],
-            capture_output=True,
-            env=env,
+    for label, base in (("golden", _GOLDEN_CONFIG), ("three-torus", _THREE_TORUS_CONFIG)):
+        config_path = tmp_path / f"{label}.json"
+        config_path.write_text(json.dumps(dict(base, out=str(tmp_path / label))))
+        snapshots = []
+        for threads in ("1", "4"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            result = subprocess.run(
+                [sys.executable, "-m", "toruslab.cli", "all", "--config", str(config_path)],
+                capture_output=True,
+                env=env,
+            )
+            assert result.returncode == 0, result.stderr.decode()
+            snapshots.append({name: (tmp_path / label / name).read_bytes() for name in artifacts})
+        identical = all(snapshots[0][name] == snapshots[1][name] for name in artifacts)
+        _announce(
+            10,
+            identical,
+            f"two {label} pipeline runs are byte-identical across thread counts",
+            ", ".join(f"{name} {len(snapshots[0][name])}B" for name in artifacts),
         )
-        assert result.returncode == 0, result.stderr.decode()
-        snapshots.append({name: (tmp_path / "out" / name).read_bytes() for name in artifacts})
-    identical = all(snapshots[0][name] == snapshots[1][name] for name in artifacts)
-    _announce(
-        10,
-        identical,
-        "two pipeline runs are byte-identical across thread counts",
-        ", ".join(f"{name} {len(snapshots[0][name])}B" for name in artifacts),
-    )

@@ -181,6 +181,18 @@ def test_pipeline_rejects_non_resonant_explicit_c(tmp_path):
     assert any(path == "c" for path, _ in err.value.errors)
 
 
+def test_explicit_c_resonant_beyond_search_box_reports(tmp_path):
+    # c = 20001 resonates with alpha0 = 20001, outside the box that
+    # find_resonant_mode searches; verify must use the factory's mode
+    factory = {"alpha0": [20001], "v": [{"alpha": [0], "re": 1.0}]}
+    config_path = _config(tmp_path, {"c": "20001", "factory": factory})
+    assert main(["all", "--config", str(config_path)]) in (EXIT_PASS, EXIT_CHECK_FAILED)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["splitting"]["resonant_mode"] is None
+    assert report["quasimode_verify"]["concentration"]["pass"] is True
+    assert (tmp_path / "out" / "decay.csv").exists()
+
+
 def test_main_exit_codes(tmp_path, capsys):
     config_path = _config(tmp_path)
     assert main(["check-hypotheses", "--config", str(config_path)]) == EXIT_PASS

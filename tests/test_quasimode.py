@@ -24,6 +24,7 @@ from toruslab import (
     build_factory_quasimode,
     check_mode_concentration,
     coherent_state,
+    nonconcentration_report,
     decompose_along_T,
     default_h_ladder,
     fit_decay_exponent,
@@ -34,7 +35,10 @@ from toruslab import (
     transform_quadratic_form,
     unique_continuation_constant,
     verify_quasimode_order,
+    wavefront_mass_map,
 )
+from toruslab.quasimode import DecayFit
+from toruslab.wavefront import PhaseSpaceGrid, symbol_scale
 
 
 def _transverse_multiplier(spec, split):
@@ -92,6 +96,97 @@ def test_fit_flags_non_power_law_as_unreliable():
     fit = fit_decay_exponent(ladder, values)
     assert fit.residual > 0.5
     assert not fit.reliable
+
+
+def _scalar_fit(h_ladder, values) -> DecayFit:
+    """The one-series fit the stacked fit replaced, kept as the reference."""
+    hs = [float(h) for h in h_ladder]
+    vals = [float(v) for v in values]
+    if len(hs) != len(vals):
+        raise ValueError("ladder and values have different lengths")
+    if len(hs) < 4:
+        raise ValueError("need at least four ladder points to fit")
+    if any(h <= 0 for h in hs):
+        raise ValueError("ladder values must be positive")
+    if any(v < 0 for v in vals):
+        raise ValueError("values must be nonnegative")
+    if any(v == 0.0 for v in vals):
+        return DecayFit(float("inf"), 0.0, tuple(vals))
+    xs = [math.log(h) for h in hs]
+    ys = [math.log(v) for v in vals]
+    xbar = math.fsum(xs) / len(xs)
+    ybar = math.fsum(ys) / len(ys)
+    sxx = math.fsum((x - xbar) ** 2 for x in xs)
+    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    intercept = ybar - slope * xbar
+    residual = max(abs(y - (intercept + slope * x)) for x, y in zip(xs, ys))
+    return DecayFit(slope, residual, tuple(vals))
+
+
+def _assert_stack_matches_scalar(ladder, stack, exponents, residuals):
+    rows = np.asarray(stack).reshape(-1, len(ladder)).tolist()
+    pairs = zip(np.ravel(exponents).tolist(), np.ravel(residuals).tolist())
+    for row, (exponent, residual) in zip(rows, pairs, strict=True):
+        expected = _scalar_fit(ladder, row)
+        assert (exponent, residual) == (expected.exponent, expected.residual)
+
+
+def test_stacked_fit_matches_scalar_fit_bit_for_bit():
+    # many ladders, so that the ladder-only sums meet values where x * x and
+    # x ** 2 round apart; the second half of each stack lies near 1, where
+    # np.log and math.log round apart most often
+    rng = np.random.default_rng(11)
+    sigma = np.array([40.0, 1.0])[:, None, None]
+    for trial in range(360):
+        n = 4 + trial % 9
+        ladder = sorted(rng.uniform(1e-4, 0.5, n).tolist(), reverse=True)
+        stack = np.exp(rng.normal(0.0, sigma, (2, 40, n)))
+        stack[0, ::7, rng.integers(n)] = 0.0
+        fit = fit_decay_exponent(ladder, stack)
+        assert fit.exponent.shape == fit.residual.shape == (2, 40)
+        assert np.isinf(fit.exponent[0, ::7]).all() and not fit.residual[0, ::7].any()
+        _assert_stack_matches_scalar(ladder, stack, fit.exponent, fit.residual)
+        for row in (stack[0, 0], stack[1, 1]):
+            single = fit_decay_exponent(ladder, row.tolist())
+            expected = _scalar_fit(ladder, row)
+            assert type(single.exponent) is float and type(single.residual) is float
+            assert type(single.values) is tuple and single.values == expected.values
+            assert (single.exponent, single.residual) == (expected.exponent, expected.residual)
+
+
+def test_stacked_fit_matches_scalar_fit_on_golden_mass_map(golden):
+    grid = PhaseSpaceGrid.standard(2, 32, golden.ladder)
+    mass_map = wavefront_mass_map(golden.family, grid)
+    scales = np.array([symbol_scale(2, h) for h in golden.ladder])
+    normalized = mass_map.masses / scales
+    assert mass_map.exponents.shape == (5, 1024)
+    _assert_stack_matches_scalar(
+        golden.ladder, normalized, mass_map.exponents, mass_map.residuals
+    )
+    # the subsequence diagnostic fits 6 windows of 4 ladder points at xi = 0
+    zero = normalized[grid.zero_xi_index]
+    min_fill = float(np.mean(mass_map.exponents[grid.zero_xi_index] < 0.5))
+    for start in range(6):
+        window = golden.ladder[start:start + 4]
+        rows = zero[:, start:start + 4]
+        fit = fit_decay_exponent(window, rows)
+        _assert_stack_matches_scalar(window, rows, fit.exponent, fit.residual)
+        expected = [_scalar_fit(window, row).exponent < 0.5 for row in rows]
+        min_fill = min(min_fill, float(np.mean(expected)))
+    assert nonconcentration_report(mass_map).subsequence_min_fill == min_fill
+
+
+def test_stacked_fit_rejects_bad_rows():
+    ladder = default_h_ladder()
+    stack = np.ones((3, len(ladder)))
+    stack[2, 4] = -1e-300
+    with pytest.raises(ValueError, match="nonnegative"):
+        fit_decay_exponent(ladder, stack)
+    with pytest.raises(ValueError, match="different lengths"):
+        fit_decay_exponent(ladder, np.ones((3, len(ladder) + 1)))
+    with pytest.raises(ValueError, match="different lengths"):
+        fit_decay_exponent(ladder, np.ones((len(ladder), 3)))
 
 
 # ---------------------------------------------------------------------------
