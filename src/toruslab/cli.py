@@ -30,6 +30,7 @@ from .exact import (
     FrequencyVector,
     IrrationalBasis,
     InvariantViolation,
+    RESONANCE_BOX,
     find_resonant_mode,
     parse_rational,
     relation_lattice,
@@ -545,10 +546,19 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
                 resonant = tuple(config.factory_alpha0)
         else:
             try:
-                resonant = find_resonant_mode(split.omega_tilde, config.c_spec)
+                resonant = find_resonant_mode(split.omega_tilde, config.c_spec, box=None)
             except InvariantViolation as exc:
                 report["notes"].append(str(exc))
                 resonant = None
+            else:
+                if resonant is None:
+                    report["notes"].append("no integer mode is resonant with explicit c")
+                elif max(map(abs, resonant)) > RESONANCE_BOX:
+                    report["notes"].append(
+                        "the integer mode resonant with explicit c lies outside "
+                        f"the search box of max-norm {RESONANCE_BOX}"
+                    )
+                    resonant = None
         report["splitting"] = {
             "relation_lattice": {
                 "rank": relations.rank,
@@ -579,10 +589,8 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
                     [("factory.v", "profile dimension must equal dimension - orbit dimension")]
                 )
             if config.c_spec != "resonant":
-                residual = config.c_spec
-                for a, w in zip(config.factory_alpha0, split.omega_tilde):
-                    residual = residual + w.scaled(a)
-                if not residual.is_zero:
+                pairing = FrequencyVector(split.omega_tilde).dot(config.factory_alpha0)
+                if not (config.c_spec + pairing).is_zero:
                     raise ConfigError(
                         [("c", "explicit c is not resonant with factory.alpha0")]
                     )

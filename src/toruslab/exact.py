@@ -287,6 +287,29 @@ def integer_kernel(A: Sequence[Sequence[int]]) -> list[list[int]]:
     return [[U[i][j] for i in range(ncols)] for j in range(rank, ncols)]
 
 
+def _reduce_rows(aug: list[list[Fraction]], k: int) -> int:
+    """Gauss-Jordan: reduce the Fraction rows of ``aug`` in place to reduced
+    row echelon form over their first k columns and return the rank.
+
+    Each pivot is the first nonzero entry at or below the current row; a
+    column without one is skipped.  Pivot rows are scaled to a leading 1.
+    """
+    row = 0
+    for col in range(k):
+        pivot = next((i for i in range(row, len(aug)) if aug[i][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        lead = aug[row][col]
+        aug[row] = [x / lead for x in aug[row]]
+        for i in range(len(aug)):
+            if i != row and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
+        row += 1
+    return row
+
+
 def unimodular_inverse(M: Sequence[Sequence[int]]) -> list[list[int]]:
     """Exact integer inverse of a matrix with determinant +-1."""
     n = len(M)
@@ -294,28 +317,11 @@ def unimodular_inverse(M: Sequence[Sequence[int]]) -> list[list[int]]:
         [Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
         for i in range(n)
     ]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot_row is None:
-            raise InvariantViolation("matrix is singular, expected unimodular")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            q = aug[i][j]
-            if q.denominator != 1:
-                raise InvariantViolation("matrix inverse is not integral, expected unimodular")
-            row.append(int(q))
-        out.append(row)
-    return out
+    if _reduce_rows(aug, n) < n:
+        raise InvariantViolation("matrix is singular, expected unimodular")
+    if any(q.denominator != 1 for row in aug for q in row[n:]):
+        raise InvariantViolation("matrix inverse is not integral, expected unimodular")
+    return [[int(q) for q in row[n:]] for row in aug]
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +504,6 @@ class IntegerLattice:
         cols = [list(map(int, c)) for c in columns]
         if any(len(c) != ambient_dimension for c in cols):
             raise ValueError("column length does not match the ambient dimension")
-        if not cols:
-            return IntegerLattice(tuple((() for _ in range(ambient_dimension))))
         matrix = [[c[i] for c in cols] for i in range(ambient_dimension)]
         H, _ = hermite_normal_form(matrix)
         nonzero = [j for j in range(len(cols)) if any(H[i][j] != 0 for i in range(ambient_dimension))]
@@ -518,20 +522,7 @@ class IntegerLattice:
             raise ValueError("vector has wrong length")
         r = self.rank
         aug = [[Fraction(self.rows[i][j]) for j in range(r)] + [v[i]] for i in range(n)]
-        row = 0
-        for col in range(r):
-            pivot = next((i for i in range(row, n) if aug[i][col] != 0), None)
-            if pivot is None:
-                continue
-            aug[row], aug[pivot] = aug[pivot], aug[row]
-            lead = aug[row][col]
-            aug[row] = [x / lead for x in aug[row]]
-            for i in range(n):
-                if i != row and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-            row += 1
-        return all(aug[i][r] == 0 for i in range(row, n))
+        return all(row[r] == 0 for row in aug[_reduce_rows(aug, r):])
 
     def to_json_obj(self) -> list[list[int]]:
         return [list(map(int, row)) for row in self.rows]
@@ -640,18 +631,12 @@ def split_frequencies(omega: FrequencyVector) -> UnimodularSplitting:
     if relations.rank == 0:
         orbit_basis = [[int(i == j) for i in range(n)] for j in range(n)]
     else:
-        relation_rows = [
-            [relations.rows[i][j] for i in range(n)] for j in range(relations.rank)
-        ]
-        orbit_basis = integer_kernel(relation_rows)
+        orbit_basis = integer_kernel(relations.columns())
     if len(orbit_basis) != k:
         raise InvariantViolation("orbit-closure lattice has unexpected rank")
     M = _complete_basis(orbit_basis, n)
     Minv = unimodular_inverse(M)
-    reduced = [
-        omega.dot(Minv[i]) if any(Minv[i]) else ExactNumber.rational(0, omega.basis_dim)
-        for i in range(n)
-    ]
+    reduced = [omega.dot(row) for row in Minv]
     for i in range(k, n):
         if not reduced[i].is_zero:
             raise InvariantViolation("frequencies do not vanish across the orbit closure")
@@ -665,9 +650,10 @@ def split_frequencies(omega: FrequencyVector) -> UnimodularSplitting:
 def find_resonant_mode(
     omega_tilde: Sequence[ExactNumber],
     c: ExactNumber,
-    box: int = RESONANCE_BOX,
+    box: Optional[int] = RESONANCE_BOX,
 ) -> Optional[tuple[int, ...]]:
-    """The unique integer vector a with omega_tilde . a + c = 0, if any.
+    """The unique integer vector a with omega_tilde . a + c = 0, if any,
+    and of max-norm at most ``box`` unless ``box`` is None.
 
     Solved coordinatewise in the irrationality basis by exact Gaussian
     elimination.  Because the reduced frequencies admit no rational
@@ -686,30 +672,17 @@ def find_resonant_mode(
         [omega_tilde[j].coeffs[i] for j in range(k)] + [-c.coeffs[i]]
         for i in range(m)
     ]
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(k):
-        pivot = next((i for i in range(row, m) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise InvariantViolation(
-                "reduced frequencies admit a rational relation; resonant mode not unique"
-            )
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        lead = aug[row][col]
-        aug[row] = [x / lead for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        pivot_cols.append(col)
-        row += 1
-    for i in range(row, m):
-        if aug[i][k] != 0:
-            return None  # inconsistent: no solution at all
-    solution = [aug[r][k] for r in range(k)]
+    rank = _reduce_rows(aug, k)
+    if rank < k:
+        raise InvariantViolation(
+            "reduced frequencies admit a rational relation; resonant mode not unique"
+        )
+    if any(row[k] != 0 for row in aug[rank:]):
+        return None  # inconsistent: no solution at all
+    solution = [row[k] for row in aug[:k]]
     if any(q.denominator != 1 for q in solution):
         return None
     alpha = tuple(int(q) for q in solution)
-    if max(abs(a) for a in alpha) > box:
+    if box is not None and max(abs(a) for a in alpha) > box:
         return None
     return alpha

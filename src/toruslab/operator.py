@@ -238,30 +238,30 @@ def assemble_Q_alpha(
 
 
 def apply_model_operator(
-    spec: ModelOperatorSpec, u: TrigPolynomial, h: float
-) -> TrigPolynomial:
+    spec: ModelOperatorSpec, u: TrigPolynomial, h: float | Sequence[float]
+) -> TrigPolynomial | list[TrigPolynomial]:
     """Apply the model operator at semiclassical parameter h.
 
     Characters are eigenvectors of the differential part; the multiplier
     term is an exact convolution.  The per-character constant
     omega . alpha + c is computed exactly and converted to a float only
-    here.
+    here.  Given a ladder of h values, returns one result per h and
+    computes the parts that do not depend on h once.
     """
-    if h <= 0:
+    scalar = np.ndim(h) == 0
+    ladder = [h] if scalar else list(h)
+    if any(step <= 0 for step in ladder):
         raise ValueError("h must be positive")
     if u.dim != spec.dimension:
         raise ValueError("input lives on the wrong torus")
     H = spec.hessian.entries
-    out: dict[tuple[int, ...], complex] = {}
+    characters = []
     for alpha, value in u.items():
         a = np.asarray(alpha, dtype=float)
         first_order = spec.basis.to_float(spec.omega.dot(alpha) + spec.c)
-        multiplier = h * first_order + h * h * float(a @ H @ a)
-        if multiplier != 0.0:
-            out[alpha] = multiplier * value
-    result = TrigPolynomial(spec.dimension, out)
-    if spec.r:
-        result = result + spec.r.convolve(u).scaled(h * h)
+        characters.append((alpha, value, first_order, float(a @ H @ a)))
+    ru = spec.r.convolve(u) if spec.r else None
+    tail = None
     if spec.remainder is not None:
         damped = {
             alpha: value / (1.0 + float(np.dot(alpha, alpha)))
@@ -269,5 +269,17 @@ def apply_model_operator(
         }
         tail = TrigPolynomial(spec.dimension, damped).scaled(spec.remainder.multiplier_weight)
         tail = tail + spec.remainder.resolved_potential(spec.dimension).convolve(u)
-        result = result + tail.scaled(h**3)
-    return result
+    results = []
+    for h in ladder:
+        out: dict[tuple[int, ...], complex] = {}
+        for alpha, value, first_order, second_order in characters:
+            multiplier = h * first_order + h * h * second_order
+            if multiplier != 0.0:
+                out[alpha] = multiplier * value
+        result = TrigPolynomial(spec.dimension, out)
+        if ru is not None:
+            result = result + ru.scaled(h * h)
+        if tail is not None:
+            result = result + tail.scaled(h**3)
+        results.append(result)
+    return results[0] if scalar else results

@@ -25,7 +25,6 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .exact import (
-    ExactNumber,
     FrequencyVector,
     IrrationalBasis,
     UnimodularSplitting,
@@ -203,13 +202,19 @@ class QuasimodeFamily:
     def items(self):
         return zip(self.h_ladder, self.members)
 
+    def distinct_members(self) -> tuple[list[TrigPolynomial], list[int]]:
+        """Each distinct member once, in order of first appearance, and the
+        index into that list of each ladder point's member."""
+        distinct: dict[TrigPolynomial, int] = {}
+        member_index = [distinct.setdefault(u, len(distinct)) for u in self.members]
+        return list(distinct), member_index
+
     def save(self, directory, provenance: Optional[dict] = None):
         """Write ``manifest.json``: each distinct member once, in order of
         first appearance, and one member index per ladder point."""
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
-        distinct: dict[TrigPolynomial, int] = {}
-        member_index = [distinct.setdefault(u, len(distinct)) for u in self.members]
+        distinct, member_index = self.distinct_members()
         manifest = {
             "h_ladder": list(self.h_ladder),
             "normalization": list(self.normalization),
@@ -319,11 +324,7 @@ def build_factory_quasimode(
     numerator = bare.apply(v)
 
     # subprincipal constant: exactly minus the reduced frequency pairing
-    c = ExactNumber.rational(0, basis.dim)
-    for a, w in zip(alpha0, split.omega_tilde):
-        if a:
-            c = c + w.scaled(a)
-    c = -c
+    c = -FrequencyVector(split.omega_tilde).dot(alpha0)
 
     if q == 0:
         value = v.coefficient(())
@@ -627,11 +628,15 @@ def verify_quasimode_order(
 
     Families whose residuals are below the exact-kernel level at every
     ladder point pass outright; otherwise the fitted exponent must reach
-    the target within the standard fit slack.
+    the target within the standard fit slack.  The operator is applied
+    once per distinct member, over that member's ladder points.
     """
-    norms = tuple(
-        apply_model_operator(spec, u, h).norm() for h, u in family.items()
-    )
+    members, member_index = family.distinct_members()
+    residuals = []
+    for m, u in enumerate(members):
+        hs = [h for h, j in zip(family.h_ladder, member_index) if j == m]
+        residuals.append(iter(apply_model_operator(spec, u, hs)))
+    norms = tuple(next(residuals[j]).norm() for j in member_index)
     fit = fit_decay_exponent(family.h_ladder, norms)
     exact = all(x < EXACT_KERNEL_TOL for x in norms)
     threshold = 2.0 + float(delta) - FIT_TOL
@@ -669,11 +674,10 @@ def check_mode_concentration(
     at least 1 - epsilon, and that the resonant mode keeps at least half
     of the mass for small h."""
     alpha0 = tuple(int(a) for a in alpha0)
-    per_h = [decompose_along_T(u, split) for u in family.members]
-    seen: set[tuple[int, ...]] = set()
-    for decomposition in per_h:
-        seen.update(decomposition.modes.keys())
-    modes = sorted(seen - {alpha0})
+    members, member_index = family.distinct_members()
+    decompositions = [decompose_along_T(u, split) for u in members]
+    per_h = [decompositions[j] for j in member_index]
+    modes = sorted(set().union(*(d.modes for d in decompositions)) - {alpha0})
     norms = [[d.modes[a].norm() if a in d.modes else 0.0 for d in per_h] for a in modes + [alpha0]]
     stack = fit_decay_exponent(family.h_ladder, np.reshape(norms[:-1], (len(modes), len(per_h))))
     fits = {

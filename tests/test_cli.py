@@ -189,8 +189,28 @@ def test_explicit_c_resonant_beyond_search_box_reports(tmp_path):
     assert main(["all", "--config", str(config_path)]) in (EXIT_PASS, EXIT_CHECK_FAILED)
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["splitting"]["resonant_mode"] is None
+    assert report["notes"] == [
+        "the integer mode resonant with explicit c lies outside the search box of max-norm 10000"
+    ]
     assert report["quasimode_verify"]["concentration"]["pass"] is True
     assert (tmp_path / "out" / "decay.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "c, note",
+    [
+        (["-5"], None),
+        (["1/2"], "no integer mode is resonant with explicit c"),
+        # omega_tilde is rational, so a sqrt2 part in c can never cancel
+        (["0", "1"], "no integer mode is resonant with explicit c"),
+    ],
+)
+def test_explicit_c_resonant_mode_notes(tmp_path, c, note):
+    basis = {"names": ["1", "sqrt2"], "values": [1.0, 2.0**0.5]}
+    config = parse_config(_config(tmp_path, {"c": c, "basis": basis}).read_text())
+    _, report = run_pipeline(config, ("split",), tmp_path / "out")
+    assert report["notes"] == ([note] if note else [])
+    assert (report["splitting"]["resonant_mode"] is None) == (note is not None)
 
 
 def test_main_exit_codes(tmp_path, capsys):

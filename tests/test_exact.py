@@ -128,11 +128,16 @@ def test_integer_kernel_members():
 
 
 def test_unimodular_inverse_exact():
-    M = [[2, 1], [3, 2]]
-    Minv = unimodular_inverse(M)
-    assert _mat_mul(M, Minv) == [[1, 0], [0, 1]]
-    with pytest.raises(InvariantViolation):
+    # the last two need row swaps: their leading entries are zero
+    for M in ([[2, 1], [3, 2]], [[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 5], [1, 2, 3]]):
+        identity = [[int(i == j) for j in range(len(M))] for i in range(len(M))]
+        Minv = unimodular_inverse(M)
+        assert _mat_mul(M, Minv) == _mat_mul(Minv, M) == identity
+    with pytest.raises(InvariantViolation, match="not integral"):
         unimodular_inverse([[2, 0], [0, 2]])
+    for singular in ([[1, 2], [2, 4]], [[0, 0], [0, 1]], [[0, 1, 1], [0, 2, 2], [1, 0, 0]]):
+        with pytest.raises(InvariantViolation, match="singular"):
+            unimodular_inverse(singular)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +170,23 @@ def test_relation_lattice_two_three_brute_force():
     assert enumerated  # the generator is inside the box
     for alpha in enumerated:
         assert lattice.spans_rationally(alpha)
+
+
+def test_spans_rationally_direct():
+    # the basis column (0, 2, 3) has a zero leading entry, so the
+    # elimination must find its pivot below the first row
+    line = IntegerLattice.from_columns([[0, 2, 3]], 3)
+    assert line.spans_rationally((0, 2, 3))
+    assert line.spans_rationally((0, -4, -6))
+    assert not line.spans_rationally((0, 1, 0))
+    assert not line.spans_rationally((1, 2, 3))
+    plane = IntegerLattice.from_columns([[0, 1, 0], [0, 0, 1]], 3)
+    assert plane.spans_rationally((0, 3, -7))
+    assert not plane.spans_rationally((1, 0, 0))
+    assert IntegerLattice.from_columns([], 2).spans_rationally((0, 0))
+    assert not IntegerLattice.from_columns([], 2).spans_rationally((0, 1))
+    with pytest.raises(ValueError, match="wrong length"):
+        line.spans_rationally((0, 2))
 
 
 def _random_rational_frequency(rng, n):
@@ -289,11 +311,12 @@ def test_resonant_mode_coordinatewise(sqrt2_basis):
 def test_resonant_mode_box_bound():
     one = ExactNumber.rational(1)
     assert find_resonant_mode((one,), ExactNumber.rational(-50), box=10) is None
+    assert find_resonant_mode((one,), ExactNumber.rational(-50), box=None) == (50,)
 
 
 def test_resonant_mode_rejects_rationally_related_input():
     one = ExactNumber.rational(1)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="admit a rational relation"):
         find_resonant_mode((one, one), ExactNumber.rational(-5))
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,61 @@ def test_remainder_term_is_order_three():
         tail = apply_model_operator(spec_tail, u, h) - apply_model_operator(spec_plain, u, h)
         assert tail.norm() <= 2.0 * h**3 * u.norm()
         assert tail.norm() >= 0.1 * h**3 * u.norm()
+
+
+def _apply_per_h_reference(spec, u, h):
+    """The single-h model operator as it was before ladder calls, kept as
+    the reference for bit-for-bit comparisons."""
+    H = spec.hessian.entries
+    out = {}
+    for alpha, value in u.items():
+        a = np.asarray(alpha, dtype=float)
+        first_order = spec.basis.to_float(spec.omega.dot(alpha) + spec.c)
+        multiplier = h * first_order + h * h * float(a @ H @ a)
+        if multiplier != 0.0:
+            out[alpha] = multiplier * value
+    result = TrigPolynomial(spec.dimension, out)
+    if spec.r:
+        result = result + spec.r.convolve(u).scaled(h * h)
+    if spec.remainder is not None:
+        damped = {alpha: value / (1.0 + float(np.dot(alpha, alpha))) for alpha, value in u.items()}
+        tail = TrigPolynomial(spec.dimension, damped).scaled(spec.remainder.multiplier_weight)
+        tail = tail + spec.remainder.resolved_potential(spec.dimension).convolve(u)
+        result = result + tail.scaled(h**3)
+    return result
+
+
+def _bits(p):
+    return sorted((alpha, v.real.hex(), v.imag.hex()) for alpha, v in p.items())
+
+
+@pytest.mark.parametrize("case", ["golden", "remainder", "irrational"])
+def test_ladder_call_matches_per_h_calls_bit_for_bit(golden, sqrt2_basis, case):
+    u = golden.family.members[0] + TrigPolynomial(
+        2, {(1, 0): 0.25 - 0.5j, (-3, 2): 1.5, (0, 0): -0.75}
+    )
+    if case == "irrational":
+        # c cancels omega . (3, 2), so that character's multiplier is exactly 0
+        spec = ModelOperatorSpec(
+            omega=FrequencyVector((sqrt2_basis.number([1, 0]), sqrt2_basis.number([0, 1]))),
+            hessian=HessianForm(np.array([[0.0, 0.0], [0.0, 0.0]])),
+            c=sqrt2_basis.number([-3, -2]),
+            r=TrigPolynomial.zero(2),
+            basis=sqrt2_basis,
+        )
+        u = u + TrigPolynomial.character(2, (3, 2))
+    else:
+        spec = dataclasses.replace(
+            golden.spec, remainder=RemainderTerm() if case == "remainder" else None
+        )
+    ladder = list(golden.ladder) + [0.3, 1.0, 2.0**-4]
+    results = apply_model_operator(spec, u, ladder)
+    assert isinstance(results, list) and len(results) == len(ladder)
+    for h, result in zip(ladder, results):
+        single = apply_model_operator(spec, u, h)
+        assert isinstance(single, TrigPolynomial)
+        assert _bits(result) == _bits(single) == _bits(_apply_per_h_reference(spec, u, h))
+    if case == "irrational":
+        assert (3, 2) not in dict(results[0].items())
+    with pytest.raises(ValueError):
+        apply_model_operator(spec, u, [0.25, 0.0])

@@ -37,6 +37,7 @@ from toruslab import (
     verify_quasimode_order,
     wavefront_mass_map,
 )
+from toruslab import quasimode
 from toruslab.quasimode import DecayFit
 from toruslab.wavefront import PhaseSpaceGrid, symbol_scale
 
@@ -601,6 +602,36 @@ def test_order_with_remainder_fits_third_order(golden):
     report = verify_quasimode_order(family, spec, delta=0.8)
     assert report.fit.exponent >= 2.9
     assert report.passed
+
+
+def test_order_and_concentration_visit_each_distinct_member_once(golden, monkeypatch):
+    # two members alternating over the ladder
+    other = TrigPolynomial(2, {(1, 0): 1.0, (2, -1): 0.5j, (-1, 1): 0.25})
+    members = [golden.family.members[0] if i % 2 == 0 else other for i in range(len(golden.ladder))]
+    family = QuasimodeFamily.from_members(golden.ladder, members)
+    apply_ladders, decomposed = [], []
+
+    def counting_apply(spec, u, h):
+        apply_ladders.append(list(h))
+        return apply_model_operator(spec, u, h)
+
+    def counting_decompose(u, split):
+        decomposed.append(u)
+        return decompose_along_T(u, split)
+
+    monkeypatch.setattr(quasimode, "apply_model_operator", counting_apply)
+    monkeypatch.setattr(quasimode, "decompose_along_T", counting_decompose)
+    report = verify_quasimode_order(family, golden.spec, delta=1.0)
+    concentration = check_mode_concentration(family, golden.split, golden.alpha0, 0.05)
+    assert apply_ladders == [list(golden.ladder[0::2]), list(golden.ladder[1::2])]
+    assert decomposed == [family.members[0], family.members[1]]
+    assert report.residual_norms == tuple(
+        apply_model_operator(golden.spec, u, h).norm() for h, u in family.items()
+    )
+    per_h = [decompose_along_T(u, golden.split) for u in family.members]
+    for mode, fit in list(concentration.mode_fits.items()) + [(golden.alpha0, None)]:
+        norms = tuple(d.modes[mode].norm() if mode in d.modes else 0.0 for d in per_h)
+        assert (fit.values if fit else concentration.alpha0_norms) == norms
 
 
 def _two_mode_family(golden, decay: bool):
