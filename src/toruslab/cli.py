@@ -546,7 +546,7 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
                 resonant = tuple(config.factory_alpha0)
         else:
             try:
-                resonant = find_resonant_mode(split.omega_tilde, config.c_spec, box=None)
+                resonant = find_resonant_mode(split.omega_tilde, config.c_spec)
             except InvariantViolation as exc:
                 report["notes"].append(str(exc))
                 resonant = None

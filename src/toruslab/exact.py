@@ -39,7 +39,7 @@ __all__ = [
     "RESONANCE_BOX",
 ]
 
-#: Default bound on the max-norm of a reported resonant mode.  Exact
+#: Bound on the max-norm of a resonant mode the pipeline reports.  Exact
 #: coordinatewise solving makes an actual search unnecessary; the box only
 #: rejects absurdly large solutions of pathological inputs.
 RESONANCE_BOX = 10**4
@@ -650,10 +650,8 @@ def split_frequencies(omega: FrequencyVector) -> UnimodularSplitting:
 def find_resonant_mode(
     omega_tilde: Sequence[ExactNumber],
     c: ExactNumber,
-    box: Optional[int] = RESONANCE_BOX,
 ) -> Optional[tuple[int, ...]]:
-    """The unique integer vector a with omega_tilde . a + c = 0, if any,
-    and of max-norm at most ``box`` unless ``box`` is None.
+    """The unique integer vector a with omega_tilde . a + c = 0, if any.
 
     Solved coordinatewise in the irrationality basis by exact Gaussian
     elimination.  Because the reduced frequencies admit no rational
@@ -682,7 +680,4 @@ def find_resonant_mode(
     solution = [row[k] for row in aug[:k]]
     if any(q.denominator != 1 for q in solution):
         return None
-    alpha = tuple(int(q) for q in solution)
-    if box is not None and max(abs(a) for a in alpha) > box:
-        return None
-    return alpha
+    return tuple(int(q) for q in solution)

@@ -21,7 +21,7 @@ from toruslab import (
     split_frequencies,
     unimodular_inverse,
 )
-from toruslab.exact import _det_int, _mat_mul
+from toruslab.exact import RESONANCE_BOX, _det_int, _mat_mul
 
 
 def _is_column_hnf(H):
@@ -309,9 +309,10 @@ def test_resonant_mode_coordinatewise(sqrt2_basis):
 
 
 def test_resonant_mode_box_bound():
+    # the solver applies no box; the pipeline checks RESONANCE_BOX itself
     one = ExactNumber.rational(1)
-    assert find_resonant_mode((one,), ExactNumber.rational(-50), box=10) is None
-    assert find_resonant_mode((one,), ExactNumber.rational(-50), box=None) == (50,)
+    far = RESONANCE_BOX + 1
+    assert find_resonant_mode((one,), ExactNumber.rational(-far)) == (far,)
 
 
 def test_resonant_mode_rejects_rationally_related_input():
