@@ -54,7 +54,6 @@ from .quasimode import (
     fit_decay_exponent,
     galerkin_nullspace,
     maslov_admissible,
-    solve_on_range,
     unique_continuation_constant,
     verify_quasimode_order,
 )

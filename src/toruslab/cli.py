@@ -37,12 +37,12 @@ from .exact import (
     split_frequencies,
 )
 from .nondegeneracy import HessianForm, bordered_determinant, is_quasiconvex
-from .operator import ModelOperatorSpec, RemainderTerm, assemble_Q_alpha, transform_quadratic_form
+from .operator import ModelOperatorSpec, RemainderTerm
 from .quasimode import (
     NULL_TOL,
     build_factory_quasimode,
     check_mode_concentration,
-    decompose_along_T,
+    decompose_along_T,  # not called here: the benchmark tracer probes this name
     default_h_ladder,
     galerkin_nullspace,
     unique_continuation_constant,
@@ -132,23 +132,30 @@ def write_report(results: dict, path: Path) -> None:
 
 
 def _write_csv(path: Path, header: Sequence[str], lines) -> None:
-    """Write a header and preformatted lines, streaming them to the file."""
+    """Write a header and preformatted lines, streaming them to the file;
+    an item may hold several lines joined by newlines."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         f.writelines(line + "\n" for line in lines)
 
 
 def _massmap_lines(mass_map):
-    """One line per ``masses[xi, node, h]`` in C order: x coordinates,
-    covector, h, mass.  Each coordinate, h and mass is formatted once."""
+    """Lines for ``masses[xi, node, h]`` in C order (x coordinates,
+    covector, h, mass), one block of ladder lines per node: a covector's
+    template gets the node's coordinates, then all its masses in one
+    %-format; "%.17g" prints a finite float as format(x, ".17g") does."""
     grid = mass_map.grid
     nodes = [",".join(map(_format_float, node)) for node in grid.x_nodes.tolist()]
     hs = [_format_float(h) for h in grid.h_ladder]
     for xi, plane in zip(grid.xi_points, mass_map.masses):
         xi_text = ",".join(map(_format_float, xi))
-        for node_text, row in zip(nodes, plane.tolist()):
-            for h_text, mass in zip(hs, row):
-                yield f"{node_text},{xi_text},{h_text},{_format_float(mass)}"
+        template = "\n".join(f"{{node}},{xi_text},{h},%.17g" for h in hs)
+        rows = plane.tolist()
+        if not np.isfinite(plane).all():
+            template = template.replace("%.17g", "%s")
+            rows = [list(map(_format_float, row)) for row in rows]
+        for node, row in zip(nodes, rows):
+            yield template.replace("{node}", node) % tuple(row)
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +244,34 @@ def _float_range_int(token: str):
     return _Rejected(f"integer of {len(token)} characters exceeds the float range")
 
 
-def _rejected_numbers(obj, path: str):
-    """(path, message) for every rejected number inside decoded JSON."""
-    if isinstance(obj, _Rejected):
-        yield path or "<document>", str(obj)
-    elif isinstance(obj, dict):
+def _leaves(obj, path: str = ""):
+    """(path, value) for every scalar inside decoded JSON."""
+    if isinstance(obj, dict):
         for key, value in obj.items():
-            yield from _rejected_numbers(value, f"{path}.{key}" if path else key)
+            yield from _leaves(value, f"{path}.{key}" if path else key)
     elif isinstance(obj, list):
         for index, value in enumerate(obj):
-            yield from _rejected_numbers(value, f"{path}[{index}]")
+            yield from _leaves(value, f"{path}[{index}]")
+    else:
+        yield path or "<document>", obj
+
+
+# Paths of the fields that hold JSON numbers, and of those that hold JSON
+# integers: a string such as "nan" would pass float() and miss the
+# finiteness checks, and int() would truncate a fractional mode.  omega and
+# c are rational strings.
+_NUMBER_FIELD = re.compile(
+    r"(?P<number>(hessian|h_ladder|basis\.values|grid\.xi)(\[\d+\])+|factory\.v\[\d+\]\.(re|im)"
+    r"|thresholds\.(in_exponent|out_exponent|fill_fraction|null_tol))"
+    r"|(?P<integer>factory\.(alpha0|v\[\d+\]\.alpha)(\[\d+\])*)"
+)
 
 
 def _load_json(text: str):
     """Decode JSON text, rejecting NaN, Infinity, literals that overflow
     to infinity and integers beyond the float range at their paths; valid
-    numbers decode to the same values."""
+    numbers decode to the same values.  Returns the document and its
+    (path, value) leaves."""
     try:
         raw = json.loads(
             text, parse_constant=_reject_constant, parse_float=_finite_float, parse_int=_float_range_int
@@ -261,17 +280,18 @@ def _load_json(text: str):
         raise ConfigError([("<document>", f"not valid JSON: {exc}")])
     except ValueError as exc:
         raise ConfigError([("<document>", str(exc))])
-    rejected = list(_rejected_numbers(raw, ""))
+    leaves = list(_leaves(raw))
+    rejected = [(path, str(value)) for path, value in leaves if isinstance(value, _Rejected)]
     if rejected:
         raise ConfigError(rejected)
-    return raw
+    return raw, leaves
 
 
 def parse_config(text: str) -> LabConfig:
     """Validate a JSON config; unknown keys are rejected, defaults are
     materialized into the echoed copy."""
     errors: list[tuple[str, str]] = []
-    raw = _load_json(text)
+    raw, leaves = _load_json(text)
     if not isinstance(raw, dict):
         raise ConfigError([("<document>", "top level must be an object")])
 
@@ -280,6 +300,15 @@ def parse_config(text: str) -> LabConfig:
 
     merged = dict(_DEFAULTS)
     merged.update({k: v for k, v in raw.items() if k in _TOP_KEYS})
+    # defaults hold valid numbers, so the document's own leaves are checked
+    wrong = [
+        (path, f"must be a JSON {field.lastgroup}")
+        for path, value in leaves
+        if (field := _NUMBER_FIELD.fullmatch(path))
+        and (isinstance(value, bool) or not isinstance(value, int if field["integer"] else (int, float)))
+    ]
+    if wrong:
+        raise ConfigError(errors + wrong)
 
     dimension = merged.get("dimension")
     if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
@@ -505,6 +534,7 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
     split = None
     spec = None
     family = None
+    op = None
 
     if "hypotheses" in requested:
         det, nondegenerate = bordered_determinant(config.hessian, omega_floats)
@@ -596,7 +626,7 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
                     )
             remainder = RemainderTerm() if config.remainder else None
             try:
-                spec, family = build_factory_quasimode(
+                spec, family, op = build_factory_quasimode(
                     config.omega,
                     config.hessian,
                     config.basis,
@@ -626,17 +656,20 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
 
     if "verify" in requested and family is not None:
         try:
-            _run_verify_stage(config, split, spec, family, report, checks, out_dir)
-            artifacts["decay.csv"] = "written"
+            section, verify_checks, decay_lines = _run_verify_stage(config, split, spec, family, op)
         except (ValueError, ArithmeticError, InvariantViolation) as exc:
             report["quasimode_verify"] = {"status": "error", "detail": str(exc)}
             checks["quasimode verification"] = False
         else:
+            report["quasimode_verify"] = section
+            checks.update(verify_checks)
+            _write_csv(out_dir / "decay.csv", ("series", "h", "value"), decay_lines)
+            artifacts["decay.csv"] = "written"
             if "hypotheses" in requested:
                 report["hypotheses"]["E_quasimode_order"] = {
-                    "pass": checks["quasimode order (E)"],
-                    "exponent": report["quasimode_verify"]["order"]["exponent"],
-                    "exact_kernel": report["quasimode_verify"]["order"]["exact_kernel"],
+                    "pass": verify_checks["quasimode order (E)"],
+                    "exponent": section["order"]["exponent"],
+                    "exact_kernel": section["order"]["exact_kernel"],
                 }
     elif "verify" in requested:
         report["quasimode_verify"] = {"status": "skipped", "detail": "no family built"}
@@ -681,7 +714,9 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
     return (EXIT_PASS if not failures else EXIT_CHECK_FAILED), report
 
 
-def _run_verify_stage(config, split, spec, family, report, checks, out_dir):
+def _run_verify_stage(config, split, spec, family, op):
+    """Order, concentration, Galerkin and unique-continuation results of a
+    built family: (report section, checks, decay.csv lines)."""
     order = verify_quasimode_order(family, spec, config.delta)
     concentration = check_mode_concentration(family, split, config.factory_alpha0, config.epsilon)
     series = [("residual", order.residual_norms)] + [
@@ -690,21 +725,11 @@ def _run_verify_stage(config, split, spec, family, report, checks, out_dir):
     ]
     hs = [_format_float(h) for h in family.h_ladder]
     decay_lines = (f"{label},{h},{_format_float(v)}" for label, vs in series for h, v in zip(hs, vs))
-    form = transform_quadratic_form(config.hessian, split)
-    r0 = _transverse_multiplier(spec, split)
-    op = assemble_Q_alpha(form, config.factory_alpha0, r0)
     null = galerkin_nullspace(op, config.truncation, null_tol=config.null_tol)
-    box = [(config.subdomain[0], config.subdomain[1])] * (
-        config.dimension - split.orbit_dimension
-    )
-    if null.basis:
-        continuation = unique_continuation_constant(null, box)
-        uc_value = continuation.constant
-        uc_positive = uc_value > 0
-    else:
-        uc_value = None
-        uc_positive = False
-    report["quasimode_verify"] = {
+    box = [config.subdomain] * (config.dimension - split.orbit_dimension)
+    uc_value = unique_continuation_constant(null, box).constant if null.basis else None
+    uc_positive = uc_value is not None and uc_value > 0
+    section = {
         "order": {
             "residual_norms": list(order.residual_norms),
             "exponent": order.fit.exponent,
@@ -738,11 +763,13 @@ def _run_verify_stage(config, split, spec, family, report, checks, out_dir):
             "pass": uc_positive,
         },
     }
-    checks["quasimode order (E)"] = order.passed
-    checks["mode concentration"] = concentration.passed and concentration.alpha0_floor_ok
-    checks["galerkin nullspace"] = len(null.basis) >= 1
-    checks["unique continuation"] = uc_positive
-    _write_csv(out_dir / "decay.csv", ("series", "h", "value"), decay_lines)
+    checks = {
+        "quasimode order (E)": order.passed,
+        "mode concentration": concentration.passed and concentration.alpha0_floor_ok,
+        "galerkin nullspace": len(null.basis) >= 1,
+        "unique continuation": uc_positive,
+    }
+    return section, checks, decay_lines
 
 
 def _spec_provenance(spec: ModelOperatorSpec) -> dict:
@@ -754,14 +781,6 @@ def _spec_provenance(spec: ModelOperatorSpec) -> dict:
         "basis": {"names": list(spec.basis.names), "values": list(spec.basis.values)},
         "remainder": spec.remainder is not None,
     }
-
-
-def _transverse_multiplier(spec: ModelOperatorSpec, split) -> TrigPolynomial:
-    """Zero-mode part of the multiplier, expressed on the transverse torus."""
-    decomposition = decompose_along_T(spec.r, split)
-    zero = (0,) * split.orbit_dimension
-    q = split.dimension - split.orbit_dimension
-    return decomposition.modes.get(zero, TrigPolynomial.zero(q))
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +814,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        raw = _load_json(text)
+        raw, _ = _load_json(text)
         if isinstance(raw, dict):
             if args.ladder is not None:
                 raw["h_ladder"] = args.ladder

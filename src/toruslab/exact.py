@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 __all__ = [
@@ -560,27 +559,27 @@ class UnimodularSplitting:
     matrix: tuple[tuple[int, ...], ...]
     orbit_dimension: int
     omega_tilde: tuple[ExactNumber, ...]
+    inverse: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         M = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        Minv = tuple(tuple(int(x) for x in row) for row in self.inverse)
         n = len(M)
         if any(len(row) != n for row in M):
             raise ValueError("splitting matrix must be square")
-        if abs(_det_int(M)) != 1:
-            raise ValueError("splitting matrix must be unimodular")
+        # an integer matrix with an integer inverse is unimodular
+        if len(Minv) != n or _mat_mul(M, Minv) != _identity(n):
+            raise ValueError("splitting matrix must be unimodular with the given inverse")
         if not (1 <= self.orbit_dimension <= n):
             raise ValueError("orbit dimension out of range")
         if len(self.omega_tilde) != self.orbit_dimension:
             raise ValueError("reduced frequency count must equal the orbit dimension")
         object.__setattr__(self, "matrix", M)
+        object.__setattr__(self, "inverse", Minv)
 
     @property
     def dimension(self) -> int:
         return len(self.matrix)
-
-    @cached_property
-    def inverse(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(row) for row in unimodular_inverse([list(r) for r in self.matrix]))
 
     def to_split_frequency(self, xi: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Relabel a torus frequency xi as (along, across) = M^T xi."""
@@ -594,13 +593,15 @@ class UnimodularSplitting:
         return tuple(_mat_vec(_transpose([list(r) for r in self.inverse]), eta))
 
 
-def _complete_basis(columns: list[list[int]], n: int) -> list[list[int]]:
-    """Extend a saturated lattice basis to a Z-basis of Z^n.
+def _complete_basis(columns: list[list[int]], n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Extend a saturated lattice basis to a Z-basis of Z^n; returns the
+    basis matrix M (determinant +1) and its inverse.
 
     Uses the unimodular transform of the Smith factorization: with
     S = U B V and all invariant factors 1, the first k columns of U^{-1}
     are B V, a basis of the same lattice, and the remaining columns of
-    U^{-1} complete it.
+    U^{-1} complete it.  M^{-1} is U, with its last row negated whenever
+    M's last column is.
     """
     k = len(columns)
     if k == 0:
@@ -613,7 +614,8 @@ def _complete_basis(columns: list[list[int]], n: int) -> list[list[int]]:
     if _det_int(M) == -1:
         for i in range(n):
             M[i][n - 1] = -M[i][n - 1]
-    return M
+        U[n - 1] = [-x for x in U[n - 1]]
+    return M, U
 
 
 def split_frequencies(omega: FrequencyVector) -> UnimodularSplitting:
@@ -634,8 +636,7 @@ def split_frequencies(omega: FrequencyVector) -> UnimodularSplitting:
         orbit_basis = integer_kernel(relations.columns())
     if len(orbit_basis) != k:
         raise InvariantViolation("orbit-closure lattice has unexpected rank")
-    M = _complete_basis(orbit_basis, n)
-    Minv = unimodular_inverse(M)
+    M, Minv = _complete_basis(orbit_basis, n)
     reduced = [omega.dot(row) for row in Minv]
     for i in range(k, n):
         if not reduced[i].is_zero:
@@ -644,6 +645,7 @@ def split_frequencies(omega: FrequencyVector) -> UnimodularSplitting:
         matrix=tuple(tuple(row) for row in M),
         orbit_dimension=k,
         omega_tilde=tuple(reduced[:k]),
+        inverse=tuple(tuple(row) for row in Minv),
     )
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -51,7 +50,6 @@ __all__ = [
     "build_factory_quasimode",
     "GalerkinNullspace",
     "galerkin_nullspace",
-    "solve_on_range",
     "UniqueContinuation",
     "unique_continuation_constant",
     "OrderReport",
@@ -296,9 +294,10 @@ def build_factory_quasimode(
     v: TrigPolynomial,
     h_ladder: Sequence[float],
     remainder: Optional[RemainderTerm] = None,
-) -> tuple[ModelOperatorSpec, QuasimodeFamily]:
-    """Build an operator instance whose transverse kernel contains v, and
-    the single-mode family it certifies.
+) -> tuple[ModelOperatorSpec, QuasimodeFamily, OperatorOnTPrime]:
+    """Build an operator instance whose transverse kernel contains v, the
+    single-mode family it certifies, and the transverse operator
+    Q_{alpha0} + r0 on the torus across the orbit closure.
 
     The subprincipal constant is back-solved so the chosen mode is the
     resonant one, and the multiplier is -(Q v)/v re-expanded from grid
@@ -383,7 +382,7 @@ def build_factory_quasimode(
     member = TrigPolynomial(n, coeffs)
     ladder = tuple(float(h) for h in h_ladder)
     family = QuasimodeFamily.from_members(ladder, [member] * len(ladder))
-    return spec, family
+    return spec, family, assemble_Q_alpha(form, alpha0, r0)
 
 
 # ---------------------------------------------------------------------------
@@ -394,40 +393,38 @@ def build_factory_quasimode(
 @dataclass(frozen=True)
 class GalerkinNullspace:
     """Near-kernel of the transverse operator on a truncated character
-    basis, with the data needed to invert on the complement."""
+    basis: the retained eigenvectors and their eigenvalues."""
 
     truncation: int
     basis: tuple[TrigPolynomial, ...]
     eigenvalues: tuple[float, ...]
-    spectrum: tuple[float, ...]
     scale: float
-    null_tol: float
     frequencies: tuple[tuple[int, ...], ...] = field(repr=False)
-    _eigvals: np.ndarray = field(repr=False)
-    _eigvecs: np.ndarray = field(repr=False)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
 
-    def apply_truncated(self, w: TrigPolynomial) -> TrigPolynomial:
-        """Action of the truncated operator (project, apply, project)."""
-        index = {beta: i for i, beta in enumerate(self.frequencies)}
-        vec = np.zeros(len(self.frequencies), dtype=complex)
-        for beta, value in w.items():
-            i = index.get(beta)
-            if i is not None:
-                vec[i] = value
-        out = self._eigvecs @ (self._eigvals * (self._eigvecs.conj().T @ vec))
-        q = w.dim
-        return TrigPolynomial(q, {beta: out[i] for i, beta in enumerate(self.frequencies)})
+def _galerkin_matrix(op: OperatorOnTPrime, N: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Characters with frequencies of max-norm at most N, in lexicographic
+    order, and the Hermitian part of the operator's matrix on them."""
+    q = op.dimension
+    r0 = op.zero_mode_multiplier
+    # beta + delta, when inside the box, is delta . strides rows away from beta
+    betas = list(itertools.product(range(-N, N + 1), repeat=q))
+    size = len(betas)
+    coords = np.array(betas, dtype=int).reshape(size, q)
+    strides = (2 * N + 1) ** np.arange(q - 1, -1, -1)
+    matrix = np.zeros((size, size), dtype=complex)
+    np.fill_diagonal(matrix, [op.symbol(beta) for beta in betas])
+    for delta, value in r0.items():
+        cols = np.flatnonzero(np.all(np.abs(coords + delta) <= N, axis=1))
+        matrix[cols + int(np.dot(delta, strides)), cols] += value
+    return betas, 0.5 * (matrix + matrix.conj().T)
 
 
 def galerkin_nullspace(
     op: OperatorOnTPrime, N: int, null_tol: float = NULL_TOL
 ) -> GalerkinNullspace:
-    """Diagonalize the truncated transverse operator and keep the
-    near-zero part of the spectrum.
+    """Diagonalize the truncated transverse operator and keep its
+    near-zero eigenpairs.
 
     The matrix on characters with frequencies of max-norm at most N is
     Hermitian because the multiplier is real-valued; eigenvalues are
@@ -454,18 +451,8 @@ def galerkin_nullspace(
             raise ValueError(
                 f"truncation {N} too small for multiplier support {essential}"
             )
-    # betas in lexicographic order: beta + delta, when inside the box, is
-    # delta . strides rows away from beta
-    betas = list(itertools.product(range(-N, N + 1), repeat=q))
+    betas, matrix = _galerkin_matrix(op, N)
     size = len(betas)
-    coords = np.array(betas, dtype=int).reshape(size, q)
-    strides = (2 * N + 1) ** np.arange(q - 1, -1, -1)
-    matrix = np.zeros((size, size), dtype=complex)
-    np.fill_diagonal(matrix, [op.symbol(beta) for beta in betas])
-    for delta, value in r0.items():
-        cols = np.flatnonzero(np.all(np.abs(coords + delta) <= N, axis=1))
-        matrix[cols + int(np.dot(delta, strides)), cols] += value
-    matrix = 0.5 * (matrix + matrix.conj().T)
     eigvals, eigvecs = np.linalg.eigh(matrix)
     diag_peak = float(np.max(np.abs(np.real(np.diagonal(matrix))))) if size else 0.0
     multiplier_mass = math.fsum(abs(value) for _, value in r0.items())
@@ -491,50 +478,8 @@ def galerkin_nullspace(
         truncation=N,
         basis=tuple(basis),
         eigenvalues=tuple(float(eigvals[i]) for i in retained),
-        spectrum=tuple(float(x) for x in eigvals),
         scale=scale,
-        null_tol=float(null_tol),
         frequencies=tuple(betas),
-        _eigvals=eigvals,
-        _eigvecs=eigvecs,
-    )
-
-
-def solve_on_range(
-    op: OperatorOnTPrime, null: GalerkinNullspace, g: TrigPolynomial
-) -> TrigPolynomial:
-    """Minimal-norm solution of L w = (projection of g onto the range).
-
-    The pseudoinverse acts on the part of the spectrum not retained as
-    nullspace; a warning is emitted when the smallest inverted eigenvalue
-    sits within three orders of magnitude of the nullspace threshold.
-    """
-    q = op.dimension
-    if g.dim != q:
-        raise ValueError("right-hand side lives on the wrong torus")
-    index = {beta: i for i, beta in enumerate(null.frequencies)}
-    rhs = np.zeros(len(null.frequencies), dtype=complex)
-    for beta, value in g.items():
-        i = index.get(beta)
-        if i is None:
-            raise ValueError("right-hand side is not supported within the truncation")
-        rhs[i] = value
-    eigvals = null._eigvals
-    eigvecs = null._eigvecs
-    keep = np.abs(eigvals) >= null.null_tol * null.scale
-    if np.any(keep):
-        smallest_kept = float(np.min(np.abs(eigvals[keep])))
-        if smallest_kept < 1e3 * null.null_tol * null.scale:
-            warnings.warn(
-                "pseudoinverse is ill-conditioned near the nullspace threshold",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    components = eigvecs.conj().T @ rhs
-    inverted = np.where(keep, components / np.where(keep, eigvals, 1.0), 0.0)
-    w = eigvecs @ inverted
-    return TrigPolynomial(
-        q, {beta: w[i] for i, beta in enumerate(null.frequencies)}
     )
 
 

@@ -27,7 +27,7 @@ class GoldenInstance:
         self.alpha0 = (0,)
         self.v = TrigPolynomial(1, {(0,): 2.0, (1,): 0.5, (-1,): 0.5})
         self.ladder = default_h_ladder()
-        self.spec, self.family = build_factory_quasimode(
+        self.spec, self.family, self.op = build_factory_quasimode(
             self.omega,
             self.hessian,
             self.basis,

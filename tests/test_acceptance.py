@@ -15,10 +15,12 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import toruslab
 from toruslab import (
     FrequencyVector,
     HessianForm,
@@ -163,7 +165,7 @@ def golden_setup():
     split = split_frequencies(omega)
     v = TrigPolynomial(1, {(0,): 2.0, (1,): 0.5, (-1,): 0.5})
     ladder = default_h_ladder()
-    spec, family = build_factory_quasimode(omega, hessian, basis, split, (0,), v, ladder)
+    spec, family, _ = build_factory_quasimode(omega, hessian, basis, split, (0,), v, ladder)
     return basis, omega, hessian, split, v, ladder, spec, family
 
 
@@ -174,7 +176,7 @@ def test_criterion_04_factory_quasimode_order(golden_setup):
         apply_model_operator(spec, u, h).norm() <= 1e-10 * h * h
         for h, u in family.items()
     )
-    spec_tail, family_tail = build_factory_quasimode(
+    spec_tail, family_tail, _ = build_factory_quasimode(
         omega, hessian, basis, split, (0,), v, ladder, remainder=RemainderTerm()
     )
     tail_report = verify_quasimode_order(family_tail, spec_tail, delta=0.8)
@@ -379,7 +381,10 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
         config_path.write_text(json.dumps(dict(base, out=str(tmp_path / label))))
         snapshots = []
         for threads in ("1", "4"):
-            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            # the child imports the same toruslab as this process
+            src = str(Path(toruslab.__file__).parents[1])
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
             result = subprocess.run(
                 [sys.executable, "-m", "toruslab.cli", "all", "--config", str(config_path)],
                 capture_output=True,

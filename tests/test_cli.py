@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toruslab import cli, quasimode, trigpoly, wavefront
+from toruslab import cli, exact, operator, quasimode, trigpoly, wavefront
 from toruslab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_PASS,
@@ -99,6 +99,22 @@ def test_parse_rejects_non_finite_numbers(tmp_path):
         ({"basis": {"names": ["1"], "values": [huge]}}, "basis.values[0]"),
     ):
         cases.append((_config(tmp_path, overrides).read_text(), path, "float range"))
+    # strings would pass float() and miss the finiteness checks; int()
+    # would truncate a fractional mode
+    factory = json.loads(json.dumps(GOLDEN["factory"]))
+    factory["v"][1]["alpha"] = [0.4]
+    for overrides, path, cause in (
+        ({"h_ladder": [0.1, "nan", 0.01, 0.001]}, "h_ladder[1]", "JSON number"),
+        ({"thresholds": {"null_tol": "inf"}}, "thresholds.null_tol", "JSON number"),
+        ({"thresholds": {"fill_fraction": True}}, "thresholds.fill_fraction", "JSON number"),
+        ({"hessian": [["nan", 0.0], [0.0, 1.0]]}, "hessian[0][0]", "JSON number"),
+        ({"grid": {"xi": [[0, 0], ["nan", 1.0]]}}, "grid.xi[1][0]", "JSON number"),
+        ({"basis": {"names": ["1"], "values": ["1"]}}, "basis.values[0]", "JSON number"),
+        ({"factory": {**GOLDEN["factory"], "alpha0": [0.7]}}, "factory.alpha0[0]", "JSON integer"),
+        ({"factory": factory}, "factory.v[1].alpha[0]", "JSON integer"),
+    ):
+        cases.append((_config(tmp_path, overrides).read_text(), path, cause))
+    cases.append((golden.replace('"re": 2.0', '"re": "nan"'), profile, "JSON number"))
     for text, path, cause in cases:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
@@ -224,6 +240,7 @@ def test_main_exit_codes(tmp_path, capsys):
     for overrides, cause in (
         ({"hessian": [[float("nan"), 0.0], [0.0, 1.0]]}, "hessian[0][0]: non-finite number NaN"),
         ({"delta": 10**400}, "delta: integer"),
+        ({"h_ladder": [0.1, "nan", 0.01, 0.001]}, "h_ladder[1]: must be a JSON number"),
         ({"grid": {"points_per_axis": 0}}, "grid.points_per_axis"),
         ({"grid": {"points_per_axis": 1}}, "grid.points_per_axis"),
     ):
@@ -285,12 +302,42 @@ def test_massmap_csv_matches_slow_oracle(tmp_path, monkeypatch):
     assert (out / "massmap.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
-def test_benchmark_tracer_probes_exist():
+def test_benchmark_tracer_probes_exist(tmp_path):
     # perfbench/tracing.py wraps each probe with owner.__dict__[attr]; a
     # renamed or removed name would make a traced run raise KeyError
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    for owner, attr, *_ in tracing.probes(cli, quasimode, wavefront, trigpoly):
+    probes = tracing.probes(cli, quasimode, wavefront, trigpoly)
+    for owner, attr, *_ in probes:
         assert attr in vars(owner), f"{owner.__name__}.{attr}"
+    # the probes' size functions read the results of a real run
+    config = parse_config(_config(tmp_path).read_text())
+    tracer = tracing.Tracer(probes)
+    tracer.install()
+    try:
+        cli.run_pipeline(config, cli._STAGES, tmp_path / "out")
+        totals = tracer.take_totals()
+    finally:
+        tracer.remove()
+    for metric in ("quasimode.galerkin_dim", "quasimode.nullspace_dim", "quasimode.decompose_s"):
+        assert totals[metric] > 0, metric
+
+
+def test_golden_run_computes_transverse_form_and_inverse_once(tmp_path, monkeypatch):
+    calls = []
+    for module, name in ((operator, "transform_quadratic_form"), (exact, "unimodular_inverse")):
+        original = vars(module)[name]
+
+        def counting(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        # each module calls the name through its own namespace
+        for owner in (cli, quasimode, operator, exact):
+            if vars(owner).get(name) is original:
+                monkeypatch.setattr(owner, name, counting)
+    config = parse_config(_config(tmp_path).read_text())
+    run_pipeline(config, cli._STAGES, tmp_path / "out")
+    assert sorted(calls) == ["transform_quadratic_form", "unimodular_inverse"]

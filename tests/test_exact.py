@@ -13,6 +13,7 @@ from toruslab import (
     FrequencyVector,
     IntegerLattice,
     InvariantViolation,
+    UnimodularSplitting,
     find_resonant_mode,
     hermite_normal_form,
     integer_kernel,
@@ -270,6 +271,7 @@ def test_split_random_rational_invariants():
         M = [list(r) for r in split.matrix]
         assert abs(_det_int(M)) == 1
         Minv = unimodular_inverse(M)
+        assert [list(r) for r in split.inverse] == Minv
         reduced = [omega.dot(Minv[i]) for i in range(n)]
         for i in range(split.orbit_dimension, n):
             assert reduced[i].is_zero
@@ -280,6 +282,10 @@ def test_split_random_rational_invariants():
 def test_split_frequency_relabeling_round_trip():
     omega = FrequencyVector.from_rows([[2], [3]])
     split = split_frequencies(omega)
+    # the stored inverse is checked, not trusted
+    for wrong in (((1, 0), (0, 1)), split.inverse[:1]):
+        with pytest.raises(ValueError, match="unimodular"):
+            UnimodularSplitting(split.matrix, 1, split.omega_tilde, wrong)
     for xi in [(0, 0), (1, 0), (-2, 5), (7, -3)]:
         along, across = split.to_split_frequency(xi)
         assert split.to_torus_frequency(along, across) == xi

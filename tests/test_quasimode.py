@@ -30,7 +30,6 @@ from toruslab import (
     fit_decay_exponent,
     galerkin_nullspace,
     maslov_admissible,
-    solve_on_range,
     split_frequencies,
     transform_quadratic_form,
     unique_continuation_constant,
@@ -40,19 +39,6 @@ from toruslab import (
 from toruslab import quasimode
 from toruslab.quasimode import DecayFit
 from toruslab.wavefront import PhaseSpaceGrid, symbol_scale
-
-
-def _transverse_multiplier(spec, split):
-    modes = decompose_along_T(spec.r, split).modes
-    zero = (0,) * split.orbit_dimension
-    q = split.dimension - split.orbit_dimension
-    return modes.get(zero, TrigPolynomial.zero(q))
-
-
-def _golden_operator(golden):
-    form = transform_quadratic_form(golden.hessian, golden.split)
-    r0 = _transverse_multiplier(golden.spec, golden.split)
-    return assemble_Q_alpha(form, golden.alpha0, r0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +189,7 @@ def test_factory_pure_character_whole_torus(sqrt2_basis):
     split = split_frequencies(omega)
     assert split.orbit_dimension == 2
     ladder = default_h_ladder()
-    spec, family = build_factory_quasimode(
+    spec, family, _ = build_factory_quasimode(
         omega, hessian, sqrt2_basis, split, (3, 2), TrigPolynomial.constant(0, 1.0), ladder
     )
     assert spec.r == TrigPolynomial.zero(2)
@@ -224,7 +210,9 @@ def test_factory_derived_multiplier_matches_closed_form(golden):
     # r0 = -Omega_zz cos(2 pi z) / (2 + cos(2 pi z)) on the transverse torus
     form = transform_quadratic_form(golden.hessian, golden.split)
     omega_zz = form.Omega_block[0, 0]
-    r0 = _transverse_multiplier(golden.spec, golden.split)
+    r0 = golden.op.zero_mode_multiplier
+    # the lifted multiplier is r0, constant along the orbit closure
+    assert decompose_along_T(golden.spec.r, golden.split).modes == {(0,): r0}
     grid = np.arange(128) / 128.0
     values = r0.evaluate(grid[:, None]).real
     expected = -omega_zz * np.cos(2 * np.pi * grid) / (2.0 + np.cos(2 * np.pi * grid))
@@ -366,7 +354,7 @@ def test_galerkin_zero_operator_nullspace_is_constants(golden):
 
 
 def test_galerkin_factory_nullspace_contains_profile(golden):
-    op = _golden_operator(golden)
+    op = golden.op
     null = galerkin_nullspace(op, 16)
     assert len(null.basis) == 1
     assert abs(null.eigenvalues[0]) < 1e-8
@@ -394,9 +382,9 @@ def test_galerkin_generic_multiplier_has_empty_nullspace(golden):
 
 
 def test_galerkin_near_zero_eigenvalue_monotone_in_truncation(golden):
-    op = _golden_operator(golden)
+    op = golden.op
     smallest = [
-        min(abs(x) for x in galerkin_nullspace(op, N).spectrum) for N in (8, 16, 32)
+        min(abs(x) for x in galerkin_nullspace(op, N).eigenvalues) for N in (8, 16, 32)
     ]
     for previous, doubled in zip(smallest, smallest[1:]):
         assert doubled <= previous + 1e-12
@@ -411,7 +399,7 @@ def test_galerkin_guards(golden):
     )
     with pytest.raises(ValueError, match="positive definite"):
         galerkin_nullspace(bad_block, 8)
-    op = _golden_operator(golden)
+    op = golden.op
     with pytest.raises(ValueError, match="truncation"):
         galerkin_nullspace(op, 4)
     with pytest.raises(ValueError, match="at least 4"):
@@ -422,7 +410,7 @@ def _galerkin_case(name, golden):
     if name == "q0":
         return OperatorOnTPrime(np.zeros((0, 0)), np.zeros(0), 1.5, TrigPolynomial(0, {(): 0.75})), 4
     if name == "q1-golden":
-        return _golden_operator(golden), 16
+        return golden.op, 16
     # shifts up to 2 per axis, so every shift leaves the N = 4 box somewhere
     raw = {(0, 0): 0.5, (1, 0): 0.25 + 0.5j, (0, 2): -0.75, (1, 1): 0.3j, (2, -1): 0.125}
     raw.update({(-a, -b): complex(z).conjugate() for (a, b), z in list(raw.items())})
@@ -447,65 +435,25 @@ def test_galerkin_matrix_matches_dense_oracle(golden, name):
             for j, bj in enumerate(betas)
         ]
     )
+    frequencies, matrix = quasimode._galerkin_matrix(op, N)
+    assert frequencies == betas
+    # the re-expanded golden multiplier is Hermitian only up to rounding
+    np.testing.assert_array_equal(matrix, 0.5 * (oracle + oracle.conj().T))
     null = galerkin_nullspace(op, N)
     assert list(null.frequencies) == betas
-    rebuilt = null._eigvecs @ np.diag(null._eigvals) @ null._eigvecs.conj().T
-    np.testing.assert_allclose(rebuilt, oracle, rtol=0, atol=1e-12 * null.scale)
-    np.testing.assert_allclose(null.spectrum, np.linalg.eigvalsh(oracle), rtol=0, atol=1e-12 * null.scale)
+    spectrum = np.linalg.eigvalsh(matrix)
+    np.testing.assert_allclose(spectrum, np.linalg.eigvalsh(oracle), rtol=0, atol=1e-12 * null.scale)
+    near_zero = spectrum[np.abs(spectrum) < quasimode.NULL_TOL * null.scale]
+    np.testing.assert_allclose(null.eigenvalues, near_zero, rtol=0, atol=1e-12 * null.scale)
 
 
 def test_factory_mode_galerkin_residual(golden):
     # the resonant-mode profile solves the truncated problem once the
     # truncation clears the profile support by a margin
-    op = _golden_operator(golden)
-    null = galerkin_nullspace(op, golden.v.support_radius() + 8)
+    betas, matrix = quasimode._galerkin_matrix(golden.op, golden.v.support_radius() + 8)
     vhat = decompose_along_T(golden.family.members[0], golden.split).modes[golden.alpha0]
-    assert null.apply_truncated(vhat).norm() < 1e-8
-
-
-# ---------------------------------------------------------------------------
-# Partial inverse
-# ---------------------------------------------------------------------------
-
-
-def test_solve_on_range_kills_nullspace_input(golden):
-    op = _golden_operator(golden)
-    null = galerkin_nullspace(op, 16)
-    w = solve_on_range(op, null, null.basis[0])
-    assert w.norm() <= 1e-10
-
-
-def test_solve_on_range_inverts_on_complement(golden):
-    op = _golden_operator(golden)
-    null = galerkin_nullspace(op, 16)
-    rng = np.random.default_rng(17)
-    w0 = TrigPolynomial(
-        1,
-        {(b,): complex(rng.standard_normal(), rng.standard_normal()) for b in range(-6, 7)},
-    )
-    e = null.basis[0]
-    w0 = w0 - e.scaled(w0.inner(e))
-    g = null.apply_truncated(w0)
-    recovered = solve_on_range(op, null, g)
-    assert (recovered - w0).norm() <= 1e-8 * max(1.0, w0.norm())
-
-
-def test_solve_on_range_empty_nullspace_solves_exactly(golden):
-    form = transform_quadratic_form(golden.hessian, golden.split)
-    r0 = TrigPolynomial(1, {(0,): 0.31, (1,): 0.2, (-1,): 0.2})
-    op = assemble_Q_alpha(form, (0,), r0.scaled(1.0 / r0.norm()))
-    null = galerkin_nullspace(op, 16)
-    assert not null.basis
-    g = TrigPolynomial(1, {(0,): 1.0, (3,): 0.5})
-    w = solve_on_range(op, null, g)
-    assert (null.apply_truncated(w) - g).norm() <= 1e-8
-
-
-def test_solve_on_range_rejects_unsupported_rhs(golden):
-    op = _golden_operator(golden)
-    null = galerkin_nullspace(op, 16)
-    with pytest.raises(ValueError, match="truncation"):
-        solve_on_range(op, null, TrigPolynomial.character(1, (40,)))
+    residual = matrix @ np.array([vhat.coefficient(beta) for beta in betas])
+    assert np.linalg.norm(residual) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +470,14 @@ def test_unique_continuation_constants_nullspace(golden):
 
 
 def test_unique_continuation_full_domain_is_one(golden):
-    op = _golden_operator(golden)
+    op = golden.op
     null = galerkin_nullspace(op, 16)
     result = unique_continuation_constant(null, [(0.0, 1.0)])
     assert result.constant == pytest.approx(1.0, abs=1e-10)
 
 
 def test_unique_continuation_factory_matches_riemann(golden):
-    op = _golden_operator(golden)
+    op = golden.op
     null = galerkin_nullspace(op, 16)
     result = unique_continuation_constant(null, [(0.0, 0.25)])
     assert result.constant > 0
@@ -541,7 +489,7 @@ def test_unique_continuation_factory_matches_riemann(golden):
 
 
 def test_unique_continuation_monotone_in_subdomain(golden):
-    op = _golden_operator(golden)
+    op = golden.op
     null = galerkin_nullspace(op, 16)
     values = []
     for k in range(1, 21):
@@ -589,7 +537,7 @@ def test_order_off_resonant_character_fails(golden):
 
 
 def test_order_with_remainder_fits_third_order(golden):
-    spec, family = build_factory_quasimode(
+    spec, family, _ = build_factory_quasimode(
         golden.omega,
         golden.hessian,
         golden.basis,
