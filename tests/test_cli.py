@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -341,3 +342,74 @@ def test_golden_run_computes_transverse_form_and_inverse_once(tmp_path, monkeypa
     config = parse_config(_config(tmp_path).read_text())
     run_pipeline(config, cli._STAGES, tmp_path / "out")
     assert sorted(calls) == ["transform_quadratic_form", "unimodular_inverse"]
+
+
+@pytest.mark.parametrize("error", [ValueError, ArithmeticError, exact.InvariantViolation])
+@pytest.mark.parametrize(
+    "target, section, check, artifact",
+    [
+        ("build_factory_quasimode", "quasimode_build", "factory construction", "family"),
+        ("galerkin_nullspace", "quasimode_verify", "quasimode verification", "decay.csv"),
+        ("wavefront_mass_map", "wavefront", "wavefront map", "massmap.csv"),
+    ],
+)
+def test_stage_errors_are_reported(tmp_path, monkeypatch, error, target, section, check, artifact):
+    def failing(*args, **kwargs):
+        raise error(f"{target} failed")
+
+    monkeypatch.setattr(cli, target, failing)
+    # a small wavefront grid keeps the run short
+    config = parse_config(_config(tmp_path, {"grid": {"points_per_axis": 4}}).read_text())
+    code, report = run_pipeline(config, cli._STAGES, tmp_path / "out")
+    assert code == EXIT_CHECK_FAILED
+    assert report[section] == {"status": "error", "detail": f"{target} failed"}
+    assert report["checks"][check] is False and check in report["failures"]
+    assert report["artifacts"][artifact] == "skipped"
+    saved = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert saved[section] == report[section]
+    if target == "build_factory_quasimode":
+        for stage in ("quasimode_verify", "wavefront"):
+            assert report[stage] == {"status": "skipped", "detail": "no family built"}
+        assert report["hypotheses"]["E_quasimode_order"]["pass"] is None
+        assert set(report["checks"]) == {"hypothesis (D)", "hypothesis (F)", "factory construction"}
+    else:
+        # the other family stage still runs and writes its artifact
+        other = {"decay.csv": "massmap.csv", "massmap.csv": "decay.csv"}[artifact]
+        assert report["artifacts"][other] == "written"
+        order = report["hypotheses"]["E_quasimode_order"]["pass"]
+        assert order is (None if target == "galerkin_nullspace" else True)
+
+
+def _environment() -> dict:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__, "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}"}
+
+
+@pytest.mark.parametrize(
+    "workload, name, stages",
+    [
+        ("golden", "golden-0", cli._STAGES),
+        ("sweep", "irrational_pair", ("hypotheses", "split", "build", "verify")),
+        ("sweep", "quasiconvexity_fails", ("hypotheses", "split", "build", "verify")),
+    ],
+)
+def test_shipped_configs_match_recorded_bytes(tmp_path, workload, name, stages):
+    # perfbench/references.json holds the artifacts' SHA-256 as the
+    # benchmark recorded them; float bytes may differ under another numpy
+    # or BLAS, so the comparison holds only in the recorded environment
+    root = Path(__file__).resolve().parents[1]
+    references = json.loads((root / "perfbench" / "references.json").read_text())
+    recorded = {key: references["environment"][key] for key in ("numpy", "blas")}
+    if recorded != _environment():
+        pytest.skip(f"references recorded under {recorded}, running under {_environment()}")
+    expected = references["workloads"][workload]["*"][name]
+    config_name = "golden" if workload == "golden" else name
+    config = parse_config((root / "configs" / f"{config_name}.json").read_text())
+    out = tmp_path / "out"
+    code, _ = run_pipeline(config, stages, out)
+    digests = {
+        artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+        for artifact in ("report.json", "decay.csv", "massmap.csv")
+        if (out / artifact).exists()
+    }
+    assert {"exit": code, "sha256": digests} == expected
