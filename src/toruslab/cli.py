@@ -33,7 +33,7 @@ from .exact import (
     RESONANCE_BOX,
     find_resonant_mode,
     parse_rational,
-    relation_lattice,
+    relation_lattice,  # not called here: the benchmark tracer probes this name
     split_frequencies,
 )
 from .nondegeneracy import HessianForm, bordered_determinant, is_quasiconvex
@@ -202,8 +202,7 @@ class LabConfig:
     delta: float
     epsilon: float
     subdomain: tuple[float, float]
-    grid_points: int
-    grid_xi: object  # "units" or tuple of covectors
+    grid: PhaseSpaceGrid
     thresholds: VerdictThresholds
     null_tol: float
     out: str
@@ -215,8 +214,11 @@ def parse_ladder(value) -> tuple[float, ...]:
         match = re.fullmatch(r"\s*(\d+)\.\.(\d+)\s*", value)
         if not match:
             raise ValueError("ladder must look like '4..12' or be a list of floats")
-        return default_h_ladder(int(match.group(1)), int(match.group(2)))
-    ladder = tuple(float(x) for x in value)
+        if int(match.group(2)) > 1074:
+            raise ValueError("ladder exponents above 1074 underflow to h = 0")
+        ladder = default_h_ladder(int(match.group(1)), int(match.group(2)))
+    else:
+        ladder = tuple(float(x) for x in value)
     if len(ladder) < 4:
         raise ValueError("ladder needs at least four points")
     if any(h <= 0 for h in ladder) or any(b >= a for a, b in zip(ladder, ladder[1:])):
@@ -394,15 +396,13 @@ def parse_config(text: str) -> LabConfig:
     truncation = merged["truncation"]
     if not isinstance(truncation, int) or isinstance(truncation, bool) or truncation < 4:
         errors.append(("truncation", "must be an integer of at least 4"))
-        truncation = 16
 
     delta = merged["delta"]
     epsilon = merged["epsilon"]
-    for name, value in (("delta", delta), ("epsilon", epsilon)):
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-            errors.append((name, "must be a positive number"))
+    for name, value, bound in (("delta", delta, math.inf), ("epsilon", epsilon, 1.0)):
+        if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 < value < bound:
+            errors.append((name, f"must be a number in (0, {bound})"))
     subdomain_raw = merged["subdomain"]
-    subdomain = (0.0, 0.25)
     if (
         not isinstance(subdomain_raw, list)
         or len(subdomain_raw) != 2
@@ -414,8 +414,6 @@ def parse_config(text: str) -> LabConfig:
         subdomain = (float(subdomain_raw[0]), float(subdomain_raw[1]))
 
     grid_raw = merged["grid"]
-    grid_points = 32
-    grid_xi = "units"
     if not isinstance(grid_raw, dict) or set(grid_raw) - {"points_per_axis", "xi"}:
         errors.append(("grid", "must be an object with keys 'points_per_axis' and 'xi'"))
     else:
@@ -424,20 +422,16 @@ def parse_config(text: str) -> LabConfig:
             errors.append(("grid.points_per_axis", "must be an integer of at least 2"))
             grid_points = 32
         grid_xi = grid_raw.get("xi", "units")
-        if grid_xi != "units":
-            try:
-                grid_xi = tuple(tuple(float(c) for c in covector) for covector in grid_xi)
-                if any(len(covector) != dimension for covector in grid_xi):
-                    raise ValueError("covector dimension mismatch")
-                if (0.0,) * dimension not in grid_xi:
-                    raise ValueError("the zero covector must be included")
-            except (TypeError, ValueError) as exc:
-                errors.append(("grid.xi", str(exc)))
-                grid_xi = "units"
+        try:
+            grid = (
+                PhaseSpaceGrid.standard(dimension, grid_points, ladder)
+                if grid_xi == "units"
+                else PhaseSpaceGrid(dimension, grid_points, grid_xi, ladder)
+            )
+        except (TypeError, ValueError) as exc:
+            errors.append(("grid.xi", str(exc)))
 
     thresholds_raw = merged["thresholds"]
-    thresholds = VerdictThresholds()
-    null_tol = NULL_TOL
     allowed = {"in_exponent", "out_exponent", "fill_fraction", "null_tol"}
     if not isinstance(thresholds_raw, dict) or set(thresholds_raw) - allowed:
         errors.append(("thresholds", f"must be an object with keys among {sorted(allowed)}"))
@@ -454,16 +448,21 @@ def parse_config(text: str) -> LabConfig:
             null_tol = float(filled["null_tol"])
         except (TypeError, ValueError) as exc:
             errors.append(("thresholds", str(exc)))
+        else:
+            if not 0 < null_tol < 1:
+                errors.append(("thresholds.null_tol", "must be a number in (0, 1)"))
 
     out = merged["out"]
     if not isinstance(out, str) or not out:
         errors.append(("out", "must be a nonempty string"))
-        out = "results"
 
     if errors:
         raise ConfigError(errors)
 
-    grid_block = {"points_per_axis": grid_points, "xi": "units" if grid_xi == "units" else [list(c) for c in grid_xi]}
+    grid_block = {
+        "points_per_axis": grid.points_per_axis,
+        "xi": "units" if grid_xi == "units" else [list(c) for c in grid.xi_points],
+    }
     echo = {
         "dimension": dimension,
         "basis": {"names": list(basis.names), "values": list(basis.values)},
@@ -497,8 +496,7 @@ def parse_config(text: str) -> LabConfig:
         delta=float(delta),
         epsilon=float(epsilon),
         subdomain=subdomain,
-        grid_points=grid_points,
-        grid_xi=grid_xi,
+        grid=grid,
         thresholds=thresholds,
         null_tol=null_tol,
         out=out,
@@ -530,111 +528,27 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
     }
     (out_dir / "config.echo").write_text(canonical_json(config.echo) + "\n", encoding="utf-8")
 
-    omega_floats = config.omega.to_floats(config.basis)
-    split = None
-    spec = None
-    family = None
-    op = None
-
     if "hypotheses" in requested:
-        det, nondegenerate = bordered_determinant(config.hessian, omega_floats)
-        quasiconvex = is_quasiconvex(config.hessian, omega_floats)
-        report["hypotheses"] = {
-            "A_real_principal_symbol": {
-                "pass": True,
-                "detail": "symbol is a real polynomial in the momenta by construction",
-            },
-            "B_real_constant_subprincipal": {
-                "pass": True,
-                "detail": "subprincipal term is an exact real constant",
-            },
-            "C_completely_integrable": {
-                "pass": True,
-                "detail": "model torus carries global action-angle coordinates",
-            },
-            "D_isoenergetically_nondegenerate": {
-                "pass": nondegenerate,
-                "bordered_determinant": det,
-            },
-            "E_quasimode_order": {"pass": None, "detail": "filled by the verify stage"},
-            "F_quasiconvex": {"pass": quasiconvex},
-        }
-        checks["hypothesis (D)"] = nondegenerate
-        checks["hypothesis (F)"] = quasiconvex
+        report["hypotheses"], stage_checks = _hypotheses_stage(config)
+        checks.update(stage_checks)
 
-    needs_split = {"split", "build", "verify", "wavefront"} & set(requested)
-    if needs_split:
-        relations = relation_lattice(config.omega)
+    split = spec = family = op = None
+    if {"split", "build", "verify", "wavefront"} & set(requested):
         split = split_frequencies(config.omega)
-        if config.c_spec == "resonant":
-            if config.factory_alpha0 is None:
-                report["notes"].append(
-                    "c declared resonant but no factory block supplies the mode"
-                )
-                resonant = None
-            else:
-                resonant = tuple(config.factory_alpha0)
-        else:
-            try:
-                resonant = find_resonant_mode(split.omega_tilde, config.c_spec)
-            except InvariantViolation as exc:
-                report["notes"].append(str(exc))
-                resonant = None
-            else:
-                if resonant is None:
-                    report["notes"].append("no integer mode is resonant with explicit c")
-                elif max(map(abs, resonant)) > RESONANCE_BOX:
-                    report["notes"].append(
-                        "the integer mode resonant with explicit c lies outside "
-                        f"the search box of max-norm {RESONANCE_BOX}"
-                    )
-                    resonant = None
-        report["splitting"] = {
-            "relation_lattice": {
-                "rank": relations.rank,
-                "rows": relations.to_json_obj(),
-            },
-            "matrix": [list(row) for row in split.matrix],
-            "orbit_dimension": split.orbit_dimension,
-            "omega_tilde": [
-                _exact_as_json(w, config.basis) for w in split.omega_tilde
-            ],
-            "resonant_mode": list(resonant) if resonant is not None else None,
-        }
+        report["splitting"], notes = _splitting_stage(config, split)
+        report["notes"] += notes
 
     if "build" in requested:
         if config.factory_v is None or config.factory_alpha0 is None:
-            report["quasimode_build"] = {
-                "status": "skipped",
-                "detail": "no factory block in the config",
-            }
+            report["quasimode_build"] = {"status": "skipped", "detail": "no factory block in the config"}
             report["notes"].append("quasimode stages skipped: no factory block")
         else:
-            if len(config.factory_alpha0) != split.orbit_dimension:
-                raise ConfigError(
-                    [("factory.alpha0", f"length must equal the orbit dimension {split.orbit_dimension}")]
-                )
-            if config.factory_v.dim != config.dimension - split.orbit_dimension:
-                raise ConfigError(
-                    [("factory.v", "profile dimension must equal dimension - orbit dimension")]
-                )
-            if config.c_spec != "resonant":
-                pairing = FrequencyVector(split.omega_tilde).dot(config.factory_alpha0)
-                if not (config.c_spec + pairing).is_zero:
-                    raise ConfigError(
-                        [("c", "explicit c is not resonant with factory.alpha0")]
-                    )
+            _check_factory(config, split)
             remainder = RemainderTerm() if config.remainder else None
             try:
                 spec, family, op = build_factory_quasimode(
-                    config.omega,
-                    config.hessian,
-                    config.basis,
-                    split,
-                    config.factory_alpha0,
-                    config.factory_v,
-                    config.h_ladder,
-                    remainder=remainder,
+                    config.omega, config.hessian, config.basis, split,
+                    config.factory_alpha0, config.factory_v, config.h_ladder, remainder=remainder,
                 )
             except (ValueError, ArithmeticError, InvariantViolation) as exc:
                 report["quasimode_build"] = {"status": "error", "detail": str(exc)}
@@ -654,69 +568,108 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
                         "only its order is canonical"
                     )
 
-    if "verify" in requested and family is not None:
+    for stage, key, failed_check, run_stage in (
+        ("verify", "quasimode_verify", "quasimode verification", _verify_stage),
+        ("wavefront", "wavefront", "wavefront map", _wavefront_stage),
+    ):
+        if stage not in requested:
+            continue
+        if family is None:
+            report[key] = {"status": "skipped", "detail": "no family built"}
+            continue
         try:
-            section, verify_checks, decay_lines = _run_verify_stage(config, split, spec, family, op)
+            report[key], stage_checks, (name, header, lines) = run_stage(config, split, spec, family, op)
         except (ValueError, ArithmeticError, InvariantViolation) as exc:
-            report["quasimode_verify"] = {"status": "error", "detail": str(exc)}
-            checks["quasimode verification"] = False
+            report[key] = {"status": "error", "detail": str(exc)}
+            checks[failed_check] = False
         else:
-            report["quasimode_verify"] = section
-            checks.update(verify_checks)
-            _write_csv(out_dir / "decay.csv", ("series", "h", "value"), decay_lines)
-            artifacts["decay.csv"] = "written"
-            if "hypotheses" in requested:
-                report["hypotheses"]["E_quasimode_order"] = {
-                    "pass": verify_checks["quasimode order (E)"],
-                    "exponent": section["order"]["exponent"],
-                    "exact_kernel": section["order"]["exact_kernel"],
-                }
-    elif "verify" in requested:
-        report["quasimode_verify"] = {"status": "skipped", "detail": "no family built"}
-
-    if "wavefront" in requested and family is not None:
-        try:
-            grid = (
-                PhaseSpaceGrid.standard(config.dimension, config.grid_points, config.h_ladder)
-                if config.grid_xi == "units"
-                else PhaseSpaceGrid(
-                    config.dimension, config.grid_points, config.grid_xi, config.h_ladder
-                )
-            )
-            mass_map = wavefront_mass_map(family, grid)
-            verdicts = nonconcentration_report(mass_map, config.thresholds)
-        except (ValueError, ArithmeticError, InvariantViolation) as exc:
-            report["wavefront"] = {"status": "error", "detail": str(exc)}
-            checks["wavefront map"] = False
-        else:
-            report["wavefront"] = verdicts.to_json_obj()
-            checks["fills torus"] = verdicts.fills_torus
-            checks["lagrangian supported"] = verdicts.lagrangian_supported
-            checks["nonempty interior"] = verdicts.nonempty_interior
-            header = (
-                tuple(f"x{i}" for i in range(config.dimension))
-                + tuple(f"xi{i}" for i in range(config.dimension))
-                + ("h", "mass")
-            )
-            _write_csv(out_dir / "massmap.csv", header, _massmap_lines(mass_map))
-            artifacts["massmap.csv"] = "written"
-    elif "wavefront" in requested:
-        report["wavefront"] = {"status": "skipped", "detail": "no family built"}
+            checks.update(stage_checks)
+            _write_csv(out_dir / name, header, lines)
+            artifacts[name] = "written"
+    order = report.get("quasimode_verify", {}).get("order")
+    if "hypotheses" in requested and order is not None:
+        fields = ("pass", "exponent", "exact_kernel")
+        report["hypotheses"]["E_quasimode_order"] = {key: order[key] for key in fields}
 
     failures = sorted(name for name, ok in checks.items() if not ok)
-    report["checks"] = checks
-    report["failures"] = failures
-    report["status"] = (
-        "no checks requested" if not checks else ("pass" if not failures else "fail")
-    )
-    report["artifacts"] = artifacts
+    status = ("pass" if not failures else "fail") if checks else "no checks requested"
+    report.update(checks=checks, failures=failures, status=status, artifacts=artifacts)
     write_report(report, out_dir / "report.json")
     return (EXIT_PASS if not failures else EXIT_CHECK_FAILED), report
 
 
-def _run_verify_stage(config, split, spec, family, op):
+# Hypotheses (A)-(C) hold for every model operator, for these reasons.
+_BY_CONSTRUCTION = {
+    "A_real_principal_symbol": "symbol is a real polynomial in the momenta by construction",
+    "B_real_constant_subprincipal": "subprincipal term is an exact real constant",
+    "C_completely_integrable": "model torus carries global action-angle coordinates",
+}
+
+
+def _hypotheses_stage(config):
+    """Hypotheses (A)-(F) of the config: (report section, checks); the
+    verify stage fills in (E)."""
+    omega_floats = config.omega.to_floats(config.basis)
+    det, nondegenerate = bordered_determinant(config.hessian, omega_floats)
+    quasiconvex = is_quasiconvex(config.hessian, omega_floats)
+    section = {
+        **{key: {"pass": True, "detail": detail} for key, detail in _BY_CONSTRUCTION.items()},
+        "D_isoenergetically_nondegenerate": {"pass": nondegenerate, "bordered_determinant": det},
+        "E_quasimode_order": {"pass": None, "detail": "filled by the verify stage"},
+        "F_quasiconvex": {"pass": quasiconvex},
+    }
+    return section, {"hypothesis (D)": nondegenerate, "hypothesis (F)": quasiconvex}
+
+
+def _splitting_stage(config, split):
+    """The splitting's report section, with the mode resonant with c, and
+    the notes on that mode: (section, notes)."""
+    notes = []
+    if config.c_spec == "resonant":
+        resonant = config.factory_alpha0
+        if resonant is None:
+            notes.append("c declared resonant but no factory block supplies the mode")
+    else:
+        try:
+            resonant = find_resonant_mode(split.omega_tilde, config.c_spec)
+        except InvariantViolation as exc:
+            notes.append(str(exc))
+            resonant = None
+        else:
+            if resonant is None:
+                notes.append("no integer mode is resonant with explicit c")
+            elif max(map(abs, resonant)) > RESONANCE_BOX:
+                notes.append(
+                    "the integer mode resonant with explicit c lies outside "
+                    f"the search box of max-norm {RESONANCE_BOX}"
+                )
+                resonant = None
+    section = {
+        "relation_lattice": {"rank": split.relations.rank, "rows": split.relations.to_json_obj()},
+        "matrix": [list(row) for row in split.matrix],
+        "orbit_dimension": split.orbit_dimension,
+        "omega_tilde": [_exact_as_json(w, config.basis) for w in split.omega_tilde],
+        "resonant_mode": list(resonant) if resonant is not None else None,
+    }
+    return section, notes
+
+
+def _check_factory(config, split) -> None:
+    """Refuse a factory block that does not fit the splitting."""
+    k = split.orbit_dimension
+    if len(config.factory_alpha0) != k:
+        raise ConfigError([("factory.alpha0", f"length must equal the orbit dimension {k}")])
+    if config.factory_v.dim != config.dimension - k:
+        raise ConfigError([("factory.v", "profile dimension must equal dimension - orbit dimension")])
+    if config.c_spec != "resonant":
+        pairing = FrequencyVector(split.omega_tilde).dot(config.factory_alpha0)
+        if not (config.c_spec + pairing).is_zero:
+            raise ConfigError([("c", "explicit c is not resonant with factory.alpha0")])
+
+
+def _verify_stage(config, split, spec, family, op):
     """Order, concentration, Galerkin and unique-continuation results of a
-    built family: (report section, checks, decay.csv lines)."""
+    built family: (report section, checks, decay.csv)."""
     order = verify_quasimode_order(family, spec, config.delta)
     concentration = check_mode_concentration(family, split, config.factory_alpha0, config.epsilon)
     series = [("residual", order.residual_norms)] + [
@@ -769,7 +722,22 @@ def _run_verify_stage(config, split, spec, family, op):
         "galerkin nullspace": len(null.basis) >= 1,
         "unique continuation": uc_positive,
     }
-    return section, checks, decay_lines
+    return section, checks, ("decay.csv", ("series", "h", "value"), decay_lines)
+
+
+def _wavefront_stage(config, split, spec, family, op):
+    """Mass map and nonconcentration verdicts of a built family on the
+    config's grid: (report section, checks, massmap.csv)."""
+    mass_map = wavefront_mass_map(family, config.grid)
+    verdicts = nonconcentration_report(mass_map, config.thresholds)
+    checks = {
+        "fills torus": verdicts.fills_torus,
+        "lagrangian supported": verdicts.lagrangian_supported,
+        "nonempty interior": verdicts.nonempty_interior,
+    }
+    axes = range(config.dimension)
+    header = [f"x{i}" for i in axes] + [f"xi{i}" for i in axes] + ["h", "mass"]
+    return verdicts.to_json_obj(), checks, ("massmap.csv", header, _massmap_lines(mass_map))
 
 
 def _spec_provenance(spec: ModelOperatorSpec) -> dict:

@@ -553,13 +553,15 @@ class UnimodularSplitting:
     The columns of ``matrix`` form a Z-basis of Z^n whose first
     ``orbit_dimension`` columns span the saturated lattice of integer
     vectors inside the orbit-closure subspace.  ``omega_tilde`` holds the
-    reduced frequencies, which satisfy no rational relation.
+    reduced frequencies, which satisfy no rational relation; ``relations``
+    is the relation lattice of the original frequencies.
     """
 
     matrix: tuple[tuple[int, ...], ...]
     orbit_dimension: int
     omega_tilde: tuple[ExactNumber, ...]
     inverse: tuple[tuple[int, ...], ...]
+    relations: IntegerLattice
 
     def __post_init__(self):
         M = tuple(tuple(int(x) for x in row) for row in self.matrix)
@@ -624,7 +626,8 @@ def split_frequencies(omega: FrequencyVector) -> UnimodularSplitting:
 
     Returns a unimodular matrix M whose first k columns span the saturated
     lattice inside the relation-annihilator subspace, together with the
-    reduced frequencies, i.e. the leading k entries of M^{-1} omega.  The
+    reduced frequencies, i.e. the leading k entries of M^{-1} omega, and the
+    relation lattice.  The
     trailing entries of M^{-1} omega vanish exactly; this is asserted.
     """
     n = omega.dimension
@@ -646,6 +649,7 @@ def split_frequencies(omega: FrequencyVector) -> UnimodularSplitting:
         orbit_dimension=k,
         omega_tilde=tuple(reduced[:k]),
         inverse=tuple(tuple(row) for row in Minv),
+        relations=relations,
     )
 
 

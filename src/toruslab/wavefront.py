@@ -274,6 +274,13 @@ class VerdictThresholds:
     out_exponent: float = _OUT_EXPONENT
     fill_fraction: float = _FILL_FRACTION
 
+    def __post_init__(self):
+        # in >= out leaves no inconclusive band, and fill_fraction <= 0 passes every map
+        if not self.in_exponent < self.out_exponent:
+            raise ValueError("in_exponent must be below out_exponent")
+        if not 0 < self.fill_fraction <= 1:
+            raise ValueError("fill_fraction must lie in (0, 1]")
+
 
 @dataclass(frozen=True)
 class WavefrontReport:

@@ -56,6 +56,8 @@ def test_parse_golden_materializes_defaults(tmp_path):
     assert config.echo["h_ladder"][0] == 2.0**-4
     assert config.echo["c"] == "resonant"
     assert config.echo["remainder"] is False
+    assert config.echo["grid"] == {"points_per_axis": 32, "xi": "units"}
+    assert config.grid == wavefront.PhaseSpaceGrid.standard(2, 32, config.h_ladder)
 
 
 def test_parse_rejects_unknown_key(tmp_path):
@@ -244,10 +246,28 @@ def test_main_exit_codes(tmp_path, capsys):
         ({"h_ladder": [0.1, "nan", 0.01, 0.001]}, "h_ladder[1]: must be a JSON number"),
         ({"grid": {"points_per_axis": 0}}, "grid.points_per_axis"),
         ({"grid": {"points_per_axis": 1}}, "grid.points_per_axis"),
+        ({"grid": {"xi": [[1.0, 0.0]]}}, "config error at grid.xi: the zero covector"),
+        ({"grid": {"points_per_axis": 1, "xi": [[0.0]]}}, "config error at grid.xi: covector dimension"),
+        # the "a..b" form gets the list form's checks; 2^-1075 underflows
+        # to 0, and a huge exponent is refused before the ladder is built
+        ({"h_ladder": "4..5"}, "config error at h_ladder: ladder needs at least four points"),
+        ({"h_ladder": "0..1100"}, "config error at h_ladder: ladder exponents above 1074"),
+        ({"h_ladder": "4..4000000"}, "config error at h_ladder: ladder exponents above 1074"),
+        ({"h_ladder": "12..4"}, "config error at h_ladder"),
+        # thresholds that would let a check pass vacuously
+        ({"thresholds": {"fill_fraction": -1}}, "config error at thresholds: fill_fraction"),
+        ({"thresholds": {"fill_fraction": 1.5}}, "config error at thresholds: fill_fraction"),
+        ({"epsilon": 50}, "config error at epsilon"),
+        ({"epsilon": 1}, "config error at epsilon"),
+        ({"thresholds": {"null_tol": 1e300}}, "config error at thresholds.null_tol"),
+        ({"thresholds": {"null_tol": 0}}, "config error at thresholds.null_tol"),
+        ({"thresholds": {"in_exponent": 5, "out_exponent": -5}}, "config error at thresholds: in_exponent"),
+        ({"thresholds": {"in_exponent": 2.0}}, "config error at thresholds: in_exponent"),
     ):
         rejected = _config(tmp_path, overrides, name="rejected.json")
         assert main(["all", "--config", str(rejected)]) == EXIT_USAGE
-        assert cause in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert cause in err and "Traceback" not in err
     # argument errors are usage errors too; --help is not an error
     for argv, cause in (
         (["all", "--config", str(config_path), "--bogus"], "--bogus"),
@@ -280,6 +300,7 @@ def test_massmap_csv_matches_slow_oracle(tmp_path, monkeypatch):
     config = parse_config(
         _config(tmp_path, {"grid": {"points_per_axis": 4, "xi": xi}}).read_text()
     )
+    assert config.echo["grid"] == {"points_per_axis": 4, "xi": xi}
     seen = []
 
     def spy(family, grid):
@@ -328,7 +349,11 @@ def test_benchmark_tracer_probes_exist(tmp_path):
 
 def test_golden_run_computes_transverse_form_and_inverse_once(tmp_path, monkeypatch):
     calls = []
-    for module, name in ((operator, "transform_quadratic_form"), (exact, "unimodular_inverse")):
+    for module, name in (
+        (operator, "transform_quadratic_form"),
+        (exact, "unimodular_inverse"),
+        (exact, "relation_lattice"),
+    ):
         original = vars(module)[name]
 
         def counting(*args, _original=original, _name=name):
@@ -341,7 +366,7 @@ def test_golden_run_computes_transverse_form_and_inverse_once(tmp_path, monkeypa
                 monkeypatch.setattr(owner, name, counting)
     config = parse_config(_config(tmp_path).read_text())
     run_pipeline(config, cli._STAGES, tmp_path / "out")
-    assert sorted(calls) == ["transform_quadratic_form", "unimodular_inverse"]
+    assert sorted(calls) == ["relation_lattice", "transform_quadratic_form", "unimodular_inverse"]
 
 
 @pytest.mark.parametrize("error", [ValueError, ArithmeticError, exact.InvariantViolation])

@@ -285,7 +285,7 @@ def test_split_frequency_relabeling_round_trip():
     # the stored inverse is checked, not trusted
     for wrong in (((1, 0), (0, 1)), split.inverse[:1]):
         with pytest.raises(ValueError, match="unimodular"):
-            UnimodularSplitting(split.matrix, 1, split.omega_tilde, wrong)
+            UnimodularSplitting(split.matrix, 1, split.omega_tilde, wrong, split.relations)
     for xi in [(0, 0), (1, 0), (-2, 5), (7, -3)]:
         along, across = split.to_split_frequency(xi)
         assert split.to_torus_frequency(along, across) == xi
