@@ -41,6 +41,7 @@ from .operator import ModelOperatorSpec, RemainderTerm
 from .quasimode import (
     NULL_TOL,
     build_factory_quasimode,
+    check_galerkin_budget,
     check_mode_concentration,
     decompose_along_T,  # not called here: the benchmark tracer probes this name
     default_h_ladder,
@@ -423,6 +424,9 @@ def parse_config(text: str) -> LabConfig:
             grid_points = 32
         grid_xi = grid_raw.get("xi", "units")
         try:
+            # PhaseSpaceGrid would read a string's characters as covectors
+            if grid_xi != "units" and not isinstance(grid_xi, list):
+                raise ValueError('must be "units" or a list of covectors')
             grid = (
                 PhaseSpaceGrid.standard(dimension, grid_points, ladder)
                 if grid_xi == "units"
@@ -655,12 +659,18 @@ def _splitting_stage(config, split):
 
 
 def _check_factory(config, split) -> None:
-    """Refuse a factory block that does not fit the splitting."""
+    """Refuse a factory block that does not fit the splitting, and a
+    truncation whose dense Galerkin matrix on the transverse torus would
+    exceed the budget."""
     k = split.orbit_dimension
     if len(config.factory_alpha0) != k:
         raise ConfigError([("factory.alpha0", f"length must equal the orbit dimension {k}")])
     if config.factory_v.dim != config.dimension - k:
         raise ConfigError([("factory.v", "profile dimension must equal dimension - orbit dimension")])
+    try:
+        check_galerkin_budget(config.dimension - k, config.truncation)
+    except ValueError as exc:
+        raise ConfigError([("truncation", str(exc))])
     if config.c_spec != "resonant":
         pairing = FrequencyVector(split.omega_tilde).dot(config.factory_alpha0)
         if not (config.c_spec + pairing).is_zero:

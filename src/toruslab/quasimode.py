@@ -50,6 +50,8 @@ __all__ = [
     "build_factory_quasimode",
     "GalerkinNullspace",
     "galerkin_nullspace",
+    "check_galerkin_budget",
+    "GALERKIN_BYTES_BUDGET",
     "UniqueContinuation",
     "unique_continuation_constant",
     "OrderReport",
@@ -74,6 +76,10 @@ REEXPANSION_TRUNC = 1e-14
 #: The transverse profile must satisfy min |v| >= margin * max |v| on the
 #: division grid.
 NONVANISH_MARGIN = 1e-3
+
+#: Largest dense Galerkin matrix, in bytes, that galerkin_nullspace builds;
+#: its eigensolve holds a few more matrices of the same size.
+GALERKIN_BYTES_BUDGET = 256 * 2**20
 
 _NORMALIZATION_TOL = 1e-8
 
@@ -420,6 +426,19 @@ def _galerkin_matrix(op: OperatorOnTPrime, N: int) -> tuple[list[tuple[int, ...]
     return betas, 0.5 * (matrix + matrix.conj().T)
 
 
+def check_galerkin_budget(q: int, N: int) -> int:
+    """Bytes of the dense complex Galerkin matrix on T^q at truncation N,
+    16 (2N+1)^(2q); raises ValueError when they exceed
+    GALERKIN_BYTES_BUDGET."""
+    size = 16 * (2 * int(N) + 1) ** (2 * int(q))
+    if size > GALERKIN_BYTES_BUDGET:
+        raise ValueError(
+            f"truncation {N} on a {q}-torus needs a {size / 1e6:.0f} MB Galerkin matrix, "
+            f"over the budget of {GALERKIN_BYTES_BUDGET / 1e6:.0f} MB"
+        )
+    return size
+
+
 def galerkin_nullspace(
     op: OperatorOnTPrime, N: int, null_tol: float = NULL_TOL
 ) -> GalerkinNullspace:
@@ -431,12 +450,14 @@ def galerkin_nullspace(
     compared to null_tol after scaling by a Gershgorin estimate of the
     operator norm.  The truncation must leave two rows of headroom around
     the essential support of the multiplier (coefficients above 1e-3 of
-    its peak), and the quadratic block must be positive definite.
+    its peak), the quadratic block must be positive definite, and the
+    matrix must fit GALERKIN_BYTES_BUDGET (checked before it is built).
     """
     q = op.dimension
     N = int(N)
     if q > 0 and N < 4:
         raise ValueError("truncation must be at least 4")
+    check_galerkin_budget(q, N)
     if q > 0:
         smallest = float(np.linalg.eigvalsh(op.Omega_block)[0])
         if smallest <= 0:
@@ -505,6 +526,76 @@ def _interval_integral(delta: int, lo: float, hi: float) -> complex:
     return (np.exp(factor * hi) - np.exp(factor * lo)) / factor
 
 
+def _coefficient_table(poly: TrigPolynomial) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frequencies (one row each) and real and imaginary coefficient
+    parts of a series, in insertion order."""
+    items = list(poly.items())
+    freqs = np.array([alpha for alpha, _ in items], dtype=np.intp).reshape(len(items), poly.dim)
+    values = np.array([value for _, value in items], dtype=complex)
+    return freqs, values.real, values.imag
+
+
+def _box_weights(box: Sequence[tuple[float, float]], radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the box integral of each character
+    with frequency in [-2 radius, 2 radius]^q, flattened in C order.
+
+    One _interval_integral call per axis and offset; the per-axis factors
+    are multiplied into 1 + 0j axis by axis in explicit real arithmetic,
+    which is what a complex scalar product computes."""
+    offsets = range(-2 * radius, 2 * radius + 1)
+    wr, wi = np.ones(()), np.zeros(())
+    for lo, hi in box:
+        table = np.array([_interval_integral(d, lo, hi) for d in offsets])
+        wr, wi = (
+            np.multiply.outer(wr, table.real) - np.multiply.outer(wi, table.imag),
+            np.multiply.outer(wr, table.imag) + np.multiply.outer(wi, table.real),
+        )
+    return wr.ravel(), wi.ravel()
+
+
+def _sequential_sum(x: np.ndarray) -> float:
+    """0.0 + x[0] + x[1] + ... left to right, as a running Python sum
+    from 0j gives it (np.sum sums pairwise)."""
+    return float(np.add.accumulate(x)[-1]) + 0.0 if x.size else 0.0
+
+
+def _box_integral(left, right, weights, radius: int) -> complex:
+    """Integral over the box of left * conj(right), from coefficient
+    tables and the box weights of _box_weights.
+
+    Bit for bit what the dict convolution of left with conj(right)
+    followed by a running sum of value * weight over the product's keys
+    gives: products are summed per offset in the order of left's
+    coefficients, the keys keep the order in which the double loop first
+    reaches them, and every complex product is written in explicit real
+    arithmetic.  An offset whose products sum to an exact zero, which the
+    dict drops, adds only a signed zero to the running sum (the weights
+    are finite), and the final + 0.0 of _sequential_sum absorbs its sign."""
+    fa, ar, ai = left
+    fb, br, bi = right
+    fb, bi = -fb, -bi
+    q = fa.shape[1]
+    width = 4 * radius + 1
+    # offset a + b sits at (a + b + 2 radius) . strides in the flat box
+    strides = width ** np.arange(q - 1, -1, -1)
+    flat = ((fa + 2 * radius) @ strides)[:, None] + (fb @ strides)[None, :]
+    prod_re = ar[:, None] * br - ai[:, None] * bi
+    prod_im = ar[:, None] * bi + ai[:, None] * br
+    acc_re = np.zeros(width**q)
+    acc_im = np.zeros(width**q)
+    touched = np.zeros(width**q, dtype=bool)
+    reached = [np.zeros(0, dtype=np.intp)]  # offsets in the order first reached
+    for row, re, im in zip(flat, prod_re, prod_im):
+        acc_re[row] += re
+        acc_im[row] += im
+        reached.append(row[~touched[row]])
+        touched[row] = True
+    keys = np.concatenate(reached)
+    vr, vi = acc_re[keys], acc_im[keys]
+    wr, wi = weights[0][keys], weights[1][keys]
+    return complex(_sequential_sum(vr * wr - vi * wi), _sequential_sum(vr * wi + vi * wr))
+
+
 def unique_continuation_constant(
     null: GalerkinNullspace, subdomain: Sequence[tuple[float, float]]
 ) -> UniqueContinuation:
@@ -513,7 +604,8 @@ def unique_continuation_constant(
 
     The Gram matrix of the basis over an axis-aligned box is integrated
     in closed form per frequency, which is exact for trig polynomials of
-    any degree; the constant is its smallest eigenvalue.
+    any degree; the constant is its smallest eigenvalue.  Each entry is
+    one array kernel over the coefficient tables (see _box_integral).
     """
     if not null.basis:
         raise ValueError("nullspace is empty")
@@ -527,17 +619,13 @@ def unique_continuation_constant(
     if q and math.prod(hi - lo for lo, hi in box) <= 0.0:
         raise ValueError("subdomain must have positive volume")
     dim = len(null.basis)
+    tables = [_coefficient_table(u) for u in null.basis]
+    radius = max(u.support_radius() for u in null.basis)
+    weights = _box_weights(box, radius)
     gram = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):
         for j in range(dim):
-            product = null.basis[i].convolve(null.basis[j].conjugate())
-            total = 0j
-            for delta, value in product.items():
-                weight = 1.0 + 0j
-                for d, (lo, hi) in zip(delta, box):
-                    weight *= _interval_integral(d, lo, hi)
-                total += value * weight
-            gram[i, j] = total
+            gram[i, j] = _box_integral(tables[i], tables[j], weights, radius)
     gram = 0.5 * (gram + gram.conj().T)
     eigvals, eigvecs = np.linalg.eigh(gram)
     constant = float(eigvals[0])

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
+# toruslab first: importing it pins BLAS to one thread before numpy loads,
+# and the recorded artifact bytes of the larger Galerkin solves hold only
+# on one thread
 from toruslab import (
     FrequencyVector,
     HessianForm,
@@ -14,6 +14,9 @@ from toruslab import (
     default_h_ladder,
     split_frequencies,
 )
+
+import numpy as np
+import pytest
 
 
 class GoldenInstance:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,20 @@ GOLDEN = {
         ],
     },
 }
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@functools.cache
+def _perfbench_module(name):
+    """A module of perfbench/, loaded read-only by path."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
 def _config(tmp_path, overrides=None, name="config.json"):
@@ -248,6 +264,13 @@ def test_main_exit_codes(tmp_path, capsys):
         ({"grid": {"points_per_axis": 1}}, "grid.points_per_axis"),
         ({"grid": {"xi": [[1.0, 0.0]]}}, "config error at grid.xi: the zero covector"),
         ({"grid": {"points_per_axis": 1, "xi": [[0.0]]}}, "config error at grid.xi: covector dimension"),
+        # a string other than "units" is not read character by character
+        (
+            {"dimension": 1, "omega": [["1"]], "hessian": [[1.0]], "factory": None, "grid": {"xi": "01"}},
+            'config error at grid.xi: must be "units" or a list of covectors',
+        ),
+        # a 640 GB Galerkin matrix (q = 1) is refused before the build
+        ({"truncation": 100000}, "config error at truncation: truncation 100000 on a 1-torus"),
         # the "a..b" form gets the list form's checks; 2^-1075 underflows
         # to 0, and a huge exponent is refused before the ladder is built
         ({"h_ladder": "4..5"}, "config error at h_ladder: ladder needs at least four points"),
@@ -327,10 +350,7 @@ def test_massmap_csv_matches_slow_oracle(tmp_path, monkeypatch):
 def test_benchmark_tracer_probes_exist(tmp_path):
     # perfbench/tracing.py wraps each probe with owner.__dict__[attr]; a
     # renamed or removed name would make a traced run raise KeyError
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench_module("tracing")
     probes = tracing.probes(cli, quasimode, wavefront, trigpoly)
     for owner, attr, *_ in probes:
         assert attr in vars(owner), f"{owner.__name__}.{attr}"
@@ -343,8 +363,57 @@ def test_benchmark_tracer_probes_exist(tmp_path):
         totals = tracer.take_totals()
     finally:
         tracer.remove()
-    for metric in ("quasimode.galerkin_dim", "quasimode.nullspace_dim", "quasimode.decompose_s"):
+    for metric in (
+        "quasimode.galerkin_dim", "quasimode.nullspace_dim", "quasimode.decompose_s", "quasimode.uc_s",
+    ):
         assert totals[metric] > 0, metric
+
+
+def _three_torus_text(**overrides) -> str:
+    payload = json.loads((ROOT / "perfbench" / "three_torus.json").read_text())
+    payload.update(overrides)
+    return json.dumps(payload)
+
+
+def test_unique_continuation_makes_no_convolve_calls(tmp_path, monkeypatch):
+    # the Gram is one array kernel per entry, not a dict convolution
+    inside, convolve_calls, uc_calls = [], [], []
+    uc, convolve = cli.unique_continuation_constant, trigpoly.TrigPolynomial.convolve
+
+    def counting_uc(*args):
+        uc_calls.append(args)
+        inside.append(True)
+        try:
+            return uc(*args)
+        finally:
+            inside.pop()
+
+    def counting_convolve(self, other):
+        if inside:
+            convolve_calls.append((len(self), len(other)))
+        return convolve(self, other)
+
+    monkeypatch.setattr(cli, "unique_continuation_constant", counting_uc)
+    monkeypatch.setattr(trigpoly.TrigPolynomial, "convolve", counting_convolve)
+    stages = ("split", "build", "verify")
+    run_pipeline(parse_config(_config(tmp_path).read_text()), cli._STAGES, tmp_path / "golden")
+    run_pipeline(parse_config(_three_torus_text(truncation=8)), stages, tmp_path / "q2")
+    assert [null.basis[0].dim for null, _ in uc_calls] == [1, 2]
+    assert convolve_calls == []
+
+
+def test_shipped_and_benchmark_configs_fit_the_galerkin_budget():
+    workloads = _perfbench_module("workloads")
+    texts = [path.read_text() for path in sorted((ROOT / "configs").glob("*.json"))]
+    for workload in workloads.WORKLOADS:
+        texts += [instance.text for instance in workloads.instances(ROOT, workload, 3)]
+    sizes = []
+    for text in texts:
+        config = parse_config(text)
+        q = config.dimension - exact.split_frequencies(config.omega).orbit_dimension
+        sizes.append(quasimode.check_galerkin_budget(q, config.truncation))
+    # the largest is three-torus: q = 2, N = 16, a 1089 x 1089 matrix
+    assert max(sizes) == 16 * 33**4 <= quasimode.GALERKIN_BYTES_BUDGET
 
 
 def test_golden_run_computes_transverse_form_and_inverse_once(tmp_path, monkeypatch):
@@ -411,27 +480,33 @@ def _environment() -> dict:
 
 
 @pytest.mark.parametrize(
-    "workload, name, stages",
+    "workload, seed, name",
     [
-        ("golden", "golden-0", cli._STAGES),
-        ("sweep", "irrational_pair", ("hypotheses", "split", "build", "verify")),
-        ("sweep", "quasiconvexity_fails", ("hypotheses", "split", "build", "verify")),
+        ("golden", "*", "golden-0"),
+        ("sweep", "*", "irrational_pair"),
+        ("sweep", "*", "quasiconvexity_fails"),
+        ("three-torus", "*", "three-torus"),
+    ]
+    # the q = 2 generated instances of recorded sweep seed 3
+    + [
+        ("sweep", "3", instance.name)
+        for instance in _perfbench_module("workloads").instances(ROOT, "sweep", 3)
+        if "q2" in instance.name
     ],
 )
-def test_shipped_configs_match_recorded_bytes(tmp_path, workload, name, stages):
+def test_shipped_configs_match_recorded_bytes(tmp_path, workload, seed, name):
     # perfbench/references.json holds the artifacts' SHA-256 as the
     # benchmark recorded them; float bytes may differ under another numpy
     # or BLAS, so the comparison holds only in the recorded environment
-    root = Path(__file__).resolve().parents[1]
-    references = json.loads((root / "perfbench" / "references.json").read_text())
+    references = json.loads((ROOT / "perfbench" / "references.json").read_text())
     recorded = {key: references["environment"][key] for key in ("numpy", "blas")}
     if recorded != _environment():
         pytest.skip(f"references recorded under {recorded}, running under {_environment()}")
-    expected = references["workloads"][workload]["*"][name]
-    config_name = "golden" if workload == "golden" else name
-    config = parse_config((root / "configs" / f"{config_name}.json").read_text())
+    expected = references["workloads"][workload][seed][name]
+    instances = _perfbench_module("workloads").instances(ROOT, workload, 3)
+    (instance,) = [instance for instance in instances if instance.name == name]
     out = tmp_path / "out"
-    code, _ = run_pipeline(config, stages, out)
+    code, _ = run_pipeline(parse_config(instance.text), instance.stages, out)
     digests = {
         artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
         for artifact in ("report.json", "decay.csv", "massmap.csv")

@@ -406,6 +406,21 @@ def test_galerkin_guards(golden):
         galerkin_nullspace(op, 3)
 
 
+def test_galerkin_refuses_matrix_over_budget(golden, monkeypatch):
+    # 16 * 200001^2 bytes, about 640 GB: refused from the estimate, before
+    # the character list or the matrix exists
+    def no_matrix(*args):
+        raise AssertionError("the matrix was about to be built")
+
+    monkeypatch.setattr(quasimode, "_galerkin_matrix", no_matrix)
+    with pytest.raises(ValueError, match="needs a 640006 MB Galerkin matrix, over the budget of 268 MB"):
+        galerkin_nullspace(golden.op, 100000)
+    assert quasimode.check_galerkin_budget(1, 16) == 16 * 33**2
+    assert quasimode.check_galerkin_budget(0, 100000) == 16
+    with pytest.raises(ValueError, match="on a 3-torus"):
+        quasimode.check_galerkin_budget(3, 16)
+
+
 def _galerkin_case(name, golden):
     if name == "q0":
         return OperatorOnTPrime(np.zeros((0, 0)), np.zeros(0), 1.5, TrigPolynomial(0, {(): 0.75})), 4
@@ -497,6 +512,97 @@ def test_unique_continuation_monotone_in_subdomain(golden):
         values.append(unique_continuation_constant(null, [(0.1, 0.1 + width)]).constant)
     for smaller, larger in zip(values, values[1:]):
         assert smaller <= larger + 1e-12
+
+
+def _nested_loop_gram(basis, box):
+    """The Gram as a dict convolution and a running sum per entry, with
+    the kernel's final symmetrization: the oracle for its bits."""
+    dim = len(basis)
+    gram = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            product = basis[i].convolve(basis[j].conjugate())
+            total = 0j
+            for delta, value in product.items():
+                weight = 1.0 + 0j
+                for d, (lo, hi) in zip(delta, box):
+                    weight *= quasimode._interval_integral(d, lo, hi)
+                total += value * weight
+            gram[i, j] = total
+    return 0.5 * (gram + gram.conj().T)
+
+
+def _hand_built_nullspace(basis):
+    return quasimode.GalerkinNullspace(
+        truncation=4, basis=tuple(basis), eigenvalues=(0.0,) * len(basis), scale=1.0, frequencies=()
+    )
+
+
+def _random_series(rng, q, radius, count):
+    """A series on a random subset of the box, inserted in scrambled order,
+    with signed zeros, purely real and purely imaginary values among its
+    coefficients."""
+    box = list(itertools.product(range(-radius, radius + 1), repeat=q))
+    picks = rng.choice(len(box), size=min(count, len(box)), replace=False)
+    coeffs = {}
+    for n, index in enumerate(picks):
+        re, im = rng.standard_normal(2)
+        kind = n % 5
+        if kind == 1:
+            im = -0.0
+        elif kind == 2:
+            re = -0.0
+        elif kind == 3:
+            re = float(rng.integers(-2, 3))
+        coeffs[box[index]] = complex(re, im)
+    return TrigPolynomial(q, coeffs)
+
+
+def _assert_gram_matches_oracle(basis, box):
+    result = unique_continuation_constant(_hand_built_nullspace(basis), box)
+    oracle = _nested_loop_gram(basis, box)
+    assert result.gram.tobytes() == oracle.tobytes()
+    assert result.constant == float(np.linalg.eigh(oracle)[0][0])
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.4, 0.5)])
+def test_unique_continuation_gram_matches_nested_loop_bit_for_bit(q, interval):
+    rng = np.random.default_rng(10 * q + int(10 * interval[0]))
+    radius = {0: 0, 1: 6, 2: 3, 3: 2}[q]
+    for size in (1, 2, 3):
+        basis = [_random_series(rng, q, radius, int(rng.integers(1, 40))) for _ in range(size)]
+        _assert_gram_matches_oracle(basis, [interval] * q)
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.4, 0.5)])
+def test_unique_continuation_gram_exact_zero_products(interval):
+    # offset 0 of a * conj(b) sums 1 - 1 to an exact zero and is dropped;
+    # the tiny coefficients give products that underflow to signed zeros
+    a = TrigPolynomial(1, {(1,): 1.0, (0,): 1.0, (3,): 1e-200})
+    b = TrigPolynomial(1, {(0,): 1.0, (1,): -1.0, (2,): complex(-1e-200, 1e-200)})
+    c = TrigPolynomial(1, {(2,): complex(-0.0, 1e-300), (-1,): complex(1e-300, -0.0)})
+    for basis in ([a, b], [b, a, c], [c], [a, TrigPolynomial.zero(1)]):
+        _assert_gram_matches_oracle(basis, [interval])
+    # over [0.75, 1] the one off-diagonal term has a real part that
+    # underflows to -0.0, which a running sum from 0j turns into 0.0
+    tiny = [TrigPolynomial(1, {(0,): 1.0}), TrigPolynomial(1, {(1,): complex(-5e-324, -5e-324)})]
+    _assert_gram_matches_oracle(tiny, [(0.75, 1.0)])
+    two = [
+        TrigPolynomial(2, {(1, 0): 1.0, (0, 1): 1.0}),
+        TrigPolynomial(2, {(0, 1): 1.0, (1, 0): -1.0, (1, 1): 1e-320}),
+    ]
+    _assert_gram_matches_oracle(two, [interval, (0.25, 0.75)])
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.4, 0.5), (0.0, 0.25)])
+def test_unique_continuation_gram_matches_nested_loop_on_golden(golden, interval):
+    null = galerkin_nullspace(golden.op, 16)
+    assert len(null.basis) == 1
+    _assert_gram_matches_oracle(list(null.basis), [interval])
+    form = transform_quadratic_form(golden.hessian, golden.split)
+    constants = galerkin_nullspace(assemble_Q_alpha(form, (0,), TrigPolynomial.zero(1)), 8)
+    _assert_gram_matches_oracle(list(constants.basis) + list(null.basis), [interval])
 
 
 def test_unique_continuation_requires_nullspace(golden):
