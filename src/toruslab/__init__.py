@@ -8,9 +8,21 @@ verdicts.
 """
 
 import os
+import sys
+import warnings
 
 # One BLAS thread, set before numpy loads: reduction orders, and with them
-# artifact bytes, must not depend on the ambient thread count.
+# artifact bytes, must not depend on the ambient thread count.  Once numpy
+# is loaded, its BLAS has read its thread count and the pin comes too late.
+if "numpy" in sys.modules and os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+    warnings.warn(
+        "toruslab was imported after numpy without OPENBLAS_NUM_THREADS=1, so BLAS may "
+        "run on several threads and the artifact bytes of runs with a transverse torus "
+        "of dimension q >= 2 may follow the ambient thread count; import toruslab first "
+        "or set OPENBLAS_NUM_THREADS=1",
+        RuntimeWarning,
+        stacklevel=2,
+    )
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
 

@@ -53,6 +53,7 @@ from .trigpoly import TrigPolynomial
 from .wavefront import (
     PhaseSpaceGrid,
     VerdictThresholds,
+    check_massmap_budget,
     nonconcentration_report,
     wavefront_mass_map,
 )
@@ -518,9 +519,17 @@ def _exact_as_json(x: ExactNumber, basis: IrrationalBasis) -> dict:
 
 
 def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tuple[int, dict]:
-    """Run the requested stages, write all artifacts, return (exit, report)."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Run the requested stages, write all artifacts, return (exit, report).
+
+    A wavefront grid whose mass map would exceed the budget is refused
+    before anything runs or is written."""
     requested = [s for s in _STAGES if s in set(stages)]
+    if "wavefront" in requested:
+        try:
+            check_massmap_budget(config.grid)
+        except ValueError as exc:
+            raise ConfigError([("grid.points_per_axis", str(exc))])
+    out_dir.mkdir(parents=True, exist_ok=True)
     report: dict = {"stages": requested, "notes": []}
     checks: dict[str, bool] = {}
     artifacts = {

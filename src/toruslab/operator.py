@@ -237,6 +237,18 @@ def assemble_Q_alpha(
     )
 
 
+def _times_real(factor, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """complex(factor) * (re + i im) in explicit real arithmetic, as the
+    product of two Python complex numbers computes it."""
+    return factor * re - 0.0 * im, factor * im + 0.0 * re
+
+
+def _coefficient_parts(series: TrigPolynomial) -> tuple[list, np.ndarray, np.ndarray]:
+    keys = [alpha for alpha, _ in series.items()]
+    values = np.array([value for _, value in series.items()], dtype=complex)
+    return keys, values.real, values.imag
+
+
 def apply_model_operator(
     spec: ModelOperatorSpec, u: TrigPolynomial, h: float | Sequence[float]
 ) -> TrigPolynomial | list[TrigPolynomial]:
@@ -247,6 +259,14 @@ def apply_model_operator(
     omega . alpha + c is computed exactly and converted to a float only
     here.  Given a ladder of h values, returns one result per h and
     computes the parts that do not depend on h once.
+
+    Each result is the sum, in this order, of the diagonal part, h^2 r u
+    and h^3 times the remainder tail, as TrigPolynomial addition forms it:
+    the ladder is one (h, frequency) array over the union of the three
+    supports, every product and sum is the one the series algebra would
+    compute, a frequency whose value becomes an exact zero is dropped and
+    starts again from 0j, and each result keeps the key order of that
+    algebra.
     """
     scalar = np.ndim(h) == 0
     ladder = [h] if scalar else list(h)
@@ -255,13 +275,16 @@ def apply_model_operator(
     if u.dim != spec.dimension:
         raise ValueError("input lives on the wrong torus")
     H = spec.hessian.entries
-    characters = []
-    for alpha, value in u.items():
-        a = np.asarray(alpha, dtype=float)
-        first_order = spec.basis.to_float(spec.omega.dot(alpha) + spec.c)
-        characters.append((alpha, value, first_order, float(a @ H @ a)))
-    ru = spec.r.convolve(u) if spec.r else None
-    tail = None
+    keys, u_re, u_im = _coefficient_parts(u)
+    first = np.array(
+        [spec.basis.to_float(spec.omega.dot(alpha) + spec.c) for alpha in keys], dtype=float
+    )
+    second = np.array(
+        [float(a @ H @ a) for a in np.array(keys, dtype=float).reshape(len(keys), spec.dimension)]
+    )
+    terms = []  # (h-dependent factor, series), added in this order
+    if spec.r:
+        terms.append(([step * step for step in ladder], spec.r.convolve(u)))
     if spec.remainder is not None:
         damped = {
             alpha: value / (1.0 + float(np.dot(alpha, alpha)))
@@ -269,17 +292,54 @@ def apply_model_operator(
         }
         tail = TrigPolynomial(spec.dimension, damped).scaled(spec.remainder.multiplier_weight)
         tail = tail + spec.remainder.resolved_potential(spec.dimension).convolve(u)
+        terms.append(([step**3 for step in ladder], tail))
+
+    # union support: u's keys, then the new keys of each term in its order
+    column = {alpha: j for j, alpha in enumerate(keys)}
+    parts = []
+    for factors, series in terms:
+        term_keys, re, im = _coefficient_parts(series)
+        cols = np.array([column.setdefault(alpha, len(column)) for alpha in term_keys], dtype=np.intp)
+        parts.append((np.array(factors, dtype=float)[:, None], cols, re, im))
+    keys = list(column)
+
+    # one row per h; an absent key holds +0, a present one its nonzero value
+    hs = np.array(ladder, dtype=float)[:, None]
+    shape = (len(ladder), len(keys))
+    acc_re, acc_im = np.zeros(shape), np.zeros(shape)
+    multiplier = hs * first + (hs * hs) * second
+    re, im = _times_real(multiplier, u_re, u_im)
+    kept = (multiplier != 0.0) & ((re != 0) | (im != 0))
+    acc_re[:, : len(first)] = np.where(kept, re, 0.0)
+    acc_im[:, : len(first)] = np.where(kept, im, 0.0)
+    # dict position of each key: a present key keeps its place, and the
+    # keys a term adds follow in the term's order
+    rank = np.broadcast_to(np.arange(len(keys)), shape).copy()
+    offset = len(first)
+    for factors, cols, term_re, term_im in parts:
+        re, im = _times_real(factors, term_re, term_im)
+        added = (re != 0) | (im != 0)  # scaled() drops exact zeros
+        old_re, old_im = acc_re[:, cols], acc_im[:, cols]
+        new = added & (old_re == 0) & (old_im == 0)
+        sum_re = np.where(added, old_re + re, old_re)
+        sum_im = np.where(added, old_im + im, old_im)
+        kept = (sum_re != 0) | (sum_im != 0)
+        # a key whose sum is an exact zero is dropped and restarts from 0j
+        acc_re[:, cols] = np.where(kept, sum_re, 0.0)
+        acc_im[:, cols] = np.where(kept, sum_im, 0.0)
+        rank[:, cols] = np.where(new, offset + np.arange(len(cols)), rank[:, cols])
+        offset += len(cols)
+
+    values = np.empty(shape, dtype=complex)
+    values.real, values.imag = acc_re, acc_im
+    present = (acc_re != 0) | (acc_im != 0)
     results = []
-    for h in ladder:
-        out: dict[tuple[int, ...], complex] = {}
-        for alpha, value, first_order, second_order in characters:
-            multiplier = h * first_order + h * h * second_order
-            if multiplier != 0.0:
-                out[alpha] = multiplier * value
-        result = TrigPolynomial(spec.dimension, out)
-        if ru is not None:
-            result = result + ru.scaled(h * h)
-        if tail is not None:
-            result = result + tail.scaled(h**3)
-        results.append(result)
+    for row in range(len(ladder)):
+        cols = np.flatnonzero(present[row])
+        cols = cols[np.argsort(rank[row, cols], kind="stable")]
+        results.append(
+            TrigPolynomial._from_valid(
+                spec.dimension, dict(zip([keys[j] for j in cols], values[row, cols].tolist()))
+            )
+        )
     return results[0] if scalar else results

@@ -410,19 +410,29 @@ class GalerkinNullspace:
 
 def _galerkin_matrix(op: OperatorOnTPrime, N: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Characters with frequencies of max-norm at most N, in lexicographic
-    order, and the Hermitian part of the operator's matrix on them."""
+    order, and the Hermitian part of the operator's matrix on them.
+
+    Entry (i, j) is r0(beta_i - beta_j), gathered from one table of r0 on
+    the offset box [-2N, 2N]^q; the diagonal adds op.symbol(beta_i)."""
     q = op.dimension
-    r0 = op.zero_mode_multiplier
-    # beta + delta, when inside the box, is delta . strides rows away from beta
     betas = list(itertools.product(range(-N, N + 1), repeat=q))
     size = len(betas)
-    coords = np.array(betas, dtype=int).reshape(size, q)
-    strides = (2 * N + 1) ** np.arange(q - 1, -1, -1)
-    matrix = np.zeros((size, size), dtype=complex)
-    np.fill_diagonal(matrix, [op.symbol(beta) for beta in betas])
-    for delta, value in r0.items():
-        cols = np.flatnonzero(np.all(np.abs(coords + delta) <= N, axis=1))
-        matrix[cols + int(np.dot(delta, strides)), cols] += value
+    # an offset delta sits at (delta + 2N) . strides in the flat table, so
+    # beta_i - beta_j sits at flat(beta_i) - flat(beta_j) + center
+    width = 4 * N + 1
+    strides = width ** np.arange(q - 1, -1, -1)
+    center = 2 * N * int(strides.sum())
+    freqs, re, im = _coefficient_table(op.zero_mode_multiplier)
+    inside = np.all(np.abs(freqs) <= 2 * N, axis=1)
+    slots = freqs[inside] @ strides + center
+    table = np.zeros(width**q, dtype=complex)
+    table.real[slots] += re[inside]
+    table.imag[slots] += im[inside]
+    flat = np.array(betas, dtype=np.intp).reshape(size, q) @ strides
+    index = np.subtract.outer(flat, flat)
+    index += center
+    matrix = table[index]
+    matrix[np.diag_indices(size)] = np.array([op.symbol(beta) for beta in betas]) + table[center]
     return betas, 0.5 * (matrix + matrix.conj().T)
 
 

@@ -45,6 +45,17 @@ class TrigPolynomial:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_coeffs", store)
 
+    @classmethod
+    def _from_valid(cls, dim: int, coeffs: Mapping[Frequency, complex]) -> "TrigPolynomial":
+        """A series whose keys are already frequencies of dimension dim and
+        whose values are complex, as the results of the algebra on
+        validated series are: skips the key check, still drops exact
+        zeros."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "_coeffs", {a: v for a, v in coeffs.items() if v != 0})
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("TrigPolynomial is immutable")
 
@@ -121,14 +132,14 @@ class TrigPolynomial:
         out = dict(self._coeffs)
         for alpha, value in other._coeffs.items():
             out[alpha] = out.get(alpha, 0j) + value
-        return TrigPolynomial(self.dim, out)
+        return TrigPolynomial._from_valid(self.dim, out)
 
     def __sub__(self, other: "TrigPolynomial") -> "TrigPolynomial":
         return self + other.scaled(-1.0)
 
     def scaled(self, factor) -> "TrigPolynomial":
         factor = complex(factor)
-        return TrigPolynomial(
+        return TrigPolynomial._from_valid(
             self.dim, {alpha: factor * value for alpha, value in self._coeffs.items()}
         )
 
@@ -138,7 +149,7 @@ class TrigPolynomial:
     __rmul__ = __mul__
 
     def conjugate(self) -> "TrigPolynomial":
-        return TrigPolynomial(
+        return TrigPolynomial._from_valid(
             self.dim,
             {tuple(-a for a in alpha): value.conjugate() for alpha, value in self._coeffs.items()},
         )
@@ -152,7 +163,7 @@ class TrigPolynomial:
             for b, vb in other._coeffs.items():
                 key = tuple(x + y for x, y in zip(a, b))
                 out[key] = out.get(key, 0j) + va * vb
-        return TrigPolynomial(self.dim, out)
+        return TrigPolynomial._from_valid(self.dim, out)
 
     def inner(self, other: "TrigPolynomial") -> complex:
         """L2 inner product <self, other>, conjugate-linear on the right."""
@@ -173,7 +184,7 @@ class TrigPolynomial:
 
     def prune(self, tol: float) -> "TrigPolynomial":
         """Drop coefficients with magnitude at or below tol."""
-        return TrigPolynomial(
+        return TrigPolynomial._from_valid(
             self.dim, {a: v for a, v in self._coeffs.items() if abs(v) > tol}
         )
 
@@ -199,7 +210,7 @@ class TrigPolynomial:
         for alpha, value in self._coeffs.items():
             key = tuple(sum(r[j] * alpha[j] for j in range(self.dim)) for r in rows)
             out[key] = out.get(key, 0j) + value
-        return TrigPolynomial(new_dim, out)
+        return TrigPolynomial._from_valid(new_dim, out)
 
     # -- evaluation and grid transforms -------------------------------------
 
@@ -246,14 +257,15 @@ class TrigPolynomial:
         G = arr.shape[0]
         if any(s != G for s in arr.shape):
             raise ValueError("grid must be uniform across axes")
-        coeffs = np.fft.fftn(arr) / (G**arr.ndim)
-        out: dict[Frequency, complex] = {}
-        for idx in np.ndindex(arr.shape):
-            value = coeffs[idx]
-            if abs(value) > tol:
-                alpha = tuple(i if i < (G + 1) // 2 else i - G for i in idx)
-                out[alpha] = complex(value)
-        return TrigPolynomial(arr.ndim, out)
+        coeffs = (np.fft.fftn(arr) / (G**arr.ndim)).ravel()
+        # np.hypot is libm hypot, which abs() of a complex scalar calls too;
+        # flat indices in increasing order are C order
+        keep = np.flatnonzero(np.hypot(coeffs.real, coeffs.imag) > tol)
+        index = np.stack(np.unravel_index(keep, arr.shape), axis=-1)
+        alphas = np.where(index < (G + 1) // 2, index, index - G)
+        return TrigPolynomial._from_valid(
+            arr.ndim, dict(zip(map(tuple, alphas.tolist()), coeffs[keep].tolist()))
+        )
 
     # -- serialization -------------------------------------------------------
 

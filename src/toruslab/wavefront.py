@@ -40,11 +40,15 @@ __all__ = [
     "wavefront_mass_map",
     "nonconcentration_report",
     "symbol_scale",
+    "check_massmap_budget",
     "IMAGE_DROP",
+    "MASSMAP_BYTES_BUDGET",
 ]
 
 #: Relative Gaussian weight below which frequency-lattice images are dropped.
 IMAGE_DROP = 1e-18
+#: Largest raw mass array, in bytes, that wavefront_mass_map fills.
+MASSMAP_BYTES_BUDGET = 256 * 2**20
 
 _IN_EXPONENT = 0.5
 _OUT_EXPONENT = 2.0
@@ -228,6 +232,19 @@ class MassMap:
     residuals: np.ndarray
 
 
+def check_massmap_budget(grid: PhaseSpaceGrid) -> int:
+    """Bytes of the raw mass array of a grid, 8 per covector, node and
+    ladder point; raises ValueError when they exceed MASSMAP_BYTES_BUDGET."""
+    nodes = grid.points_per_axis**grid.dimension
+    size = 8 * len(grid.xi_points) * nodes * len(grid.h_ladder)
+    if size > MASSMAP_BYTES_BUDGET:
+        raise ValueError(
+            f"{grid.points_per_axis} points per axis on a {grid.dimension}-torus need a "
+            f"{size / 1e6:.0f} MB mass map, over the budget of {MASSMAP_BYTES_BUDGET / 1e6:.0f} MB"
+        )
+    return size
+
+
 def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap:
     """Evaluate coherent masses on the whole grid and fit per-node decay.
 
@@ -236,9 +253,12 @@ def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap
     mass (a Parseval sum over the family's coefficients) must not exceed
     the squared family norm times the symbol scale, and the grid average
     is held to the same budget whenever the grid resolves the support.
+    The mass array must fit MASSMAP_BYTES_BUDGET (checked before it is
+    built).
     """
     if family.dimension != grid.dimension:
         raise ValueError("family and grid dimensions differ")
+    check_massmap_budget(grid)
     nodes = grid.x_nodes
     masses = np.zeros((len(grid.xi_points), nodes.shape[0], len(grid.h_ladder)))
     for xi_index, xi in enumerate(grid.xi_points):

@@ -416,6 +416,30 @@ def test_shipped_and_benchmark_configs_fit_the_galerkin_budget():
     assert max(sizes) == 16 * 33**4 <= quasimode.GALERKIN_BYTES_BUDGET
 
 
+def test_mass_map_over_budget_is_refused_from_the_estimate(tmp_path, monkeypatch, capsys):
+    # 100000 points per axis on the 2-torus: 8 * 5 * 10^10 * 9 bytes, about
+    # 3.6 TB, refused before the nodes or the masses exist
+    def no_mass_map(*args, **kwargs):
+        raise AssertionError("the mass map was about to be built")
+
+    monkeypatch.setattr(wavefront.PhaseSpaceGrid, "x_nodes", property(no_mass_map))
+    monkeypatch.setattr(cli, "wavefront_mass_map", no_mass_map)
+    path = _config(tmp_path, {"grid": {"points_per_axis": 100000}})
+    assert main(["all", "--config", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert (
+        "config error at grid.points_per_axis: 100000 points per axis on a 2-torus "
+        "need a 3600000 MB mass map, over the budget of 268 MB"
+    ) in err
+    assert not (tmp_path / "out").exists()
+    # the grid is parsed as before, and stages without the wavefront run
+    config = parse_config(path.read_text())
+    code, _ = run_pipeline(config, ("hypotheses", "split"), tmp_path / "out")
+    assert code == EXIT_PASS
+    golden_grid = parse_config(_config(tmp_path).read_text()).grid
+    assert wavefront.check_massmap_budget(golden_grid) == 8 * 5 * 32**2 * 9
+
+
 def test_golden_run_computes_transverse_form_and_inverse_once(tmp_path, monkeypatch):
     calls = []
     for module, name in (

@@ -1,0 +1,78 @@
+"""Random small configs end in a config error or a report, never in
+another exception."""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from toruslab import cli
+from toruslab.cli import EXIT_CHECK_FAILED, EXIT_PASS, ConfigError, parse_config, run_pipeline
+
+BASES = ({"names": ["1"], "values": [1.0]}, {"names": ["1", "sqrt2"], "values": [1.0, 2.0**0.5]})
+
+
+@st.composite
+def configs(draw) -> dict:
+    # sampled_from shrinks towards its first element, integers towards 0
+    n = draw(st.sampled_from([2, 3, 1]))
+    basis = draw(st.sampled_from(BASES))
+    rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    omega = [[draw(rational) for _ in basis["names"]] for _ in range(n)]
+    perturbation = st.floats(-0.3, 0.3, allow_nan=False)
+    hessian = [[float(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            hessian[i][j] += draw(perturbation)
+            hessian[j][i] = hessian[i][j]
+    k = int(np.linalg.matrix_rank(np.array(omega, dtype=float)))  # the orbit dimension
+    q = n - k
+    profile = [{"alpha": [0] * q, "re": 1.0}]
+    for axis in range(q):
+        amplitude = draw(st.floats(0.0, 0.7))  # 1 + 2 a cos stays positive
+        for sign in (-1, 1):
+            alpha = [0] * q
+            alpha[axis] = sign
+            profile.append({"alpha": alpha, "re": amplitude / 2})
+    start = draw(st.integers(1, 8))
+    ladder = draw(
+        st.one_of(
+            st.just(f"{start}..{start + draw(st.integers(3, 5))}"),
+            st.lists(st.floats(1e-4, 0.5), min_size=4, max_size=6, unique=True).map(
+                lambda hs: sorted(hs, reverse=True)
+            ),
+        )
+    )
+    lo = draw(st.floats(0.0, 0.9))
+    config = {
+        "dimension": n,
+        "basis": basis,
+        "omega": [[str(x) for x in row] for row in omega],
+        "hessian": hessian,
+        "factory": None if draw(st.integers(0, 5)) == 5 else {"alpha0": [0] * k, "v": profile},
+        "remainder": draw(st.booleans()),
+        "h_ladder": ladder,
+        "truncation": draw(st.integers(4, 7)),
+        "delta": draw(st.floats(0.1, 3.0)),
+        "epsilon": draw(st.floats(0.01, 0.99)),
+        "subdomain": [lo, draw(st.floats(lo + 0.05, 1.0))],
+        "grid": {"points_per_axis": draw(st.integers(2, 6)), "xi": "units"},
+    }
+    return config
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(config=configs())
+def test_random_configs_end_in_config_error_or_report(tmp_path_factory, config):
+    out = tmp_path_factory.mktemp("fuzz")
+    config["out"] = str(out)
+    try:
+        code, report = run_pipeline(parse_config(json.dumps(config)), cli._STAGES, out)
+    except ConfigError:
+        return
+    assert code in (EXIT_PASS, EXIT_CHECK_FAILED)
+    assert report["status"] in ("pass", "fail")
+    assert (out / "report.json").is_file()

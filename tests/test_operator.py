@@ -265,15 +265,28 @@ def _apply_per_h_reference(spec, u, h):
 
 
 def _bits(p):
-    return sorted((alpha, v.real.hex(), v.imag.hex()) for alpha, v in p.items())
+    """(frequency, real bits, imaginary bits) in the series' key order."""
+    return [(alpha, v.real.hex(), v.imag.hex()) for alpha, v in p.items()]
 
 
-@pytest.mark.parametrize("case", ["golden", "remainder", "irrational"])
+@pytest.mark.parametrize("case", ["golden", "remainder", "irrational", "cancel"])
 def test_ladder_call_matches_per_h_calls_bit_for_bit(golden, sqrt2_basis, case):
     u = golden.family.members[0] + TrigPolynomial(
         2, {(1, 0): 0.25 - 0.5j, (-3, 2): 1.5, (0, 0): -0.75}
     )
-    if case == "irrational":
+    if case == "cancel":
+        # the multiplier is h alpha_0 and r = -2, so at h = 1/2 the diagonal
+        # part of (1, 0) cancels h^2 r u exactly and the tail brings the key
+        # back; keys with alpha_0 = 0 enter with r u, after u's other keys
+        spec = ModelOperatorSpec(
+            omega=FrequencyVector.from_rows([[1], [0]]),
+            hessian=HessianForm(np.zeros((2, 2))),
+            c=ExactNumber.rational(0),
+            r=TrigPolynomial.constant(2, -2.0),
+            basis=RATIONAL,
+            remainder=RemainderTerm(),
+        )
+    elif case == "irrational":
         # c cancels omega . (3, 2), so that character's multiplier is exactly 0
         spec = ModelOperatorSpec(
             omega=FrequencyVector((sqrt2_basis.number([1, 0]), sqrt2_basis.number([0, 1]))),
@@ -287,7 +300,7 @@ def test_ladder_call_matches_per_h_calls_bit_for_bit(golden, sqrt2_basis, case):
         spec = dataclasses.replace(
             golden.spec, remainder=RemainderTerm() if case == "remainder" else None
         )
-    ladder = list(golden.ladder) + [0.3, 1.0, 2.0**-4]
+    ladder = list(golden.ladder) + [0.3, 1.0, 0.5, 2.0**-4]
     results = apply_model_operator(spec, u, ladder)
     assert isinstance(results, list) and len(results) == len(ladder)
     for h, result in zip(ladder, results):
@@ -296,5 +309,12 @@ def test_ladder_call_matches_per_h_calls_bit_for_bit(golden, sqrt2_basis, case):
         assert _bits(result) == _bits(single) == _bits(_apply_per_h_reference(spec, u, h))
     if case == "irrational":
         assert (3, 2) not in dict(results[0].items())
+    if case == "cancel":
+        # (0, 0) has multiplier 0 and enters with r u; (1, 0) keeps its
+        # place among u's keys, except at h = 1/2 where it enters with the tail
+        for h, result in zip(ladder, results):
+            keys = list(dict(result.items()))
+            assert (keys.index((1, 0)) > keys.index((0, 0))) == (h == 0.5)
+        assert (1, 0) not in dict(apply_model_operator(dataclasses.replace(spec, remainder=None), u, 0.5).items())
     with pytest.raises(ValueError):
         apply_model_operator(spec, u, [0.25, 0.0])

@@ -433,6 +433,22 @@ def _galerkin_case(name, golden):
     return OperatorOnTPrime(block, np.array([0.5, -0.25]), 0.1, TrigPolynomial(2, raw)), 4
 
 
+def _galerkin_matrix_per_coefficient(op, N):
+    """_galerkin_matrix as one index shift per multiplier coefficient, kept
+    as the reference for bit-for-bit comparisons."""
+    q = op.dimension
+    betas = list(itertools.product(range(-N, N + 1), repeat=q))
+    size = len(betas)
+    coords = np.array(betas, dtype=int).reshape(size, q)
+    strides = (2 * N + 1) ** np.arange(q - 1, -1, -1)
+    matrix = np.zeros((size, size), dtype=complex)
+    np.fill_diagonal(matrix, [op.symbol(beta) for beta in betas])
+    for delta, value in op.zero_mode_multiplier.items():
+        cols = np.flatnonzero(np.all(np.abs(coords + delta) <= N, axis=1))
+        matrix[cols + int(np.dot(delta, strides)), cols] += value
+    return betas, 0.5 * (matrix + matrix.conj().T)
+
+
 @pytest.mark.parametrize("name", ["q0", "q1-golden", "q2-shifts-leave-box"])
 def test_galerkin_matrix_matches_dense_oracle(golden, name):
     op, N = _galerkin_case(name, golden)
@@ -452,6 +468,7 @@ def test_galerkin_matrix_matches_dense_oracle(golden, name):
     )
     frequencies, matrix = quasimode._galerkin_matrix(op, N)
     assert frequencies == betas
+    assert matrix.tobytes() == _galerkin_matrix_per_coefficient(op, N)[1].tobytes()
     # the re-expanded golden multiplier is Hermitian only up to rounding
     np.testing.assert_array_equal(matrix, 0.5 * (oracle + oracle.conj().T))
     null = galerkin_nullspace(op, N)
@@ -460,6 +477,15 @@ def test_galerkin_matrix_matches_dense_oracle(golden, name):
     np.testing.assert_allclose(spectrum, np.linalg.eigvalsh(oracle), rtol=0, atol=1e-12 * null.scale)
     near_zero = spectrum[np.abs(spectrum) < quasimode.NULL_TOL * null.scale]
     np.testing.assert_allclose(null.eigenvalues, near_zero, rtol=0, atol=1e-12 * null.scale)
+
+
+def test_galerkin_matrix_ignores_shifts_wider_than_the_box(golden):
+    # an offset beyond 2N joins no pair of characters, in either direction
+    op, N = _galerkin_case("q2-shifts-leave-box", golden)
+    wide = op.zero_mode_multiplier + TrigPolynomial(2, {(2 * N + 1, 0): 0.5, (-2 * N - 1, 0): 0.5})
+    wide_op = OperatorOnTPrime(op.Omega_block, op.gamma, op.rho, wide)
+    assert quasimode._galerkin_matrix(wide_op, N)[1].tobytes() == quasimode._galerkin_matrix(op, N)[1].tobytes()
+    assert _galerkin_matrix_per_coefficient(wide_op, N)[1].tobytes() == quasimode._galerkin_matrix(op, N)[1].tobytes()
 
 
 def test_factory_mode_galerkin_residual(golden):

@@ -124,3 +124,59 @@ def test_immutability():
     p = TrigPolynomial(1, {(0,): 1.0})
     with pytest.raises(AttributeError):
         p.dim = 2
+
+
+def _bits(p):
+    """(frequency, real bits, imaginary bits) in the series' key order."""
+    return [(alpha, v.real.hex(), v.imag.hex()) for alpha, v in p.items()]
+
+
+def _from_grid_per_index(values, tol=0.0):
+    """from_grid as one loop over the grid's indices, kept as the
+    reference for bit-for-bit comparisons."""
+    arr = np.asarray(values, dtype=complex)
+    G = arr.shape[0]
+    coeffs = np.fft.fftn(arr) / (G**arr.ndim)
+    out = {}
+    for idx in np.ndindex(arr.shape):
+        value = coeffs[idx]
+        if abs(value) > tol:
+            alpha = tuple(i if i < (G + 1) // 2 else i - G for i in idx)
+            out[alpha] = complex(value)
+    return TrigPolynomial(arr.ndim, out)
+
+
+@pytest.mark.parametrize("dim,G", [(1, 16), (1, 7), (2, 8), (2, 5), (3, 4)])
+def test_from_grid_matches_index_loop_bit_for_bit(dim, G):
+    rng = np.random.default_rng(13 + dim * G)
+    values = rng.standard_normal((G,) * dim) + 1j * rng.standard_normal((G,) * dim)
+    for tol in (0.0, 1e-14, 0.1, 0.5):
+        got = TrigPolynomial.from_grid(values, tol=tol)
+        assert _bits(got) == _bits(_from_grid_per_index(values, tol))
+    # a real grid of a short series: most coefficients are rounding noise
+    smooth = _random_poly(rng, dim, 1, 3).to_grid(G).real
+    for tol in (0.0, 1e-14):
+        assert _bits(TrigPolynomial.from_grid(smooth, tol)) == _bits(_from_grid_per_index(smooth, tol))
+
+
+def test_from_grid_drops_magnitude_equal_to_tol():
+    # every coefficient of a constant grid but the zeroth is exactly 0; the
+    # zeroth is 0.75 + 1j, of magnitude exactly 1.25
+    values = np.full((4, 4), 0.75 + 1j)
+    assert _bits(TrigPolynomial.from_grid(values, tol=1.25)) == []
+    assert _bits(_from_grid_per_index(values, tol=1.25)) == []
+    kept = TrigPolynomial.from_grid(values, tol=np.nextafter(1.25, 0.0))
+    assert _bits(kept) == [((0, 0), (0.75).hex(), (1.0).hex())]
+
+
+def test_algebra_results_drop_exact_zeros_and_constructor_checks_keys():
+    rng = np.random.default_rng(14)
+    p = _random_poly(rng, 2, 3, 8)
+    assert p + p.scaled(-1) == TrigPolynomial.zero(2)
+    assert len(p + p.scaled(-1)) == 0
+    assert len(p.scaled(0.0)) == 0
+    assert len(p.convolve(TrigPolynomial.zero(2))) == 0
+    with pytest.raises(ValueError, match="does not have dimension 2"):
+        TrigPolynomial(2, {(1,): 1.0})
+    with pytest.raises(ValueError, match="does not have dimension 1"):
+        TrigPolynomial(1, {(0,): 1.0, (1, 2): 1.0})

@@ -17,6 +17,7 @@ from toruslab import (
     nonconcentration_report,
     wavefront_mass_map,
 )
+from toruslab import wavefront
 from toruslab.wavefront import VerdictThresholds, symbol_scale
 
 
@@ -106,6 +107,17 @@ def test_grid_rejects_fewer_than_two_points_per_axis():
     for points in (0, 1):
         with pytest.raises(ValueError, match="at least 2 points"):
             PhaseSpaceGrid.standard(1, points, default_h_ladder())
+
+
+def test_mass_map_refuses_grid_over_budget(golden, monkeypatch):
+    def no_nodes(self):
+        raise AssertionError("the grid nodes were about to be built")
+
+    monkeypatch.setattr(PhaseSpaceGrid, "x_nodes", property(no_nodes))
+    grid = PhaseSpaceGrid.standard(2, 100000, golden.ladder)
+    with pytest.raises(ValueError, match="mass map, over the budget"):
+        wavefront_mass_map(golden.family, grid)
+    assert wavefront.check_massmap_budget(PhaseSpaceGrid.standard(2, 32, golden.ladder)) == 368640
 
 
 def test_constant_family_exponents_split_by_covector():
