@@ -237,18 +237,6 @@ def assemble_Q_alpha(
     )
 
 
-def _times_real(factor, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """complex(factor) * (re + i im) in explicit real arithmetic, as the
-    product of two Python complex numbers computes it."""
-    return factor * re - 0.0 * im, factor * im + 0.0 * re
-
-
-def _coefficient_parts(series: TrigPolynomial) -> tuple[list, np.ndarray, np.ndarray]:
-    keys = [alpha for alpha, _ in series.items()]
-    values = np.array([value for _, value in series.items()], dtype=complex)
-    return keys, values.real, values.imag
-
-
 def apply_model_operator(
     spec: ModelOperatorSpec, u: TrigPolynomial, h: float | Sequence[float]
 ) -> TrigPolynomial | list[TrigPolynomial]:
@@ -261,12 +249,12 @@ def apply_model_operator(
     computes the parts that do not depend on h once.
 
     Each result is the sum, in this order, of the diagonal part, h^2 r u
-    and h^3 times the remainder tail, as TrigPolynomial addition forms it:
-    the ladder is one (h, frequency) array over the union of the three
-    supports, every product and sum is the one the series algebra would
-    compute, a frequency whose value becomes an exact zero is dropped and
-    starts again from 0j, and each result keeps the key order of that
-    algebra.
+    and h^3 times the remainder tail, with the value bits that
+    TrigPolynomial addition gives: the ladder is one complex (h, frequency)
+    array over the union support (u's keys, then the new keys of r u, then
+    those of the tail), a term adds only where it is nonzero, and an exact
+    zero is an absent key, which starts again from 0j.  Results keep the
+    union order.
     """
     scalar = np.ndim(h) == 0
     ladder = [h] if scalar else list(h)
@@ -275,13 +263,11 @@ def apply_model_operator(
     if u.dim != spec.dimension:
         raise ValueError("input lives on the wrong torus")
     H = spec.hessian.entries
-    keys, u_re, u_im = _coefficient_parts(u)
+    freqs, values = u.table()
     first = np.array(
-        [spec.basis.to_float(spec.omega.dot(alpha) + spec.c) for alpha in keys], dtype=float
+        [spec.basis.to_float(spec.omega.dot(alpha) + spec.c) for alpha, _ in u.items()], dtype=float
     )
-    second = np.array(
-        [float(a @ H @ a) for a in np.array(keys, dtype=float).reshape(len(keys), spec.dimension)]
-    )
+    second = np.array([float(a @ H @ a) for a in freqs.astype(float)])
     terms = []  # (h-dependent factor, series), added in this order
     if spec.r:
         terms.append(([step * step for step in ladder], spec.r.convolve(u)))
@@ -294,52 +280,18 @@ def apply_model_operator(
         tail = tail + spec.remainder.resolved_potential(spec.dimension).convolve(u)
         terms.append(([step**3 for step in ladder], tail))
 
-    # union support: u's keys, then the new keys of each term in its order
+    series_in_order = [u] + [series for _, series in terms]
+    keys = list(dict.fromkeys(alpha for series in series_in_order for alpha, _ in series.items()))
     column = {alpha: j for j, alpha in enumerate(keys)}
-    parts = []
-    for factors, series in terms:
-        term_keys, re, im = _coefficient_parts(series)
-        cols = np.array([column.setdefault(alpha, len(column)) for alpha in term_keys], dtype=np.intp)
-        parts.append((np.array(factors, dtype=float)[:, None], cols, re, im))
-    keys = list(column)
-
-    # one row per h; an absent key holds +0, a present one its nonzero value
     hs = np.array(ladder, dtype=float)[:, None]
-    shape = (len(ladder), len(keys))
-    acc_re, acc_im = np.zeros(shape), np.zeros(shape)
-    multiplier = hs * first + (hs * hs) * second
-    re, im = _times_real(multiplier, u_re, u_im)
-    kept = (multiplier != 0.0) & ((re != 0) | (im != 0))
-    acc_re[:, : len(first)] = np.where(kept, re, 0.0)
-    acc_im[:, : len(first)] = np.where(kept, im, 0.0)
-    # dict position of each key: a present key keeps its place, and the
-    # keys a term adds follow in the term's order
-    rank = np.broadcast_to(np.arange(len(keys)), shape).copy()
-    offset = len(first)
-    for factors, cols, term_re, term_im in parts:
-        re, im = _times_real(factors, term_re, term_im)
-        added = (re != 0) | (im != 0)  # scaled() drops exact zeros
-        old_re, old_im = acc_re[:, cols], acc_im[:, cols]
-        new = added & (old_re == 0) & (old_im == 0)
-        sum_re = np.where(added, old_re + re, old_re)
-        sum_im = np.where(added, old_im + im, old_im)
-        kept = (sum_re != 0) | (sum_im != 0)
-        # a key whose sum is an exact zero is dropped and restarts from 0j
-        acc_re[:, cols] = np.where(kept, sum_re, 0.0)
-        acc_im[:, cols] = np.where(kept, sum_im, 0.0)
-        rank[:, cols] = np.where(new, offset + np.arange(len(cols)), rank[:, cols])
-        offset += len(cols)
-
-    values = np.empty(shape, dtype=complex)
-    values.real, values.imag = acc_re, acc_im
-    present = (acc_re != 0) | (acc_im != 0)
-    results = []
-    for row in range(len(ladder)):
-        cols = np.flatnonzero(present[row])
-        cols = cols[np.argsort(rank[row, cols], kind="stable")]
-        results.append(
-            TrigPolynomial._from_valid(
-                spec.dimension, dict(zip([keys[j] for j in cols], values[row, cols].tolist()))
-            )
-        )
+    acc = np.zeros((len(ladder), len(column)), dtype=complex)
+    acc[:, : len(u)] = (hs * first + (hs * hs) * second) * values
+    for factors, series in terms:
+        acc = np.where(acc != 0, acc, 0j)  # drop exact zeros
+        cols = np.array([column[alpha] for alpha, _ in series.items()], dtype=np.intp)
+        term = np.array(factors, dtype=float)[:, None] * series.table()[1]
+        acc[:, cols] = np.where(term != 0, acc[:, cols] + term, acc[:, cols])
+    results = [
+        TrigPolynomial._from_valid(spec.dimension, dict(zip(keys, row.tolist()))) for row in acc
+    ]
     return results[0] if scalar else results

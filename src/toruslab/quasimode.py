@@ -422,12 +422,10 @@ def _galerkin_matrix(op: OperatorOnTPrime, N: int) -> tuple[list[tuple[int, ...]
     width = 4 * N + 1
     strides = width ** np.arange(q - 1, -1, -1)
     center = 2 * N * int(strides.sum())
-    freqs, re, im = _coefficient_table(op.zero_mode_multiplier)
+    freqs, values = op.zero_mode_multiplier.table()
     inside = np.all(np.abs(freqs) <= 2 * N, axis=1)
-    slots = freqs[inside] @ strides + center
     table = np.zeros(width**q, dtype=complex)
-    table.real[slots] += re[inside]
-    table.imag[slots] += im[inside]
+    table[freqs[inside] @ strides + center] += values[inside]
     flat = np.array(betas, dtype=np.intp).reshape(size, q) @ strides
     index = np.subtract.outer(flat, flat)
     index += center
@@ -536,15 +534,6 @@ def _interval_integral(delta: int, lo: float, hi: float) -> complex:
     return (np.exp(factor * hi) - np.exp(factor * lo)) / factor
 
 
-def _coefficient_table(poly: TrigPolynomial) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frequencies (one row each) and real and imaginary coefficient
-    parts of a series, in insertion order."""
-    items = list(poly.items())
-    freqs = np.array([alpha for alpha, _ in items], dtype=np.intp).reshape(len(items), poly.dim)
-    values = np.array([value for _, value in items], dtype=complex)
-    return freqs, values.real, values.imag
-
-
 def _box_weights(box: Sequence[tuple[float, float]], radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the box integral of each character
     with frequency in [-2 radius, 2 radius]^q, flattened in C order.
@@ -570,8 +559,8 @@ def _sequential_sum(x: np.ndarray) -> float:
 
 
 def _box_integral(left, right, weights, radius: int) -> complex:
-    """Integral over the box of left * conj(right), from coefficient
-    tables and the box weights of _box_weights.
+    """Integral over the box of left * conj(right), from the table() of
+    each series and the box weights of _box_weights.
 
     Bit for bit what the dict convolution of left with conj(right)
     followed by a running sum of value * weight over the product's keys
@@ -581,9 +570,10 @@ def _box_integral(left, right, weights, radius: int) -> complex:
     arithmetic.  An offset whose products sum to an exact zero, which the
     dict drops, adds only a signed zero to the running sum (the weights
     are finite), and the final + 0.0 of _sequential_sum absorbs its sign."""
-    fa, ar, ai = left
-    fb, br, bi = right
-    fb, bi = -fb, -bi
+    fa, a = left
+    fb, b = right
+    fb, b = -fb, b.conj()
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     q = fa.shape[1]
     width = 4 * radius + 1
     # offset a + b sits at (a + b + 2 radius) . strides in the flat box
@@ -629,7 +619,7 @@ def unique_continuation_constant(
     if q and math.prod(hi - lo for lo, hi in box) <= 0.0:
         raise ValueError("subdomain must have positive volume")
     dim = len(null.basis)
-    tables = [_coefficient_table(u) for u in null.basis]
+    tables = [u.table() for u in null.basis]
     radius = max(u.support_radius() for u in null.basis)
     weights = _box_weights(box, radius)
     gram = np.zeros((dim, dim), dtype=complex)

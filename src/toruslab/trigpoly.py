@@ -97,6 +97,12 @@ class TrigPolynomial:
     def items(self):
         return self._coeffs.items()
 
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Frequencies as a (len, dim) intp array and coefficients as a
+        complex array, both in insertion order."""
+        freqs = np.array(list(self._coeffs), dtype=np.intp).reshape(len(self), self.dim)
+        return freqs, np.array(list(self._coeffs.values()), dtype=complex)
+
     def __len__(self) -> int:
         return len(self._coeffs)
 
@@ -237,10 +243,10 @@ class TrigPolynomial:
             raise ValueError("grid must have at least one point per axis")
         if 2 * self.support_radius() >= G:
             raise ValueError("grid too coarse for this support; values would alias")
+        freqs, values = self.table()
         bins = np.zeros((G,) * self.dim, dtype=complex)
-        for alpha, value in self._coeffs.items():
-            idx = tuple(a % G for a in alpha)
-            bins[idx] += value
+        # the aliasing guard makes the indices unique
+        bins[tuple((freqs % G).T)] += values
         return np.fft.ifftn(bins) * (G**self.dim)
 
     @staticmethod

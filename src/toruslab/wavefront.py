@@ -124,10 +124,10 @@ def _mass_on_nodes(
     exact x-average of that mass (a Parseval sum over u's coefficients)."""
     if not u:
         return np.zeros(nodes.shape[0]), 0.0
-    support = u.support()
+    support, coeffs = zip(*u.sorted_items())
     alphas = np.array(support, dtype=float)
     weights = _weights(alphas, xi0, h)
-    coeffs = np.array([u.coefficient(a) for a in support])
+    coeffs = np.array(coeffs)
     weighted = coeffs * weights
     # <u, probe> = sum_a u(a) w_a exp(+2 pi i a . x0), a trig polynomial in x0
     phase = np.exp(2j * np.pi * (nodes @ alphas.T))

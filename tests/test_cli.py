@@ -462,6 +462,33 @@ def test_golden_run_computes_transverse_form_and_inverse_once(tmp_path, monkeypa
     assert sorted(calls) == ["relation_lattice", "transform_quadratic_form", "unimodular_inverse"]
 
 
+@pytest.mark.parametrize(
+    "overrides, failures",
+    [
+        # no eigenvalue is below the threshold, so the nullspace is empty
+        ({"thresholds": {"null_tol": 1e-30}}, ["galerkin nullspace", "unique continuation"]),
+        # the h^3 remainder caps the residual decay below 2 + delta
+        ({"remainder": True, "delta": 1.5}, ["quasimode order (E)"]),
+        # no mass grows faster than h^-5, so no node is IN
+        ({"thresholds": {"in_exponent": -5}}, ["fills torus", "nonempty interior"]),
+        # a covector 0.001 off the Lagrangian's covector keeps its mass
+        ({"grid": {"xi": [[0, 0], [0.001, 0]]}}, ["lagrangian supported"]),
+        # an indefinite Hessian whose form vanishes on the transverse covector
+        # (3, -2): the Galerkin kernel takes in every retained character, and
+        # a combination of them vanishes on the subdomain
+        (
+            {"hessian": [[1.0, 13 / 12], [13 / 12, 1.0]]},
+            ["hypothesis (D)", "hypothesis (F)", "unique continuation"],
+        ),
+    ],
+)
+def test_negative_controls_fail_their_checks(tmp_path, overrides, failures):
+    config = parse_config(_config(tmp_path, overrides).read_text())
+    code, report = run_pipeline(config, cli._STAGES, tmp_path / "out")
+    assert code == EXIT_CHECK_FAILED
+    assert report["failures"] == failures
+
+
 @pytest.mark.parametrize("error", [ValueError, ArithmeticError, exact.InvariantViolation])
 @pytest.mark.parametrize(
     "target, section, check, artifact",

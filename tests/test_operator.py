@@ -264,12 +264,12 @@ def _apply_per_h_reference(spec, u, h):
     return result
 
 
-def _bits(p):
-    """(frequency, real bits, imaginary bits) in the series' key order."""
-    return [(alpha, v.real.hex(), v.imag.hex()) for alpha, v in p.items()]
+def _sorted_bits(p):
+    """(frequency, real bits, imaginary bits) in sorted frequency order."""
+    return [(alpha, v.real.hex(), v.imag.hex()) for alpha, v in p.sorted_items()]
 
 
-@pytest.mark.parametrize("case", ["golden", "remainder", "irrational", "cancel"])
+@pytest.mark.parametrize("case", ["golden", "remainder", "irrational", "cancel", "signed"])
 def test_ladder_call_matches_per_h_calls_bit_for_bit(golden, sqrt2_basis, case):
     u = golden.family.members[0] + TrigPolynomial(
         2, {(1, 0): 0.25 - 0.5j, (-3, 2): 1.5, (0, 0): -0.75}
@@ -277,7 +277,7 @@ def test_ladder_call_matches_per_h_calls_bit_for_bit(golden, sqrt2_basis, case):
     if case == "cancel":
         # the multiplier is h alpha_0 and r = -2, so at h = 1/2 the diagonal
         # part of (1, 0) cancels h^2 r u exactly and the tail brings the key
-        # back; keys with alpha_0 = 0 enter with r u, after u's other keys
+        # back; (0, 0) has multiplier 0 and its value comes from r u and the tail
         spec = ModelOperatorSpec(
             omega=FrequencyVector.from_rows([[1], [0]]),
             hessian=HessianForm(np.zeros((2, 2))),
@@ -285,6 +285,22 @@ def test_ladder_call_matches_per_h_calls_bit_for_bit(golden, sqrt2_basis, case):
             r=TrigPolynomial.constant(2, -2.0),
             basis=RATIONAL,
             remainder=RemainderTerm(),
+        )
+    elif case == "signed":
+        # signed zeros from -0.0 parts and underflow: (0, 0) has multiplier
+        # 0, so its value is the tail added to 0j, whose imaginary part
+        # underflows to -0.0 at h = 2^-300; at h = 2^-400 the whole tail of
+        # (2, 0) underflows to an exact zero and adds nothing to its -0.0
+        spec = ModelOperatorSpec(
+            omega=FrequencyVector.from_rows([[1], [0]]),
+            hessian=HessianForm(np.zeros((2, 2))),
+            c=ExactNumber.rational(0),
+            r=TrigPolynomial.zero(2),
+            basis=RATIONAL,
+            remainder=RemainderTerm(),
+        )
+        u = TrigPolynomial(
+            2, {(0, 0): complex(-1, -(2.0**-200)), (2, 0): complex(-1, -0.0), (3, 0): 1.0}
         )
     elif case == "irrational":
         # c cancels omega . (3, 2), so that character's multiplier is exactly 0
@@ -300,21 +316,30 @@ def test_ladder_call_matches_per_h_calls_bit_for_bit(golden, sqrt2_basis, case):
         spec = dataclasses.replace(
             golden.spec, remainder=RemainderTerm() if case == "remainder" else None
         )
-    ladder = list(golden.ladder) + [0.3, 1.0, 0.5, 2.0**-4]
+    # union support: u's keys, then the new keys of r u, then those of the tail
+    parts = [u]
+    if spec.r:
+        parts.append(spec.r.convolve(u))
+    if spec.remainder is not None:
+        parts.append(spec.remainder.resolved_potential(2).convolve(u))
+    union = list(dict.fromkeys(alpha for part in parts for alpha, _ in part.items()))
+    ladder = list(golden.ladder) + [0.3, 1.0, 0.5, 2.0**-4, 2.0**-300, 2.0**-400]
     results = apply_model_operator(spec, u, ladder)
     assert isinstance(results, list) and len(results) == len(ladder)
     for h, result in zip(ladder, results):
         single = apply_model_operator(spec, u, h)
+        reference = _apply_per_h_reference(spec, u, h)
         assert isinstance(single, TrigPolynomial)
-        assert _bits(result) == _bits(single) == _bits(_apply_per_h_reference(spec, u, h))
+        assert _sorted_bits(result) == _sorted_bits(single) == _sorted_bits(reference)
+        assert result.norm().hex() == single.norm().hex() == reference.norm().hex()
+        keys = [alpha for alpha, _ in result.items()]
+        assert keys == sorted(keys, key=union.index)
+        if case == "cancel":
+            # (1, 0) keeps u's place, also at h = 1/2 where the tail restores it
+            assert set(keys[: keys.index((1, 0)) + 1]) <= set(dict(u.items()))
     if case == "irrational":
         assert (3, 2) not in dict(results[0].items())
     if case == "cancel":
-        # (0, 0) has multiplier 0 and enters with r u; (1, 0) keeps its
-        # place among u's keys, except at h = 1/2 where it enters with the tail
-        for h, result in zip(ladder, results):
-            keys = list(dict(result.items()))
-            assert (keys.index((1, 0)) > keys.index((0, 0))) == (h == 0.5)
         assert (1, 0) not in dict(apply_model_operator(dataclasses.replace(spec, remainder=None), u, 0.5).items())
     with pytest.raises(ValueError):
         apply_model_operator(spec, u, [0.25, 0.0])

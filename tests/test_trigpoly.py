@@ -180,3 +180,40 @@ def test_algebra_results_drop_exact_zeros_and_constructor_checks_keys():
         TrigPolynomial(2, {(1,): 1.0})
     with pytest.raises(ValueError, match="does not have dimension 1"):
         TrigPolynomial(1, {(0,): 1.0, (1, 2): 1.0})
+
+
+def _to_grid_per_key(p, G):
+    """to_grid as one loop over the series' keys, kept as the reference for
+    bit-for-bit comparisons."""
+    bins = np.zeros((G,) * p.dim, dtype=complex)
+    for alpha, value in p.items():
+        bins[tuple(a % G for a in alpha)] += value
+    return np.fft.ifftn(bins) * (G**p.dim)
+
+
+@pytest.mark.parametrize("dim,G", [(1, 16), (1, 7), (2, 8), (2, 5), (3, 4), (3, 5)])
+def test_to_grid_matches_key_loop_bit_for_bit(dim, G):
+    rng = np.random.default_rng(17 + dim * G)
+    p = _random_poly(rng, dim, (G - 1) // 2, 3 * G)
+    # signed zeros in either part, on keys of both signs
+    signed = {
+        (1,) + (0,) * (dim - 1): complex(-0.0, 0.5),
+        (-1,) * dim: complex(0.25, -0.0),
+        (0,) * dim: complex(-0.0, -1.5),
+    }
+    signed = TrigPolynomial(dim, signed)
+    for series in (p, p + signed, signed, TrigPolynomial.zero(dim)):
+        assert series.to_grid(G).tobytes() == _to_grid_per_key(series, G).tobytes()
+
+
+def test_table_shapes_and_insertion_order():
+    freqs, values = TrigPolynomial.zero(2).table()
+    assert freqs.shape == (0, 2) and freqs.dtype == np.intp
+    assert values.shape == (0,) and values.dtype == complex
+    freqs, values = TrigPolynomial(0, {(): 2.5}).table()
+    assert freqs.shape == (1, 0) and values.tolist() == [2.5]
+    assert TrigPolynomial.zero(0).table()[0].shape == (0, 0)
+    p = TrigPolynomial(2, {(3, -1): 1.0, (-2, 0): 2j, (0, 5): -0.5})
+    freqs, values = p.table()
+    assert freqs.tolist() == [[3, -1], [-2, 0], [0, 5]]
+    assert values.tolist() == [1.0, 2j, -0.5]
