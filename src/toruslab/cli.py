@@ -141,22 +141,28 @@ def _write_csv(path: Path, header: Sequence[str], lines) -> None:
         f.writelines(line + "\n" for line in lines)
 
 
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """The _format_float text of every entry of a float array, as an object
+    array of its shape; each distinct value is formatted once, keyed by its
+    bits, so -0.0 and 0.0 keep their own texts."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array([_format_float(x) for x in bits.view(float).tolist()], dtype=object)
+    return texts[inverse.reshape(values.shape)]
+
+
 def _massmap_lines(mass_map):
     """Lines for ``masses[xi, node, h]`` in C order (x coordinates,
     covector, h, mass), one block of ladder lines per node: a covector's
-    template gets the node's coordinates, then all its masses in one
-    %-format; "%.17g" prints a finite float as format(x, ".17g") does."""
+    template gets the node's coordinates, then all its mass texts in one
+    %-format."""
     grid = mass_map.grid
-    nodes = [",".join(map(_format_float, node)) for node in grid.x_nodes.tolist()]
+    nodes = [",".join(node) for node in _float_texts(grid.x_nodes).tolist()]
     hs = [_format_float(h) for h in grid.h_ladder]
+    # one covector's plane at a time keeps the sort's scratch arrays small
     for xi, plane in zip(grid.xi_points, mass_map.masses):
         xi_text = ",".join(map(_format_float, xi))
-        template = "\n".join(f"{{node}},{xi_text},{h},%.17g" for h in hs)
-        rows = plane.tolist()
-        if not np.isfinite(plane).all():
-            template = template.replace("%.17g", "%s")
-            rows = [list(map(_format_float, row)) for row in rows]
-        for node, row in zip(nodes, rows):
+        template = "\n".join(f"{{node}},{xi_text},{h},%s" for h in hs)
+        for node, row in zip(nodes, _float_texts(plane).tolist()):
             yield template.replace("{node}", node) % tuple(row)
 
 
@@ -260,6 +266,12 @@ def _leaves(obj, path: str = ""):
         yield path or "<document>", obj
 
 
+#: Largest magnitude of a factory frequency entry (factory.alpha0 and
+#: factory.v[i].alpha).  |alpha|^2 + 1 stays exact in float64 and every
+#: frequency fits intp; modes beyond the resonant-mode search box
+#: (RESONANCE_BOX) stay expressible.
+FACTORY_FREQUENCY_MAX = 10**6
+
 # Paths of the fields that hold JSON numbers, and of those that hold JSON
 # integers: a string such as "nan" would pass float() and miss the
 # finiteness checks, and int() would truncate a fractional mode.  omega and
@@ -313,6 +325,11 @@ def parse_config(text: str) -> LabConfig:
     ]
     if wrong:
         raise ConfigError(errors + wrong)
+    errors += [
+        (path, f"frequency {value} is outside [-{FACTORY_FREQUENCY_MAX}, {FACTORY_FREQUENCY_MAX}]")
+        for path, value in leaves
+        if (field := _NUMBER_FIELD.fullmatch(path)) and field["integer"] and abs(value) > FACTORY_FREQUENCY_MAX
+    ]
 
     dimension = merged.get("dimension")
     if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:

@@ -513,16 +513,6 @@ class IntegerLattice:
     def columns(self) -> list[list[int]]:
         return [[self.rows[i][j] for i in range(self.ambient_dimension)] for j in range(self.rank)]
 
-    def spans_rationally(self, vector: Sequence[int]) -> bool:
-        """Whether an integer vector lies in the rational span of the basis."""
-        n = self.ambient_dimension
-        v = [Fraction(int(x)) for x in vector]
-        if len(v) != n:
-            raise ValueError("vector has wrong length")
-        r = self.rank
-        aug = [[Fraction(self.rows[i][j]) for j in range(r)] + [v[i]] for i in range(n)]
-        return all(row[r] == 0 for row in aug[_reduce_rows(aug, r):])
-
     def to_json_obj(self) -> list[list[int]]:
         return [list(map(int, row)) for row in self.rows]
 

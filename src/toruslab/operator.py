@@ -129,9 +129,6 @@ class TransformedQuadraticForm:
             return float("inf")
         return float(np.linalg.eigvalsh(self.Omega_block)[0])
 
-    def is_z_elliptic(self) -> bool:
-        return self.smallest_transverse_eigenvalue() > 0.0
-
     def evaluate(self, along: Sequence[float], across: Sequence[float]) -> float:
         a = np.asarray(along, dtype=float)
         b = np.asarray(across, dtype=float)
@@ -273,7 +270,7 @@ def apply_model_operator(
         terms.append(([step * step for step in ladder], spec.r.convolve(u)))
     if spec.remainder is not None:
         damped = {
-            alpha: value / (1.0 + float(np.dot(alpha, alpha)))
+            alpha: value / (1.0 + float(sum(a * a for a in alpha)))
             for alpha, value in u.items()
         }
         tail = TrigPolynomial(spec.dimension, damped).scaled(spec.remainder.multiplier_weight)

@@ -52,6 +52,7 @@ __all__ = [
     "galerkin_nullspace",
     "check_galerkin_budget",
     "GALERKIN_BYTES_BUDGET",
+    "REEXPANSION_BYTES_BUDGET",
     "UniqueContinuation",
     "unique_continuation_constant",
     "OrderReport",
@@ -80,6 +81,11 @@ NONVANISH_MARGIN = 1e-3
 #: Largest dense Galerkin matrix, in bytes, that galerkin_nullspace builds;
 #: its eigensolve holds a few more matrices of the same size.
 GALERKIN_BYTES_BUDGET = 256 * 2**20
+#: Largest complex re-expansion grid, in bytes, that build_factory_quasimode
+#: divides on (512 points per axis on the 2-torus); grid doubling also stops
+#: at REEXPANSION_MAX_POINTS points per axis.
+REEXPANSION_BYTES_BUDGET = 16 * 512**2
+REEXPANSION_MAX_POINTS = 4096
 
 _NORMALIZATION_TOL = 1e-8
 
@@ -244,18 +250,10 @@ class QuasimodeFamily:
 @dataclass(frozen=True)
 class ModeDecomposition:
     """Coefficients of a torus function regrouped by mode along the orbit
-    closure; reassembly is an exact integer relabeling."""
+    closure."""
 
     modes: Mapping[tuple[int, ...], TrigPolynomial]
     split: UnimodularSplitting
-
-    def reassemble(self) -> TrigPolynomial:
-        n = self.split.dimension
-        out: dict[tuple[int, ...], complex] = {}
-        for along, profile in self.modes.items():
-            for across, value in profile.items():
-                out[self.split.to_torus_frequency(along, across)] = value
-        return TrigPolynomial(n, out)
 
 
 def decompose_along_T(u: TrigPolynomial, split: UnimodularSplitting) -> ModeDecomposition:
@@ -340,7 +338,12 @@ def build_factory_quasimode(
     else:
         grid_points = max(64, 4 * (numerator.support_radius() + v.support_radius() + 1))
         grid_points = 1 << (grid_points - 1).bit_length()
-        cap = 4096 if q == 1 else 512
+        if 16 * grid_points**q > REEXPANSION_BYTES_BUDGET:
+            raise ValueError(
+                f"the profile needs a {grid_points}-point re-expansion grid on the {q}-torus "
+                f"({16 * grid_points**q / 1e6:.0f} MB), over the budget of "
+                f"{REEXPANSION_BYTES_BUDGET / 1e6:.0f} MB"
+            )
         while True:
             v_vals = _real_grid_values(v, grid_points, "transverse profile")
             vmax = float(np.max(np.abs(v_vals)))
@@ -363,7 +366,11 @@ def build_factory_quasimode(
                 )
             r0 = TrigPolynomial.from_grid(ratio.real, tol=REEXPANSION_TRUNC)
             residual_norm = (numerator + r0.convolve(v)).norm()
-            if residual_norm <= 1e-11 * max(1.0, numerator.norm()) or grid_points >= cap:
+            if (
+                residual_norm <= 1e-11 * max(1.0, numerator.norm())
+                or grid_points >= REEXPANSION_MAX_POINTS
+                or 16 * (2 * grid_points) ** q > REEXPANSION_BYTES_BUDGET
+            ):
                 break
             grid_points *= 2
         if residual_norm > 1e-9 * max(1.0, numerator.norm()):

@@ -154,12 +154,6 @@ class TrigPolynomial:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "TrigPolynomial":
-        return TrigPolynomial._from_valid(
-            self.dim,
-            {tuple(-a for a in alpha): value.conjugate() for alpha, value in self._coeffs.items()},
-        )
-
     def convolve(self, other: "TrigPolynomial") -> "TrigPolynomial":
         """Coefficient convolution, i.e. the coefficients of the pointwise
         product; exact over the finite supports."""

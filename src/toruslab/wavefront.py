@@ -117,24 +117,34 @@ def coherent_state(
     )
 
 
+def _phase_table(u: TrigPolynomial, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u's sorted support as a float array, its coefficients, and the phase
+    matrix exp(2 pi i nodes . alpha^T), which depends on u alone."""
+    support, coeffs = zip(*u.sorted_items())
+    alphas = np.array(support, dtype=float)
+    return alphas, np.array(coeffs), np.exp(2j * np.pi * (nodes @ alphas.T))
+
+
+def _mass_from_table(table, xi0: Sequence[float], h: float) -> tuple[np.ndarray, float]:
+    """Masses on the nodes of a phase table and their exact x-average (a
+    Parseval sum over the coefficients)."""
+    alphas, coeffs, phase = table
+    weighted = coeffs * _weights(alphas, xi0, h)
+    # <u, probe> = sum_a u(a) w_a exp(+2 pi i a . x0), a trig polynomial in x0
+    amplitude = np.sum(phase * weighted[None, :], axis=1)
+    norm_sq = _probe_norm_squared(xi0, h, alphas.shape[1])
+    exact_average = float(np.sum(np.abs(weighted) ** 2) / norm_sq)
+    return np.abs(amplitude) ** 2 / norm_sq, exact_average
+
+
 def _mass_on_nodes(
     u: TrigPolynomial, nodes: np.ndarray, xi0: Sequence[float], h: float
 ) -> tuple[np.ndarray, float]:
     """|<u, probe at each node>|^2, vectorized over the x grid, and the
-    exact x-average of that mass (a Parseval sum over u's coefficients)."""
+    exact x-average of that mass."""
     if not u:
         return np.zeros(nodes.shape[0]), 0.0
-    support, coeffs = zip(*u.sorted_items())
-    alphas = np.array(support, dtype=float)
-    weights = _weights(alphas, xi0, h)
-    coeffs = np.array(coeffs)
-    weighted = coeffs * weights
-    # <u, probe> = sum_a u(a) w_a exp(+2 pi i a . x0), a trig polynomial in x0
-    phase = np.exp(2j * np.pi * (nodes @ alphas.T))
-    amplitude = np.sum(phase * weighted[None, :], axis=1)
-    norm_sq = _probe_norm_squared(xi0, h, u.dim)
-    exact_average = float(np.sum(np.abs(weighted) ** 2) / norm_sq)
-    return np.abs(amplitude) ** 2 / norm_sq, exact_average
+    return _mass_from_table(_phase_table(u, nodes), xi0, h)
 
 
 def coherent_mass(u: TrigPolynomial, x0, xi0, h: float) -> float:
@@ -260,18 +270,27 @@ def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap
         raise ValueError("family and grid dimensions differ")
     check_massmap_budget(grid)
     nodes = grid.x_nodes
+    distinct, member_index = family.distinct_members()
+    ladder_slot = dict(zip(family.h_ladder, member_index))
+    h_indices: dict[int, list[int]] = {}
+    for h_index, h in enumerate(grid.h_ladder):
+        h_indices.setdefault(ladder_slot[h], []).append(h_index)
     masses = np.zeros((len(grid.xi_points), nodes.shape[0], len(grid.h_ladder)))
-    for xi_index, xi in enumerate(grid.xi_points):
-        for h_index, h in enumerate(grid.h_ladder):
-            u = family.member(h)
-            row, exact_average = _mass_on_nodes(u, nodes, xi, h)
-            masses[xi_index, :, h_index] = row
+    for slot, indices in h_indices.items():
+        u = distinct[slot]
+        # the phase matrix depends on the member alone: one per distinct member
+        table = _phase_table(u, nodes)
+        resolved = 2 * u.support_radius() < grid.points_per_axis
+        for h_index in indices:
+            h = grid.h_ladder[h_index]
             budget = symbol_scale(grid.dimension, h) * (1.0 + _MASS_BUDGET_SLACK)
-            if exact_average > budget:
-                raise ArithmeticError("mass budget exceeded; probe normalization is off")
-            resolved = 2 * u.support_radius() < grid.points_per_axis
-            if resolved and float(np.mean(row)) > budget:
-                raise ArithmeticError("grid mass average exceeded the budget")
+            for xi_index, xi in enumerate(grid.xi_points):
+                row, exact_average = _mass_from_table(table, xi, h)
+                masses[xi_index, :, h_index] = row
+                if exact_average > budget:
+                    raise ArithmeticError("mass budget exceeded; probe normalization is off")
+                if resolved and float(np.mean(row)) > budget:
+                    raise ArithmeticError("grid mass average exceeded the budget")
     scales = np.array([symbol_scale(grid.dimension, h) for h in grid.h_ladder])
     fit = fit_decay_exponent(grid.h_ladder, masses / scales)
     for arr in (masses, fit.exponent, fit.residual):

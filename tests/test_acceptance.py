@@ -50,7 +50,7 @@ from toruslab import (
 from toruslab.exact import _det_int, unimodular_inverse
 from toruslab.wavefront import PhaseSpaceGrid
 
-from test_exact import enumerate_relations
+from test_exact import enumerate_relations, spans_rationally
 
 
 def _announce(number: int, ok: bool, label: str, detail: str = ""):
@@ -128,7 +128,7 @@ def test_criterion_02_lattice_oracle_equivalence():
         lattice = relation_lattice(omega)
         assert lattice.rank == omega.dimension - _exact_rank(omega)
         for alpha in enumerate_relations(omega, 6):
-            assert lattice.spans_rationally(alpha)
+            assert spans_rationally(lattice, alpha)
     elapsed = time.monotonic() - start
     _announce(
         2,

@@ -347,6 +347,69 @@ def test_massmap_csv_matches_slow_oracle(tmp_path, monkeypatch):
     assert (out / "massmap.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def massmap_lines_oracle(mass_map):
+    """The per-node writer that formatted every mass: a covector's template
+    gets the node's coordinates, then all its masses in one "%.17g"
+    %-format, or, in a plane with a non-finite mass, their _format_float
+    texts.  Kept as the reference for massmap.csv's bytes."""
+    grid = mass_map.grid
+    nodes = [",".join(map(cli._format_float, node)) for node in grid.x_nodes.tolist()]
+    hs = [cli._format_float(h) for h in grid.h_ladder]
+    for xi, plane in zip(grid.xi_points, mass_map.masses):
+        xi_text = ",".join(map(cli._format_float, xi))
+        template = "\n".join(f"{{node}},{xi_text},{h},%.17g" for h in hs)
+        rows = plane.tolist()
+        if not np.isfinite(plane).all():
+            template = template.replace("%.17g", "%s")
+            rows = [list(map(cli._format_float, row)) for row in rows]
+        for node, row in zip(nodes, rows):
+            yield template.replace("{node}", node) % tuple(row)
+
+
+def test_massmap_writer_matches_per_node_oracle(golden):
+    grid = wavefront.PhaseSpaceGrid.standard(2, 32, golden.ladder)
+    mass_maps = [wavefront.wavefront_mass_map(golden.family, grid)]
+    # repeats, both zeros, NaNs with two payloads, both infinities, the
+    # smallest subnormal and two adjacent doubles, in every plane
+    payload_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+    special = [1.0, 1.0, 0.0, -0.0, np.nan, payload_nan, np.inf, -np.inf, 5e-324,
+               np.nextafter(1.0, 2.0), 0.0, -0.0, 1.0, 2.5]
+    ladder = golden.ladder[:7]
+    grid = wavefront.PhaseSpaceGrid(1, 2, ((0.0,), (-0.0,), (1.0,)), ladder)
+    masses = np.array(special * 3).reshape(3, 2, 7)
+    masses[2] = 0.25  # a plane of finite masses only
+    zeros = np.zeros(masses.shape[:2])
+    mass_maps.append(wavefront.MassMap(grid, masses, zeros, zeros))
+    for mass_map in mass_maps:
+        expected = "\n".join(massmap_lines_oracle(mass_map))
+        assert "\n".join(cli._massmap_lines(mass_map)).encode() == expected.encode()
+    cells = expected.replace("\n", ",").split(",")
+    assert {"-0", "0", '"nan"', '"inf"', '"-inf"', "4.9406564584124654e-324",
+            "1.0000000000000002", "0.25"} <= set(cells)
+
+
+@pytest.mark.parametrize("frequency", [10**15, 10**19, 10**30, -(10**30)])
+@pytest.mark.parametrize("field", ["factory.alpha0", "factory.v"])
+def test_factory_frequencies_out_of_range_are_config_errors(tmp_path, capsys, frequency, field):
+    factory = json.loads(json.dumps(GOLDEN["factory"]))
+    if field == "factory.alpha0":
+        factory["alpha0"] = [frequency]
+    else:
+        factory["v"][2]["alpha"] = [frequency]
+    path = _config(tmp_path, {"factory": factory})
+    assert main(["all", "--config", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"config error at {field}" in err
+    assert f"frequency {frequency} is outside [-1000000, 1000000]" in err
+    assert not (tmp_path / "out").exists()
+    # the bound itself is accepted
+    factory["alpha0" if field == "factory.alpha0" else "v"] = (
+        [cli.FACTORY_FREQUENCY_MAX] if field == "factory.alpha0"
+        else [{"alpha": [-cli.FACTORY_FREQUENCY_MAX], "re": 1.0}]
+    )
+    parse_config(_config(tmp_path, {"factory": factory}).read_text())
+
+
 def test_benchmark_tracer_probes_exist(tmp_path):
     # perfbench/tracing.py wraps each probe with owner.__dict__[attr]; a
     # renamed or removed name would make a traced run raise KeyError

@@ -1,5 +1,6 @@
 """Random small configs end in a config error or a report, never in
-another exception."""
+another exception, and every mass map written has the bytes of the
+per-node reference writer."""
 
 from __future__ import annotations
 
@@ -7,10 +8,13 @@ import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruslab import cli
+from toruslab import cli, wavefront
 from toruslab.cli import EXIT_CHECK_FAILED, EXIT_PASS, ConfigError, parse_config, run_pipeline
+
+from test_cli import massmap_lines_oracle
 
 BASES = ({"names": ["1"], "values": [1.0]}, {"names": ["1", "sqrt2"], "values": [1.0, 2.0**0.5]})
 
@@ -69,10 +73,24 @@ def configs(draw) -> dict:
 def test_random_configs_end_in_config_error_or_report(tmp_path_factory, config):
     out = tmp_path_factory.mktemp("fuzz")
     config["out"] = str(out)
+    mass_maps = []
+
+    def spy(family, grid):
+        mass_maps.append(wavefront.wavefront_mass_map(family, grid))
+        return mass_maps[-1]
+
     try:
-        code, report = run_pipeline(parse_config(json.dumps(config)), cli._STAGES, out)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "wavefront_mass_map", spy)
+            code, report = run_pipeline(parse_config(json.dumps(config)), cli._STAGES, out)
     except ConfigError:
         return
     assert code in (EXIT_PASS, EXIT_CHECK_FAILED)
     assert report["status"] in ("pass", "fail")
     assert (out / "report.json").is_file()
+    if report["artifacts"]["massmap.csv"] == "written":
+        (mass_map,) = mass_maps
+        axes = range(config["dimension"])
+        header = ",".join([f"x{i}" for i in axes] + [f"xi{i}" for i in axes] + ["h", "mass"])
+        lines = [header, *massmap_lines_oracle(mass_map)]
+        assert (out / "massmap.csv").read_bytes() == ("\n".join(lines) + "\n").encode()

@@ -160,7 +160,7 @@ def test_two_three_splitting_elliptic_block(golden):
     xi = Minv.T @ np.array([0.0, 1.0])
     assert form.Omega_block[0, 0] == pytest.approx(xi @ xi)
     assert form.Omega_block[0, 0] > 0
-    assert form.is_z_elliptic()
+    assert form.smallest_transverse_eigenvalue() > 0
 
 
 def test_form_agrees_on_random_covectors(golden):
@@ -240,6 +240,18 @@ def test_remainder_term_is_order_three():
         tail = apply_model_operator(spec_tail, u, h) - apply_model_operator(spec_plain, u, h)
         assert tail.norm() <= 2.0 * h**3 * u.norm()
         assert tail.norm() >= 0.1 * h**3 * u.norm()
+
+
+@pytest.mark.parametrize("frequency", [3, 10**6, 10**15])
+def test_remainder_tail_squares_frequencies_exactly(frequency):
+    # c cancels omega . alpha and the Hessian is zero, so the character's
+    # coefficient is h^3 / (1 + alpha^2) exactly; a fixed-width square of
+    # 10^15 would wrap
+    spec = _spec_1d(1, -frequency, 0.0, remainder=RemainderTerm())
+    u = TrigPolynomial(1, {(frequency,): 1.0})
+    h = 0.5
+    result = apply_model_operator(spec, u, h)
+    assert result.coefficient((frequency,)) == h**3 * (1.0 / (1.0 + float(frequency**2)))
 
 
 def _apply_per_h_reference(spec, u, h):

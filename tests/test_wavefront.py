@@ -120,6 +120,25 @@ def test_mass_map_refuses_grid_over_budget(golden, monkeypatch):
     assert wavefront.check_massmap_budget(PhaseSpaceGrid.standard(2, 32, golden.ladder)) == 368640
 
 
+def test_mass_map_with_two_distinct_members_matches_per_h_masses():
+    # the phase matrix is built once per distinct member; every mass keeps
+    # the bits of a per-(covector, h) evaluation, also on a grid whose
+    # ladder is a reordered part of the family's
+    ladder = default_h_ladder()
+    first = TrigPolynomial(2, {(0, 0): 2.0, (1, 0): 0.5, (-1, 0): 0.5})
+    second = TrigPolynomial(2, {(0, 1): 1.0 - 0.5j, (2, -1): 0.25j, (-3, 0): 0.75})
+    family = QuasimodeFamily.from_members(ladder, [first, second, first, first, second] + [second] * 4)
+    assert len(family.distinct_members()[0]) == 2
+    xi = ((0.0, 0.0), (1.0, -0.5), (-0.0, 2.0))
+    for grid_ladder in (ladder, ladder[::-2]):
+        grid = PhaseSpaceGrid(2, 8, xi, grid_ladder)
+        mass_map = wavefront_mass_map(family, grid)
+        for i, covector in enumerate(xi):
+            for l, h in enumerate(grid_ladder):
+                row, _ = wavefront._mass_on_nodes(family.member(h), grid.x_nodes, covector, h)
+                assert mass_map.masses[i, :, l].tobytes() == row.tobytes()
+
+
 def test_constant_family_exponents_split_by_covector():
     grid = PhaseSpaceGrid.standard(1, 8, default_h_ladder())
     mass_map = wavefront_mass_map(_constant_family(), grid)
