@@ -141,6 +141,13 @@ def _write_csv(path: Path, header: Sequence[str], lines) -> None:
         f.writelines(line + "\n" for line in lines)
 
 
+#: Nodes per string of massmap.csv lines.  Strings of a whole covector's
+#: plane were as fast but grew with the grid (+71 MB of peak memory at 256
+#: points per axis); 256 nodes of golden's 9-point ladder make strings of
+#: about 160 kB and leave the peak where per-node strings had it.
+_MASSMAP_BLOCK_NODES = 256
+
+
 def _float_texts(values: np.ndarray) -> np.ndarray:
     """The _format_float text of every entry of a float array, as an object
     array of its shape; each distinct value is formatted once, keyed by its
@@ -152,18 +159,24 @@ def _float_texts(values: np.ndarray) -> np.ndarray:
 
 def _massmap_lines(mass_map):
     """Lines for ``masses[xi, node, h]`` in C order (x coordinates,
-    covector, h, mass), one block of ladder lines per node: a covector's
-    template gets the node's coordinates, then all its mass texts in one
-    %-format."""
+    covector, h, mass), one string of lines per block of nodes: a
+    covector's template of one node's ladder lines, repeated for every node
+    of the block, takes the node and mass texts in one %-format."""
     grid = mass_map.grid
-    nodes = [",".join(node) for node in _float_texts(grid.x_nodes).tolist()]
+    nodes = np.array([",".join(node) for node in _float_texts(grid.x_nodes).tolist()], dtype=object)
     hs = [_format_float(h) for h in grid.h_ladder]
-    # one covector's plane at a time keeps the sort's scratch arrays small
+    # one covector's plane at a time keeps the sort's scratch arrays small,
+    # and blocks of nodes keep each string small on a large grid
     for xi, plane in zip(grid.xi_points, mass_map.masses):
         xi_text = ",".join(map(_format_float, xi))
-        template = "\n".join(f"{{node}},{xi_text},{h},%s" for h in hs)
-        for node, row in zip(nodes, _float_texts(plane).tolist()):
-            yield template.replace("{node}", node) % tuple(row)
+        template = "\n".join(f"%s,{xi_text},{h},%s" for h in hs)
+        texts = _float_texts(plane)
+        for start in range(0, len(nodes), _MASSMAP_BLOCK_NODES):
+            block = texts[start:start + _MASSMAP_BLOCK_NODES]
+            cells = np.empty(block.shape + (2,), dtype=object)
+            cells[..., 0] = nodes[start:start + _MASSMAP_BLOCK_NODES, None]
+            cells[..., 1] = block
+            yield "\n".join([template] * len(block)) % tuple(cells.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

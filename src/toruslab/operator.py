@@ -120,15 +120,6 @@ class TransformedQuadraticForm:
     def along_dimension(self) -> int:
         return self.rho1.shape[0]
 
-    @property
-    def across_dimension(self) -> int:
-        return self.Omega_block.shape[0]
-
-    def smallest_transverse_eigenvalue(self) -> float:
-        if self.across_dimension == 0:
-            return float("inf")
-        return float(np.linalg.eigvalsh(self.Omega_block)[0])
-
     def evaluate(self, along: Sequence[float], across: Sequence[float]) -> float:
         a = np.asarray(along, dtype=float)
         b = np.asarray(across, dtype=float)

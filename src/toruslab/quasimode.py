@@ -117,8 +117,9 @@ def fit_decay_exponent(h_ladder: Sequence[float], values: Sequence | np.ndarray)
     ladder needs at least four points for a meaningful fit.  A series with
     an exact zero short-circuits to an infinite exponent, the
     faster-than-any-power flag.  Every series gets the bits it would get
-    alone: math.log and per-row math.fsum (numpy's log and sum round
-    differently), scalar ladder terms, and only elementwise numpy arithmetic.
+    alone: math.log, taken once per distinct value, and per-row math.fsum
+    (numpy's log and sum round differently), scalar ladder terms, and only
+    elementwise numpy arithmetic.  Non-finite values are refused.
     """
     hs = [float(h) for h in h_ladder]
     vals = np.array(values, dtype=float)
@@ -128,13 +129,18 @@ def fit_decay_exponent(h_ladder: Sequence[float], values: Sequence | np.ndarray)
         raise ValueError("need at least four ladder points to fit")
     if any(h <= 0 for h in hs):
         raise ValueError("ladder values must be positive")
+    if not np.isfinite(vals).all():
+        raise ValueError("values must be finite")
     if np.any(vals < 0):
         raise ValueError("values must be nonnegative")
     live = ~np.any(vals == 0.0, axis=-1)
     xs = [math.log(h) for h in hs]
     xbar = math.fsum(xs) / len(xs)
     sxx = math.fsum((x - xbar) ** 2 for x in xs)
-    ys = np.fromiter(map(math.log, vals[live].ravel().tolist()), float).reshape(-1, len(hs))
+    # one math.log per distinct value, keyed by its bits
+    bits, inverse = np.unique(vals[live].view(np.uint64), return_inverse=True)
+    logs = np.fromiter(map(math.log, bits.view(float).tolist()), float, len(bits))
+    ys = logs[inverse].reshape(-1, len(hs))
     ybar = np.array(list(map(math.fsum, ys.tolist()))) / len(xs)
     deviations = np.array([x - xbar for x in xs]) * (ys - ybar[:, None])
     slope = np.array(list(map(math.fsum, deviations.tolist()))) / sxx

@@ -17,6 +17,14 @@ from toruslab import (
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# example counts of test_fuzz.py: 25 by default, 500 with
+# --hypothesis-profile=long; loaded here so that a CI environment, where
+# hypothesis would pick its own ci profile, runs 25 too
+settings.register_profile("default", max_examples=25)
+settings.register_profile("long", max_examples=500)
+settings.load_profile("default")
 
 
 class GoldenInstance:

@@ -380,12 +380,25 @@ def test_massmap_writer_matches_per_node_oracle(golden):
     masses[2] = 0.25  # a plane of finite masses only
     zeros = np.zeros(masses.shape[:2])
     mass_maps.append(wavefront.MassMap(grid, masses, zeros, zeros))
+    # a 3-D grid (7 planes of 343 nodes, so a last block shorter than the
+    # writer's) and a grid with the zero covector only, drawing from the
+    # same values and log-normal ones
+    grid = wavefront.PhaseSpaceGrid.standard(3, 7, ladder)
+    full_blocks, rest = divmod(len(grid.x_nodes), cli._MASSMAP_BLOCK_NODES)
+    assert full_blocks and rest
+    rng = np.random.default_rng(7)
+    pool = np.concatenate([special, rng.lognormal(0.0, 30.0, 20)])
+    for grid in (grid, wavefront.PhaseSpaceGrid(2, 2, ((0.0, 0.0),), ladder)):
+        shape = (len(grid.xi_points), len(grid.x_nodes), len(ladder))
+        zeros = np.zeros(shape[:2])
+        mass_maps.append(wavefront.MassMap(grid, rng.choice(pool, shape), zeros, zeros))
+    cells = set()
     for mass_map in mass_maps:
         expected = "\n".join(massmap_lines_oracle(mass_map))
         assert "\n".join(cli._massmap_lines(mass_map)).encode() == expected.encode()
-    cells = expected.replace("\n", ",").split(",")
+        cells.update(expected.replace("\n", ",").split(","))
     assert {"-0", "0", '"nan"', '"inf"', '"-inf"', "4.9406564584124654e-324",
-            "1.0000000000000002", "0.25"} <= set(cells)
+            "1.0000000000000002", "0.25"} <= cells
 
 
 @pytest.mark.parametrize("frequency", [10**15, 10**19, 10**30, -(10**30)])

@@ -68,7 +68,7 @@ def configs(draw) -> dict:
     return config
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(deadline=None, derandomize=True, database=None)
 @given(config=configs())
 def test_random_configs_end_in_config_error_or_report(tmp_path_factory, config):
     out = tmp_path_factory.mktemp("fuzz")

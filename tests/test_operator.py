@@ -160,7 +160,7 @@ def test_two_three_splitting_elliptic_block(golden):
     xi = Minv.T @ np.array([0.0, 1.0])
     assert form.Omega_block[0, 0] == pytest.approx(xi @ xi)
     assert form.Omega_block[0, 0] > 0
-    assert form.smallest_transverse_eigenvalue() > 0
+    assert np.linalg.eigvalsh(form.Omega_block)[0] > 0
 
 
 def test_form_agrees_on_random_covectors(golden):
@@ -188,7 +188,7 @@ def test_quasiconvex_source_gives_positive_definite_block():
         H = HessianForm(base @ base.T + 0.05 * np.eye(2))
         if is_quasiconvex(H, [float(rows[0][0]), float(rows[1][0])]):
             form = transform_quadratic_form(H, split)
-            assert form.smallest_transverse_eigenvalue() > 0
+            assert np.linalg.eigvalsh(form.Omega_block)[0] > 0
 
 
 def test_assemble_zero_mode(golden):

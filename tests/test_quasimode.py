@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -200,6 +201,32 @@ def test_stacked_fit_rejects_bad_rows():
         fit_decay_exponent(ladder, np.ones((len(ladder), 3)))
 
 
+def test_stacked_fit_matches_scalar_fit_on_few_distinct_values():
+    # rows drawn from eight values, four of them subnormal or at the normal
+    # boundary, so every log is shared across rows and most within a row;
+    # some rows hold a zero, so live and short-circuited rows interleave
+    ladder = default_h_ladder()
+    pool = [5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+            0.5, 1.0, np.nextafter(1.0, 2.0), 3.75]
+    rng = np.random.default_rng(12)
+    stack = rng.choice(pool, (4, 30, len(ladder)))
+    stack[0, ::5, 3] = 0.0
+    fit = fit_decay_exponent(ladder, stack)
+    assert np.isinf(fit.exponent[0, ::5]).all() and np.isfinite(fit.exponent[1:]).all()
+    _assert_stack_matches_scalar(ladder, stack, fit.exponent, fit.residual)
+
+
+@pytest.mark.parametrize("values", [[math.nan] * 9, [1.0] * 8 + [math.inf]])
+def test_fit_rejects_non_finite_values_before_any_log(values):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="values must be finite"):
+            fit_decay_exponent(default_h_ladder(), values)
+        with pytest.raises(ValueError, match="values must be finite"):
+            fit_decay_exponent(default_h_ladder(), np.stack([np.ones(9), values]))
+    assert caught == []
+
+
 # ---------------------------------------------------------------------------
 # Factory construction
 # ---------------------------------------------------------------------------
@@ -268,6 +295,31 @@ def test_factory_reexpansion_grid_fits_the_budget(monkeypatch):
     build_factory_quasimode(*args, narrow, default_h_ladder())
     assert set(sizes) == {64}
     assert 16 * 64**3 == quasimode.REEXPANSION_BYTES_BUDGET == 16 * 512**2
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="from_grid leaves a Nyquist coefficient unpaired")
+def test_factory_real_profile_with_a_nyquist_coefficient_builds():
+    # the transverse torus of (-4, 1/3, 1/2) is T^2; r0 is re-expanded on 64
+    # points per axis, and from_grid puts its coefficient at (0, -32), about
+    # 4e-11, in [-32, 32) with no mirror at (0, 32), so the lifted multiplier
+    # fails the Hermitian check of ModelOperatorSpec
+    omega = FrequencyVector.from_rows([[-4], [Fraction(1, 3)], [Fraction(1, 2)]])
+    hessian = np.eye(3)
+    hessian[0, 1] = hessian[1, 0] = -0.048
+    # 1 + 0.30 cos(2 pi z1) + 0.51 cos(2 pi z2), real and positive
+    profile = TrigPolynomial(
+        2, {(0, 0): 1.0, (1, 0): 0.15, (-1, 0): 0.15, (0, 1): 0.255, (0, -1): 0.255}
+    )
+    split = split_frequencies(omega)
+    assert split.dimension - split.orbit_dimension == 2
+    try:
+        build_factory_quasimode(
+            omega, HessianForm(hessian), IrrationalBasis(("1",), (1.0,)), split, (0,),
+            profile, default_h_ladder(),
+        )
+    except ValueError as error:
+        assert "multiplier r must be real-valued" in str(error)
+        raise
 
 
 def test_factory_rejects_vanishing_profile(golden):
