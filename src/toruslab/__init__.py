@@ -45,7 +45,6 @@ from .nondegeneracy import HessianForm, bordered_determinant, is_quasiconvex
 from .operator import (
     ModelOperatorSpec,
     OperatorOnTPrime,
-    RemainderTerm,
     TransformedQuadraticForm,
     apply_model_operator,
     assemble_Q_alpha,

@@ -19,7 +19,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,12 +32,12 @@ from .exact import (
     InvariantViolation,
     RESONANCE_BOX,
     find_resonant_mode,
-    parse_rational,
+    rational_row,
     relation_lattice,  # not called here: the benchmark tracer probes this name
     split_frequencies,
 )
 from .nondegeneracy import HessianForm, bordered_determinant, is_quasiconvex
-from .operator import ModelOperatorSpec, RemainderTerm
+from .operator import ModelOperatorSpec
 from .quasimode import (
     NULL_TOL,
     build_factory_quasimode,
@@ -188,18 +188,13 @@ _DEFAULTS = {
     "c": "resonant",
     "factory": None,
     "remainder": False,
-    "h_ladder": "4..12",
+    "h_ladder": default_h_ladder(),
     "truncation": 16,
     "delta": 1.0,
     "epsilon": 0.05,
     "subdomain": [0.0, 0.25],
     "grid": {"points_per_axis": 32, "xi": "units"},
-    "thresholds": {
-        "in_exponent": 0.5,
-        "out_exponent": 2.0,
-        "fill_fraction": 0.95,
-        "null_tol": NULL_TOL,
-    },
+    "thresholds": {**asdict(VerdictThresholds()), "null_tol": NULL_TOL},
     "out": "results",
 }
 
@@ -218,7 +213,6 @@ class LabConfig:
     factory_alpha0: Optional[tuple[int, ...]]
     factory_v: Optional[TrigPolynomial]
     remainder: bool
-    h_ladder: tuple[float, ...]
     truncation: int
     delta: float
     epsilon: float
@@ -316,206 +310,173 @@ def _load_json(text: str):
     return raw, leaves
 
 
+def _integer(value) -> bool:
+    """Whether a decoded JSON value is an integer; booleans are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    """Whether a decoded JSON value is a number; booleans are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _parse_basis(raw) -> IrrationalBasis:
+    if not isinstance(raw, dict) or set(raw) != {"names", "values"}:
+        raise ValueError("must be an object with keys 'names' and 'values'")
+    return IrrationalBasis(tuple(raw["names"]), tuple(raw["values"]))
+
+
+def _parse_omega(raw, dimension: int, basis: IrrationalBasis) -> FrequencyVector:
+    if not isinstance(raw, list) or len(raw) != dimension:
+        raise ValueError(f"must be a list of {dimension} coordinate rows")
+    return FrequencyVector.from_rows(raw, basis.dim)
+
+
+def _parse_hessian(raw, dimension: int) -> HessianForm:
+    matrix = np.array(raw, dtype=float)
+    if matrix.shape != (dimension, dimension):
+        raise ValueError(f"must be a {dimension}x{dimension} matrix")
+    return HessianForm(matrix)
+
+
+def _parse_factory(raw) -> tuple[Optional[tuple[int, ...]], Optional[TrigPolynomial]]:
+    """(alpha0, v) of a factory block; (None, None) without one."""
+    if raw is None:
+        return None, None
+    if not isinstance(raw, dict) or set(raw) - {"alpha0", "v"}:
+        raise ValueError("must be an object with keys 'alpha0' and 'v'")
+    alpha0 = tuple(int(a) for a in raw["alpha0"])
+    v = raw["v"]
+    return alpha0, TrigPolynomial.from_json_obj(v, dim=len(v[0]["alpha"]) if v else 0)
+
+
+def _parse_thresholds(filled: dict) -> tuple[VerdictThresholds, float]:
+    """The verdict thresholds and null_tol of a filled thresholds block."""
+    thresholds = VerdictThresholds(*(float(filled[field.name]) for field in fields(VerdictThresholds)))
+    return thresholds, float(filled["null_tol"])
+
+
+def _operator_json(basis: IrrationalBasis, omega: FrequencyVector, hessian: HessianForm, c) -> dict:
+    """The JSON forms of basis, omega, hessian and c ("resonant" or an
+    ExactNumber) that config.echo and the family provenance share."""
+    return {
+        "basis": {"names": list(basis.names), "values": list(basis.values)},
+        "omega": [[str(x) for x in entry.coeffs] for entry in omega.entries],
+        "hessian": hessian.entries.tolist(),
+        "c": c if c == "resonant" else [str(x) for x in c.coeffs],
+    }
+
+
 def parse_config(text: str) -> LabConfig:
     """Validate a JSON config; unknown keys are rejected, defaults are
-    materialized into the echoed copy."""
-    errors: list[tuple[str, str]] = []
+    materialized into the echoed copy.  Each field is parsed and checked
+    once, and nothing sized by the dimension is built before omega (d rows)
+    and hessian (d^2 entries) have parsed."""
     raw, leaves = _load_json(text)
     if not isinstance(raw, dict):
         raise ConfigError([("<document>", "top level must be an object")])
+    errors = [(key, "unknown key") for key in sorted(set(raw) - _TOP_KEYS)]
+    merged = {**_DEFAULTS, **{k: v for k, v in raw.items() if k in _TOP_KEYS}}
 
-    for key in sorted(set(raw) - _TOP_KEYS):
-        errors.append((key, "unknown key"))
-
-    merged = dict(_DEFAULTS)
-    merged.update({k: v for k, v in raw.items() if k in _TOP_KEYS})
     # defaults hold valid numbers, so the document's own leaves are checked
+    typed = [(path, value, field) for path, value in leaves if (field := _NUMBER_FIELD.fullmatch(path))]
     wrong = [
         (path, f"must be a JSON {field.lastgroup}")
-        for path, value in leaves
-        if (field := _NUMBER_FIELD.fullmatch(path))
-        and (isinstance(value, bool) or not isinstance(value, int if field["integer"] else (int, float)))
+        for path, value, field in typed
+        if not (_integer(value) if field["integer"] else _number(value))
     ]
     if wrong:
         raise ConfigError(errors + wrong)
     errors += [
         (path, f"frequency {value} is outside [-{FACTORY_FREQUENCY_MAX}, {FACTORY_FREQUENCY_MAX}]")
-        for path, value in leaves
-        if (field := _NUMBER_FIELD.fullmatch(path)) and field["integer"] and abs(value) > FACTORY_FREQUENCY_MAX
+        for path, value, field in typed
+        if field["integer"] and abs(value) > FACTORY_FREQUENCY_MAX
     ]
-
     dimension = merged.get("dimension")
-    if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
-        errors.append(("dimension", "must be a positive integer"))
-        raise ConfigError(errors)
+    if not (_integer(dimension) and dimension >= 1):
+        raise ConfigError(errors + [("dimension", "must be a positive integer")])
 
-    # basis
-    basis = None
-    basis_raw = merged["basis"]
-    if not isinstance(basis_raw, dict) or set(basis_raw) != {"names", "values"}:
-        errors.append(("basis", "must be an object with keys 'names' and 'values'"))
-    else:
+    def collect(path, parse, *args):
+        """parse(*args), or None after collecting (path, reason) when the
+        value is malformed."""
         try:
-            basis = IrrationalBasis(tuple(basis_raw["names"]), tuple(basis_raw["values"]))
-        except (TypeError, ValueError) as exc:
-            errors.append(("basis", str(exc)))
+            return parse(*args)
+        except (TypeError, ValueError, LookupError, ZeroDivisionError) as exc:
+            errors.append((path, str(exc)))
+            return None
+
+    basis = collect("basis", _parse_basis, merged["basis"])
     if basis is None:
         raise ConfigError(errors)
-
-    # omega
-    omega = None
-    omega_raw = merged.get("omega")
-    if not isinstance(omega_raw, list) or len(omega_raw) != dimension:
-        errors.append(("omega", f"must be a list of {dimension} coordinate rows"))
-    else:
-        try:
-            rows = []
-            for row in omega_raw:
-                row = row if isinstance(row, list) else [row]
-                if len(row) > basis.dim:
-                    raise ValueError("more coordinates than basis elements")
-                rows.append(row)
-            omega = FrequencyVector.from_rows(rows, basis_dim=basis.dim)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            errors.append(("omega", str(exc)))
-
-    # hessian
-    hessian = None
-    hessian_raw = merged.get("hessian")
-    try:
-        matrix = np.array(hessian_raw, dtype=float)
-        if matrix.shape != (dimension, dimension):
-            raise ValueError(f"must be a {dimension}x{dimension} matrix")
-        hessian = HessianForm(matrix)
-    except (TypeError, ValueError) as exc:
-        errors.append(("hessian", str(exc)))
-
-    # c
+    omega = collect("omega", _parse_omega, merged.get("omega"), dimension, basis)
+    hessian = collect("hessian", _parse_hessian, merged.get("hessian"), dimension)
     c_spec = merged["c"]
     if c_spec != "resonant":
-        try:
-            row = c_spec if isinstance(c_spec, list) else [c_spec]
-            coeffs = [x for x in row] + [0] * (basis.dim - len(row))
-            c_spec = basis.number([parse_rational(x) for x in coeffs])
-        except (TypeError, ValueError) as exc:
-            errors.append(("c", str(exc)))
-
-    # factory
-    factory_alpha0 = None
-    factory_v = None
-    factory_raw = merged["factory"]
-    if factory_raw is not None:
-        if not isinstance(factory_raw, dict) or set(factory_raw) - {"alpha0", "v"}:
-            errors.append(("factory", "must be an object with keys 'alpha0' and 'v'"))
-        else:
-            try:
-                factory_alpha0 = tuple(int(a) for a in factory_raw["alpha0"])
-                factory_v = TrigPolynomial.from_json_obj(
-                    factory_raw["v"], dim=len(factory_raw["v"][0]["alpha"]) if factory_raw["v"] else 0
-                )
-            except (KeyError, TypeError, ValueError, IndexError) as exc:
-                errors.append(("factory", str(exc)))
-
+        c_spec = collect("c", lambda row: ExactNumber(rational_row(row, basis.dim)), c_spec)
+    factory_alpha0, factory_v = collect("factory", _parse_factory, merged["factory"]) or (None, None)
     if not isinstance(merged["remainder"], bool):
         errors.append(("remainder", "must be a boolean"))
-
-    try:
-        ladder = parse_ladder(merged["h_ladder"])
-    except (TypeError, ValueError) as exc:
-        errors.append(("h_ladder", str(exc)))
-        ladder = default_h_ladder()
-
-    truncation = merged["truncation"]
-    if not isinstance(truncation, int) or isinstance(truncation, bool) or truncation < 4:
+    ladder = collect("h_ladder", parse_ladder, merged["h_ladder"]) or _DEFAULTS["h_ladder"]
+    if not (_integer(merged["truncation"]) and merged["truncation"] >= 4):
         errors.append(("truncation", "must be an integer of at least 4"))
-
-    delta = merged["delta"]
-    epsilon = merged["epsilon"]
-    for name, value, bound in (("delta", delta, math.inf), ("epsilon", epsilon, 1.0)):
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 < value < bound:
+    for name, bound in (("delta", math.inf), ("epsilon", 1.0)):
+        if not (_number(merged[name]) and 0 < merged[name] < bound):
             errors.append((name, f"must be a number in (0, {bound})"))
-    subdomain_raw = merged["subdomain"]
-    if (
-        not isinstance(subdomain_raw, list)
-        or len(subdomain_raw) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in subdomain_raw)
-        or not (0.0 <= float(subdomain_raw[0]) < float(subdomain_raw[1]) <= 1.0)
+    subdomain = merged["subdomain"]
+    if not (
+        isinstance(subdomain, list)
+        and len(subdomain) == 2
+        and all(map(_number, subdomain))
+        and 0 <= subdomain[0] < subdomain[1] <= 1
     ):
         errors.append(("subdomain", "must be [lo, hi] with 0 <= lo < hi <= 1"))
-    else:
-        subdomain = (float(subdomain_raw[0]), float(subdomain_raw[1]))
 
     grid_raw = merged["grid"]
-    if not isinstance(grid_raw, dict) or set(grid_raw) - {"points_per_axis", "xi"}:
+    if not isinstance(grid_raw, dict) or set(grid_raw) - set(_DEFAULTS["grid"]):
         errors.append(("grid", "must be an object with keys 'points_per_axis' and 'xi'"))
     else:
-        grid_points = grid_raw.get("points_per_axis", 32)
-        if not isinstance(grid_points, int) or isinstance(grid_points, bool) or grid_points < 2:
+        grid_raw = {**_DEFAULTS["grid"], **grid_raw}
+        points, xi = grid_raw["points_per_axis"], grid_raw["xi"]
+        if not (_integer(points) and points >= 2):
             errors.append(("grid.points_per_axis", "must be an integer of at least 2"))
-            grid_points = 32
-        grid_xi = grid_raw.get("xi", "units")
-        try:
-            # PhaseSpaceGrid would read a string's characters as covectors
-            if grid_xi != "units" and not isinstance(grid_xi, list):
-                raise ValueError('must be "units" or a list of covectors')
-            grid = (
-                PhaseSpaceGrid.standard(dimension, grid_points, ladder)
-                if grid_xi == "units"
-                else PhaseSpaceGrid(dimension, grid_points, grid_xi, ladder)
+            points = _DEFAULTS["grid"]["points_per_axis"]
+        # PhaseSpaceGrid would read a string's characters as covectors
+        if xi != "units" and not isinstance(xi, list):
+            errors.append(("grid.xi", 'must be "units" or a list of covectors'))
+        elif omega is not None and hessian is not None:  # only now does the document bound d
+            grid = collect(
+                "grid.xi",
+                lambda: PhaseSpaceGrid.standard(dimension, points, ladder)
+                if xi == "units"
+                else PhaseSpaceGrid(dimension, points, xi, ladder),
             )
-        except (TypeError, ValueError) as exc:
-            errors.append(("grid.xi", str(exc)))
 
     thresholds_raw = merged["thresholds"]
-    allowed = {"in_exponent", "out_exponent", "fill_fraction", "null_tol"}
-    if not isinstance(thresholds_raw, dict) or set(thresholds_raw) - allowed:
-        errors.append(("thresholds", f"must be an object with keys among {sorted(allowed)}"))
+    if not isinstance(thresholds_raw, dict) or set(thresholds_raw) - set(_DEFAULTS["thresholds"]):
+        errors.append(("thresholds", f"must be an object with keys among {sorted(_DEFAULTS['thresholds'])}"))
     else:
-        filled = dict(_DEFAULTS["thresholds"])
-        filled.update(thresholds_raw)
-        merged["thresholds"] = filled
-        try:
-            thresholds = VerdictThresholds(
-                in_exponent=float(filled["in_exponent"]),
-                out_exponent=float(filled["out_exponent"]),
-                fill_fraction=float(filled["fill_fraction"]),
-            )
-            null_tol = float(filled["null_tol"])
-        except (TypeError, ValueError) as exc:
-            errors.append(("thresholds", str(exc)))
-        else:
-            if not 0 < null_tol < 1:
-                errors.append(("thresholds.null_tol", "must be a number in (0, 1)"))
+        merged["thresholds"] = {**_DEFAULTS["thresholds"], **thresholds_raw}
+        thresholds, null_tol = collect("thresholds", _parse_thresholds, merged["thresholds"]) or (None, None)
+        if null_tol is not None and not 0 < null_tol < 1:
+            errors.append(("thresholds.null_tol", "must be a number in (0, 1)"))
 
-    out = merged["out"]
-    if not isinstance(out, str) or not out:
+    if not (isinstance(merged["out"], str) and merged["out"]):
         errors.append(("out", "must be a nonempty string"))
-
     if errors:
         raise ConfigError(errors)
 
-    grid_block = {
-        "points_per_axis": grid.points_per_axis,
-        "xi": "units" if grid_xi == "units" else [list(c) for c in grid.xi_points],
-    }
     echo = {
-        "dimension": dimension,
-        "basis": {"names": list(basis.names), "values": list(basis.values)},
-        "omega": [[str(c) for c in entry.coeffs] for entry in omega.entries],
-        "hessian": [[float(x) for x in row] for row in hessian.entries],
-        "c": "resonant" if c_spec == "resonant" else [str(c) for c in c_spec.coeffs],
-        "factory": None
-        if factory_v is None
-        else {"alpha0": list(factory_alpha0), "v": factory_v.to_json_obj()},
-        "remainder": merged["remainder"],
-        "h_ladder": list(ladder),
-        "truncation": truncation,
-        "delta": float(delta),
-        "epsilon": float(epsilon),
-        "subdomain": [subdomain[0], subdomain[1]],
-        "grid": grid_block,
-        "thresholds": dict(merged["thresholds"]),
-        "out": out,
+        **{key: merged[key] for key in ("dimension", "remainder", "truncation", "thresholds", "out")},
+        **_operator_json(basis, omega, hessian, c_spec),
+        "factory": None if factory_v is None else {"alpha0": list(factory_alpha0), "v": factory_v.to_json_obj()},
+        "h_ladder": list(grid.h_ladder),
+        "delta": float(merged["delta"]),
+        "epsilon": float(merged["epsilon"]),
+        "subdomain": [float(x) for x in subdomain],
+        "grid": {
+            "points_per_axis": grid.points_per_axis,
+            "xi": "units" if xi == "units" else [list(c) for c in grid.xi_points],
+        },
     }
     return LabConfig(
         dimension=dimension,
@@ -525,16 +486,15 @@ def parse_config(text: str) -> LabConfig:
         c_spec=c_spec,
         factory_alpha0=factory_alpha0,
         factory_v=factory_v,
-        remainder=bool(merged["remainder"]),
-        h_ladder=ladder,
-        truncation=truncation,
-        delta=float(delta),
-        epsilon=float(epsilon),
-        subdomain=subdomain,
+        remainder=echo["remainder"],
+        truncation=echo["truncation"],
+        delta=echo["delta"],
+        epsilon=echo["epsilon"],
+        subdomain=tuple(echo["subdomain"]),
         grid=grid,
         thresholds=thresholds,
         null_tol=null_tol,
-        out=out,
+        out=echo["out"],
         echo=echo,
     )
 
@@ -587,11 +547,10 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
             report["notes"].append("quasimode stages skipped: no factory block")
         else:
             _check_factory(config, split)
-            remainder = RemainderTerm() if config.remainder else None
             try:
                 spec, family, op = build_factory_quasimode(
                     config.omega, config.hessian, config.basis, split,
-                    config.factory_alpha0, config.factory_v, config.h_ladder, remainder=remainder,
+                    config.factory_alpha0, config.factory_v, config.grid.h_ladder, remainder=config.remainder,
                 )
             except (ValueError, ArithmeticError, InvariantViolation) as exc:
                 report["quasimode_build"] = {"status": "error", "detail": str(exc)}
@@ -790,14 +749,8 @@ def _wavefront_stage(config, split, spec, family, op):
 
 
 def _spec_provenance(spec: ModelOperatorSpec) -> dict:
-    return {
-        "omega": [[str(c) for c in entry.coeffs] for entry in spec.omega.entries],
-        "hessian": [[float(x) for x in row] for row in spec.hessian.entries],
-        "c": [str(c) for c in spec.c.coeffs],
-        "r": spec.r.to_json_obj(),
-        "basis": {"names": list(spec.basis.names), "values": list(spec.basis.values)},
-        "remainder": spec.remainder is not None,
-    }
+    operator = _operator_json(spec.basis, spec.omega, spec.hessian, spec.c)
+    return {**operator, "r": spec.r.to_json_obj(), "remainder": spec.remainder}
 
 
 # ---------------------------------------------------------------------------

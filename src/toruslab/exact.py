@@ -35,6 +35,7 @@ __all__ = [
     "split_frequencies",
     "find_resonant_mode",
     "parse_rational",
+    "rational_row",
     "RESONANCE_BOX",
 ]
 
@@ -62,6 +63,15 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def rational_row(value, dim: int) -> tuple[Fraction, ...]:
+    """The coordinates over a basis of dim elements of a rational scalar or
+    a row of at most dim rationals, padded with zeros."""
+    row = value if isinstance(value, (list, tuple)) else [value]
+    if len(row) > dim:
+        raise ValueError("more coordinates than basis elements")
+    return tuple(parse_rational(x) for x in row) + (Fraction(0),) * (dim - len(row))
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +447,9 @@ class FrequencyVector:
         object.__setattr__(self, "entries", entries)
 
     @staticmethod
-    def from_rows(rows, basis_dim: Optional[int] = None) -> "FrequencyVector":
-        """Build from a list of per-entry rational coordinate rows."""
-        entries = []
-        for row in rows:
-            if isinstance(row, (int, str, Fraction)):
-                row = [row]
-            coeffs = [parse_rational(x) for x in row]
-            if basis_dim is not None:
-                coeffs += [Fraction(0)] * (basis_dim - len(coeffs))
-            entries.append(ExactNumber(tuple(coeffs)))
-        return FrequencyVector(tuple(entries))
+    def from_rows(rows, basis_dim: int = 1) -> "FrequencyVector":
+        """Build from per-entry rational rows (see rational_row)."""
+        return FrequencyVector(tuple(ExactNumber(rational_row(row, basis_dim)) for row in rows))
 
     @property
     def dimension(self) -> int:

@@ -23,7 +23,8 @@ __all__ = [
     "TOL_PD",
 ]
 
-#: |det| of the bordered matrix must exceed TOL_DET_SCALE * maxabs^(n+1).
+#: |det| of the bordered matrix divided by its max-norm must exceed
+#: TOL_DET_SCALE.
 TOL_DET_SCALE = 1e-9
 #: Minimum restricted eigenvalue must exceed TOL_PD * maxabs(H).
 TOL_PD = 1e-9
@@ -70,10 +71,12 @@ def bordered_determinant(hessian: HessianForm, omega) -> tuple[float, bool]:
     bordered[:n, :n] = hessian.entries
     bordered[:n, n] = w
     bordered[n, :n] = w
-    det = float(np.linalg.det(bordered))
     scale = float(np.max(np.abs(bordered)))
-    tol = TOL_DET_SCALE * scale ** (bordered.shape[0]) if scale > 0 else 0.0
-    return det, bool(abs(det) > tol)
+    # scale^(n+1) overflows long before det(B / scale) can; det(B) itself
+    # is reported, as an infinity when it overflows
+    nondegenerate = scale > 0 and abs(float(np.linalg.det(bordered / scale))) > TOL_DET_SCALE
+    with np.errstate(over="ignore"):
+        return float(np.linalg.det(bordered)), bool(nondegenerate)
 
 
 def frequency_orthocomplement(omega) -> np.ndarray:
@@ -104,12 +107,14 @@ def is_quasiconvex(hessian: HessianForm, omega) -> bool:
     w = np.asarray(omega, dtype=float)
     if w.shape != (hessian.dimension,):
         raise ValueError("frequency vector length does not match the Hessian")
-    if float(np.linalg.norm(w)) == 0.0:
+    peak = float(np.max(np.abs(w)))
+    if peak == 0.0:
         raise ValueError("frequency vector must not vanish")
     n = hessian.dimension
     if n == 1:
         return True
-    B = frequency_orthocomplement(w)
+    # only omega's direction matters, and |omega|^2 may overflow
+    B = frequency_orthocomplement(w / peak)
     restricted = B.T @ hessian.entries @ B
     restricted = 0.5 * (restricted + restricted.T)
     smallest = float(np.linalg.eigvalsh(restricted)[0])

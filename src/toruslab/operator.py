@@ -14,7 +14,7 @@ character multiplier becomes a float.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .nondegeneracy import HessianForm
 from .trigpoly import TrigPolynomial
 
 __all__ = [
-    "RemainderTerm",
     "ModelOperatorSpec",
     "TransformedQuadraticForm",
     "OperatorOnTPrime",
@@ -38,40 +37,31 @@ _FORM_CHECK_COUNT = 20
 _FORM_CHECK_SEED = 20140613
 
 
-@dataclass(frozen=True)
-class RemainderTerm:
-    """A concrete bounded realization of the third-order remainder: a fixed
-    Fourier multiplier 1/(1 + |alpha|^2) plus multiplication by a bounded
-    real trig polynomial, both weighted by h^3.
-
-    The true remainder is constrained only in order and size, so this
-    particular shape is a modeling choice; reports must flag it.
-    """
-
-    multiplier_weight: float = 1.0
-    potential: Optional[TrigPolynomial] = None
-
-    def resolved_potential(self, dim: int) -> TrigPolynomial:
-        if self.potential is not None:
-            if self.potential.dim != dim:
-                raise ValueError("remainder potential has wrong dimension")
-            return self.potential
-        if dim == 0:
-            return TrigPolynomial.constant(0, 1.0)
-        axis = (1,) + (0,) * (dim - 1)
-        return TrigPolynomial.cosine(dim, axis)
+def _remainder_potential(dim: int) -> TrigPolynomial:
+    """The bounded real potential of the third-order remainder, cos(2 pi x_1)
+    (1 on the 0-torus)."""
+    if dim == 0:
+        return TrigPolynomial.constant(0, 1.0)
+    return TrigPolynomial.cosine(dim, (1,) + (0,) * (dim - 1))
 
 
 @dataclass(frozen=True)
 class ModelOperatorSpec:
-    """Frozen data of one model operator instance."""
+    """Frozen data of one model operator instance.
+
+    With ``remainder``, the operator carries a concrete bounded realization
+    of the third-order remainder: the Fourier multiplier 1/(1 + |alpha|^2)
+    plus multiplication by _remainder_potential, both weighted by h^3.  The
+    true remainder is constrained only in order and size, so this shape is
+    a modeling choice; reports must flag it.
+    """
 
     omega: FrequencyVector
     hessian: HessianForm
     c: ExactNumber
     r: TrigPolynomial
     basis: IrrationalBasis
-    remainder: Optional[RemainderTerm] = None
+    remainder: bool = False
 
     def __post_init__(self):
         n = self.omega.dimension
@@ -119,11 +109,6 @@ class TransformedQuadraticForm:
     @property
     def along_dimension(self) -> int:
         return self.rho1.shape[0]
-
-    def evaluate(self, along: Sequence[float], across: Sequence[float]) -> float:
-        a = np.asarray(along, dtype=float)
-        b = np.asarray(across, dtype=float)
-        return float(a @ self.rho1 @ a + a @ self.rho2 @ b + b @ self.Omega_block @ b)
 
 
 @dataclass(frozen=True)
@@ -259,13 +244,12 @@ def apply_model_operator(
     terms = []  # (h-dependent factor, series), added in this order
     if spec.r:
         terms.append(([step * step for step in ladder], spec.r.convolve(u)))
-    if spec.remainder is not None:
+    if spec.remainder:
         damped = {
             alpha: value / (1.0 + float(sum(a * a for a in alpha)))
             for alpha, value in u.items()
         }
-        tail = TrigPolynomial(spec.dimension, damped).scaled(spec.remainder.multiplier_weight)
-        tail = tail + spec.remainder.resolved_potential(spec.dimension).convolve(u)
+        tail = TrigPolynomial(spec.dimension, damped) + _remainder_potential(spec.dimension).convolve(u)
         terms.append(([step**3 for step in ladder], tail))
 
     series_in_order = [u] + [series for _, series in terms]

@@ -33,7 +33,6 @@ from .nondegeneracy import HessianForm
 from .operator import (
     ModelOperatorSpec,
     OperatorOnTPrime,
-    RemainderTerm,
     apply_model_operator,
     assemble_Q_alpha,
     transform_quadratic_form,
@@ -303,7 +302,7 @@ def build_factory_quasimode(
     alpha0: Sequence[int],
     v: TrigPolynomial,
     h_ladder: Sequence[float],
-    remainder: Optional[RemainderTerm] = None,
+    remainder: bool = False,
 ) -> tuple[ModelOperatorSpec, QuasimodeFamily, OperatorOnTPrime]:
     """Build an operator instance whose transverse kernel contains v, the
     single-mode family it certifies, and the transverse operator

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .quasimode import QuasimodeFamily, default_h_ladder, fit_decay_exponent
+from .quasimode import QuasimodeFamily, fit_decay_exponent
 from .trigpoly import TrigPolynomial
 
 __all__ = [
@@ -43,16 +43,19 @@ __all__ = [
     "check_massmap_budget",
     "IMAGE_DROP",
     "MASSMAP_BYTES_BUDGET",
+    "MASSMAP_FIT_COPIES",
 ]
 
 #: Relative Gaussian weight below which frequency-lattice images are dropped.
 IMAGE_DROP = 1e-18
-#: Largest raw mass array, in bytes, that wavefront_mass_map fills.
+#: Largest number of bytes that wavefront_mass_map holds (see
+#: check_massmap_budget).
 MASSMAP_BYTES_BUDGET = 256 * 2**20
+#: Arrays of the size of the masses that the decay fit holds at its peak,
+#: the symbol-normalized copy included (3.7 to 3.8 by tracemalloc on
+#: 2-torus grids of 8 to 64 points per axis).
+MASSMAP_FIT_COPIES = 4
 
-_IN_EXPONENT = 0.5
-_OUT_EXPONENT = 2.0
-_FILL_FRACTION = 0.95
 _MASS_BUDGET_SLACK = 1e-6
 
 
@@ -195,11 +198,7 @@ class PhaseSpaceGrid:
         object.__setattr__(self, "h_ladder", ladder)
 
     @staticmethod
-    def standard(
-        dimension: int,
-        points_per_axis: int = 32,
-        h_ladder: Optional[Sequence[float]] = None,
-    ) -> "PhaseSpaceGrid":
+    def standard(dimension: int, points_per_axis: int, h_ladder: Sequence[float]) -> "PhaseSpaceGrid":
         """Zero covector plus the signed unit covectors."""
         xi = [(0.0,) * dimension]
         for axis in range(dimension):
@@ -211,7 +210,7 @@ class PhaseSpaceGrid:
             dimension=dimension,
             points_per_axis=points_per_axis,
             xi_points=tuple(xi),
-            h_ladder=tuple(h_ladder) if h_ladder is not None else default_h_ladder(),
+            h_ladder=tuple(h_ladder),
         )
 
     @cached_property
@@ -242,11 +241,17 @@ class MassMap:
     residuals: np.ndarray
 
 
-def check_massmap_budget(grid: PhaseSpaceGrid) -> int:
+def check_massmap_budget(grid: PhaseSpaceGrid, support: Optional[int] = None) -> int:
     """Bytes of the raw mass array of a grid, 8 per covector, node and
-    ladder point; raises ValueError when they exceed MASSMAP_BYTES_BUDGET."""
+    ladder point.  Given the largest support of a family member, also the
+    decay fit's MASSMAP_FIT_COPIES copies of the masses and the member's
+    phase table and its weighted product, 32 bytes per node and
+    coefficient: what the mass map holds at its peak.  Raises ValueError
+    when the bytes exceed MASSMAP_BYTES_BUDGET."""
     nodes = grid.points_per_axis**grid.dimension
     size = 8 * len(grid.xi_points) * nodes * len(grid.h_ladder)
+    if support is not None:
+        size += MASSMAP_FIT_COPIES * size + 32 * nodes * support
     if size > MASSMAP_BYTES_BUDGET:
         raise ValueError(
             f"{grid.points_per_axis} points per axis on a {grid.dimension}-torus need a "
@@ -263,14 +268,14 @@ def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap
     mass (a Parseval sum over the family's coefficients) must not exceed
     the squared family norm times the symbol scale, and the grid average
     is held to the same budget whenever the grid resolves the support.
-    The mass array must fit MASSMAP_BYTES_BUDGET (checked before it is
-    built).
+    What the map holds must fit MASSMAP_BYTES_BUDGET (checked before
+    anything sized by the grid is built).
     """
     if family.dimension != grid.dimension:
         raise ValueError("family and grid dimensions differ")
-    check_massmap_budget(grid)
-    nodes = grid.x_nodes
     distinct, member_index = family.distinct_members()
+    check_massmap_budget(grid, max(map(len, distinct)))
+    nodes = grid.x_nodes
     ladder_slot = dict(zip(family.h_ladder, member_index))
     h_indices: dict[int, list[int]] = {}
     for h_index, h in enumerate(grid.h_ladder):
@@ -309,9 +314,9 @@ INCONCLUSIVE = 0
 
 @dataclass(frozen=True)
 class VerdictThresholds:
-    in_exponent: float = _IN_EXPONENT
-    out_exponent: float = _OUT_EXPONENT
-    fill_fraction: float = _FILL_FRACTION
+    in_exponent: float = 0.5
+    out_exponent: float = 2.0
+    fill_fraction: float = 0.95
 
     def __post_init__(self):
         # in >= out leaves no inconclusive band, and fill_fraction <= 0 passes every map

@@ -26,7 +26,6 @@ from toruslab import (
     HessianForm,
     IrrationalBasis,
     QuasimodeFamily,
-    RemainderTerm,
     TrigPolynomial,
     apply_model_operator,
     assemble_Q_alpha,
@@ -177,7 +176,7 @@ def test_criterion_04_factory_quasimode_order(golden_setup):
         for h, u in family.items()
     )
     spec_tail, family_tail, _ = build_factory_quasimode(
-        omega, hessian, basis, split, (0,), v, ladder, remainder=RemainderTerm()
+        omega, hessian, basis, split, (0,), v, ladder, remainder=True
     )
     tail_report = verify_quasimode_order(family_tail, spec_tail, delta=0.8)
     elapsed = time.monotonic() - start

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -73,7 +74,7 @@ def test_parse_golden_materializes_defaults(tmp_path):
     assert config.echo["c"] == "resonant"
     assert config.echo["remainder"] is False
     assert config.echo["grid"] == {"points_per_axis": 32, "xi": "units"}
-    assert config.grid == wavefront.PhaseSpaceGrid.standard(2, 32, config.h_ladder)
+    assert config.grid == wavefront.PhaseSpaceGrid.standard(2, 32, quasimode.default_h_ladder())
 
 
 def test_parse_rejects_unknown_key(tmp_path):
@@ -141,6 +142,121 @@ def test_parse_rejects_non_finite_numbers(tmp_path):
         assert where == path and cause in message
 
 
+_FACTORY_V = GOLDEN["factory"]["v"]
+_THRESHOLD_KEYS = "['fill_fraction', 'in_exponent', 'null_tol', 'out_exponent']"
+
+
+@pytest.mark.parametrize(
+    "overrides, errors",
+    [
+        ({"dimension": 0}, [("dimension", "must be a positive integer")]),
+        ({"dimension": True}, [("dimension", "must be a positive integer")]),
+        ({"dimension": 4}, [("omega", "must be a list of 4 coordinate rows"), ("hessian", "must be a 4x4 matrix")]),
+        # nothing sized by the dimension is built before omega and hessian parse
+        (
+            {"dimension": 10**20},
+            [
+                ("omega", f"must be a list of {10**20} coordinate rows"),
+                ("hessian", f"must be a {10**20}x{10**20} matrix"),
+            ],
+        ),
+        ({"foo": 1, "bar": 2}, [("bar", "unknown key"), ("foo", "unknown key")]),
+        ({"basis": "x"}, [("basis", "must be an object with keys 'names' and 'values'")]),
+        ({"basis": {"names": ["1"]}}, [("basis", "must be an object with keys 'names' and 'values'")]),
+        ({"basis": {"names": ["1", "a"], "values": [1.0]}}, [("basis", "basis needs matching, nonempty names and values")]),
+        ({"basis": {"names": ["1"], "values": [2.0]}}, [("basis", "the first basis element must be 1")]),
+        ({"basis": {"names": 5, "values": [1.0]}}, [("basis", "'int' object is not iterable")]),
+        ({"omega": "x"}, [("omega", "must be a list of 2 coordinate rows")]),
+        ({"omega": [["2", "1"], ["3"]]}, [("omega", "more coordinates than basis elements")]),
+        ({"omega": [["0"], ["0"]]}, [("omega", "frequency vector must not vanish")]),
+        ({"omega": [["1/0"], ["3"]]}, [("omega", "Fraction(1, 0)")]),
+        ({"omega": [[0.5], ["3"]]}, [("omega", "cannot interpret 0.5 as an exact rational")]),
+        ({"hessian": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}, [("hessian", "must be a 2x2 matrix")]),
+        ({"hessian": [[1.0, 2.0], [0.0, 1.0]]}, [("hessian", "Hessian must be symmetric to machine precision")]),
+        ({"hessian": "x"}, [("hessian", "could not convert string to float: 'x'")]),
+        ({"c": "x"}, [("c", "Invalid literal for Fraction: 'x'")]),
+        ({"c": "1/0"}, [("c", "Fraction(1, 0)")]),
+        ({"c": 0.5}, [("c", "cannot interpret 0.5 as an exact rational")]),
+        # c and omega rows follow one rule
+        ({"c": ["1", "2"]}, [("c", "more coordinates than basis elements")]),
+        ({"factory": []}, [("factory", "must be an object with keys 'alpha0' and 'v'")]),
+        ({"factory": {"alpha0": [0], "v": _FACTORY_V, "w": 1}}, [("factory", "must be an object with keys 'alpha0' and 'v'")]),
+        ({"factory": {"alpha0": [0]}}, [("factory", "'v'")]),
+        ({"factory": {"alpha0": 5, "v": _FACTORY_V}}, [("factory", "'int' object is not iterable")]),
+        (
+            {"factory": {"alpha0": [2000000], "v": _FACTORY_V}},
+            [("factory.alpha0[0]", "frequency 2000000 is outside [-1000000, 1000000]")],
+        ),
+        ({"remainder": 1}, [("remainder", "must be a boolean")]),
+        ({"h_ladder": "x"}, [("h_ladder", "ladder must look like '4..12' or be a list of floats")]),
+        ({"h_ladder": [0.1, 0.2, 0.01, 0.001]}, [("h_ladder", "ladder must be positive and strictly decreasing")]),
+        ({"truncation": 3}, [("truncation", "must be an integer of at least 4")]),
+        ({"truncation": 4.0}, [("truncation", "must be an integer of at least 4")]),
+        ({"delta": 0}, [("delta", "must be a number in (0, inf)")]),
+        ({"epsilon": 1}, [("epsilon", "must be a number in (0, 1.0)")]),
+        ({"subdomain": [0.5, 0.25]}, [("subdomain", "must be [lo, hi] with 0 <= lo < hi <= 1")]),
+        ({"grid": []}, [("grid", "must be an object with keys 'points_per_axis' and 'xi'")]),
+        ({"grid": {"foo": 1}}, [("grid", "must be an object with keys 'points_per_axis' and 'xi'")]),
+        ({"grid": {"points_per_axis": 1}}, [("grid.points_per_axis", "must be an integer of at least 2")]),
+        ({"grid": {"xi": "01"}}, [("grid.xi", 'must be "units" or a list of covectors')]),
+        ({"grid": {"xi": [[1.0, 0.0]]}}, [("grid.xi", "the zero covector must be sampled")]),
+        ({"thresholds": []}, [("thresholds", f"must be an object with keys among {_THRESHOLD_KEYS}")]),
+        ({"thresholds": {"foo": 1}}, [("thresholds", f"must be an object with keys among {_THRESHOLD_KEYS}")]),
+        ({"thresholds": {"in_exponent": 3.0}}, [("thresholds", "in_exponent must be below out_exponent")]),
+        ({"thresholds": {"null_tol": 2}}, [("thresholds.null_tol", "must be a number in (0, 1)")]),
+        (
+            {"thresholds": {"in_exponent": []}},
+            [("thresholds", "float() argument must be a string or a real number, not 'list'")],
+        ),
+        ({"out": ""}, [("out", "must be a nonempty string")]),
+        # several errors, in field order after the unknown keys
+        (
+            {"foo": 1, "remainder": 1, "truncation": 3, "delta": -1, "epsilon": 2, "out": ""},
+            [
+                ("foo", "unknown key"),
+                ("remainder", "must be a boolean"),
+                ("truncation", "must be an integer of at least 4"),
+                ("delta", "must be a number in (0, inf)"),
+                ("epsilon", "must be a number in (0, 1.0)"),
+                ("out", "must be a nonempty string"),
+            ],
+        ),
+        # a number field of the wrong type stops the parse after the unknown keys
+        (
+            {"foo": 1, "hessian": [["nan", 0.0], [0.0, 1.0]], "truncation": 3},
+            [("foo", "unknown key"), ("hessian[0][0]", "must be a JSON number")],
+        ),
+        (
+            {
+                "omega": "x", "hessian": "x", "c": "x", "factory": [], "h_ladder": "x",
+                "grid": {"points_per_axis": 1, "xi": "01"}, "thresholds": {"null_tol": 2},
+            },
+            [
+                ("omega", "must be a list of 2 coordinate rows"),
+                ("hessian", "could not convert string to float: 'x'"),
+                ("c", "Invalid literal for Fraction: 'x'"),
+                ("factory", "must be an object with keys 'alpha0' and 'v'"),
+                ("h_ladder", "ladder must look like '4..12' or be a list of floats"),
+                ("grid.points_per_axis", "must be an integer of at least 2"),
+                ("grid.xi", 'must be "units" or a list of covectors'),
+                ("thresholds.null_tol", "must be a number in (0, 1)"),
+            ],
+        ),
+        (
+            {"factory": {"alpha0": [2000000], "v": _FACTORY_V}, "dimension": 0},
+            [
+                ("factory.alpha0[0]", "frequency 2000000 is outside [-1000000, 1000000]"),
+                ("dimension", "must be a positive integer"),
+            ],
+        ),
+    ],
+)
+def test_malformed_configs_give_their_full_error_lists(tmp_path, overrides, errors):
+    with pytest.raises(ConfigError) as err:
+        parse_config(_config(tmp_path, overrides).read_text())
+    assert err.value.errors == errors
+
+
 def test_canonical_json_is_sorted_and_stable():
     payload = {"b": [1.0, float("inf")], "a": {"y": 0.5, "x": None}}
     text = canonical_json(payload)
@@ -206,6 +322,25 @@ def test_pipeline_without_factory_skips_quasimode_stages(tmp_path):
     (tilde,) = report["splitting"]["omega_tilde"]
     assert tilde["value"] * mode - 5.0 == pytest.approx(0.0)
     assert report["artifacts"]["massmap.csv"] == "skipped"
+
+
+@pytest.mark.parametrize(
+    "overrides, det",
+    [
+        # max-norm 1e300: the old threshold 1e-9 * 1e300^3 overflowed
+        ({"hessian": [[1e300, 0.0], [0.0, 1e300]]}, -1.3e301),
+        # omega = (2 + 1e308, 3): det(B) itself overflows and |omega|^2 too
+        (
+            {"basis": {"names": ["1", "b"], "values": [1.0, 1e308]}, "omega": [["2", "1"], ["3"]], "factory": None},
+            -math.inf,
+        ),
+    ],
+)
+def test_huge_bordered_matrix_fails_hypothesis_d(tmp_path, overrides, det):
+    config = parse_config(_config(tmp_path, overrides).read_text())
+    code, report = run_pipeline(config, ("hypotheses",), tmp_path / "out")
+    assert code == EXIT_CHECK_FAILED and report["failures"] == ["hypothesis (D)"]
+    assert report["hypotheses"]["D_isoenergetically_nondegenerate"]["bordered_determinant"] == pytest.approx(det)
 
 
 def test_pipeline_rejects_non_resonant_explicit_c(tmp_path):
@@ -286,6 +421,10 @@ def test_main_exit_codes(tmp_path, capsys):
         ({"thresholds": {"null_tol": 0}}, "config error at thresholds.null_tol"),
         ({"thresholds": {"in_exponent": 5, "out_exponent": -5}}, "config error at thresholds: in_exponent"),
         ({"thresholds": {"in_exponent": 2.0}}, "config error at thresholds: in_exponent"),
+        # Fraction("1/0") raises ZeroDivisionError, not ValueError
+        ({"c": "1/0"}, "config error at c: Fraction(1, 0)"),
+        # nothing sized by the dimension is built before omega and hessian parse
+        ({"dimension": 10**20}, f"config error at omega: must be a list of {10**20} coordinate rows"),
     ):
         rejected = _config(tmp_path, overrides, name="rejected.json")
         assert main(["all", "--config", str(rejected)]) == EXIT_USAGE

@@ -1,5 +1,7 @@
-"""Random small configs end in a config error or a report, never in
-another exception, and every mass map written has the bytes of the
+"""Random small configs, also with one top-level value replaced from a
+pool of malformed values, end in a config error or a report, never in
+another exception; every config that parses echoes a config that parses
+to the same echo, and every mass map written has the bytes of the
 per-node reference writer."""
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruslab import cli, wavefront
-from toruslab.cli import EXIT_CHECK_FAILED, EXIT_PASS, ConfigError, parse_config, run_pipeline
+from toruslab.cli import EXIT_CHECK_FAILED, EXIT_PASS, ConfigError, canonical_json, parse_config, run_pipeline
 
 from test_cli import massmap_lines_oracle
 
@@ -68,11 +70,25 @@ def configs(draw) -> dict:
     return config
 
 
+# values no field takes as they are, or only at the edge of its range
+POOL = (
+    None, True, False, 0, -1, 4, 0.5, -0.0, 1e300, 10**20, "x", "1/0", "4..12", [], {},
+    {"unknown": 1}, {"names": ["1"], "values": [1.0], "unknown": 0},
+)
+
+
+@st.composite
+def pooled_configs(draw) -> dict:
+    config = draw(configs())
+    config[draw(st.sampled_from(sorted(cli._TOP_KEYS)))] = draw(st.sampled_from(POOL))
+    return config
+
+
 @settings(deadline=None, derandomize=True, database=None)
-@given(config=configs())
+@given(config=st.one_of(configs(), pooled_configs()))
 def test_random_configs_end_in_config_error_or_report(tmp_path_factory, config):
     out = tmp_path_factory.mktemp("fuzz")
-    config["out"] = str(out)
+    config.setdefault("out", str(out))
     mass_maps = []
 
     def spy(family, grid):
@@ -80,9 +96,14 @@ def test_random_configs_end_in_config_error_or_report(tmp_path_factory, config):
         return mass_maps[-1]
 
     try:
+        parsed = parse_config(json.dumps(config))
+    except ConfigError:
+        return
+    assert parse_config(canonical_json(parsed.echo)).echo == parsed.echo
+    try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "wavefront_mass_map", spy)
-            code, report = run_pipeline(parse_config(json.dumps(config)), cli._STAGES, out)
+            code, report = run_pipeline(parsed, cli._STAGES, out)
     except ConfigError:
         return
     assert code in (EXIT_PASS, EXIT_CHECK_FAILED)

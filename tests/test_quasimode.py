@@ -19,7 +19,6 @@ from toruslab import (
     ModelOperatorSpec,
     OperatorOnTPrime,
     QuasimodeFamily,
-    RemainderTerm,
     TrigPolynomial,
     apply_model_operator,
     assemble_Q_alpha,
@@ -791,7 +790,7 @@ def test_order_with_remainder_fits_third_order(golden):
         golden.alpha0,
         golden.v,
         golden.ladder,
-        remainder=RemainderTerm(),
+        remainder=True,
     )
     report = verify_quasimode_order(family, spec, delta=0.8)
     assert report.fit.exponent >= 2.9

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,47 @@ def test_mass_map_refuses_grid_over_budget(golden, monkeypatch):
     with pytest.raises(ValueError, match="mass map, over the budget"):
         wavefront_mass_map(golden.family, grid)
     assert wavefront.check_massmap_budget(PhaseSpaceGrid.standard(2, 32, golden.ladder)) == 368640
+
+
+def _wide_family(golden, terms=500):
+    """The golden family with profile 2 + sum_{k <= terms} 1e-4/k cos(2 pi k z):
+    1001 coefficients per member."""
+    profile = {(0,): 2.0}
+    for k in range(1, terms + 1):
+        profile[(k,)] = profile[(-k,)] = 0.5e-4 / k
+    member = TrigPolynomial(
+        2, {golden.split.to_torus_frequency(golden.alpha0, beta): value for beta, value in profile.items()}
+    )
+    return QuasimodeFamily.from_members(golden.ladder, [member] * len(golden.ladder))
+
+
+def test_mass_map_budget_counts_the_phase_table(golden, monkeypatch):
+    # at 256 points the raw masses take 23.6 MB, while the phase table of
+    # 1001 coefficients and its weighted product take about 2.1 GB
+    def no_table(*args):
+        raise AssertionError("the phase table was about to be built")
+
+    family = _wide_family(golden)
+    grid = PhaseSpaceGrid.standard(2, 256, golden.ladder)
+    assert wavefront.check_massmap_budget(grid) == 8 * 5 * 256**2 * 9
+    monkeypatch.setattr(wavefront, "_phase_table", no_table)
+    with pytest.raises(ValueError, match="mass map, over the budget"):
+        wavefront_mass_map(family, grid)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_mass_map_peak_memory_is_within_the_estimate(golden, wide):
+    family = _wide_family(golden) if wide else golden.family
+    grid = PhaseSpaceGrid.standard(2, 32, golden.ladder)
+    support = max(len(u) for u in family.distinct_members()[0])
+    estimate = wavefront.check_massmap_budget(grid, support)
+    tracemalloc.start()
+    try:
+        wavefront_mass_map(family, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate
 
 
 def test_mass_map_with_two_distinct_members_matches_per_h_masses():
