@@ -37,7 +37,6 @@ from .exact import (
     split_frequencies,
 )
 from .nondegeneracy import HessianForm, bordered_determinant, is_quasiconvex
-from .operator import ModelOperatorSpec
 from .quasimode import (
     NULL_TOL,
     build_factory_quasimode,
@@ -73,6 +72,7 @@ _COMMAND_STAGES = {
     "wavefront": ("split", "build", "wavefront"),
     "all": _STAGES,
 }
+_ARTIFACTS = ("config.echo", "family", "decay.csv", "massmap.csv", "report.json")
 
 
 class ConfigError(ValueError):
@@ -343,11 +343,10 @@ def _parse_factory(raw) -> tuple[Optional[tuple[int, ...]], Optional[TrigPolynom
     """(alpha0, v) of a factory block; (None, None) without one."""
     if raw is None:
         return None, None
-    if not isinstance(raw, dict) or set(raw) - {"alpha0", "v"}:
+    if not isinstance(raw, dict) or set(raw) != {"alpha0", "v"}:
         raise ValueError("must be an object with keys 'alpha0' and 'v'")
     alpha0 = tuple(int(a) for a in raw["alpha0"])
-    v = raw["v"]
-    return alpha0, TrigPolynomial.from_json_obj(v, dim=len(v[0]["alpha"]) if v else 0)
+    return alpha0, TrigPolynomial.from_json_obj(raw["v"], dim=None if raw["v"] else 0)
 
 
 def _parse_thresholds(filled: dict) -> tuple[VerdictThresholds, float]:
@@ -509,95 +508,91 @@ def _exact_as_json(x: ExactNumber, basis: IrrationalBasis) -> dict:
 
 
 def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tuple[int, dict]:
-    """Run the requested stages, write all artifacts, return (exit, report).
+    """Run the requested stages, then write every artifact; return (exit,
+    report).
 
-    A wavefront grid whose mass map would exceed the budget is refused
-    before anything runs or is written."""
+    Every refusal comes before any stage runs (see _split_or_refuse).  The
+    build, verify and wavefront stages each return their report section,
+    checks, notes and (artifact name, writer); the writers run once every
+    stage has, so a ConfigError leaves out_dir as it was."""
     requested = [s for s in _STAGES if s in set(stages)]
-    if "wavefront" in requested:
-        try:
-            check_massmap_budget(config.grid)
-        except ValueError as exc:
-            raise ConfigError([("grid.points_per_axis", str(exc))])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    split = _split_or_refuse(config, requested)
     report: dict = {"stages": requested, "notes": []}
     checks: dict[str, bool] = {}
-    artifacts = {
-        "config.echo": "written",
-        "report.json": "written",
-        "decay.csv": "skipped",
-        "massmap.csv": "skipped",
-        "family": "skipped",
-    }
-    (out_dir / "config.echo").write_text(canonical_json(config.echo) + "\n", encoding="utf-8")
+    echo = canonical_json(config.echo) + "\n"
+    writers = {"config.echo": lambda path: path.write_text(echo, encoding="utf-8")}
+    if split is not None:
+        report["splitting"], report["notes"] = _splitting_stage(config, split)
 
-    if "hypotheses" in requested:
-        report["hypotheses"], stage_checks = _hypotheses_stage(config)
-        checks.update(stage_checks)
-
-    split = spec = family = op = None
-    if {"split", "build", "verify", "wavefront"} & set(requested):
-        split = split_frequencies(config.omega)
-        report["splitting"], notes = _splitting_stage(config, split)
-        report["notes"] += notes
-
-    if "build" in requested:
-        if config.factory_v is None or config.factory_alpha0 is None:
-            report["quasimode_build"] = {"status": "skipped", "detail": "no factory block in the config"}
-            report["notes"].append("quasimode stages skipped: no factory block")
-        else:
-            _check_factory(config, split)
-            try:
-                spec, family, op = build_factory_quasimode(
-                    config.omega, config.hessian, config.basis, split,
-                    config.factory_alpha0, config.factory_v, config.grid.h_ladder, remainder=config.remainder,
-                )
-            except (ValueError, ArithmeticError, InvariantViolation) as exc:
-                report["quasimode_build"] = {"status": "error", "detail": str(exc)}
-                checks["factory construction"] = False
-            else:
-                family.save(out_dir / "family", provenance=_spec_provenance(spec))
-                artifacts["family"] = "written"
-                report["quasimode_build"] = {
-                    "status": "built",
-                    "c": _exact_as_json(spec.c, config.basis),
-                    "multiplier_support": len(spec.r),
-                    "remainder_enabled": config.remainder,
-                }
-                if config.remainder:
-                    report["notes"].append(
-                        "third-order remainder uses a fixed bounded model realization; "
-                        "only its order is canonical"
-                    )
-
+    built: dict = {}
     for stage, key, failed_check, run_stage in (
+        ("build", "quasimode_build", "factory construction", _build_stage),
         ("verify", "quasimode_verify", "quasimode verification", _verify_stage),
         ("wavefront", "wavefront", "wavefront map", _wavefront_stage),
     ):
         if stage not in requested:
             continue
-        if family is None:
-            report[key] = {"status": "skipped", "detail": "no family built"}
-            continue
         try:
-            report[key], stage_checks, (name, header, lines) = run_stage(config, split, spec, family, op)
+            if stage != "build" and not built:
+                raise _Skipped("no family built")
+            report[key], stage_checks, notes, (name, write) = run_stage(config, split, built)
+        except _Skipped as skip:
+            report[key] = {"status": "skipped", "detail": skip.args[0]}
+            report["notes"] += skip.args[1:]
         except (ValueError, ArithmeticError, InvariantViolation) as exc:
             report[key] = {"status": "error", "detail": str(exc)}
             checks[failed_check] = False
         else:
             checks.update(stage_checks)
-            _write_csv(out_dir / name, header, lines)
-            artifacts[name] = "written"
-    order = report.get("quasimode_verify", {}).get("order")
-    if "hypotheses" in requested and order is not None:
-        fields = ("pass", "exponent", "exact_kernel")
-        report["hypotheses"]["E_quasimode_order"] = {key: order[key] for key in fields}
+            report["notes"] += notes
+            writers[name] = write
+    if "hypotheses" in requested:
+        verify = report.get("quasimode_verify", {})
+        report["hypotheses"], stage_checks = _hypotheses_stage(config, verify.get("order"))
+        checks.update(stage_checks)
 
     failures = sorted(name for name, ok in checks.items() if not ok)
     status = ("pass" if not failures else "fail") if checks else "no checks requested"
+    writers["report.json"] = lambda path: write_report(report, path)
+    artifacts = {name: "written" if name in writers else "skipped" for name in _ARTIFACTS}
     report.update(checks=checks, failures=failures, status=status, artifacts=artifacts)
-    write_report(report, out_dir / "report.json")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, write in writers.items():
+        write(out_dir / name)
     return (EXIT_PASS if not failures else EXIT_CHECK_FAILED), report
+
+
+def _split_or_refuse(config, requested):
+    """The splitting, when a requested stage needs it.  Raises ConfigError
+    for a request the config cannot serve: a wavefront grid whose mass map
+    would exceed the budget, or a factory block that does not fit the
+    splitting (the length of alpha0, the dimension of v, a truncation whose
+    dense Galerkin matrix on the transverse torus would exceed the budget,
+    an explicit c that is not resonant with alpha0)."""
+    if "wavefront" in requested:
+        try:
+            check_massmap_budget(config.grid)
+        except ValueError as exc:
+            raise ConfigError([("grid.points_per_axis", str(exc))])
+    if not {"split", "build", "verify", "wavefront"} & set(requested):
+        return None
+    split = split_frequencies(config.omega)
+    if "build" not in requested or config.factory_v is None:
+        return split
+    k = split.orbit_dimension
+    if len(config.factory_alpha0) != k:
+        raise ConfigError([("factory.alpha0", f"length must equal the orbit dimension {k}")])
+    if config.factory_v.dim != config.dimension - k:
+        raise ConfigError([("factory.v", "profile dimension must equal dimension - orbit dimension")])
+    try:
+        check_galerkin_budget(config.dimension - k, config.truncation)
+    except ValueError as exc:
+        raise ConfigError([("truncation", str(exc))])
+    if config.c_spec != "resonant":
+        pairing = FrequencyVector(split.omega_tilde).dot(config.factory_alpha0)
+        if not (config.c_spec + pairing).is_zero:
+            raise ConfigError([("c", "explicit c is not resonant with factory.alpha0")])
+    return split
 
 
 # Hypotheses (A)-(C) hold for every model operator, for these reasons.
@@ -608,16 +603,20 @@ _BY_CONSTRUCTION = {
 }
 
 
-def _hypotheses_stage(config):
-    """Hypotheses (A)-(F) of the config: (report section, checks); the
-    verify stage fills in (E)."""
+def _hypotheses_stage(config, order: Optional[dict]):
+    """Hypotheses (A)-(F) of the config: (report section, checks).  (E) is
+    the verify stage's order section, when that stage ran."""
     omega_floats = config.omega.to_floats(config.basis)
     det, nondegenerate = bordered_determinant(config.hessian, omega_floats)
     quasiconvex = is_quasiconvex(config.hessian, omega_floats)
     section = {
         **{key: {"pass": True, "detail": detail} for key, detail in _BY_CONSTRUCTION.items()},
         "D_isoenergetically_nondegenerate": {"pass": nondegenerate, "bordered_determinant": det},
-        "E_quasimode_order": {"pass": None, "detail": "filled by the verify stage"},
+        "E_quasimode_order": (
+            {"pass": None, "detail": "filled by the verify stage"}
+            if order is None
+            else {key: order[key] for key in ("pass", "exponent", "exact_kernel")}
+        ),
         "F_quasiconvex": {"pass": quasiconvex},
     }
     return section, {"hypothesis (D)": nondegenerate, "hypothesis (F)": quasiconvex}
@@ -656,28 +655,37 @@ def _splitting_stage(config, split):
     return section, notes
 
 
-def _check_factory(config, split) -> None:
-    """Refuse a factory block that does not fit the splitting, and a
-    truncation whose dense Galerkin matrix on the transverse torus would
-    exceed the budget."""
-    k = split.orbit_dimension
-    if len(config.factory_alpha0) != k:
-        raise ConfigError([("factory.alpha0", f"length must equal the orbit dimension {k}")])
-    if config.factory_v.dim != config.dimension - k:
-        raise ConfigError([("factory.v", "profile dimension must equal dimension - orbit dimension")])
-    try:
-        check_galerkin_budget(config.dimension - k, config.truncation)
-    except ValueError as exc:
-        raise ConfigError([("truncation", str(exc))])
-    if config.c_spec != "resonant":
-        pairing = FrequencyVector(split.omega_tilde).dot(config.factory_alpha0)
-        if not (config.c_spec + pairing).is_zero:
-            raise ConfigError([("c", "explicit c is not resonant with factory.alpha0")])
+class _Skipped(Exception):
+    """A stage without its input: (report detail, *notes)."""
 
 
-def _verify_stage(config, split, spec, family, op):
-    """Order, concentration, Galerkin and unique-continuation results of a
-    built family: (report section, checks, decay.csv)."""
+def _build_stage(config, split, built):
+    """The factory quasimode of the config, saved as family/; fills built
+    with the spec, family and transverse operator the other stages read."""
+    if config.factory_v is None:
+        raise _Skipped("no factory block in the config", "quasimode stages skipped: no factory block")
+    spec, family, op = build_factory_quasimode(
+        config.omega, config.hessian, config.basis, split,
+        config.factory_alpha0, config.factory_v, config.grid.h_ladder, remainder=config.remainder,
+    )
+    built.update(spec=spec, family=family, op=op)
+    section = {
+        "status": "built",
+        "c": _exact_as_json(spec.c, config.basis),
+        "multiplier_support": len(spec.r),
+        "remainder_enabled": config.remainder,
+    }
+    note = "third-order remainder uses a fixed bounded model realization; only its order is canonical"
+    provenance = _operator_json(spec.basis, spec.omega, spec.hessian, spec.c)
+    provenance.update(r=spec.r.to_json_obj(), remainder=spec.remainder)
+    family_dir = ("family", lambda path: family.save(path, provenance=provenance))
+    return section, {}, [note] if config.remainder else [], family_dir
+
+
+def _verify_stage(config, split, built):
+    """Order, concentration, Galerkin and unique-continuation results of the
+    built family, with the decay series as decay.csv."""
+    spec, family, op = built["spec"], built["family"], built["op"]
     order = verify_quasimode_order(family, spec, config.delta)
     concentration = check_mode_concentration(family, split, config.factory_alpha0, config.epsilon)
     series = [("residual", order.residual_norms)] + [
@@ -685,7 +693,7 @@ def _verify_stage(config, split, spec, family, op):
         for mode in sorted(concentration.mode_fits)
     ]
     hs = [_format_float(h) for h in family.h_ladder]
-    decay_lines = (f"{label},{h},{_format_float(v)}" for label, vs in series for h, v in zip(hs, vs))
+    lines = (f"{label},{h},{_format_float(v)}" for label, vs in series for h, v in zip(hs, vs))
     null = galerkin_nullspace(op, config.truncation, null_tol=config.null_tol)
     box = [config.subdomain] * (config.dimension - split.orbit_dimension)
     uc_value = unique_continuation_constant(null, box).constant if null.basis else None
@@ -730,14 +738,22 @@ def _verify_stage(config, split, spec, family, op):
         "galerkin nullspace": len(null.basis) >= 1,
         "unique continuation": uc_positive,
     }
-    return section, checks, ("decay.csv", ("series", "h", "value"), decay_lines)
+    return section, checks, [], ("decay.csv", lambda path: _write_csv(path, ("series", "h", "value"), lines))
 
 
-def _wavefront_stage(config, split, spec, family, op):
-    """Mass map and nonconcentration verdicts of a built family on the
-    config's grid: (report section, checks, massmap.csv)."""
-    mass_map = wavefront_mass_map(family, config.grid)
+def _wavefront_stage(config, split, built):
+    """Mass map and nonconcentration verdicts of the built family on the
+    config's grid, with the masses as massmap.csv."""
+    mass_map = wavefront_mass_map(built["family"], config.grid)
     verdicts = nonconcentration_report(mass_map, config.thresholds)
+    section = {
+        "fills_torus": verdicts.fills_torus,
+        "fill_fraction_measured": verdicts.fill_fraction_measured,
+        "lagrangian_supported": verdicts.lagrangian_supported,
+        "nonempty_interior": verdicts.nonempty_interior,
+        "subsequence_min_fill": verdicts.subsequence_min_fill,
+        "thresholds": asdict(config.thresholds),
+    }
     checks = {
         "fills torus": verdicts.fills_torus,
         "lagrangian supported": verdicts.lagrangian_supported,
@@ -745,12 +761,8 @@ def _wavefront_stage(config, split, spec, family, op):
     }
     axes = range(config.dimension)
     header = [f"x{i}" for i in axes] + [f"xi{i}" for i in axes] + ["h", "mass"]
-    return verdicts.to_json_obj(), checks, ("massmap.csv", header, _massmap_lines(mass_map))
-
-
-def _spec_provenance(spec: ModelOperatorSpec) -> dict:
-    operator = _operator_json(spec.basis, spec.omega, spec.hessian, spec.c)
-    return {**operator, "r": spec.r.to_json_obj(), "remainder": spec.remainder}
+    massmap = ("massmap.csv", lambda path: _write_csv(path, header, _massmap_lines(mass_map)))
+    return section, checks, [], massmap
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +808,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         for path, message in exc.errors:
             print(f"config error at {path}: {message}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # only the artifact writers touch the file system here
+        print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for name, ok in sorted(report.get("checks", {}).items()):
         print(f"{'PASS' if ok else 'FAIL'} {name}")

@@ -660,7 +660,6 @@ class OrderReport:
 
     residual_norms: tuple[float, ...]
     fit: DecayFit
-    delta: float
     threshold: float
     exact_kernel: bool
     passed: bool
@@ -689,7 +688,6 @@ def verify_quasimode_order(
     return OrderReport(
         residual_norms=norms,
         fit=fit,
-        delta=float(delta),
         threshold=threshold,
         exact_kernel=exact,
         passed=passed,
@@ -701,10 +699,8 @@ class ConcentrationReport:
     """Per-mode decay of off-resonant mass and the resonant-mode floor."""
 
     mode_fits: Mapping[tuple[int, ...], DecayFit]
-    alpha0: tuple[int, ...]
     alpha0_norms: tuple[float, ...]
     alpha0_floor_ok: bool
-    epsilon: float
     threshold: float
     passed: bool
 
@@ -735,10 +731,8 @@ def check_mode_concentration(
     floor_ok = alpha0_norms[-1] >= 0.5
     return ConcentrationReport(
         mode_fits=fits,
-        alpha0=alpha0,
         alpha0_norms=alpha0_norms,
         alpha0_floor_ok=floor_ok,
-        epsilon=float(epsilon),
         threshold=threshold,
         passed=passed,
     )

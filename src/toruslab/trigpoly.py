@@ -278,20 +278,22 @@ class TrigPolynomial:
     @staticmethod
     def from_json_obj(obj: Iterable[Mapping], dim: Optional[int] = None) -> "TrigPolynomial":
         entries = list(obj)
-        if dim is None:
-            if not entries:
-                raise ValueError("cannot infer dimension from an empty coefficient list")
-            dim = len(entries[0]["alpha"])
         coeffs: dict[Frequency, complex] = {}
-        for entry in entries:
+        for index, entry in enumerate(entries):
             unknown = set(entry) - {"alpha", "re", "im"}
             if unknown:
                 raise ValueError(f"unknown coefficient keys {sorted(unknown)}")
+            if "alpha" not in entry:
+                raise ValueError(f"coefficient {index} has no 'alpha'")
             alpha = tuple(int(a) for a in entry["alpha"])
             value = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
             if alpha in coeffs:
                 raise ValueError(f"duplicate frequency {alpha}")
             coeffs[alpha] = value
+        if dim is None:
+            if not entries:
+                raise ValueError("cannot infer dimension from an empty coefficient list")
+            dim = len(entries[0]["alpha"])
         return TrigPolynomial(dim, coeffs)
 
     def __repr__(self) -> str:

@@ -274,12 +274,14 @@ def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap
     if family.dimension != grid.dimension:
         raise ValueError("family and grid dimensions differ")
     distinct, member_index = family.distinct_members()
-    check_massmap_budget(grid, max(map(len, distinct)))
-    nodes = grid.x_nodes
     ladder_slot = dict(zip(family.h_ladder, member_index))
     h_indices: dict[int, list[int]] = {}
     for h_index, h in enumerate(grid.h_ladder):
+        if h not in ladder_slot:
+            raise ValueError(f"grid ladder point h = {h!r} is not on the family's ladder")
         h_indices.setdefault(ladder_slot[h], []).append(h_index)
+    check_massmap_budget(grid, max(map(len, distinct)))
+    nodes = grid.x_nodes
     masses = np.zeros((len(grid.xi_points), nodes.shape[0], len(grid.h_ladder)))
     for slot, indices in h_indices.items():
         u = distinct[slot]
@@ -331,26 +333,11 @@ class WavefrontReport:
     """Node classifications and the three nonconcentration verdicts."""
 
     classifications: np.ndarray
-    thresholds: VerdictThresholds
     fills_torus: bool
     fill_fraction_measured: float
     lagrangian_supported: bool
     nonempty_interior: bool
     subsequence_min_fill: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "fills_torus": self.fills_torus,
-            "fill_fraction_measured": self.fill_fraction_measured,
-            "lagrangian_supported": self.lagrangian_supported,
-            "nonempty_interior": self.nonempty_interior,
-            "subsequence_min_fill": self.subsequence_min_fill,
-            "thresholds": {
-                "in_exponent": self.thresholds.in_exponent,
-                "out_exponent": self.thresholds.out_exponent,
-                "fill_fraction": self.thresholds.fill_fraction,
-            },
-        }
 
 
 def _classify(exponents: np.ndarray, thresholds: VerdictThresholds) -> np.ndarray:
@@ -407,7 +394,6 @@ def nonconcentration_report(
 
     return WavefrontReport(
         classifications=classes,
-        thresholds=thresholds,
         fills_torus=fills_torus,
         fill_fraction_measured=fill,
         lagrangian_supported=lagrangian_supported,

@@ -15,9 +15,24 @@ from toruslab import (
     split_frequencies,
 )
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
+
+# hypothesis's pytest plugin imports this module to write the patch for a
+# falsifying example.  Under filterwarnings = error, the DeprecationWarning
+# that mypy_extensions emits during that import would end the run in an
+# INTERNALERROR instead of a failed test, so the module is imported here
+# once with that warning ignored.  Without libcst the import fails, and the
+# plugin then writes no patch.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # example counts of test_fuzz.py: 25 by default, 500 with
 # --hypothesis-profile=long; loaded here so that a CI environment, where

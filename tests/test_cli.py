@@ -181,7 +181,10 @@ _THRESHOLD_KEYS = "['fill_fraction', 'in_exponent', 'null_tol', 'out_exponent']"
         ({"c": ["1", "2"]}, [("c", "more coordinates than basis elements")]),
         ({"factory": []}, [("factory", "must be an object with keys 'alpha0' and 'v'")]),
         ({"factory": {"alpha0": [0], "v": _FACTORY_V, "w": 1}}, [("factory", "must be an object with keys 'alpha0' and 'v'")]),
-        ({"factory": {"alpha0": [0]}}, [("factory", "'v'")]),
+        # a missing key is named, not raised as a bare KeyError
+        ({"factory": {"alpha0": [0]}}, [("factory", "must be an object with keys 'alpha0' and 'v'")]),
+        ({"factory": {"v": _FACTORY_V}}, [("factory", "must be an object with keys 'alpha0' and 'v'")]),
+        ({"factory": {"alpha0": [0], "v": [{"re": 1.0}]}}, [("factory", "coefficient 0 has no 'alpha'")]),
         ({"factory": {"alpha0": 5, "v": _FACTORY_V}}, [("factory", "'int' object is not iterable")]),
         (
             {"factory": {"alpha0": [2000000], "v": _FACTORY_V}},
@@ -343,12 +346,29 @@ def test_huge_bordered_matrix_fails_hypothesis_d(tmp_path, overrides, det):
     assert report["hypotheses"]["D_isoenergetically_nondegenerate"]["bordered_determinant"] == pytest.approx(det)
 
 
-def test_pipeline_rejects_non_resonant_explicit_c(tmp_path):
-    # with omega_tilde = +-1 an explicit c = 1/2 admits no integer mode
-    config = parse_config(_config(tmp_path, {"c": ["1/2"]}).read_text())
+@pytest.mark.parametrize(
+    "overrides, path",
+    [
+        ({"grid": {"points_per_axis": 100000}}, "grid.points_per_axis"),
+        ({"factory": {**GOLDEN["factory"], "alpha0": [0, 0]}}, "factory.alpha0"),
+        ({"factory": {"alpha0": [0], "v": [{"alpha": [0, 0], "re": 1.0}]}}, "factory.v"),
+        ({"truncation": 100000}, "truncation"),
+        # with omega_tilde = +-1 an explicit c = 1/2 admits no integer mode
+        ({"c": ["1/2"]}, "c"),
+    ],
+)
+def test_refusals_after_the_parse_write_nothing(tmp_path, overrides, path):
+    # these refusals need the stage list or the splitting; they come before
+    # any stage runs, and an older report in the output directory stays
+    config = parse_config(_config(tmp_path, overrides).read_text())
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.json").write_text("older report\n")
     with pytest.raises(ConfigError) as err:
-        run_pipeline(config, ("split", "build"), tmp_path / "out")
-    assert any(path == "c" for path, _ in err.value.errors)
+        run_pipeline(config, cli._STAGES, out)
+    assert [where for where, _ in err.value.errors] == [path]
+    assert [child.name for child in out.iterdir()] == ["report.json"]
+    assert (out / "report.json").read_text() == "older report\n"
 
 
 def test_explicit_c_resonant_beyond_search_box_reports(tmp_path):
@@ -430,6 +450,10 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main(["all", "--config", str(rejected)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert cause in err and "Traceback" not in err
+    # an output directory that names a file is an error, not a traceback
+    (tmp_path / "a-file").write_text("")
+    assert main(["split", "--config", str(config_path), "--out", str(tmp_path / "a-file")]) == EXIT_USAGE
+    assert "error: cannot write artifacts: " in capsys.readouterr().err
     # argument errors are usage errors too; --help is not an error
     for argv, cause in (
         (["all", "--config", str(config_path), "--bogus"], "--bogus"),

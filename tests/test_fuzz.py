@@ -1,13 +1,19 @@
 """Random small configs, also with one top-level value replaced from a
 pool of malformed values, end in a config error or a report, never in
 another exception; every config that parses echoes a config that parses
-to the same echo, and every mass map written has the bytes of the
+to the same echo, a config error from run_pipeline leaves the output
+directory empty, and every mass map written has the bytes of the
 per-node reference writer."""
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +64,8 @@ def configs(draw) -> dict:
         "basis": basis,
         "omega": [[str(x) for x in row] for row in omega],
         "hessian": hessian,
+        # alpha0 is 0, so an explicit c of 0 is resonant and 1/2 is refused
+        "c": draw(st.sampled_from(["resonant", "0", "1/2"])),
         "factory": None if draw(st.integers(0, 5)) == 5 else {"alpha0": [0] * k, "v": profile},
         "remainder": draw(st.booleans()),
         "h_ladder": ladder,
@@ -105,6 +113,8 @@ def test_random_configs_end_in_config_error_or_report(tmp_path_factory, config):
             patch.setattr(cli, "wavefront_mass_map", spy)
             code, report = run_pipeline(parsed, cli._STAGES, out)
     except ConfigError:
+        # refusals that need the splitting come before anything is written
+        assert not any(out.iterdir())
         return
     assert code in (EXIT_PASS, EXIT_CHECK_FAILED)
     assert report["status"] in ("pass", "fail")
@@ -115,3 +125,26 @@ def test_random_configs_end_in_config_error_or_report(tmp_path_factory, config):
         header = ",".join([f"x{i}" for i in axes] + [f"xi{i}" for i in axes] + ["h", "mass"])
         lines = [header, *massmap_lines_oracle(mass_map)]
         assert (out / "massmap.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_a_failing_property_test_fails_without_internal_error(tmp_path):
+    # hypothesis's pytest plugin writes a patch for the falsifying example;
+    # under filterwarnings = error, conftest.py keeps that from ending the
+    # run in an INTERNALERROR
+    tests = Path(__file__).resolve().parent
+    shutil.copy(tests / "conftest.py", tmp_path / "conftest.py")
+    (tmp_path / "pytest.ini").write_text("[pytest]\nfilterwarnings = error\n")
+    (tmp_path / "test_failing.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_below_five(x):\n"
+        "    assert x < 5\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(tests.parent / "src")}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_failing.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == pytest.ExitCode.TESTS_FAILED, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed" in run.stdout and "Falsifying example" in run.stdout

@@ -121,6 +121,17 @@ def test_mass_map_refuses_grid_over_budget(golden, monkeypatch):
     assert wavefront.check_massmap_budget(PhaseSpaceGrid.standard(2, 32, golden.ladder)) == 368640
 
 
+def test_mass_map_refuses_a_grid_ladder_point_off_the_family_ladder(golden, monkeypatch):
+    # the grid's ladder 2^-5..2^-13 ends below the family's 2^-4..2^-12
+    def no_nodes(self):
+        raise AssertionError("the grid nodes were about to be built")
+
+    monkeypatch.setattr(PhaseSpaceGrid, "x_nodes", property(no_nodes))
+    grid = PhaseSpaceGrid.standard(2, 8, default_h_ladder(5, 13))
+    with pytest.raises(ValueError, match=r"h = 0\.0001220703125 is not on the family's ladder"):
+        wavefront_mass_map(golden.family, grid)
+
+
 def _wide_family(golden, terms=500):
     """The golden family with profile 2 + sum_{k <= terms} 1e-4/k cos(2 pi k z):
     1001 coefficients per member."""
