@@ -37,7 +37,7 @@ from .operator import (
     assemble_Q_alpha,
     transform_quadratic_form,
 )
-from .trigpoly import TrigPolynomial
+from .trigpoly import TrigPolynomial, _product_table
 
 __all__ = [
     "DecayFit",
@@ -576,35 +576,15 @@ def _box_integral(left, right, weights, radius: int) -> complex:
 
     Bit for bit what the dict convolution of left with conj(right)
     followed by a running sum of value * weight over the product's keys
-    gives: products are summed per offset in the order of left's
-    coefficients, the keys keep the order in which the double loop first
-    reaches them, and every complex product is written in explicit real
-    arithmetic.  An offset whose products sum to an exact zero, which the
-    dict drops, adds only a signed zero to the running sum (the weights
-    are finite), and the final + 0.0 of _sequential_sum absorbs its sign."""
-    fa, a = left
+    gives: the product is the order-preserving kernel of convolve, and
+    each value * weight is written in explicit real arithmetic."""
     fb, b = right
-    fb, b = -fb, b.conj()
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    q = fa.shape[1]
+    offsets, values = _product_table(left, (-fb, b.conj()))
     width = 4 * radius + 1
-    # offset a + b sits at (a + b + 2 radius) . strides in the flat box
-    strides = width ** np.arange(q - 1, -1, -1)
-    flat = ((fa + 2 * radius) @ strides)[:, None] + (fb @ strides)[None, :]
-    prod_re = ar[:, None] * br - ai[:, None] * bi
-    prod_im = ar[:, None] * bi + ai[:, None] * br
-    acc_re = np.zeros(width**q)
-    acc_im = np.zeros(width**q)
-    touched = np.zeros(width**q, dtype=bool)
-    reached = [np.zeros(0, dtype=np.intp)]  # offsets in the order first reached
-    for row, re, im in zip(flat, prod_re, prod_im):
-        acc_re[row] += re
-        acc_im[row] += im
-        reached.append(row[~touched[row]])
-        touched[row] = True
-    keys = np.concatenate(reached)
-    vr, vi = acc_re[keys], acc_im[keys]
-    wr, wi = weights[0][keys], weights[1][keys]
+    # offset delta sits at (delta + 2 radius) . strides in the flat box
+    flat = (offsets + 2 * radius) @ (width ** np.arange(offsets.shape[1] - 1, -1, -1))
+    vr, vi = values.real, values.imag
+    wr, wi = weights[0][flat], weights[1][flat]
     return complex(_sequential_sum(vr * wr - vi * wi), _sequential_sum(vr * wi + vi * wr))
 
 

@@ -6,18 +6,163 @@ norms and inner products are plain l2 operations on the coefficients.
 Products are exact convolutions over the finite supports, with no
 truncation.  Grid transforms (for oracles and for re-expansion of
 quotients) go through numpy's FFT.
+
+Products, relabelings and the Hermitian check are array kernels over the
+coefficient tables with the bits and key order of the plain loops over
+the coefficients (see _product_table).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["TrigPolynomial"]
+__all__ = ["TrigPolynomial", "PRODUCT_SCRATCH_BYTES"]
 
 Frequency = tuple[int, ...]
+
+#: Bound on the scratch memory of one series product beyond its result.
+#: Half of it bounds the dense box of the product's frequencies, which is
+#: used only when its box fits; the other half bounds the blocks of terms,
+#: taken in left-major order, in which the products are formed and summed.
+PRODUCT_SCRATCH_BYTES = 8 << 20
+
+_INT64_MAX = np.iinfo(np.int64).max
+# a dense cell holds the real and imaginary sums and the first position
+_DENSE_CELLS = PRODUCT_SCRATCH_BYTES // (2 * 24)
+
+
+def _flat_keys(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """One int64 per row of equal-length integer columns, equal exactly
+    when the rows are: a mixed-radix number over each column's range.
+    Before a column whose range would overflow int64, the number so far
+    and the column are replaced by their ranks, which stay below the row
+    count."""
+    flat = np.zeros(len(columns[0]), dtype=np.int64)
+    if not len(flat):
+        return flat
+    span = 1
+    for column in columns:
+        low = int(column.min())
+        width = int(column.max()) - low + 1
+        if span * width > _INT64_MAX:
+            ranks, flat = np.unique(flat, return_inverse=True)
+            values, column = np.unique(column, return_inverse=True)
+            span, low, width = len(ranks), 0, len(values)
+        flat = flat * width + (column - low)
+        span *= width
+    return flat
+
+
+def _merge_keys(known: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct frequency rows of known, followed by those of rows not
+    among them in the order rows first reaches them, and the index of each
+    of rows among the result.
+
+    One sort of the rows keyed by (frequency, position): each frequency's
+    run starts at its first position."""
+    combined = np.concatenate([known, rows])
+    count = len(combined)
+    position = np.arange(count)
+    # the position is the last digit and has width count, ranked or not
+    keyed = np.sort(_flat_keys([*combined.T, position]))
+    flat, position = np.divmod(keyed, count)
+    starts = np.empty(count, dtype=bool)
+    starts[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    first = position[starts]
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    index = np.empty(count, dtype=np.intp)
+    index[position] = rank[np.cumsum(starts) - 1]
+    return combined[first[order]], index[len(known):]
+
+
+def _nonzero_table(freqs, re, im) -> tuple[np.ndarray, np.ndarray]:
+    """The table of the summed parts, without its exact zeros."""
+    keep = (re != 0) | (im != 0)
+    values = np.empty(int(keep.sum()), dtype=complex)
+    values.real, values.imag = re[keep], im[keep]
+    return freqs[keep], values
+
+
+def _blocks(rows: int, cols: int, dim: int):
+    """(i0, i1, j0, j1) blocks of the rows x cols terms of a product in
+    left-major order: whole rows while one fits, else pieces of one row."""
+    # bytes of scratch per term: the sum rows and their copy, the keys and
+    # positions, a sort's workspace, the products and their temporaries
+    terms = max(1, PRODUCT_SCRATCH_BYTES // (2 * (16 * dim + 160)))
+    step_i, step_j = max(1, terms // cols), min(cols, terms)
+    for i in range(0, rows, step_i):
+        for j in range(0, cols, step_j):
+            yield i, min(i + step_i, rows), j, min(j + step_j, cols)
+
+
+def _product_table(left, right) -> tuple[np.ndarray, np.ndarray]:
+    """The table() of the coefficient convolution of two table()s.
+
+    Bit for bit the dict loop over left's terms, then right's, that adds
+    each product to out.get(a + b, 0j) and drops exact zeros: products are
+    formed in explicit real arithmetic, as Python's complex product
+    computes them, and summed per frequency with np.add.at from 0.0 in the
+    loop's order; frequencies keep the order in which the loop first
+    reaches them.  When the box of the product's frequencies has at most
+    _DENSE_CELLS cells, the sums and first positions live in a dense box
+    indexed by a mixed-radix number, which is additive over a + b;
+    otherwise each block's frequencies are merged into the sorted ones
+    (see _merge_keys)."""
+    fa, a = left
+    fb, b = right
+    dim = fa.shape[1]
+    count = len(a) * len(b)
+    if not count:
+        return np.empty((0, dim), dtype=np.intp), np.empty(0, dtype=complex)
+    low_a, low_b = fa.min(axis=0), fb.min(axis=0)
+    lows = [x + y for x, y in zip(low_a.tolist(), low_b.tolist())]
+    highs = [x + y for x, y in zip(fa.max(axis=0).tolist(), fb.max(axis=0).tolist())]
+    if any(abs(x) > _INT64_MAX for x in lows + highs):
+        raise OverflowError("frequency sums overflow int64")
+    widths = [high - low + 1 for low, high in zip(lows, highs)]
+    cells = math.prod(widths)
+    dense = cells <= _DENSE_CELLS
+    if dense:
+        strides = np.array([math.prod(widths[k + 1 :]) for k in range(dim)], dtype=np.int64)
+        ka, kb = (fa - low_a) @ strides, (fb - low_b) @ strides
+        re, im, first = np.zeros(cells), np.zeros(cells), np.full(cells, count)
+    else:
+        freqs, re, im = np.empty((0, dim), dtype=np.intp), np.empty(0), np.empty(0)
+    ar, ai, br, bi = (np.ascontiguousarray(x) for x in (a.real, a.imag, b.real, b.imag))
+    for i0, i1, j0, j1 in _blocks(len(a), len(b), dim):
+        A, B = slice(i0, i1), slice(j0, j1)
+        if dense:
+            ids = (ka[A, None] + kb[B]).ravel()
+            # a block is whole rows or a piece of one row, so its
+            # positions are consecutive
+            np.minimum.at(first, ids, np.arange(i0 * len(b) + j0, (i1 - 1) * len(b) + j1))
+        else:
+            sums = fa[A, None, :] + fb[None, B, :]
+            freqs, ids = _merge_keys(freqs, sums.reshape((i1 - i0) * (j1 - j0), dim))
+            grow = np.zeros(len(freqs) - len(re))
+            re, im = np.concatenate([re, grow]), np.concatenate([im, grow])
+        np.add.at(re, ids, (ar[A, None] * br[B] - ai[A, None] * bi[B]).ravel())
+        np.add.at(im, ids, (ar[A, None] * bi[B] + ai[A, None] * br[B]).ravel())
+    if dense:
+        i, j = np.divmod(np.sort(first[first < count]), len(b))
+        reached = ka[i] + kb[j]
+        return _nonzero_table(fa[i] + fb[j], re[reached], im[reached])
+    return _nonzero_table(freqs, re, im)
+
+
+def _magnitudes(values: np.ndarray) -> np.ndarray:
+    """|v| of each value by libm hypot, which abs() of a complex calls too;
+    like abs(), raises (FloatingPointError, an ArithmeticError) where a
+    finite value's magnitude overflows."""
+    with np.errstate(over="raise"):
+        return np.hypot(values.real, values.imag)
 
 
 def _as_frequency(alpha, dim: int) -> Frequency:
@@ -51,9 +196,19 @@ class TrigPolynomial:
         whose values are complex, as the results of the algebra on
         validated series are: skips the key check, still drops exact
         zeros."""
+        return cls._from_store(dim, {a: v for a, v in coeffs.items() if v != 0})
+
+    @classmethod
+    def _from_table(cls, dim: int, freqs: np.ndarray, values: np.ndarray) -> "TrigPolynomial":
+        """A series from a table with distinct rows and no exact zeros, as
+        the kernels return it, in the table's order."""
+        return cls._from_store(dim, dict(zip(map(tuple, freqs.tolist()), values.tolist())))
+
+    @classmethod
+    def _from_store(cls, dim: int, store: dict[Frequency, complex]) -> "TrigPolynomial":
         out = object.__new__(cls)
         object.__setattr__(out, "dim", dim)
-        object.__setattr__(out, "_coeffs", {a: v for a, v in coeffs.items() if v != 0})
+        object.__setattr__(out, "_coeffs", store)
         return out
 
     def __setattr__(self, name, value):
@@ -100,8 +255,9 @@ class TrigPolynomial:
     def table(self) -> tuple[np.ndarray, np.ndarray]:
         """Frequencies as a (len, dim) intp array and coefficients as a
         complex array, both in insertion order."""
-        freqs = np.array(list(self._coeffs), dtype=np.intp).reshape(len(self), self.dim)
-        return freqs, np.array(list(self._coeffs.values()), dtype=complex)
+        count = len(self._coeffs)
+        flat = np.fromiter(itertools.chain.from_iterable(self._coeffs), dtype=np.intp, count=count * self.dim)
+        return flat.reshape(count, self.dim), np.fromiter(self._coeffs.values(), dtype=complex, count=count)
 
     def __len__(self) -> int:
         return len(self._coeffs)
@@ -156,14 +312,9 @@ class TrigPolynomial:
 
     def convolve(self, other: "TrigPolynomial") -> "TrigPolynomial":
         """Coefficient convolution, i.e. the coefficients of the pointwise
-        product; exact over the finite supports."""
+        product; exact over the finite supports (see _product_table)."""
         self._check_dim(other)
-        out: dict[Frequency, complex] = {}
-        for a, va in self._coeffs.items():
-            for b, vb in other._coeffs.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                out[key] = out.get(key, 0j) + va * vb
-        return TrigPolynomial._from_valid(self.dim, out)
+        return TrigPolynomial._from_table(self.dim, *_product_table(self.table(), other.table()))
 
     def inner(self, other: "TrigPolynomial") -> complex:
         """L2 inner product <self, other>, conjugate-linear on the right."""
@@ -180,7 +331,10 @@ class TrigPolynomial:
         return acc
 
     def norm(self) -> float:
-        return math.sqrt(math.fsum(abs(v) ** 2 for v in self._coeffs.values()))
+        # abs() is libm hypot and ** 2 is libm pow, which rounds differently
+        # from the multiply numpy squares with for about one value in a
+        # thousand; both raise OverflowError where a finite value overflows
+        return math.sqrt(math.fsum(map(pow, map(abs, self._coeffs.values()), itertools.repeat(2))))
 
     def prune(self, tol: float) -> "TrigPolynomial":
         """Drop coefficients with magnitude at or below tol."""
@@ -190,27 +344,44 @@ class TrigPolynomial:
 
     def hermitian_defect(self) -> float:
         """max |c(-alpha) - conj(c(alpha))|; zero exactly when the series is
-        real-valued."""
-        worst = 0.0
-        for alpha, value in self._coeffs.items():
-            mirrored = self._coeffs.get(tuple(-a for a in alpha), 0j)
-            worst = max(worst, abs(mirrored - value.conjugate()))
-        return worst
+        real-valued, NaN when a coefficient is."""
+        freqs, values = self.table()
+        keys, mirror = _merge_keys(freqs, -freqs)
+        padded = np.zeros(len(keys), dtype=complex)
+        padded[: len(values)] = values
+        # a difference overflows to inf silently, as a complex subtraction does
+        with np.errstate(over="ignore"):
+            defect = padded[mirror] - values.conj()
+        return float(_magnitudes(defect).max(initial=0.0))
 
     def is_real_valued(self, tol: float = 0.0) -> bool:
-        scale = max((abs(v) for v in self._coeffs.values()), default=0.0)
-        return self.hermitian_defect() <= tol * scale
+        """Whether the Hermitian defect is at most tol times the largest
+        coefficient magnitude; a series with a non-finite coefficient is
+        not real-valued."""
+        values = np.fromiter(self._coeffs.values(), dtype=complex, count=len(self._coeffs))
+        if not np.isfinite(values).all():
+            return False
+        return bool(self.hermitian_defect() <= tol * _magnitudes(values).max(initial=0.0))
 
     def map_frequencies(self, matrix: Sequence[Sequence[int]]) -> "TrigPolynomial":
         """Relabel each frequency alpha to matrix @ alpha (an exact integer
-        relabeling; with a unimodular matrix this permutes coefficients)."""
+        relabeling; with a unimodular matrix this permutes coefficients).
+        Coefficients whose labels collide are summed from 0.0 in the
+        series' order, and the labels keep the order first reached."""
         rows = [tuple(int(x) for x in row) for row in matrix]
-        new_dim = len(rows)
-        out: dict[Frequency, complex] = {}
-        for alpha, value in self._coeffs.items():
-            key = tuple(sum(r[j] * alpha[j] for j in range(self.dim)) for r in rows)
-            out[key] = out.get(key, 0j) + value
-        return TrigPolynomial._from_valid(new_dim, out)
+        for row in rows:
+            if len(row) != self.dim:
+                raise ValueError(f"matrix row {list(row)} has length {len(row)}, not the series dimension {self.dim}")
+        lift = np.array(rows, dtype=np.intp).reshape(len(rows), self.dim)
+        freqs, values = self.table()
+        largest_row = max((sum(abs(x) for x in row) for row in rows), default=0)
+        if int(np.abs(freqs).max(initial=0)) * largest_row > _INT64_MAX:
+            raise OverflowError("relabeled frequencies overflow int64")
+        keys, ids = _merge_keys(np.empty((0, len(rows)), dtype=np.intp), freqs @ lift.T)
+        re, im = np.zeros(len(keys)), np.zeros(len(keys))
+        np.add.at(re, ids, values.real)
+        np.add.at(im, ids, values.imag)
+        return TrigPolynomial._from_table(len(rows), *_nonzero_table(keys, re, im))
 
     # -- evaluation and grid transforms -------------------------------------
 

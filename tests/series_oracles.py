@@ -1,0 +1,73 @@
+"""The per-coefficient dict loops that TrigPolynomial's array kernels
+reproduce bit for bit, kept as the references the tests compare against."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from toruslab import TrigPolynomial
+from toruslab import quasimode
+
+
+def conjugate(p: TrigPolynomial) -> TrigPolynomial:
+    """The coefficients of the complex conjugate function."""
+    return TrigPolynomial(p.dim, {tuple(-a for a in alpha): value.conjugate() for alpha, value in p.items()})
+
+
+def convolve_oracle(p: TrigPolynomial, q: TrigPolynomial) -> TrigPolynomial:
+    out: dict = {}
+    for a, va in p.items():
+        for b, vb in q.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            out[key] = out.get(key, 0j) + va * vb
+    return TrigPolynomial(p.dim, out)
+
+
+def map_frequencies_oracle(p: TrigPolynomial, matrix) -> TrigPolynomial:
+    rows = [tuple(int(x) for x in row) for row in matrix]
+    out: dict = {}
+    for alpha, value in p.items():
+        key = tuple(sum(r[j] * alpha[j] for j in range(p.dim)) for r in rows)
+        out[key] = out.get(key, 0j) + value
+    return TrigPolynomial(len(rows), out)
+
+
+def hermitian_defect_oracle(p: TrigPolynomial) -> float:
+    """The defect as a running max from 0.0, which skips NaN: a reference
+    for finite coefficients only."""
+    coeffs = dict(p.items())
+    worst = 0.0
+    for alpha, value in coeffs.items():
+        mirrored = coeffs.get(tuple(-a for a in alpha), 0j)
+        worst = max(worst, abs(mirrored - value.conjugate()))
+    return worst
+
+
+def norm_oracle(p: TrigPolynomial) -> float:
+    return math.sqrt(math.fsum(abs(v) ** 2 for _, v in p.items()))
+
+
+def gram_oracle(basis, box) -> np.ndarray:
+    """The unique-continuation Gram as a dict convolution and a running
+    sum per entry, with the kernel's final symmetrization."""
+    dim = len(basis)
+    gram = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            product = convolve_oracle(basis[i], conjugate(basis[j]))
+            total = 0j
+            for delta, value in product.items():
+                weight = 1.0 + 0j
+                for d, (lo, hi) in zip(delta, box):
+                    weight *= quasimode._interval_integral(d, lo, hi)
+                total += value * weight
+            gram[i, j] = total
+    return 0.5 * (gram + gram.conj().T)
+
+
+def bits(p: TrigPolynomial) -> tuple[list, bytes]:
+    """The frequencies in the series' order and the bytes of its
+    coefficients."""
+    return [alpha for alpha, _ in p.items()], np.array([v for _, v in p.items()], dtype=complex).tobytes()

@@ -777,11 +777,12 @@ def _environment() -> dict:
         ("sweep", "*", "quasiconvexity_fails"),
         ("three-torus", "*", "three-torus"),
     ]
-    # the q = 2 generated instances of recorded sweep seed 3
+    # the generated instances of recorded sweep seed 3; with the two
+    # shipped ones above, all 26 of its instances
     + [
         ("sweep", "3", instance.name)
         for instance in _perfbench_module("workloads").instances(ROOT, "sweep", 3)
-        if "q2" in instance.name
+        if instance.name.startswith("gen")
     ],
 )
 def test_shipped_configs_match_recorded_bytes(tmp_path, workload, seed, name):

@@ -41,7 +41,7 @@ from toruslab import quasimode
 from toruslab.quasimode import DecayFit
 from toruslab.wavefront import PhaseSpaceGrid, symbol_scale
 
-from test_trigpoly import conjugate
+from series_oracles import gram_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -653,24 +653,6 @@ def test_unique_continuation_monotone_in_subdomain(golden):
         assert smaller <= larger + 1e-12
 
 
-def _nested_loop_gram(basis, box):
-    """The Gram as a dict convolution and a running sum per entry, with
-    the kernel's final symmetrization: the oracle for its bits."""
-    dim = len(basis)
-    gram = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            product = basis[i].convolve(conjugate(basis[j]))
-            total = 0j
-            for delta, value in product.items():
-                weight = 1.0 + 0j
-                for d, (lo, hi) in zip(delta, box):
-                    weight *= quasimode._interval_integral(d, lo, hi)
-                total += value * weight
-            gram[i, j] = total
-    return 0.5 * (gram + gram.conj().T)
-
-
 def _hand_built_nullspace(basis):
     return quasimode.GalerkinNullspace(
         truncation=4, basis=tuple(basis), eigenvalues=(0.0,) * len(basis), scale=1.0, frequencies=()
@@ -699,7 +681,7 @@ def _random_series(rng, q, radius, count):
 
 def _assert_gram_matches_oracle(basis, box):
     result = unique_continuation_constant(_hand_built_nullspace(basis), box)
-    oracle = _nested_loop_gram(basis, box)
+    oracle = gram_oracle(basis, box)
     assert result.gram.tobytes() == oracle.tobytes()
     assert result.constant == float(np.linalg.eigh(oracle)[0][0])
 

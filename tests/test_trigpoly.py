@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from toruslab import TrigPolynomial
+from toruslab import TrigPolynomial, assemble_Q_alpha, galerkin_nullspace, transform_quadratic_form
 
-
-def conjugate(p: TrigPolynomial) -> TrigPolynomial:
-    """The coefficients of the complex conjugate function: the oracle Gram
-    of the unique-continuation tests convolves with it."""
-    return TrigPolynomial(p.dim, {tuple(-a for a in alpha): value.conjugate() for alpha, value in p.items()})
+from series_oracles import conjugate
 
 
 def _random_poly(rng, dim, radius, count):
@@ -79,6 +78,34 @@ def test_conjugate_and_real_detection():
     not_real = TrigPolynomial(1, {(1,): 1.0})
     assert not not_real.is_real_valued()
     assert conjugate(not_real) == TrigPolynomial(1, {(-1,): 1.0})
+
+
+def test_non_finite_coefficient_is_not_real_valued(golden):
+    # a running max skips the NaN defect; the check must not
+    nan_series = TrigPolynomial(1, {(1,): 1.0, (-1,): complex(1.0, math.nan)})
+    assert math.isnan(nan_series.hermitian_defect())
+    assert not nan_series.is_real_valued(1e-12)
+    for bad in (math.inf, complex(0.0, -math.inf), complex(math.nan, 0.0)):
+        assert not TrigPolynomial(1, {(0,): bad}).is_real_valued(1.0)
+        assert not TrigPolynomial(1, {(1,): bad, (-1,): bad}).is_real_valued(1.0)
+    # the checks on the multiplier r and on the Galerkin problem refuse it
+    r = TrigPolynomial(2, {(1, 0): 1.0, (-1, 0): complex(1.0, math.nan)})
+    with pytest.raises(ValueError, match="real-valued"):
+        dataclasses.replace(golden.spec, r=r)
+    form = transform_quadratic_form(golden.hessian, golden.split)
+    with pytest.raises(ValueError, match="real-valued"):
+        galerkin_nullspace(assemble_Q_alpha(form, (0,), nan_series), 8)
+
+
+def test_map_frequencies_rejects_rows_of_the_wrong_length():
+    p = TrigPolynomial(2, {(1, 2): 1.0, (0, -1): 0.5})
+    with pytest.raises(ValueError, match="has length 3, not the series dimension 2"):
+        p.map_frequencies([[1, 0, 7]])
+    with pytest.raises(ValueError, match="has length 1, not the series dimension 2"):
+        p.map_frequencies([[1]])
+    with pytest.raises(ValueError, match="has length 1"):
+        p.map_frequencies([[1, 0], [1]])
+    assert p.map_frequencies([[1, 1]]) == TrigPolynomial(1, {(3,): 1.0, (-1,): 0.5})
 
 
 def test_evaluate_matches_naive_sum():
