@@ -612,7 +612,7 @@ def unique_continuation_constant(
         raise ValueError("subdomain must have positive volume")
     dim = len(null.basis)
     tables = [u.table() for u in null.basis]
-    radius = max(u.support_radius() for u in null.basis)
+    radius = max(int(np.abs(f).max(initial=0)) for f, _ in tables)
     weights = _box_weights(box, radius)
     gram = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):

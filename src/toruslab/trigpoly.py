@@ -24,15 +24,17 @@ __all__ = ["TrigPolynomial", "PRODUCT_SCRATCH_BYTES"]
 
 Frequency = tuple[int, ...]
 
-#: Bound on the scratch memory of one series product beyond its result.
-#: Half of it bounds the dense box of the product's frequencies, which is
-#: used only when its box fits; the other half bounds the blocks of terms,
-#: taken in left-major order, in which the products are formed and summed.
+#: Bound on the scratch memory of the blocks of terms, taken in left-major
+#: order, in which a series product is formed and summed.  Beyond it, a
+#: product keeps a fixed number of bytes per frequency of its result (see
+#: _product_table).
 PRODUCT_SCRATCH_BYTES = 8 << 20
 
 _INT64_MAX = np.iinfo(np.int64).max
-# a dense cell holds the real and imaginary sums and the first position
-_DENSE_CELLS = PRODUCT_SCRATCH_BYTES // (2 * 24)
+# random keys of a wide product collide on one attempt with a chance below
+# (frequencies / 2**(63 - place bits))**2, so this many fail together only
+# when the keys are kept wrongly
+_KEY_ATTEMPTS = 8
 
 
 def _flat_keys(columns: Sequence[np.ndarray]) -> np.ndarray:
@@ -85,21 +87,41 @@ def _merge_keys(known: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
 def _nonzero_table(freqs, re, im) -> tuple[np.ndarray, np.ndarray]:
     """The table of the summed parts, without its exact zeros."""
     keep = (re != 0) | (im != 0)
-    values = np.empty(int(keep.sum()), dtype=complex)
+    values = np.empty(np.count_nonzero(keep), dtype=complex)
     values.real, values.imag = re[keep], im[keep]
     return freqs[keep], values
+
+
+def _block_terms(dim: int) -> int:
+    """Terms in a block of a product on T^dim."""
+    # bytes of scratch per term: the buffers of keys, places, ids and
+    # products, the run ids, and the sum rows that check colliding keys
+    return max(1, PRODUCT_SCRATCH_BYTES // (2 * (16 * dim + 160)))
 
 
 def _blocks(rows: int, cols: int, dim: int):
     """(i0, i1, j0, j1) blocks of the rows x cols terms of a product in
     left-major order: whole rows while one fits, else pieces of one row."""
-    # bytes of scratch per term: the sum rows and their copy, the keys and
-    # positions, a sort's workspace, the products and their temporaries
-    terms = max(1, PRODUCT_SCRATCH_BYTES // (2 * (16 * dim + 160)))
+    terms = _block_terms(dim)
     step_i, step_j = max(1, terms // cols), min(cols, terms)
     for i in range(0, rows, step_i):
         for j in range(0, cols, step_j):
             yield i, min(i + step_i, rows), j, min(j + step_j, cols)
+
+
+def _frequency_keys(fa, fb, low_a, low_b, widths, place_bits: int, attempt: int):
+    """int64 keys ka, kb of left's and right's frequencies, and whether they
+    are exact.  The frequency fa[i] + fb[j] keys as ka[i] + kb[j], in
+    wrapping arithmetic, and the low place_bits bits of every key are
+    clear.  While the product's frequency box has fewer cells than the
+    high bits can count, its mixed radix keys it exactly; a wider box
+    takes random odd weights, the attempt's, and its keys may collide."""
+    if math.prod(widths) < 1 << (63 - place_bits):
+        radix = np.array([math.prod(widths[k + 1 :]) << place_bits for k in range(len(widths))], dtype=np.int64)
+        return (fa - low_a) @ radix, (fb - low_b) @ radix, True
+    weights = np.random.default_rng(attempt).integers(-_INT64_MAX, _INT64_MAX, len(widths), dtype=np.int64) | 1
+    weights <<= place_bits
+    return fa @ weights, fb @ weights, False
 
 
 def _product_table(left, right) -> tuple[np.ndarray, np.ndarray]:
@@ -110,11 +132,19 @@ def _product_table(left, right) -> tuple[np.ndarray, np.ndarray]:
     formed in explicit real arithmetic, as Python's complex product
     computes them, and summed per frequency with np.add.at from 0.0 in the
     loop's order; frequencies keep the order in which the loop first
-    reaches them.  When the box of the product's frequencies has at most
-    _DENSE_CELLS cells, the sums and first positions live in a dense box
-    indexed by a mixed-radix number, which is additive over a + b;
-    otherwise each block's frequencies are merged into the sorted ones
-    (see _merge_keys)."""
+    reaches them.
+
+    Terms go in left-major blocks (see _blocks).  One sort of a block's
+    keys (see _frequency_keys), each with the term's place in the block in
+    its low bits, gives the block's distinct keys and where it first
+    reaches each.  They are looked up among the sorted entries, key and id
+    in one int64, of the blocks before; those not found take the next ids
+    in the order the block first reaches them.  Beyond the blocks, a
+    product keeps those entries, and the sums and first term of each id in
+    arrays grown by doubling: at most 96 + 32 dim bytes per frequency of
+    the result, the result included.  Keys that may collide are checked
+    against the frequencies they stand for, and a collision starts the
+    product over with the next attempt's keys, up to _KEY_ATTEMPTS."""
     fa, a = left
     fb, b = right
     dim = fa.shape[1]
@@ -127,34 +157,69 @@ def _product_table(left, right) -> tuple[np.ndarray, np.ndarray]:
     if any(abs(x) > _INT64_MAX for x in lows + highs):
         raise OverflowError("frequency sums overflow int64")
     widths = [high - low + 1 for low, high in zip(lows, highs)]
-    cells = math.prod(widths)
-    dense = cells <= _DENSE_CELLS
-    if dense:
-        strides = np.array([math.prod(widths[k + 1 :]) for k in range(dim)], dtype=np.int64)
-        ka, kb = (fa - low_a) @ strides, (fb - low_b) @ strides
-        re, im, first = np.zeros(cells), np.zeros(cells), np.full(cells, count)
-    else:
-        freqs, re, im = np.empty((0, dim), dtype=np.intp), np.empty(0), np.empty(0)
+    # places in a block and ids are below count
+    place_bits = count.bit_length()
+    low = (1 << place_bits) - 1
+    # the blocks reuse one set of buffers, so no block allocates its terms
+    # afresh (fresh arrays of this size can cost more in page faults than
+    # the arithmetic on them)
+    terms = min(count, _block_terms(dim))
+    block_places = np.arange(terms)
+    keyed_, places_, term_ids_ = (np.empty(terms, dtype=np.int64) for _ in range(3))
+    x_, y_ = np.empty(terms), np.empty(terms)
     ar, ai, br, bi = (np.ascontiguousarray(x) for x in (a.real, a.imag, b.real, b.imag))
-    for i0, i1, j0, j1 in _blocks(len(a), len(b), dim):
-        A, B = slice(i0, i1), slice(j0, j1)
-        if dense:
-            ids = (ka[A, None] + kb[B]).ravel()
-            # a block is whole rows or a piece of one row, so its
-            # positions are consecutive
-            np.minimum.at(first, ids, np.arange(i0 * len(b) + j0, (i1 - 1) * len(b) + j1))
+    for attempt in range(_KEY_ATTEMPTS):
+        ka, kb, exact = _frequency_keys(fa, fb, low_a, low_b, widths, place_bits, attempt)
+        # the sorted entries, then one slot that a lookup past them reads
+        known = np.zeros(1, dtype=np.int64)
+        re, im, first = np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+        ids = 0
+        for i0, i1, j0, j1 in _blocks(len(a), len(b), dim):
+            A, B = slice(i0, i1), slice(j0, j1)
+            shape = (i1 - i0, j1 - j0)
+            n = shape[0] * shape[1]
+            keyed, places, term_ids, x, y = (z[:n] for z in (keyed_, places_, term_ids_, x_, y_))
+            np.add(ka[A, None], kb[B], out=keyed.reshape(shape))
+            keyed |= block_places[:n]
+            keyed.sort()
+            np.bitwise_and(keyed, low, out=places)
+            keyed ^= places
+            # the first term of each key, and one past the last term
+            edges = np.empty(n + 1, dtype=bool)
+            edges[0] = edges[-1] = True
+            np.not_equal(keyed[1:], keyed[:-1], out=edges[1:-1])
+            edges = np.flatnonzero(edges)
+            heads = edges[:-1]
+            distinct, at = keyed[heads], places[heads]
+            where = np.searchsorted(known[:ids], distinct)
+            entries = known[where]
+            new = np.flatnonzero(((entries & ~low) != distinct) | (where == ids))
+            reached = new[np.argsort(at[new])]
+            entries[reached] = distinct[reached] | np.arange(ids, ids + len(new))
+            # new entries go in in key order, so that known stays sorted
+            known = np.insert(known, where[new], entries[new])
+            if ids + len(new) > len(re):
+                size = max(ids + len(new), 2 * len(re))
+                re, im, first = (np.concatenate([z, np.zeros(size - len(z), z.dtype)]) for z in (re, im, first))
+            # a block is whole rows or a piece of one row, so the place of
+            # a term follows the block's first term in left-major order
+            first[ids : ids + len(new)] = i0 * len(b) + j0 + at[reached]
+            ids += len(new)
+            term_ids[places] = np.repeat(entries & low, edges[1:] - heads)
+            if not exact:
+                i, j = np.divmod(first[term_ids], len(b))
+                if not np.array_equal((fa[A, None, :] + fb[None, B, :]).reshape(n, dim), fa[i] + fb[j]):
+                    break
+            np.multiply(ar[A, None], br[B], out=x.reshape(shape))
+            np.multiply(ai[A, None], bi[B], out=y.reshape(shape))
+            np.add.at(re, term_ids, np.subtract(x, y, out=x))
+            np.multiply(ar[A, None], bi[B], out=x.reshape(shape))
+            np.multiply(ai[A, None], br[B], out=y.reshape(shape))
+            np.add.at(im, term_ids, np.add(x, y, out=x))
         else:
-            sums = fa[A, None, :] + fb[None, B, :]
-            freqs, ids = _merge_keys(freqs, sums.reshape((i1 - i0) * (j1 - j0), dim))
-            grow = np.zeros(len(freqs) - len(re))
-            re, im = np.concatenate([re, grow]), np.concatenate([im, grow])
-        np.add.at(re, ids, (ar[A, None] * br[B] - ai[A, None] * bi[B]).ravel())
-        np.add.at(im, ids, (ar[A, None] * bi[B] + ai[A, None] * br[B]).ravel())
-    if dense:
-        i, j = np.divmod(np.sort(first[first < count]), len(b))
-        reached = ka[i] + kb[j]
-        return _nonzero_table(fa[i] + fb[j], re[reached], im[reached])
-    return _nonzero_table(freqs, re, im)
+            i, j = np.divmod(first[:ids], len(b))
+            return _nonzero_table(fa[i] + fb[j], re[:ids], im[:ids])
+    raise ArithmeticError(f"the product's frequency keys collided on {_KEY_ATTEMPTS} attempts")
 
 
 def _magnitudes(values: np.ndarray) -> np.ndarray:
@@ -331,10 +396,7 @@ class TrigPolynomial:
         return acc
 
     def norm(self) -> float:
-        # abs() is libm hypot and ** 2 is libm pow, which rounds differently
-        # from the multiply numpy squares with for about one value in a
-        # thousand; both raise OverflowError where a finite value overflows
-        return math.sqrt(math.fsum(map(pow, map(abs, self._coeffs.values()), itertools.repeat(2))))
+        return math.sqrt(math.fsum(abs(v) ** 2 for v in self._coeffs.values()))
 
     def prune(self, tol: float) -> "TrigPolynomial":
         """Drop coefficients with magnitude at or below tol."""

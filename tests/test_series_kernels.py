@@ -5,6 +5,7 @@ frequencies in the same order and the same coefficient bytes."""
 from __future__ import annotations
 
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -31,7 +32,7 @@ _PARTS = st.one_of(
     st.floats(-10.0, 10.0, allow_nan=False),
 )
 # small entries collide often; entries of +-10**6 spread a product's
-# frequencies beyond the dense box
+# frequencies over a box too wide for exact keys on three axes
 _SMALL = st.integers(-3, 3)
 _ENTRIES = st.one_of(_SMALL, st.sampled_from([-(10**6), 10**6, 10**6 - 1]))
 # scratch budgets that split products of a few terms into blocks of whole
@@ -65,13 +66,18 @@ def test_convolve_matches_dict_loop(data):
 
 
 def test_convolve_with_a_radix_beyond_int64_matches_dict_loop():
-    # the frequency box is 4 * 10**6 + 1 wide on each of three axes, so the
-    # keyed sort ranks its keys before the last axis
+    # the frequency box is 4 * 10**6 + 1 wide on each of three axes, more
+    # cells than exact keys can count, so the keys come from random weights
     corners = [(s * 10**6, -s * 10**6, s * (10**6 - 1)) for s in (1, -1)]
     p = TrigPolynomial(3, {corners[0]: 1.0, (0, 0, 0): 2j, corners[1]: -0.5})
     q = TrigPolynomial(3, {corners[1]: 1.0, (1, 0, -1): 1j, corners[0]: 2.0})
     for budget in (None, 700):
         assert bits(_with_budget(budget, p.convolve, q)) == bits(convolve_oracle(p, q))
+    # a box of 2**30 + 1 by 2**32 cells: its mixed radix, shifted past the
+    # places, would wrap (0, 0) and (2**30, 0) onto one key
+    p = TrigPolynomial(2, {(0, 0): 1.0, (2**30, 0): 2.0, (0, 2**32 - 1): 3.0})
+    q = TrigPolynomial(2, {(0, 0): 1j})
+    assert bits(p.convolve(q)) == bits(convolve_oracle(p, q))
 
 
 def test_frequencies_beyond_int64_raise():
@@ -166,15 +172,29 @@ def test_blocks_cover_the_terms_in_left_major_order_within_the_budget(rows, cols
     assert starts == [0] + ends[:-1] and ends[-1] == rows * cols
 
 
-@pytest.mark.parametrize("dim", [1, 3])
-@pytest.mark.parametrize("spread", [1, 10**6])
-def test_product_scratch_stays_under_the_constant(dim, spread):
-    # 301 x 301 terms take several blocks; with spread 10**6 the product's
-    # box is too wide to be dense
-    keys = [(k,) + (k % 3,) * (dim - 1) for k in range(-150, 151)] + [(spread,) * dim]
-    left = TrigPolynomial(dim, {key: complex(1.0, n) for n, key in enumerate(keys)})
-    tables = left.table(), left.scaled(0.5j).table()
-    assert len(list(trigpoly._blocks(len(keys), len(keys), dim))) > 1
+def test_colliding_keys_start_the_product_over():
+    # the first attempt keys every frequency alike; the check finds the
+    # collision and the next attempt's keys give the dict loop's bits
+    p = TrigPolynomial(3, {(10**6, 0, -(10**6)): 1.0, (0, 10**6, 1): 2j, (-(10**6), 5, 0): 0.5})
+    q = TrigPolynomial(3, {(1, 2, 3): 1.0, (-(10**6), 10**6, 10**6): -1j})
+    keys = trigpoly._frequency_keys
+    attempts = []
+
+    def first_collides(fa, fb, low_a, low_b, widths, place_bits, attempt):
+        attempts.append(attempt)
+        if attempt == 0:
+            return np.zeros(len(fa), dtype=np.int64), np.zeros(len(fb), dtype=np.int64), False
+        return keys(fa, fb, low_a, low_b, widths, place_bits, attempt)
+
+    for budget in (None, 700):
+        attempts.clear()
+        with mock.patch.object(trigpoly, "_frequency_keys", first_collides):
+            product = _with_budget(budget, p.convolve, q)
+        assert attempts == [0, 1]
+        assert bits(product) == bits(convolve_oracle(p, q))
+
+
+def _scratch_peak(tables):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -182,7 +202,44 @@ def test_product_scratch_stays_under_the_constant(dim, spread):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    return peak, len(values)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("spread", [1, 10**6])
+def test_product_scratch_stays_under_the_constant(dim, spread):
+    # 301 x 301 terms take several blocks; with spread 10**6 on three axes
+    # the keys come from random weights and are checked
+    keys = [(k,) + (k % 3,) * (dim - 1) for k in range(-150, 151)] + [(spread,) * dim]
+    left = TrigPolynomial(dim, {key: complex(1.0, n) for n, key in enumerate(keys)})
+    tables = left.table(), left.scaled(0.5j).table()
+    assert len(list(trigpoly._blocks(len(keys), len(keys), dim))) > 1
+    peak, size = _scratch_peak(tables)
     assert peak < trigpoly.PRODUCT_SCRATCH_BYTES
     product = left.convolve(left.scaled(0.5j))
     assert bits(product) == bits(convolve_oracle(left, left.scaled(0.5j)))
-    assert len(product) == len(freqs) < 2000
+    assert len(product) == size < 2000
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_a_wide_product_keeps_a_fixed_scratch_per_frequency(dim):
+    # 600 x 400 terms with distinct sums: a result of 240,000 frequencies,
+    # reached over a dozen blocks
+    left = TrigPolynomial(dim, {(1000 * k,) + (k % 7,) * (dim - 1): complex(1.0, k) for k in range(600)})
+    right = TrigPolynomial(dim, {(k,) + (-k,) * (dim - 1): complex(0.5, -k) for k in range(400)})
+    tables = left.table(), right.table()
+    assert len(list(trigpoly._blocks(600, 400, dim))) > 10
+    peak, size = _scratch_peak(tables)
+    assert size == 240_000
+    # the documented bound: the blocks' budget, plus 96 + 32 dim bytes per
+    # frequency, the result included
+    assert peak <= trigpoly.PRODUCT_SCRATCH_BYTES + (96 + 32 * dim) * size
+    started = time.perf_counter()
+    product = left.convolve(right)
+    kernel = time.perf_counter() - started
+    started = time.perf_counter()
+    reference = convolve_oracle(left, right)
+    loop = time.perf_counter() - started
+    assert bits(product) == bits(reference)
+    # merging a block copies the keys found so far, and does not sort them
+    assert kernel < loop
