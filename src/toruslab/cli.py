@@ -146,6 +146,10 @@ def _write_csv(path: Path, header: Sequence[str], lines) -> None:
 #: points per axis); 256 nodes of golden's 9-point ladder make strings of
 #: about 160 kB and leave the peak where per-node strings had it.
 _MASSMAP_BLOCK_NODES = 256
+#: Distinct ladder rows of a plane whose line suffixes the writer keeps
+#: before it drops them all: about 1 kB each on golden's 9-point ladder, and
+#: more than the 1,276 distinct rows of a golden plane at 256 points per axis.
+_MASSMAP_KEPT_ROWS = 8 * _MASSMAP_BLOCK_NODES
 
 
 def _float_texts(values: np.ndarray) -> np.ndarray:
@@ -159,24 +163,28 @@ def _float_texts(values: np.ndarray) -> np.ndarray:
 
 def _massmap_lines(mass_map):
     """Lines for ``masses[xi, node, h]`` in C order (x coordinates,
-    covector, h, mass), one string of lines per block of nodes: a
-    covector's template of one node's ladder lines, repeated for every node
-    of the block, takes the node and mass texts in one %-format."""
+    covector, h, mass), one string of lines per block of nodes.  A node's
+    ladder row is keyed by its bytes, and the suffixes ``,xi,h,mass`` of a
+    distinct row are formatted once and kept for the rest of the plane (up
+    to _MASSMAP_KEPT_ROWS rows); a node's lines are its text joined with
+    its row's suffixes."""
     grid = mass_map.grid
-    nodes = np.array([",".join(node) for node in _float_texts(grid.x_nodes).tolist()], dtype=object)
+    nodes = [",".join(node) for node in _float_texts(grid.x_nodes).tolist()]
     hs = [_format_float(h) for h in grid.h_ladder]
-    # one covector's plane at a time keeps the sort's scratch arrays small,
-    # and blocks of nodes keep each string small on a large grid
+    row_bytes = np.dtype((np.void, 8 * len(hs)))
     for xi, plane in zip(grid.xi_points, mass_map.masses):
         xi_text = ",".join(map(_format_float, xi))
-        template = "\n".join(f"%s,{xi_text},{h},%s" for h in hs)
-        texts = _float_texts(plane)
+        heads = np.array([f",{xi_text},{h}," for h in hs], dtype=object)
+        suffixes: dict[bytes, list[str]] = {}
         for start in range(0, len(nodes), _MASSMAP_BLOCK_NODES):
-            block = texts[start:start + _MASSMAP_BLOCK_NODES]
-            cells = np.empty(block.shape + (2,), dtype=object)
-            cells[..., 0] = nodes[start:start + _MASSMAP_BLOCK_NODES, None]
-            cells[..., 1] = block
-            yield "\n".join([template] * len(block)) % tuple(cells.ravel().tolist())
+            rows = np.ascontiguousarray(plane[start:start + _MASSMAP_BLOCK_NODES])
+            keys = rows.view(row_bytes).ravel().tolist()
+            if len(suffixes) > _MASSMAP_KEPT_ROWS:
+                suffixes.clear()
+            fresh = {key: i for i, key in enumerate(keys) if key not in suffixes}
+            suffixes.update(zip(fresh, (heads + _float_texts(rows[list(fresh.values())])).tolist()))
+            block = nodes[start:start + _MASSMAP_BLOCK_NODES]
+            yield "\n".join(node + ("\n" + node).join(suffixes[key]) for node, key in zip(block, keys))
 
 
 # ---------------------------------------------------------------------------

@@ -539,24 +539,20 @@ class UniqueContinuation:
     gram: np.ndarray
 
 
-def _interval_integral(delta: int, lo: float, hi: float) -> complex:
-    if delta == 0:
-        return complex(hi - lo)
-    factor = 2j * math.pi * delta
-    return (np.exp(factor * hi) - np.exp(factor * lo)) / factor
-
-
 def _box_weights(box: Sequence[tuple[float, float]], radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the box integral of each character
     with frequency in [-2 radius, 2 radius]^q, flattened in C order.
 
-    One _interval_integral call per axis and offset; the per-axis factors
-    are multiplied into 1 + 0j axis by axis in explicit real arithmetic,
-    which is what a complex scalar product computes."""
-    offsets = range(-2 * radius, 2 * radius + 1)
+    Each axis's table (exp(f hi) - exp(f lo)) / f over f = 2 pi i d is one
+    array expression over the offsets d, with hi - lo at d = 0; the per-axis
+    factors are multiplied into 1 + 0j axis by axis in explicit real
+    arithmetic, which is what a complex scalar product computes."""
+    factor = 2j * math.pi * np.arange(-2 * radius, 2 * radius + 1)
     wr, wi = np.ones(()), np.zeros(())
     for lo, hi in box:
-        table = np.array([_interval_integral(d, lo, hi) for d in offsets])
+        with np.errstate(invalid="ignore"):  # 0 / 0 at d = 0, replaced below
+            table = (np.exp(factor * hi) - np.exp(factor * lo)) / factor
+        table[2 * radius] = hi - lo
         wr, wi = (
             np.multiply.outer(wr, table.real) - np.multiply.outer(wi, table.imag),
             np.multiply.outer(wr, table.imag) + np.multiply.outer(wi, table.real),

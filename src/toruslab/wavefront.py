@@ -120,24 +120,34 @@ def coherent_state(
     )
 
 
-def _phase_table(u: TrigPolynomial, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u's sorted support as a float array, its coefficients, and the phase
-    matrix exp(2 pi i nodes . alpha^T), which depends on u alone."""
+def _phase_table(u: TrigPolynomial, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """u's sorted support as a float array, its coefficients, the phase rows
+    exp(2 pi i x . alpha^T) of the nodes' distinct argument rows x . alpha^T,
+    and each node's index into them.  The table depends on u alone; nodes
+    whose arguments agree bit for bit share one phase row."""
     support, coeffs = zip(*u.sorted_items())
     alphas = np.array(support, dtype=float)
-    return alphas, np.array(coeffs), np.exp(2j * np.pi * (nodes @ alphas.T))
+    args = nodes @ alphas.T
+    rows = args.view(np.dtype((np.void, args.itemsize * args.shape[1]))).ravel()
+    first, inverse = np.unique(rows, return_index=True, return_inverse=True)[1:]
+    phase = 2j * np.pi * args[first]
+    # the arguments are freed before the exponential, which runs in place
+    del args, rows
+    return alphas, np.array(coeffs), np.exp(phase, out=phase), inverse
 
 
 def _mass_from_table(table, xi0: Sequence[float], h: float) -> tuple[np.ndarray, float]:
     """Masses on the nodes of a phase table and their exact x-average (a
-    Parseval sum over the coefficients)."""
-    alphas, coeffs, phase = table
+    Parseval sum over the coefficients).  Each distinct phase row is summed
+    once, as the same contiguous row sum as on every node, and its mass is
+    gathered back to the nodes that share it."""
+    alphas, coeffs, phase, inverse = table
     weighted = coeffs * _weights(alphas, xi0, h)
     # <u, probe> = sum_a u(a) w_a exp(+2 pi i a . x0), a trig polynomial in x0
     amplitude = np.sum(phase * weighted[None, :], axis=1)
     norm_sq = _probe_norm_squared(xi0, h, alphas.shape[1])
     exact_average = float(np.sum(np.abs(weighted) ** 2) / norm_sq)
-    return np.abs(amplitude) ** 2 / norm_sq, exact_average
+    return (np.abs(amplitude) ** 2 / norm_sq)[inverse], exact_average
 
 
 def _mass_on_nodes(
@@ -244,10 +254,12 @@ class MassMap:
 def check_massmap_budget(grid: PhaseSpaceGrid, support: Optional[int] = None) -> int:
     """Bytes of the raw mass array of a grid, 8 per covector, node and
     ladder point.  Given the largest support of a family member, also the
-    decay fit's MASSMAP_FIT_COPIES copies of the masses and the member's
-    phase table and its weighted product, 32 bytes per node and
-    coefficient: what the mass map holds at its peak.  Raises ValueError
-    when the bytes exceed MASSMAP_BYTES_BUDGET."""
+    decay fit's MASSMAP_FIT_COPIES copies of the masses and 32 bytes per
+    node and coefficient for the member's phase table: its phase arguments
+    and the sort's copies of them while the distinct rows are found, then
+    the phase rows of the distinct nodes and their weighted product.  That
+    is what the mass map holds at its peak.  Raises ValueError when the
+    bytes exceed MASSMAP_BYTES_BUDGET."""
     nodes = grid.points_per_axis**grid.dimension
     size = 8 * len(grid.xi_points) * nodes * len(grid.h_ladder)
     if support is not None:
@@ -285,7 +297,7 @@ def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap
     masses = np.zeros((len(grid.xi_points), nodes.shape[0], len(grid.h_ladder)))
     for slot, indices in h_indices.items():
         u = distinct[slot]
-        # the phase matrix depends on the member alone: one per distinct member
+        # the phase table depends on the member alone: one per distinct member
         table = _phase_table(u, nodes)
         resolved = 2 * u.support_radius() < grid.points_per_axis
         for h_index in indices:

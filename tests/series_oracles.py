@@ -8,7 +8,6 @@ import math
 import numpy as np
 
 from toruslab import TrigPolynomial
-from toruslab import quasimode
 
 
 def conjugate(p: TrigPolynomial) -> TrigPolynomial:
@@ -49,6 +48,29 @@ def norm_oracle(p: TrigPolynomial) -> float:
     return math.sqrt(math.fsum(abs(v) ** 2 for _, v in p.items()))
 
 
+def interval_integral(delta: int, lo: float, hi: float) -> complex:
+    """The integral of exp(2 pi i delta z) over [lo, hi], one scalar np.exp
+    per end point."""
+    if delta == 0:
+        return complex(hi - lo)
+    factor = 2j * math.pi * delta
+    return (np.exp(factor * hi) - np.exp(factor * lo)) / factor
+
+
+def box_weights_oracle(box, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """quasimode._box_weights with one interval_integral call per axis and
+    offset."""
+    offsets = range(-2 * radius, 2 * radius + 1)
+    wr, wi = np.ones(()), np.zeros(())
+    for lo, hi in box:
+        table = np.array([interval_integral(d, lo, hi) for d in offsets])
+        wr, wi = (
+            np.multiply.outer(wr, table.real) - np.multiply.outer(wi, table.imag),
+            np.multiply.outer(wr, table.imag) + np.multiply.outer(wi, table.real),
+        )
+    return wr.ravel(), wi.ravel()
+
+
 def gram_oracle(basis, box) -> np.ndarray:
     """The unique-continuation Gram as a dict convolution and a running
     sum per entry, with the kernel's final symmetrization."""
@@ -61,7 +83,7 @@ def gram_oracle(basis, box) -> np.ndarray:
             for delta, value in product.items():
                 weight = 1.0 + 0j
                 for d, (lo, hi) in zip(delta, box):
-                    weight *= quasimode._interval_integral(d, lo, hi)
+                    weight *= interval_integral(d, lo, hi)
                 total += value * weight
             gram[i, j] = total
     return 0.5 * (gram + gram.conj().T)

@@ -8,6 +8,7 @@ import importlib.util
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -529,7 +530,7 @@ def massmap_lines_oracle(mass_map):
             yield template.replace("{node}", node) % tuple(row)
 
 
-def test_massmap_writer_matches_per_node_oracle(golden):
+def test_massmap_writer_matches_per_node_oracle(golden, monkeypatch):
     grid = wavefront.PhaseSpaceGrid.standard(2, 32, golden.ladder)
     mass_maps = [wavefront.wavefront_mass_map(golden.family, grid)]
     # repeats, both zeros, NaNs with two payloads, both infinities, the
@@ -555,13 +556,60 @@ def test_massmap_writer_matches_per_node_oracle(golden):
         shape = (len(grid.xi_points), len(grid.x_nodes), len(ladder))
         zeros = np.zeros(shape[:2])
         mass_maps.append(wavefront.MassMap(grid, rng.choice(pool, shape), zeros, zeros))
+    # a 1-D grid of 600 nodes (blocks of 256, 256 and 88) whose planes draw
+    # their ladder rows from eight: two that differ only by the sign of a
+    # zero, two that differ only by a NaN payload, a run of one row across
+    # the first block boundary, and a row in the first and last blocks only
+    grid = wavefront.PhaseSpaceGrid.standard(1, 600, ladder)
+    rows = rng.lognormal(0.0, 30.0, (8, len(ladder)))
+    rows[1] = rows[0]
+    rows[0, 2], rows[1, 2] = 0.0, -0.0
+    rows[3] = rows[2]
+    rows[2, 5], rows[3, 5] = np.nan, payload_nan
+    picks = rng.integers(0, 7, (len(grid.xi_points), 600))
+    picks[:, 200:300] = 4
+    picks[:, [0, 599]] = 7
+    zeros = np.zeros(picks.shape)
+    mass_maps.append(wavefront.MassMap(grid, rows[picks], zeros, zeros))
     cells = set()
-    for mass_map in mass_maps:
-        expected = "\n".join(massmap_lines_oracle(mass_map))
-        assert "\n".join(cli._massmap_lines(mass_map)).encode() == expected.encode()
-        cells.update(expected.replace("\n", ",").split(","))
+    # the kept line suffixes as they are, and dropped at every block
+    for kept in (cli._MASSMAP_KEPT_ROWS, 1):
+        monkeypatch.setattr(cli, "_MASSMAP_KEPT_ROWS", kept)
+        for mass_map in mass_maps:
+            expected = "\n".join(massmap_lines_oracle(mass_map))
+            assert "\n".join(cli._massmap_lines(mass_map)).encode() == expected.encode()
+            cells.update(expected.replace("\n", ",").split(","))
     assert {"-0", "0", '"nan"', '"inf"', '"-inf"', "4.9406564584124654e-324",
             "1.0000000000000002", "0.25"} <= cells
+
+
+def test_massmap_writer_memory_follows_the_block_not_the_plane(golden, monkeypatch):
+    # two planes of ladder rows that are all distinct; after the first
+    # block, which also holds the grid's node texts, the writer's peak is
+    # the same on 64 and 128 points per axis (a plane four times larger)
+    # and falls with a smaller block
+    def walk_peak(points):
+        grid = wavefront.PhaseSpaceGrid(2, points, ((0.0, 0.0), (1.0, 0.0)), golden.ladder[:4])
+        rng = np.random.default_rng(points)
+        masses = rng.lognormal(0.0, 30.0, (2, points**2, 4))
+        zeros = np.zeros(masses.shape[:2])
+        lines = cli._massmap_lines(wavefront.MassMap(grid, masses, zeros, zeros))
+        tracemalloc.start()
+        try:
+            next(lines)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in lines:
+                pass
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    small, large = walk_peak(64), walk_peak(128)
+    assert large < 1.25 * small
+    monkeypatch.setattr(cli, "_MASSMAP_BLOCK_NODES", 64)
+    monkeypatch.setattr(cli, "_MASSMAP_KEPT_ROWS", 8 * 64)
+    assert walk_peak(128) < large / 2
 
 
 @pytest.mark.parametrize("frequency", [10**15, 10**19, 10**30, -(10**30)])

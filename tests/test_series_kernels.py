@@ -17,6 +17,7 @@ from toruslab import TrigPolynomial, quasimode, trigpoly
 
 from series_oracles import (
     bits,
+    box_weights_oracle,
     conjugate,
     convolve_oracle,
     gram_oracle,
@@ -102,6 +103,19 @@ def test_unique_continuation_gram_matches_dict_loop(data):
     )
     result = _with_budget(data.draw(_BUDGETS), quasimode.unique_continuation_constant, null, box)
     assert result.gram.tobytes() == gram_oracle(basis, box).tobytes()
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 5, 16])
+def test_box_weights_match_the_per_offset_loop(radius):
+    # offsets run over [-2 radius, 2 radius], so every radius but 0 has
+    # negative ones; boxes of one to three axes, the default subdomain
+    # among them, with ends of both signs and ends that are not dyadic
+    rng = np.random.default_rng(radius)
+    boxes = [[(0.0, 0.25)], [(0.0, 1.0), (1 / 3, 2 / 3)], [(-0.75, 0.1), (0.2, 0.2 + 1e-9), (0.5, 1.5)]]
+    boxes += [[tuple(sorted(rng.uniform(-1.0, 2.0, 2))) for _ in range(q)] for q in (1, 2, 2, 3)]
+    for box in boxes:
+        got, want = quasimode._box_weights(box, radius), box_weights_oracle(box, radius)
+        assert [part.tobytes() for part in got] == [part.tobytes() for part in want]
 
 
 @_SETTINGS

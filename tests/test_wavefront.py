@@ -173,8 +173,42 @@ def test_mass_map_peak_memory_is_within_the_estimate(golden, wide):
     assert peak <= estimate
 
 
+def masses_on_every_node(u, nodes, xi0, h):
+    """Masses from the whole phase matrix exp(2 pi i nodes . alpha^T), one
+    row per node: the reference for the table of distinct rows."""
+    support, coeffs = zip(*u.sorted_items())
+    alphas = np.array(support, dtype=float)
+    phase = np.exp(2j * np.pi * (nodes @ alphas.T))
+    weighted = np.array(coeffs) * wavefront._weights(alphas, xi0, h)
+    amplitude = np.sum(phase * weighted[None, :], axis=1)
+    return np.abs(amplitude) ** 2 / wavefront._probe_norm_squared(xi0, h, alphas.shape[1])
+
+
+@pytest.mark.parametrize("points, distinct", [(7, 40), (32, 154)])
+@pytest.mark.parametrize("spread", [False, True])
+def test_mass_map_on_distinct_node_rows_matches_every_node(golden, points, distinct, spread):
+    # golden's support lies on one lattice line, so nodes whose arguments
+    # x . alpha agree bit for bit share a phase row; the spread member's 33
+    # frequencies span the plane and no two nodes share one.  The 7-point
+    # grid's coordinates are not dyadic, so its arguments round
+    family = golden.family
+    if spread:
+        rng = np.random.default_rng(3)
+        member = TrigPolynomial(2, {tuple(map(int, a)): complex(*rng.standard_normal(2)) for a in rng.integers(-6, 7, (40, 2))})
+        family = QuasimodeFamily.from_members(golden.ladder, [member] * len(golden.ladder))
+        distinct = points**2
+    grid = PhaseSpaceGrid.standard(2, points, golden.ladder)
+    assert wavefront._phase_table(family.member(golden.ladder[0]), grid.x_nodes)[2].shape[0] == distinct
+    mass_map = wavefront_mass_map(family, grid)
+    for i, covector in enumerate(grid.xi_points):
+        for l, h in enumerate(grid.h_ladder):
+            row, _ = wavefront._mass_on_nodes(family.member(h), grid.x_nodes, covector, h)
+            expected = masses_on_every_node(family.member(h), grid.x_nodes, covector, h)
+            assert mass_map.masses[i, :, l].tobytes() == row.tobytes() == expected.tobytes()
+
+
 def test_mass_map_with_two_distinct_members_matches_per_h_masses():
-    # the phase matrix is built once per distinct member; every mass keeps
+    # the phase table is built once per distinct member; every mass keeps
     # the bits of a per-(covector, h) evaluation, also on a grid whose
     # ladder is a reordered part of the family's
     ladder = default_h_ladder()
