@@ -20,7 +20,7 @@ import numpy as np
 
 from .exact import ExactNumber, FrequencyVector, IrrationalBasis, UnimodularSplitting
 from .nondegeneracy import HessianForm
-from .trigpoly import TrigPolynomial
+from .trigpoly import TrigPolynomial, _merge_keys
 
 __all__ = [
     "ModelOperatorSpec",
@@ -238,32 +238,27 @@ def apply_model_operator(
     H = spec.hessian.entries
     freqs, values = u.table()
     first = np.array(
-        [spec.basis.to_float(spec.omega.dot(alpha) + spec.c) for alpha, _ in u.items()], dtype=float
+        [spec.basis.to_float(spec.omega.dot(alpha) + spec.c) for alpha in freqs.tolist()], dtype=float
     )
     second = np.array([float(a @ H @ a) for a in freqs.astype(float)])
     terms = []  # (h-dependent factor, series), added in this order
     if spec.r:
         terms.append(([step * step for step in ladder], spec.r.convolve(u)))
     if spec.remainder:
-        damped = {
-            alpha: value / (1.0 + float(sum(a * a for a in alpha)))
-            for alpha, value in u.items()
-        }
-        tail = TrigPolynomial(spec.dimension, damped) + _remainder_potential(spec.dimension).convolve(u)
-        terms.append(([step**3 for step in ladder], tail))
+        damped = [value / (1.0 + float(sum(a * a for a in alpha))) for alpha, value in u.items()]
+        tail = TrigPolynomial._from_table(spec.dimension, freqs, np.array(damped, dtype=complex))
+        terms.append(([step**3 for step in ladder], tail + _remainder_potential(spec.dimension).convolve(u)))
 
-    series_in_order = [u] + [series for _, series in terms]
-    keys = list(dict.fromkeys(alpha for series in series_in_order for alpha, _ in series.items()))
-    column = {alpha: j for j, alpha in enumerate(keys)}
+    keys, columns = freqs.T, []
+    for _, series in terms:
+        keys, cols = _merge_keys(keys, series.table()[0].T)
+        columns.append(cols)
     hs = np.array(ladder, dtype=float)[:, None]
-    acc = np.zeros((len(ladder), len(column)), dtype=complex)
+    acc = np.zeros((len(ladder), keys.shape[1]), dtype=complex)
     acc[:, : len(u)] = (hs * first + (hs * hs) * second) * values
-    for factors, series in terms:
+    for (factors, series), cols in zip(terms, columns):
         acc = np.where(acc != 0, acc, 0j)  # drop exact zeros
-        cols = np.array([column[alpha] for alpha, _ in series.items()], dtype=np.intp)
         term = np.array(factors, dtype=float)[:, None] * series.table()[1]
         acc[:, cols] = np.where(term != 0, acc[:, cols] + term, acc[:, cols])
-    results = [
-        TrigPolynomial._from_valid(spec.dimension, dict(zip(keys, row.tolist()))) for row in acc
-    ]
+    results = [TrigPolynomial._from_table(spec.dimension, keys.T, row) for row in acc]
     return results[0] if scalar else results

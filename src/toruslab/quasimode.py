@@ -505,6 +505,7 @@ def galerkin_nullspace(
             column = eigvecs[:, i]
             eigvals[i] = float(np.real(np.vdot(column, matrix @ column)))
     retained = [i for i in range(size) if abs(eigvals[i]) < null_tol * scale]
+    grid = np.array(betas, dtype=np.intp).reshape(size, q)
     basis = []
     for i in retained:
         column = eigvecs[:, i].copy()
@@ -512,9 +513,7 @@ def galerkin_nullspace(
         phase = column[anchor]
         if abs(phase) > 0:
             column = column * (abs(phase) / phase)
-        basis.append(
-            TrigPolynomial(q, {beta: column[j] for j, beta in enumerate(betas)})
-        )
+        basis.append(TrigPolynomial._from_table(q, grid, column))
     return GalerkinNullspace(
         truncation=N,
         basis=tuple(basis),

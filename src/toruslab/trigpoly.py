@@ -2,14 +2,13 @@
 
 A TrigPolynomial maps integer frequency vectors to complex coefficients;
 the characters e_alpha(x) = exp(2 pi i alpha . x) are orthonormal in L2, so
-norms and inner products are plain l2 operations on the coefficients.
-Products are exact convolutions over the finite supports, with no
-truncation.  Grid transforms (for oracles and for re-expansion of
-quotients) go through numpy's FFT.
-
-Products, relabelings and the Hermitian check are array kernels over the
-coefficient tables with the bits and key order of the plain loops over
-the coefficients (see _product_table).
+norms and inner products are plain l2 operations on the coefficients.  A
+series is its coefficient table: a read-only (len, dim) intp array of
+distinct frequencies and a complex array of nonzero coefficients, both in
+insertion order.  Sums, exact products (convolutions over the finite
+supports), relabelings and the Hermitian check are array kernels over the
+tables with the bits and key order of the plain loops over the
+coefficients (see _product_table).  Grid transforms go through numpy's FFT.
 """
 
 from __future__ import annotations
@@ -25,103 +24,76 @@ __all__ = ["TrigPolynomial", "PRODUCT_SCRATCH_BYTES"]
 Frequency = tuple[int, ...]
 
 #: Bound on the scratch memory of the blocks of terms, taken in left-major
-#: order, in which a series product is formed and summed.  Beyond it, a
-#: product keeps a fixed number of bytes per frequency of its result (see
-#: _product_table).
+#: order, in which a series product is formed and summed; beyond it, a
+#: product keeps a fixed number of bytes per frequency of its result.
 PRODUCT_SCRATCH_BYTES = 8 << 20
 
 _INT64_MAX = np.iinfo(np.int64).max
-# random keys of a wide product collide on one attempt with a chance below
-# (frequencies / 2**(63 - place bits))**2, so this many fail together only
-# when the keys are kept wrongly
-_KEY_ATTEMPTS = 8
 
 
-def _flat_keys(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """One int64 per row of equal-length integer columns, equal exactly
-    when the rows are: a mixed-radix number over each column's range.
-    Before a column whose range would overflow int64, the number so far
-    and the column are replaced by their ranks, which stay below the row
-    count."""
-    flat = np.zeros(len(columns[0]), dtype=np.int64)
-    if not len(flat):
-        return flat
-    span = 1
-    for column in columns:
-        low = int(column.min())
-        width = int(column.max()) - low + 1
-        if span * width > _INT64_MAX:
-            ranks, flat = np.unique(flat, return_inverse=True)
-            values, column = np.unique(column, return_inverse=True)
-            span, low, width = len(ranks), 0, len(values)
-        flat = flat * width + (column - low)
-        span *= width
-    return flat
+def _flat_keys(table: np.ndarray, place_bits: int) -> np.ndarray:
+    """One int64 per column of a (dim, count) integer table, equal exactly
+    when the columns are, with its low place_bits bits clear: a mixed-radix
+    number over each row's range.  Where a row's range would overflow the
+    bits left, the number so far and the row are replaced by the rank of
+    their pair, which is below count < 2**place_bits."""
+    count = table.shape[1]
+    flat = np.zeros(count, dtype=np.int64)
+    span, limit = 1, _INT64_MAX >> place_bits
+    for row in table if count else ():
+        low = int(row.min())
+        width = int(row.max()) - low + 1
+        if span * width > limit:
+            pairs = np.stack([flat, row], axis=1)
+            flat, span = np.unique(pairs, axis=0, return_inverse=True)[1].reshape(count), count
+        else:
+            # a sum may wrap on the way; the result is below span * width
+            flat *= width
+            flat += row
+            flat -= low
+            span *= width
+    return flat << place_bits
 
 
 def _merge_keys(known: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct frequency rows of known, followed by those of rows not
-    among them in the order rows first reaches them, and the index of each
-    of rows among the result.
-
-    One sort of the rows keyed by (frequency, position): each frequency's
-    run starts at its first position."""
-    combined = np.concatenate([known, rows])
-    count = len(combined)
-    position = np.arange(count)
-    # the position is the last digit and has width count, ranked or not
-    keyed = np.sort(_flat_keys([*combined.T, position]))
-    flat, position = np.divmod(keyed, count)
-    starts = np.empty(count, dtype=bool)
-    starts[:1] = True
-    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
-    first = position[starts]
+    """The distinct frequencies of known, then those of rows not among them
+    in the order rows first reaches them, and the index of each of rows
+    among the result; frequencies are the columns of these (dim, count)
+    tables.  One sort of the keys of _flat_keys, each with its column's
+    position in the low bits: each frequency's run starts at its first."""
+    combined = np.concatenate([known, rows], axis=1)
+    count = combined.shape[1]
+    bits = count.bit_length()
+    keyed = _flat_keys(combined, bits)
+    keyed |= np.arange(count)
+    keyed.sort()
+    position = keyed & ((1 << bits) - 1)
+    keyed ^= position
+    # the first position of each run, and one past the last
+    edges = np.empty(count + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(keyed[1:], keyed[:-1], out=edges[1:-1])
+    edges = np.flatnonzero(edges)
+    first = position[edges[:-1]]
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     index = np.empty(count, dtype=np.intp)
-    index[position] = rank[np.cumsum(starts) - 1]
-    return combined[first[order]], index[len(known):]
-
-
-def _nonzero_table(freqs, re, im) -> tuple[np.ndarray, np.ndarray]:
-    """The table of the summed parts, without its exact zeros."""
-    keep = (re != 0) | (im != 0)
-    values = np.empty(np.count_nonzero(keep), dtype=complex)
-    values.real, values.imag = re[keep], im[keep]
-    return freqs[keep], values
-
-
-def _block_terms(dim: int) -> int:
-    """Terms in a block of a product on T^dim."""
-    # bytes of scratch per term: the buffers of keys, places, ids and
-    # products, the run ids, and the sum rows that check colliding keys
-    return max(1, PRODUCT_SCRATCH_BYTES // (2 * (16 * dim + 160)))
+    index[position] = np.repeat(rank, np.diff(edges))
+    return combined[:, first[order]], index[known.shape[1] :]
 
 
 def _blocks(rows: int, cols: int, dim: int):
-    """(i0, i1, j0, j1) blocks of the rows x cols terms of a product in
-    left-major order: whole rows while one fits, else pieces of one row."""
-    terms = _block_terms(dim)
+    """(i0, i1, j0, j1) blocks of the rows x cols terms of a product on
+    T^dim in left-major order: whole rows while one fits, else pieces of
+    one row."""
+    # bytes of scratch per term: its frequency and the merged copy, its
+    # key, position, id and run edge, and its product
+    terms = max(1, PRODUCT_SCRATCH_BYTES // (2 * (16 * dim + 160)))
     step_i, step_j = max(1, terms // cols), min(cols, terms)
     for i in range(0, rows, step_i):
         for j in range(0, cols, step_j):
             yield i, min(i + step_i, rows), j, min(j + step_j, cols)
-
-
-def _frequency_keys(fa, fb, low_a, low_b, widths, place_bits: int, attempt: int):
-    """int64 keys ka, kb of left's and right's frequencies, and whether they
-    are exact.  The frequency fa[i] + fb[j] keys as ka[i] + kb[j], in
-    wrapping arithmetic, and the low place_bits bits of every key are
-    clear.  While the product's frequency box has fewer cells than the
-    high bits can count, its mixed radix keys it exactly; a wider box
-    takes random odd weights, the attempt's, and its keys may collide."""
-    if math.prod(widths) < 1 << (63 - place_bits):
-        radix = np.array([math.prod(widths[k + 1 :]) << place_bits for k in range(len(widths))], dtype=np.int64)
-        return (fa - low_a) @ radix, (fb - low_b) @ radix, True
-    weights = np.random.default_rng(attempt).integers(-_INT64_MAX, _INT64_MAX, len(widths), dtype=np.int64) | 1
-    weights <<= place_bits
-    return fa @ weights, fb @ weights, False
 
 
 def _product_table(left, right) -> tuple[np.ndarray, np.ndarray]:
@@ -129,103 +101,39 @@ def _product_table(left, right) -> tuple[np.ndarray, np.ndarray]:
 
     Bit for bit the dict loop over left's terms, then right's, that adds
     each product to out.get(a + b, 0j) and drops exact zeros: products are
-    formed in explicit real arithmetic, as Python's complex product
-    computes them, and summed per frequency with np.add.at from 0.0 in the
-    loop's order; frequencies keep the order in which the loop first
-    reaches them.
-
-    Terms go in left-major blocks (see _blocks).  One sort of a block's
-    keys (see _frequency_keys), each with the term's place in the block in
-    its low bits, gives the block's distinct keys and where it first
-    reaches each.  They are looked up among the sorted entries, key and id
-    in one int64, of the blocks before; those not found take the next ids
-    in the order the block first reaches them.  Beyond the blocks, a
-    product keeps those entries, and the sums and first term of each id in
-    arrays grown by doubling: at most 96 + 32 dim bytes per frequency of
-    the result, the result included.  Keys that may collide are checked
-    against the frequencies they stand for, and a collision starts the
-    product over with the next attempt's keys, up to _KEY_ATTEMPTS."""
+    formed in the real arithmetic of Python's complex product and summed
+    per frequency with np.add.at from 0.0 in the loop's order; frequencies
+    keep the order in which the loop first reaches them.  Terms go in
+    left-major blocks (see _blocks); _merge_keys merges each block's
+    frequencies into those reached before, with keys exact on any box.
+    Beyond the blocks, a product keeps at most 96 + 32 dim bytes per
+    frequency of the result, the result included."""
     fa, a = left
     fb, b = right
     dim = fa.shape[1]
-    count = len(a) * len(b)
-    if not count:
+    if not (len(a) and len(b)):
         return np.empty((0, dim), dtype=np.intp), np.empty(0, dtype=complex)
-    low_a, low_b = fa.min(axis=0), fb.min(axis=0)
-    lows = [x + y for x, y in zip(low_a.tolist(), low_b.tolist())]
+    lows = [x + y for x, y in zip(fa.min(axis=0).tolist(), fb.min(axis=0).tolist())]
     highs = [x + y for x, y in zip(fa.max(axis=0).tolist(), fb.max(axis=0).tolist())]
     if any(abs(x) > _INT64_MAX for x in lows + highs):
         raise OverflowError("frequency sums overflow int64")
-    widths = [high - low + 1 for low, high in zip(lows, highs)]
-    # places in a block and ids are below count
-    place_bits = count.bit_length()
-    low = (1 << place_bits) - 1
-    # the blocks reuse one set of buffers, so no block allocates its terms
-    # afresh (fresh arrays of this size can cost more in page faults than
-    # the arithmetic on them)
-    terms = min(count, _block_terms(dim))
-    block_places = np.arange(terms)
-    keyed_, places_, term_ids_ = (np.empty(terms, dtype=np.int64) for _ in range(3))
-    x_, y_ = np.empty(terms), np.empty(terms)
-    ar, ai, br, bi = (np.ascontiguousarray(x) for x in (a.real, a.imag, b.real, b.imag))
-    for attempt in range(_KEY_ATTEMPTS):
-        ka, kb, exact = _frequency_keys(fa, fb, low_a, low_b, widths, place_bits, attempt)
-        # the sorted entries, then one slot that a lookup past them reads
-        known = np.zeros(1, dtype=np.int64)
-        re, im, first = np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
-        ids = 0
-        for i0, i1, j0, j1 in _blocks(len(a), len(b), dim):
-            A, B = slice(i0, i1), slice(j0, j1)
-            shape = (i1 - i0, j1 - j0)
-            n = shape[0] * shape[1]
-            keyed, places, term_ids, x, y = (z[:n] for z in (keyed_, places_, term_ids_, x_, y_))
-            np.add(ka[A, None], kb[B], out=keyed.reshape(shape))
-            keyed |= block_places[:n]
-            keyed.sort()
-            np.bitwise_and(keyed, low, out=places)
-            keyed ^= places
-            # the first term of each key, and one past the last term
-            edges = np.empty(n + 1, dtype=bool)
-            edges[0] = edges[-1] = True
-            np.not_equal(keyed[1:], keyed[:-1], out=edges[1:-1])
-            edges = np.flatnonzero(edges)
-            heads = edges[:-1]
-            distinct, at = keyed[heads], places[heads]
-            where = np.searchsorted(known[:ids], distinct)
-            entries = known[where]
-            new = np.flatnonzero(((entries & ~low) != distinct) | (where == ids))
-            reached = new[np.argsort(at[new])]
-            entries[reached] = distinct[reached] | np.arange(ids, ids + len(new))
-            # new entries go in in key order, so that known stays sorted
-            known = np.insert(known, where[new], entries[new])
-            if ids + len(new) > len(re):
-                size = max(ids + len(new), 2 * len(re))
-                re, im, first = (np.concatenate([z, np.zeros(size - len(z), z.dtype)]) for z in (re, im, first))
-            # a block is whole rows or a piece of one row, so the place of
-            # a term follows the block's first term in left-major order
-            first[ids : ids + len(new)] = i0 * len(b) + j0 + at[reached]
-            ids += len(new)
-            term_ids[places] = np.repeat(entries & low, edges[1:] - heads)
-            if not exact:
-                i, j = np.divmod(first[term_ids], len(b))
-                if not np.array_equal((fa[A, None, :] + fb[None, B, :]).reshape(n, dim), fa[i] + fb[j]):
-                    break
-            np.multiply(ar[A, None], br[B], out=x.reshape(shape))
-            np.multiply(ai[A, None], bi[B], out=y.reshape(shape))
-            np.add.at(re, term_ids, np.subtract(x, y, out=x))
-            np.multiply(ar[A, None], bi[B], out=x.reshape(shape))
-            np.multiply(ai[A, None], br[B], out=y.reshape(shape))
-            np.add.at(im, term_ids, np.add(x, y, out=x))
-        else:
-            i, j = np.divmod(first[:ids], len(b))
-            return _nonzero_table(fa[i] + fb[j], re[:ids], im[:ids])
-    raise ArithmeticError(f"the product's frequency keys collided on {_KEY_ATTEMPTS} attempts")
+    # frequency columns, so that a block's sums are contiguous per axis
+    ca, cb = np.ascontiguousarray(fa.T), np.ascontiguousarray(fb.T)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    known, sums = ca[:, :0], np.empty(0, dtype=complex)
+    for i0, i1, j0, j1 in _blocks(len(a), len(b), dim):
+        A, B = slice(i0, i1), slice(j0, j1)
+        known, ids = _merge_keys(known, np.add(ca[:, A, None], cb[:, None, B]).reshape(dim, (i1 - i0) * (j1 - j0)))
+        sums = np.concatenate([sums, np.zeros(known.shape[1] - len(sums), dtype=complex)])
+        np.add.at(sums.real, ids, (np.multiply.outer(ar[A], br[B]) - np.multiply.outer(ai[A], bi[B])).ravel())
+        np.add.at(sums.imag, ids, (np.multiply.outer(ar[A], bi[B]) + np.multiply.outer(ai[A], br[B])).ravel())
+    keep = sums != 0
+    return known.T[keep], sums[keep]
 
 
 def _magnitudes(values: np.ndarray) -> np.ndarray:
-    """|v| of each value by libm hypot, which abs() of a complex calls too;
-    like abs(), raises (FloatingPointError, an ArithmeticError) where a
-    finite value's magnitude overflows."""
+    """|v| of each value by libm hypot, as abs() of a complex; raises an
+    ArithmeticError where a finite value's magnitude overflows, as abs()."""
     with np.errstate(over="raise"):
         return np.hypot(values.real, values.imag)
 
@@ -240,46 +148,45 @@ def _as_frequency(alpha, dim: int) -> Frequency:
 class TrigPolynomial:
     """Immutable finitely supported Fourier series on T^dim."""
 
-    __slots__ = ("dim", "_coeffs")
+    __slots__ = ("dim", "_freqs", "_values")
 
     def __init__(self, dim: int, coeffs: Optional[Mapping] = None):
         dim = int(dim)
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         store: dict[Frequency, complex] = {}
-        if coeffs:
-            for alpha, value in coeffs.items():
-                value = complex(value)
-                if value != 0:
-                    store[_as_frequency(alpha, dim)] = value
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_coeffs", store)
-
-    @classmethod
-    def _from_valid(cls, dim: int, coeffs: Mapping[Frequency, complex]) -> "TrigPolynomial":
-        """A series whose keys are already frequencies of dimension dim and
-        whose values are complex, as the results of the algebra on
-        validated series are: skips the key check, still drops exact
-        zeros."""
-        return cls._from_store(dim, {a: v for a, v in coeffs.items() if v != 0})
+        for alpha, value in (coeffs or {}).items():
+            value = complex(value)
+            if value != 0:
+                store[_as_frequency(alpha, dim)] = value
+        count = len(store)
+        try:
+            flat = np.fromiter(itertools.chain.from_iterable(store), dtype=np.intp, count=count * dim)
+        except OverflowError:
+            raise ValueError("frequencies must fit int64") from None
+        self._fill(dim, flat.reshape(count, dim), np.fromiter(store.values(), dtype=complex, count=count))
 
     @classmethod
     def _from_table(cls, dim: int, freqs: np.ndarray, values: np.ndarray) -> "TrigPolynomial":
-        """A series from a table with distinct rows and no exact zeros, as
-        the kernels return it, in the table's order."""
-        return cls._from_store(dim, dict(zip(map(tuple, freqs.tolist()), values.tolist())))
-
-    @classmethod
-    def _from_store(cls, dim: int, store: dict[Frequency, complex]) -> "TrigPolynomial":
+        """A series that keeps a table of distinct frequencies, as the
+        series algebra computes it: skips the checks of __init__, still
+        drops exact zeros."""
         out = object.__new__(cls)
-        object.__setattr__(out, "dim", dim)
-        object.__setattr__(out, "_coeffs", store)
+        out._fill(dim, freqs, values)
         return out
+
+    def _fill(self, dim: int, freqs: np.ndarray, values: np.ndarray) -> None:
+        keep = values != 0
+        if not keep.all():
+            freqs, values = freqs[keep], values[keep]
+        freqs.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_freqs", freqs)
+        object.__setattr__(self, "_values", values)
 
     def __setattr__(self, name, value):
         raise AttributeError("TrigPolynomial is immutable")
-
-    # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(dim: int) -> "TrigPolynomial":
@@ -298,82 +205,82 @@ class TrigPolynomial:
         """amplitude * cos(2 pi alpha . x)."""
         a = tuple(int(v) for v in alpha)
         neg = tuple(-v for v in a)
-        half = 0.5 * amplitude
-        if a == neg:
-            return TrigPolynomial(dim, {a: amplitude})
-        return TrigPolynomial(dim, {a: half, neg: half})
-
-    # -- basic accessors ---------------------------------------------------
+        return TrigPolynomial(dim, {a: amplitude} if a == neg else {a: 0.5 * amplitude, neg: 0.5 * amplitude})
 
     def coefficient(self, alpha) -> complex:
-        return self._coeffs.get(_as_frequency(alpha, self.dim), 0j)
+        hit = np.flatnonzero((self._freqs == _as_frequency(alpha, self.dim)).all(axis=1))
+        return complex(self._values[hit[0]]) if len(hit) else 0j
+
+    def _sorted(self) -> np.ndarray:
+        """The positions of the frequencies in lexicographic order."""
+        return np.lexsort(self._freqs.T[::-1]) if self.dim else np.arange(len(self))
 
     def support(self) -> list[Frequency]:
-        return sorted(self._coeffs)
+        return list(map(tuple, self._freqs[self._sorted()].tolist()))
 
     def sorted_items(self) -> list[tuple[Frequency, complex]]:
-        return [(alpha, self._coeffs[alpha]) for alpha in sorted(self._coeffs)]
+        order = self._sorted()
+        return list(zip(map(tuple, self._freqs[order].tolist()), self._values[order].tolist()))
 
-    def items(self):
-        return self._coeffs.items()
+    def items(self) -> list[tuple[Frequency, complex]]:
+        """(frequency, coefficient) pairs in insertion order."""
+        return list(zip(map(tuple, self._freqs.tolist()), self._values.tolist()))
 
     def table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Frequencies as a (len, dim) intp array and coefficients as a
-        complex array, both in insertion order."""
-        count = len(self._coeffs)
-        flat = np.fromiter(itertools.chain.from_iterable(self._coeffs), dtype=np.intp, count=count * self.dim)
-        return flat.reshape(count, self.dim), np.fromiter(self._coeffs.values(), dtype=complex, count=count)
+        """The stored frequencies, a read-only (len, dim) intp array, and
+        coefficients, a read-only complex array, both in insertion order."""
+        return self._freqs, self._values
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self._values)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return len(self._values) > 0
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TrigPolynomial)
-            and self.dim == other.dim
-            and self._coeffs == other._coeffs
-        )
+        """Equal terms in any order; -0.0 equals 0.0, as in a dict."""
+        if other is self:
+            return True
+        if not (isinstance(other, TrigPolynomial) and (self.dim, len(self)) == (other.dim, len(other))):
+            return False
+        a, b = self._sorted(), other._sorted()
+        return np.array_equal(self._freqs[a], other._freqs[b]) and np.array_equal(self._values[a], other._values[b])
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self._coeffs.items())))
+        order = self._sorted()
+        # adding 0 turns -0.0 into 0.0
+        return hash((self.dim, self._freqs[order].tobytes(), (self._values[order] + 0).tobytes()))
 
     def support_radius(self) -> int:
         """Largest max-norm over the support (0 for the zero series)."""
-        if not self._coeffs:
-            return 0
-        if self.dim == 0:
-            return 0
-        return max(max(abs(a) for a in alpha) for alpha in self._coeffs)
-
-    # -- algebra -----------------------------------------------------------
+        return int(np.abs(self._freqs).max(initial=0))
 
     def _check_dim(self, other: "TrigPolynomial"):
         if self.dim != other.dim:
             raise ValueError("mixed torus dimensions")
 
     def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
+        """self's terms, then other's new ones; as in a dict, other's values
+        are added to self's or to 0j."""
         self._check_dim(other)
-        out = dict(self._coeffs)
-        for alpha, value in other._coeffs.items():
-            out[alpha] = out.get(alpha, 0j) + value
-        return TrigPolynomial._from_valid(self.dim, out)
+        keys, index = _merge_keys(self._freqs.T, other._freqs.T)
+        values = np.zeros(keys.shape[1], dtype=complex)
+        values[: len(self)] = self._values
+        values[index] += other._values
+        return TrigPolynomial._from_table(self.dim, keys.T, values)
 
     def __sub__(self, other: "TrigPolynomial") -> "TrigPolynomial":
         return self + other.scaled(-1.0)
 
     def scaled(self, factor) -> "TrigPolynomial":
-        factor = complex(factor)
-        return TrigPolynomial._from_valid(
-            self.dim, {alpha: factor * value for alpha, value in self._coeffs.items()}
-        )
+        """factor * value in the real arithmetic of Python's complex product."""
+        f, v = complex(factor), self._values
+        values = np.empty(len(v), dtype=complex)
+        values.real = f.real * v.real - f.imag * v.imag
+        values.imag = f.real * v.imag + f.imag * v.real
+        return TrigPolynomial._from_table(self.dim, self._freqs, values)
 
-    def __mul__(self, factor):
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = scaled
 
     def convolve(self, other: "TrigPolynomial") -> "TrigPolynomial":
         """Coefficient convolution, i.e. the coefficients of the pointwise
@@ -381,49 +288,31 @@ class TrigPolynomial:
         self._check_dim(other)
         return TrigPolynomial._from_table(self.dim, *_product_table(self.table(), other.table()))
 
-    def inner(self, other: "TrigPolynomial") -> complex:
-        """L2 inner product <self, other>, conjugate-linear on the right."""
-        self._check_dim(other)
-        small, large = (
-            (self._coeffs, other._coeffs)
-            if len(self._coeffs) <= len(other._coeffs)
-            else (other._coeffs, self._coeffs)
-        )
-        acc = 0j
-        for alpha in small:
-            if alpha in large:
-                acc += self._coeffs.get(alpha, 0j) * other._coeffs.get(alpha, 0j).conjugate()
-        return acc
-
     def norm(self) -> float:
-        return math.sqrt(math.fsum(abs(v) ** 2 for v in self._coeffs.values()))
+        return math.sqrt(math.fsum(abs(v) ** 2 for v in self._values.tolist()))
 
     def prune(self, tol: float) -> "TrigPolynomial":
         """Drop coefficients with magnitude at or below tol."""
-        return TrigPolynomial._from_valid(
-            self.dim, {a: v for a, v in self._coeffs.items() if abs(v) > tol}
-        )
+        keep = _magnitudes(self._values) > tol
+        return TrigPolynomial._from_table(self.dim, self._freqs[keep], self._values[keep])
 
     def hermitian_defect(self) -> float:
         """max |c(-alpha) - conj(c(alpha))|; zero exactly when the series is
         real-valued, NaN when a coefficient is."""
-        freqs, values = self.table()
-        keys, mirror = _merge_keys(freqs, -freqs)
-        padded = np.zeros(len(keys), dtype=complex)
-        padded[: len(values)] = values
+        keys, mirror = _merge_keys(self._freqs.T, -self._freqs.T)
+        padded = np.zeros(keys.shape[1], dtype=complex)
+        padded[: len(self)] = self._values
         # a difference overflows to inf silently, as a complex subtraction does
         with np.errstate(over="ignore"):
-            defect = padded[mirror] - values.conj()
+            defect = padded[mirror] - self._values.conj()
         return float(_magnitudes(defect).max(initial=0.0))
 
     def is_real_valued(self, tol: float = 0.0) -> bool:
         """Whether the Hermitian defect is at most tol times the largest
-        coefficient magnitude; a series with a non-finite coefficient is
-        not real-valued."""
-        values = np.fromiter(self._coeffs.values(), dtype=complex, count=len(self._coeffs))
-        if not np.isfinite(values).all():
+        coefficient magnitude, and every coefficient is finite."""
+        if not np.isfinite(self._values).all():
             return False
-        return bool(self.hermitian_defect() <= tol * _magnitudes(values).max(initial=0.0))
+        return bool(self.hermitian_defect() <= tol * _magnitudes(self._values).max(initial=0.0))
 
     def map_frequencies(self, matrix: Sequence[Sequence[int]]) -> "TrigPolynomial":
         """Relabel each frequency alpha to matrix @ alpha (an exact integer
@@ -434,55 +323,34 @@ class TrigPolynomial:
         for row in rows:
             if len(row) != self.dim:
                 raise ValueError(f"matrix row {list(row)} has length {len(row)}, not the series dimension {self.dim}")
-        lift = np.array(rows, dtype=np.intp).reshape(len(rows), self.dim)
-        freqs, values = self.table()
         largest_row = max((sum(abs(x) for x in row) for row in rows), default=0)
-        if int(np.abs(freqs).max(initial=0)) * largest_row > _INT64_MAX:
+        if self.support_radius() * largest_row > _INT64_MAX:
             raise OverflowError("relabeled frequencies overflow int64")
-        keys, ids = _merge_keys(np.empty((0, len(rows)), dtype=np.intp), freqs @ lift.T)
-        re, im = np.zeros(len(keys)), np.zeros(len(keys))
-        np.add.at(re, ids, values.real)
-        np.add.at(im, ids, values.imag)
-        return TrigPolynomial._from_table(len(rows), *_nonzero_table(keys, re, im))
-
-    # -- evaluation and grid transforms -------------------------------------
-
-    def evaluate(self, points) -> np.ndarray:
-        """Evaluate at points of shape (..., dim); returns complex values."""
-        pts = np.asarray(points, dtype=float)
-        if self.dim == 0:
-            base = np.zeros(pts.shape[:-1] if pts.ndim else (), dtype=complex)
-            return base + self._coeffs.get((), 0j)
-        if pts.shape[-1] != self.dim:
-            raise ValueError("points have wrong dimension")
-        out = np.zeros(pts.shape[:-1], dtype=complex)
-        for alpha, value in self.sorted_items():
-            phase = pts @ np.array(alpha, dtype=float)
-            out += value * np.exp(2j * np.pi * phase)
-        return out
+        lift = np.array(rows, dtype=np.intp).reshape(len(rows), self.dim)
+        keys, ids = _merge_keys(np.empty((len(rows), 0), dtype=np.intp), lift @ self._freqs.T)
+        sums = np.zeros(keys.shape[1], dtype=complex)
+        np.add.at(sums, ids, self._values)
+        return TrigPolynomial._from_table(len(rows), keys.T, sums)
 
     def to_grid(self, points_per_axis: int) -> np.ndarray:
         """Values on the uniform grid (j_1/G, ..., j_dim/G)."""
         G = int(points_per_axis)
         if self.dim == 0:
-            return np.array(self._coeffs.get((), 0j), dtype=complex)
+            return np.array(self.coefficient(()), dtype=complex)
         if G < 1:
             raise ValueError("grid must have at least one point per axis")
         if 2 * self.support_radius() >= G:
             raise ValueError("grid too coarse for this support; values would alias")
-        freqs, values = self.table()
         bins = np.zeros((G,) * self.dim, dtype=complex)
         # the aliasing guard makes the indices unique
-        bins[tuple((freqs % G).T)] += values
+        bins[tuple((self._freqs % G).T)] += self._values
         return np.fft.ifftn(bins) * (G**self.dim)
 
     @staticmethod
     def from_grid(values: np.ndarray, tol: float = 0.0) -> "TrigPolynomial":
-        """Interpolating series through uniform-grid samples.
-
-        Frequencies are placed in [-G/2, G/2) per axis; coefficients with
-        magnitude at or below tol are dropped.
-        """
+        """Interpolating series through uniform-grid samples: frequencies
+        in [-G/2, G/2) per axis, in C order, without the coefficients of
+        magnitude at or below tol."""
         arr = np.asarray(values, dtype=complex)
         if arr.ndim == 0:
             value = complex(arr)
@@ -491,22 +359,13 @@ class TrigPolynomial:
         if any(s != G for s in arr.shape):
             raise ValueError("grid must be uniform across axes")
         coeffs = (np.fft.fftn(arr) / (G**arr.ndim)).ravel()
-        # np.hypot is libm hypot, which abs() of a complex scalar calls too;
-        # flat indices in increasing order are C order
+        # np.hypot is libm hypot, which abs() of a complex scalar calls too
         keep = np.flatnonzero(np.hypot(coeffs.real, coeffs.imag) > tol)
         index = np.stack(np.unravel_index(keep, arr.shape), axis=-1)
-        alphas = np.where(index < (G + 1) // 2, index, index - G)
-        return TrigPolynomial._from_valid(
-            arr.ndim, dict(zip(map(tuple, alphas.tolist()), coeffs[keep].tolist()))
-        )
-
-    # -- serialization -------------------------------------------------------
+        return TrigPolynomial._from_table(arr.ndim, np.where(index < (G + 1) // 2, index, index - G), coeffs[keep])
 
     def to_json_obj(self) -> list[dict]:
-        return [
-            {"alpha": list(alpha), "re": value.real, "im": value.imag}
-            for alpha, value in self.sorted_items()
-        ]
+        return [{"alpha": list(alpha), "re": value.real, "im": value.imag} for alpha, value in self.sorted_items()]
 
     @staticmethod
     def from_json_obj(obj: Iterable[Mapping], dim: Optional[int] = None) -> "TrigPolynomial":
@@ -531,5 +390,4 @@ class TrigPolynomial:
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{a}: {v:.3g}" for a, v in self.sorted_items()[:4])
-        suffix = ", ..." if len(self) > 4 else ""
-        return f"TrigPolynomial(dim={self.dim}, {{{inside}{suffix}}})"
+        return f"TrigPolynomial(dim={self.dim}, {{{inside}{', ...' if len(self) > 4 else ''}}})"

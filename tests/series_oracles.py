@@ -44,6 +44,27 @@ def hermitian_defect_oracle(p: TrigPolynomial) -> float:
     return worst
 
 
+def evaluate(p: TrigPolynomial, points) -> np.ndarray:
+    """The series at points of shape (..., dim), one term at a time in
+    sorted frequency order."""
+    pts = np.asarray(points, dtype=float)
+    if p.dim == 0:
+        base = np.zeros(pts.shape[:-1] if pts.ndim else (), dtype=complex)
+        return base + p.coefficient(())
+    if pts.shape[-1] != p.dim:
+        raise ValueError("points have wrong dimension")
+    out = np.zeros(pts.shape[:-1], dtype=complex)
+    for alpha, value in p.sorted_items():
+        out += value * np.exp(2j * np.pi * (pts @ np.array(alpha, dtype=float)))
+    return out
+
+
+def inner(p: TrigPolynomial, q: TrigPolynomial) -> complex:
+    """The L2 inner product <p, q>, conjugate-linear in q."""
+    mine, theirs = dict(p.items()), dict(q.items())
+    return sum((value * theirs[alpha].conjugate() for alpha, value in mine.items() if alpha in theirs), 0j)
+
+
 def norm_oracle(p: TrigPolynomial) -> float:
     return math.sqrt(math.fsum(abs(v) ** 2 for _, v in p.items()))
 

@@ -817,33 +817,36 @@ def _environment() -> dict:
     return {"numpy": np.__version__, "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}"}
 
 
+_REFERENCES = json.loads((ROOT / "perfbench" / "references.json").read_text())
+
+
+@functools.lru_cache(maxsize=None)
+def _recorded_instances(workload: str, seed: str) -> dict:
+    """The instances of a recorded workload seed by name; "*" holds those
+    that every seed runs."""
+    instances = _perfbench_module("workloads").instances(ROOT, workload, 0 if seed == "*" else int(seed))
+    return {instance.name: instance for instance in instances}
+
+
 @pytest.mark.parametrize(
     "workload, seed, name",
     [
-        ("golden", "*", "golden-0"),
-        ("sweep", "*", "irrational_pair"),
-        ("sweep", "*", "quasiconvexity_fails"),
-        ("three-torus", "*", "three-torus"),
-    ]
-    # the generated instances of recorded sweep seed 3; with the two
-    # shipped ones above, all 26 of its instances
-    + [
-        ("sweep", "3", instance.name)
-        for instance in _perfbench_module("workloads").instances(ROOT, "sweep", 3)
-        if instance.name.startswith("gen")
+        (workload, seed, name)
+        for workload, seeds in _REFERENCES["workloads"].items()
+        for seed, names in seeds.items()
+        for name in names
     ],
 )
 def test_shipped_configs_match_recorded_bytes(tmp_path, workload, seed, name):
     # perfbench/references.json holds the artifacts' SHA-256 as the
-    # benchmark recorded them; float bytes may differ under another numpy
-    # or BLAS, so the comparison holds only in the recorded environment
-    references = json.loads((ROOT / "perfbench" / "references.json").read_text())
-    recorded = {key: references["environment"][key] for key in ("numpy", "blas")}
+    # benchmark recorded them for golden, three-torus and every recorded
+    # sweep seed; float bytes may differ under another numpy or BLAS, so
+    # the comparison holds only in the recorded environment
+    recorded = {key: _REFERENCES["environment"][key] for key in ("numpy", "blas")}
     if recorded != _environment():
         pytest.skip(f"references recorded under {recorded}, running under {_environment()}")
-    expected = references["workloads"][workload][seed][name]
-    instances = _perfbench_module("workloads").instances(ROOT, workload, 3)
-    (instance,) = [instance for instance in instances if instance.name == name]
+    expected = _REFERENCES["workloads"][workload][seed][name]
+    instance = _recorded_instances(workload, seed)[name]
     out = tmp_path / "out"
     code, _ = run_pipeline(parse_config(instance.text), instance.stages, out)
     digests = {

@@ -33,7 +33,7 @@ _PARTS = st.one_of(
     st.floats(-10.0, 10.0, allow_nan=False),
 )
 # small entries collide often; entries of +-10**6 spread a product's
-# frequencies over a box too wide for exact keys on three axes
+# frequencies over a box too wide for a mixed radix on three axes
 _SMALL = st.integers(-3, 3)
 _ENTRIES = st.one_of(_SMALL, st.sampled_from([-(10**6), 10**6, 10**6 - 1]))
 # scratch budgets that split products of a few terms into blocks of whole
@@ -68,7 +68,7 @@ def test_convolve_matches_dict_loop(data):
 
 def test_convolve_with_a_radix_beyond_int64_matches_dict_loop():
     # the frequency box is 4 * 10**6 + 1 wide on each of three axes, more
-    # cells than exact keys can count, so the keys come from random weights
+    # cells than a mixed radix in int64 can count, so the keys rank axes
     corners = [(s * 10**6, -s * 10**6, s * (10**6 - 1)) for s in (1, -1)]
     p = TrigPolynomial(3, {corners[0]: 1.0, (0, 0, 0): 2j, corners[1]: -0.5})
     q = TrigPolynomial(3, {corners[1]: 1.0, (1, 0, -1): 1j, corners[0]: 2.0})
@@ -186,26 +186,20 @@ def test_blocks_cover_the_terms_in_left_major_order_within_the_budget(rows, cols
     assert starts == [0] + ends[:-1] and ends[-1] == rows * cols
 
 
-def test_colliding_keys_start_the_product_over():
-    # the first attempt keys every frequency alike; the check finds the
-    # collision and the next attempt's keys give the dict loop's bits
-    p = TrigPolynomial(3, {(10**6, 0, -(10**6)): 1.0, (0, 10**6, 1): 2j, (-(10**6), 5, 0): 0.5})
-    q = TrigPolynomial(3, {(1, 2, 3): 1.0, (-(10**6), 10**6, 10**6): -1j})
-    keys = trigpoly._frequency_keys
-    attempts = []
-
-    def first_collides(fa, fb, low_a, low_b, widths, place_bits, attempt):
-        attempts.append(attempt)
-        if attempt == 0:
-            return np.zeros(len(fa), dtype=np.int64), np.zeros(len(fb), dtype=np.int64), False
-        return keys(fa, fb, low_a, low_b, widths, place_bits, attempt)
-
-    for budget in (None, 700):
-        attempts.clear()
-        with mock.patch.object(trigpoly, "_frequency_keys", first_collides):
-            product = _with_budget(budget, p.convolve, q)
-        assert attempts == [0, 1]
-        assert bits(product) == bits(convolve_oracle(p, q))
+@pytest.mark.parametrize("place_bits", [0, 5, 40])
+def test_flat_keys_are_exact_on_any_range(place_bits):
+    # columns of three rows; the full int64 range on the first row, and
+    # 2**21-wide rows that overflow the bits left after a few of them, make
+    # the keys rank pairs; equal columns must share a key and only they
+    rng = np.random.default_rng(place_bits)
+    extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1])
+    table = np.stack([rng.choice(extremes, 300), rng.integers(-(2**20), 2**20, 300), rng.integers(0, 3, 300)])
+    table[:, 150:] = table[:, :150]  # every column twice
+    keys = trigpoly._flat_keys(table, place_bits)
+    assert keys.dtype == np.int64 and not (keys & ((1 << place_bits) - 1)).any() and (keys >= 0).all()
+    columns = [tuple(column) for column in table.T.tolist()]
+    assert len(set(columns)) == len(set(keys.tolist()))
+    assert all((keys[i] == keys[j]) == (columns[i] == columns[j]) for i in range(300) for j in range(0, 300, 7))
 
 
 def _scratch_peak(tables):
@@ -223,7 +217,7 @@ def _scratch_peak(tables):
 @pytest.mark.parametrize("spread", [1, 10**6])
 def test_product_scratch_stays_under_the_constant(dim, spread):
     # 301 x 301 terms take several blocks; with spread 10**6 on three axes
-    # the keys come from random weights and are checked
+    # the keys rank the pairs of partial keys and axes
     keys = [(k,) + (k % 3,) * (dim - 1) for k in range(-150, 151)] + [(spread,) * dim]
     left = TrigPolynomial(dim, {key: complex(1.0, n) for n, key in enumerate(keys)})
     tables = left.table(), left.scaled(0.5j).table()

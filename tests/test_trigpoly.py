@@ -10,7 +10,7 @@ import pytest
 
 from toruslab import TrigPolynomial, assemble_Q_alpha, galerkin_nullspace, transform_quadratic_form
 
-from series_oracles import conjugate
+from series_oracles import conjugate, evaluate, inner
 
 
 def _random_poly(rng, dim, radius, count):
@@ -66,9 +66,9 @@ def test_grid_rejects_aliasing():
 def test_inner_product_and_norm():
     p = TrigPolynomial(1, {(0,): 1.0, (2,): 2.0j})
     q = TrigPolynomial(1, {(2,): 1.0})
-    assert p.inner(q) == pytest.approx(2.0j)
+    assert inner(p, q) == pytest.approx(2.0j)
     assert p.norm() == pytest.approx(np.sqrt(5.0))
-    assert p.inner(p) == pytest.approx(5.0)
+    assert inner(p, p) == pytest.approx(5.0)
 
 
 def test_conjugate_and_real_detection():
@@ -112,7 +112,7 @@ def test_evaluate_matches_naive_sum():
     rng = np.random.default_rng(11)
     p = _random_poly(rng, 2, 3, 8)
     points = rng.random((5, 2))
-    values = p.evaluate(points)
+    values = evaluate(p, points)
     for row, value in zip(points, values):
         naive = sum(
             c * np.exp(2j * np.pi * (alpha[0] * row[0] + alpha[1] * row[1]))
@@ -149,7 +149,7 @@ def test_json_round_trip_and_schema():
 def test_dim_zero_polynomials():
     p = TrigPolynomial(0, {(): 3.0})
     assert p.norm() == pytest.approx(3.0)
-    assert p.evaluate(np.zeros((4, 0))).shape == (4,)
+    assert evaluate(p, np.zeros((4, 0))).shape == (4,)
     assert complex(p.to_grid(1)) == 3.0 + 0j
 
 

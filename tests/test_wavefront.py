@@ -21,6 +21,8 @@ from toruslab import (
 from toruslab import wavefront
 from toruslab.wavefront import VerdictThresholds, symbol_scale
 
+from series_oracles import evaluate
+
 
 def mass_by_quadrature(u, x0, xi0, h, points=4096, images=6):
     """Independent oracle: sample the periodized Gaussian in real space."""
@@ -30,7 +32,7 @@ def mass_by_quadrature(u, x0, xi0, h, points=4096, images=6):
         d = x - x0 - image
         probe += np.exp(1j * xi0 * d / h - d * d / (2.0 * h))
     probe /= math.sqrt(float(np.mean(np.abs(probe) ** 2)))
-    overlap = np.mean(u.evaluate(x[:, None]) * np.conj(probe))
+    overlap = np.mean(evaluate(u, x[:, None]) * np.conj(probe))
     return float(abs(overlap) ** 2)
 
 
@@ -242,7 +244,7 @@ def test_factory_mass_tracks_profile_squared(golden):
     zero = grid.zero_xi_index
     u = golden.family.members[-1]
     nodes = grid.x_nodes
-    target = np.abs(u.evaluate(nodes)) ** 2
+    target = np.abs(evaluate(u, nodes)) ** 2
     row = mass_map.masses[zero, :, -1]
     correlation = np.corrcoef(row, target)[0, 1]
     assert correlation >= 0.99
