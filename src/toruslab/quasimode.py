@@ -241,10 +241,15 @@ class QuasimodeFamily:
 
     @staticmethod
     def load(directory) -> "QuasimodeFamily":
+        """Read ``manifest.json``; a member index that is not an integer in
+        [0, number of members) is a ValueError naming it."""
         manifest = json.loads((Path(directory) / "manifest.json").read_text())
         members = [
             TrigPolynomial.from_json_obj(m["coeffs"], dim=m["dim"]) for m in manifest["members"]
         ]
+        for i in manifest["member_index"]:
+            if type(i) is not int or not 0 <= i < len(members):
+                raise ValueError(f"member_index entry {i!r} is not an integer in [0, {len(members)})")
         return QuasimodeFamily(
             tuple(manifest["h_ladder"]),
             tuple(members[i] for i in manifest["member_index"]),

@@ -211,16 +211,17 @@ class TrigPolynomial:
         hit = np.flatnonzero((self._freqs == _as_frequency(alpha, self.dim)).all(axis=1))
         return complex(self._values[hit[0]]) if len(hit) else 0j
 
-    def _sorted(self) -> np.ndarray:
-        """The positions of the frequencies in lexicographic order."""
-        return np.lexsort(self._freqs.T[::-1]) if self.dim else np.arange(len(self))
+    def sorted_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table() with its frequencies in lexicographic order."""
+        order = np.lexsort(self._freqs.T[::-1]) if self.dim else np.arange(len(self))
+        return self._freqs[order], self._values[order]
 
     def support(self) -> list[Frequency]:
-        return list(map(tuple, self._freqs[self._sorted()].tolist()))
+        return list(map(tuple, self.sorted_table()[0].tolist()))
 
     def sorted_items(self) -> list[tuple[Frequency, complex]]:
-        order = self._sorted()
-        return list(zip(map(tuple, self._freqs[order].tolist()), self._values[order].tolist()))
+        freqs, values = self.sorted_table()
+        return list(zip(map(tuple, freqs.tolist()), values.tolist()))
 
     def items(self) -> list[tuple[Frequency, complex]]:
         """(frequency, coefficient) pairs in insertion order."""
@@ -243,13 +244,12 @@ class TrigPolynomial:
             return True
         if not (isinstance(other, TrigPolynomial) and (self.dim, len(self)) == (other.dim, len(other))):
             return False
-        a, b = self._sorted(), other._sorted()
-        return np.array_equal(self._freqs[a], other._freqs[b]) and np.array_equal(self._values[a], other._values[b])
+        return all(map(np.array_equal, self.sorted_table(), other.sorted_table()))
 
     def __hash__(self):
-        order = self._sorted()
+        freqs, values = self.sorted_table()
         # adding 0 turns -0.0 into 0.0
-        return hash((self.dim, self._freqs[order].tobytes(), (self._values[order] + 0).tobytes()))
+        return hash((self.dim, freqs.tobytes(), (values + 0).tobytes()))
 
     def support_radius(self) -> int:
         """Largest max-norm over the support (0 for the zero series)."""

@@ -44,6 +44,7 @@ __all__ = [
     "IMAGE_DROP",
     "MASSMAP_BYTES_BUDGET",
     "MASSMAP_FIT_COPIES",
+    "MASSMAP_CALL_BYTES",
 ]
 
 #: Relative Gaussian weight below which frequency-lattice images are dropped.
@@ -55,6 +56,10 @@ MASSMAP_BYTES_BUDGET = 256 * 2**20
 #: the symbol-normalized copy included (3.7 to 3.8 by tracemalloc on
 #: 2-torus grids of 8 to 64 points per axis).
 MASSMAP_FIT_COPIES = 4
+#: Bytes a mass map call holds whatever its grid and member: numpy's buffer
+#: for casting the phase arguments to complex (16 bytes per element of the
+#: default np.getbufsize()) and the call's small arrays and objects.
+MASSMAP_CALL_BYTES = 16 * 8192 + (16 << 10)
 
 _MASS_BUDGET_SLACK = 1e-6
 
@@ -125,15 +130,15 @@ def _phase_table(u: TrigPolynomial, nodes: np.ndarray) -> tuple[np.ndarray, np.n
     exp(2 pi i x . alpha^T) of the nodes' distinct argument rows x . alpha^T,
     and each node's index into them.  The table depends on u alone; nodes
     whose arguments agree bit for bit share one phase row."""
-    support, coeffs = zip(*u.sorted_items())
-    alphas = np.array(support, dtype=float)
+    support, coeffs = u.sorted_table()
+    alphas = support.astype(float)
     args = nodes @ alphas.T
     rows = args.view(np.dtype((np.void, args.itemsize * args.shape[1]))).ravel()
     first, inverse = np.unique(rows, return_index=True, return_inverse=True)[1:]
     phase = 2j * np.pi * args[first]
     # the arguments are freed before the exponential, which runs in place
     del args, rows
-    return alphas, np.array(coeffs), np.exp(phase, out=phase), inverse
+    return alphas, coeffs, np.exp(phase, out=phase), inverse
 
 
 def _mass_from_table(table, xi0: Sequence[float], h: float) -> tuple[np.ndarray, float]:
@@ -254,16 +259,19 @@ class MassMap:
 def check_massmap_budget(grid: PhaseSpaceGrid, support: Optional[int] = None) -> int:
     """Bytes of the raw mass array of a grid, 8 per covector, node and
     ladder point.  Given the largest support of a family member, also the
-    decay fit's MASSMAP_FIT_COPIES copies of the masses and 32 bytes per
-    node and coefficient for the member's phase table: its phase arguments
-    and the sort's copies of them while the distinct rows are found, then
-    the phase rows of the distinct nodes and their weighted product.  That
-    is what the mass map holds at its peak.  Raises ValueError when the
-    bytes exceed MASSMAP_BYTES_BUDGET."""
+    decay fit's MASSMAP_FIT_COPIES copies of the masses; 32 bytes per node
+    and coefficient for the member's phase table: its phase arguments and
+    the sort's copies of them while the distinct rows are found, then the
+    phase rows of the distinct nodes and their weighted product; 64 + 24 dim
+    bytes per coefficient for the sorted support, its float copy, the
+    coefficients and their weights; and MASSMAP_CALL_BYTES.  That is what
+    the mass map holds at its peak.  Raises ValueError when the bytes
+    exceed MASSMAP_BYTES_BUDGET."""
     nodes = grid.points_per_axis**grid.dimension
     size = 8 * len(grid.xi_points) * nodes * len(grid.h_ladder)
     if support is not None:
-        size += MASSMAP_FIT_COPIES * size + 32 * nodes * support
+        per_coefficient = 32 * nodes + 64 + 24 * grid.dimension
+        size += MASSMAP_FIT_COPIES * size + per_coefficient * support + MASSMAP_CALL_BYTES
     if size > MASSMAP_BYTES_BUDGET:
         raise ValueError(
             f"{grid.points_per_axis} points per axis on a {grid.dimension}-torus need a "

@@ -397,6 +397,19 @@ def test_family_save_load_round_trip(tmp_path, golden):
     assert loaded.normalization == family.normalization
 
 
+@pytest.mark.parametrize("entry", [-1, True, 1, 0.0])
+def test_family_load_refuses_a_bad_member_index(tmp_path, golden, entry):
+    # one distinct member: -1 would load it from the end, True would act
+    # as index 1, 1 is past the end and 0.0 is not an integer
+    golden.family.save(tmp_path / "fam")
+    path = tmp_path / "fam" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["member_index"][3] = entry
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"member_index entry {entry!r} is not an integer in \[0, 1\)"):
+        QuasimodeFamily.load(tmp_path / "fam")
+
+
 # ---------------------------------------------------------------------------
 # Decomposition along the orbit closure
 # ---------------------------------------------------------------------------

@@ -8,7 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from toruslab import TrigPolynomial, assemble_Q_alpha, galerkin_nullspace, transform_quadratic_form
+from toruslab import (
+    QuasimodeFamily,
+    TrigPolynomial,
+    assemble_Q_alpha,
+    default_h_ladder,
+    galerkin_nullspace,
+    transform_quadratic_form,
+)
 
 from series_oracles import conjugate, evaluate, inner
 
@@ -250,3 +257,25 @@ def test_table_shapes_and_insertion_order():
     freqs, values = p.table()
     assert freqs.tolist() == [[3, -1], [-2, 0], [0, 5]]
     assert values.tolist() == [1.0, 2j, -0.5]
+    # the table is the series' state: the same read-only arrays every time
+    again = p.table()
+    assert again[0] is freqs and again[1] is values
+    assert not freqs.flags.writeable and not values.flags.writeable
+
+
+def test_equality_ignores_insertion_order_and_the_sign_of_zero():
+    terms = {(1, -2): complex(0.5, -0.0), (0, 3): 2.0, (-1, 2): complex(-0.0, 0.25)}
+    p = TrigPolynomial(2, terms)
+    reordered = TrigPolynomial(2, dict(reversed(list(terms.items()))))
+    unsigned = TrigPolynomial(2, {(1, -2): 0.5, (0, 3): complex(2.0, -0.0), (-1, 2): 0.25j})
+    assert [alpha for alpha, _ in reordered.items()] != [alpha for alpha, _ in p.items()]
+    for q in (reordered, unsigned):
+        assert p == q and q == p and hash(p) == hash(q)
+    assert p != TrigPolynomial(2, {**terms, (0, 3): 2.5})
+    assert p != TrigPolynomial(2, {(1, -2): 0.5, (0, 3): 2.0})
+    assert TrigPolynomial(1, {(0,): 1.0}) != TrigPolynomial(2, {(0, 0): 1.0})
+    # a family merges equal members, whatever their order or signed zeros
+    ladder = default_h_ladder()[:4]
+    family = QuasimodeFamily.from_members(ladder, [p, reordered, unsigned, p.scaled(2.0)])
+    members, member_index = family.distinct_members()
+    assert len(members) == 1 and member_index == [0, 0, 0, 0]
