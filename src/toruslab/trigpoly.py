@@ -244,12 +244,13 @@ class TrigPolynomial:
             return True
         if not (isinstance(other, TrigPolynomial) and (self.dim, len(self)) == (other.dim, len(other))):
             return False
+        if (self._freqs == other._freqs).all():
+            return bool((self._values == other._values).all())
         return all(map(np.array_equal, self.sorted_table(), other.sorted_table()))
 
     def __hash__(self):
-        freqs, values = self.sorted_table()
-        # adding 0 turns -0.0 into 0.0
-        return hash((self.dim, freqs.tobytes(), (values + 0).tobytes()))
+        # equal series have equal frequency sums, whatever their order
+        return hash((self.dim, len(self), *self._freqs.sum(axis=0).tolist()))
 
     def support_radius(self) -> int:
         """Largest max-norm over the support (0 for the zero series)."""
