@@ -68,7 +68,8 @@ def test_convolve_matches_dict_loop(data):
 
 def test_convolve_with_a_radix_beyond_int64_matches_dict_loop():
     # the frequency box is 4 * 10**6 + 1 wide on each of three axes, more
-    # cells than a mixed radix in int64 can count, so the keys rank axes
+    # cells than a mixed radix in int64 can count, so the keys rank pairs
+    # of partial keys and axis values
     corners = [(s * 10**6, -s * 10**6, s * (10**6 - 1)) for s in (1, -1)]
     p = TrigPolynomial(3, {corners[0]: 1.0, (0, 0, 0): 2j, corners[1]: -0.5})
     q = TrigPolynomial(3, {corners[1]: 1.0, (1, 0, -1): 1j, corners[0]: 2.0})
@@ -217,7 +218,7 @@ def _scratch_peak(tables):
 @pytest.mark.parametrize("spread", [1, 10**6])
 def test_product_scratch_stays_under_the_constant(dim, spread):
     # 301 x 301 terms take several blocks; with spread 10**6 on three axes
-    # the keys rank the pairs of partial keys and axes
+    # the keys rank pairs of partial keys and axis values
     keys = [(k,) + (k % 3,) * (dim - 1) for k in range(-150, 151)] + [(spread,) * dim]
     left = TrigPolynomial(dim, {key: complex(1.0, n) for n, key in enumerate(keys)})
     tables = left.table(), left.scaled(0.5j).table()
