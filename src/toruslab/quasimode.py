@@ -168,15 +168,19 @@ def default_h_ladder(start: int = 4, stop: int = 12) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class QuasimodeFamily:
-    """An h-indexed family of unit-norm trig polynomials.
+    """An h-indexed family of unit-norm trig polynomials, in the form of its
+    manifest.
 
-    ``normalization`` records the norms the members had before they were
-    scaled to one; the members themselves are stored normalized and the
-    constructor enforces this.
+    ``members`` holds each distinct member once, normalized, in order of
+    first appearance; ``member_index`` gives the index of each ladder
+    point's member and ``normalization`` the norm it had before it was
+    scaled to one.  The constructor checks every index and the norms;
+    only ``from_members`` compares members by value.
     """
 
     h_ladder: tuple[float, ...]
     members: tuple[TrigPolynomial, ...]
+    member_index: tuple[int, ...]
     normalization: tuple[float, ...]
 
     def __post_init__(self):
@@ -185,74 +189,67 @@ class QuasimodeFamily:
             raise ValueError("ladder must be positive")
         if any(nxt >= prev for prev, nxt in zip(ladder, ladder[1:])):
             raise ValueError("ladder must be strictly decreasing")
-        if len(self.members) != len(ladder) or len(self.normalization) != len(ladder):
-            raise ValueError("members and normalization must align with the ladder")
-        for u in self.members:
+        members, member_index = tuple(self.members), tuple(self.member_index)
+        if len(member_index) != len(ladder) or len(self.normalization) != len(ladder):
+            raise ValueError("member_index and normalization must align with the ladder")
+        for i in member_index:
+            if type(i) is not int or not 0 <= i < len(members):
+                raise ValueError(f"member_index entry {i!r} is not an integer in [0, {len(members)})")
+        if len(set(member_index)) != len(members):
+            raise ValueError("every member must be indexed by a ladder point")
+        for u in members:
+            if u.dim != members[0].dim:
+                raise ValueError(f"family members live on tori of dimensions {members[0].dim} and {u.dim}")
             if abs(u.norm() - 1.0) > _NORMALIZATION_TOL:
                 raise ValueError("family members must be normalized to unit norm")
         object.__setattr__(self, "h_ladder", ladder)
-        object.__setattr__(self, "members", tuple(self.members))
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "member_index", member_index)
         object.__setattr__(self, "normalization", tuple(float(x) for x in self.normalization))
 
     @staticmethod
     def from_members(h_ladder, members) -> "QuasimodeFamily":
-        """Normalize raw members and keep their original norms."""
+        """The family of one raw member per ladder point: each is normalized,
+        its norm kept, and equal normalized members are stored once."""
         raw = list(members)
         norms = [u.norm() for u in raw]
         if any(n == 0 for n in norms):
             raise ValueError("cannot normalize a vanishing member")
-        scaled = [u.scaled(1.0 / n) for u, n in zip(raw, norms)]
-        return QuasimodeFamily(tuple(h_ladder), tuple(scaled), tuple(norms))
+        distinct: dict[TrigPolynomial, int] = {}
+        member_index = [distinct.setdefault(u.scaled(1.0 / n), len(distinct)) for u, n in zip(raw, norms)]
+        return QuasimodeFamily(tuple(h_ladder), tuple(distinct), tuple(member_index), tuple(norms))
 
     @property
     def dimension(self) -> int:
         return self.members[0].dim
 
     def member(self, h: float) -> TrigPolynomial:
-        for hh, u in zip(self.h_ladder, self.members):
+        for hh, i in zip(self.h_ladder, self.member_index):
             if hh == h:
-                return u
+                return self.members[i]
         raise KeyError(f"h={h} is not on the ladder")
 
-    def items(self):
-        return zip(self.h_ladder, self.members)
-
-    def distinct_members(self) -> tuple[list[TrigPolynomial], list[int]]:
-        """Each distinct member once, in order of first appearance, and the
-        index into that list of each ladder point's member."""
-        distinct: dict[TrigPolynomial, int] = {}
-        member_index = [distinct.setdefault(u, len(distinct)) for u in self.members]
-        return list(distinct), member_index
-
     def save(self, directory, provenance: Optional[dict] = None):
-        """Write ``manifest.json``: each distinct member once, in order of
-        first appearance, and one member index per ladder point."""
+        """Write the family's fields to ``manifest.json``."""
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
-        distinct, member_index = self.distinct_members()
         manifest = {
             "h_ladder": list(self.h_ladder),
             "normalization": list(self.normalization),
-            "members": [{"dim": u.dim, "coeffs": u.to_json_obj()} for u in distinct],
-            "member_index": member_index,
+            "members": [{"dim": u.dim, "coeffs": u.to_json_obj()} for u in self.members],
+            "member_index": list(self.member_index),
             "provenance": provenance or {},
         }
         (root / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
 
     @staticmethod
     def load(directory) -> "QuasimodeFamily":
-        """Read ``manifest.json``; a member index that is not an integer in
-        [0, number of members) is a ValueError naming it."""
+        """Read ``manifest.json``; the constructor checks what it holds."""
         manifest = json.loads((Path(directory) / "manifest.json").read_text())
-        members = [
-            TrigPolynomial.from_json_obj(m["coeffs"], dim=m["dim"]) for m in manifest["members"]
-        ]
-        for i in manifest["member_index"]:
-            if type(i) is not int or not 0 <= i < len(members):
-                raise ValueError(f"member_index entry {i!r} is not an integer in [0, {len(members)})")
         return QuasimodeFamily(
             tuple(manifest["h_ladder"]),
-            tuple(members[i] for i in manifest["member_index"]),
+            tuple(TrigPolynomial.from_json_obj(m["coeffs"], dim=m["dim"]) for m in manifest["members"]),
+            tuple(manifest["member_index"]),
             tuple(manifest["normalization"]),
         )
 
@@ -655,12 +652,11 @@ def verify_quasimode_order(
     the target within the standard fit slack.  The operator is applied
     once per distinct member, over that member's ladder points.
     """
-    members, member_index = family.distinct_members()
     residuals = []
-    for m, u in enumerate(members):
-        hs = [h for h, j in zip(family.h_ladder, member_index) if j == m]
+    for m, u in enumerate(family.members):
+        hs = [h for h, j in zip(family.h_ladder, family.member_index) if j == m]
         residuals.append(iter(apply_model_operator(spec, u, hs)))
-    norms = tuple(next(residuals[j]).norm() for j in member_index)
+    norms = tuple(next(residuals[j]).norm() for j in family.member_index)
     fit = fit_decay_exponent(family.h_ladder, norms)
     exact = all(x < EXACT_KERNEL_TOL for x in norms)
     threshold = 2.0 + float(delta) - FIT_TOL
@@ -695,9 +691,8 @@ def check_mode_concentration(
     at least 1 - epsilon, and that the resonant mode keeps at least half
     of the mass for small h."""
     alpha0 = tuple(int(a) for a in alpha0)
-    members, member_index = family.distinct_members()
-    decompositions = [decompose_along_T(u, split) for u in members]
-    per_h = [decompositions[j] for j in member_index]
+    decompositions = [decompose_along_T(u, split) for u in family.members]
+    per_h = [decompositions[j] for j in family.member_index]
     modes = sorted(set().union(*(d.modes for d in decompositions)) - {alpha0})
     norms = [[d.modes[a].norm() if a in d.modes else 0.0 for d in per_h] for a in modes + [alpha0]]
     stack = fit_decay_exponent(family.h_ladder, np.reshape(norms[:-1], (len(modes), len(per_h))))

@@ -56,10 +56,9 @@ MASSMAP_BYTES_BUDGET = 256 * 2**20
 #: the symbol-normalized copy included (3.7 to 3.8 by tracemalloc on
 #: 2-torus grids of 8 to 64 points per axis).
 MASSMAP_FIT_COPIES = 4
-#: Bytes a mass map call holds whatever its grid and member: numpy's buffer
-#: for casting the phase arguments to complex (16 bytes per element of the
-#: default np.getbufsize()) and the call's small arrays and objects.
-MASSMAP_CALL_BYTES = 16 * 8192 + (16 << 10)
+#: Bytes a mass map call holds whatever its grid and member: the call's
+#: small arrays and objects.
+MASSMAP_CALL_BYTES = 16 << 10
 
 _MASS_BUDGET_SLACK = 1e-6
 
@@ -135,8 +134,11 @@ def _phase_table(u: TrigPolynomial, nodes: np.ndarray) -> tuple[np.ndarray, np.n
     args = nodes @ alphas.T
     rows = args.view(np.dtype((np.void, args.itemsize * args.shape[1]))).ravel()
     first, inverse = np.unique(rows, return_index=True, return_inverse=True)[1:]
-    phase = 2j * np.pi * args[first]
-    # the arguments are freed before the exponential, which runs in place
+    # 2 pi i x . alpha^T is written into the imaginary part of zeroed phase
+    # rows, with no complex copy of the arguments; the arguments are freed
+    # before the exponential, which runs in place
+    phase = np.zeros((first.size, args.shape[1]), dtype=complex)
+    np.multiply(args[first], 2.0 * np.pi, out=phase.imag)
     del args, rows
     return alphas, coeffs, np.exp(phase, out=phase), inverse
 
@@ -293,18 +295,17 @@ def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap
     """
     if family.dimension != grid.dimension:
         raise ValueError("family and grid dimensions differ")
-    distinct, member_index = family.distinct_members()
-    ladder_slot = dict(zip(family.h_ladder, member_index))
+    ladder_slot = dict(zip(family.h_ladder, family.member_index))
     h_indices: dict[int, list[int]] = {}
     for h_index, h in enumerate(grid.h_ladder):
         if h not in ladder_slot:
             raise ValueError(f"grid ladder point h = {h!r} is not on the family's ladder")
         h_indices.setdefault(ladder_slot[h], []).append(h_index)
-    check_massmap_budget(grid, max(map(len, distinct)))
+    check_massmap_budget(grid, max(map(len, family.members)))
     nodes = grid.x_nodes
     masses = np.zeros((len(grid.xi_points), nodes.shape[0], len(grid.h_ladder)))
     for slot, indices in h_indices.items():
-        u = distinct[slot]
+        u = family.members[slot]
         # the phase table depends on the member alone: one per distinct member
         table = _phase_table(u, nodes)
         resolved = 2 * u.support_radius() < grid.points_per_axis

@@ -3,7 +3,9 @@ pool of malformed values, end in a config error or a report, never in
 another exception; every config that parses echoes a config that parses
 to the same echo, a config error from run_pipeline leaves the output
 directory empty, and every mass map written has the bytes of the
-per-node reference writer."""
+per-node reference writer.  Random quasimode families keep their members,
+member index and normalization through a save and load, and a second save
+writes the same bytes."""
 
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruslab import cli, wavefront
+from toruslab import QuasimodeFamily, TrigPolynomial, cli, wavefront
 from toruslab.cli import EXIT_CHECK_FAILED, EXIT_PASS, ConfigError, canonical_json, parse_config, run_pipeline
 
 from test_cli import massmap_lines_oracle
@@ -148,3 +150,38 @@ def test_a_failing_property_test_fails_without_internal_error(tmp_path):
     assert run.returncode == pytest.ExitCode.TESTS_FAILED, run.stdout + run.stderr
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed" in run.stdout and "Falsifying example" in run.stdout
+
+
+@st.composite
+def families(draw) -> QuasimodeFamily:
+    dim = draw(st.integers(1, 3))
+    ladder = draw(st.lists(st.floats(1e-4, 0.5), min_size=1, max_size=9, unique=True))
+    distinct = draw(st.integers(1, min(4, len(ladder))))
+    coefficient = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    frequency = st.tuples(*[st.integers(-4, 4)] * dim)
+    members = []
+    for _ in range(distinct):
+        u = TrigPolynomial(dim, draw(st.dictionaries(frequency, coefficient, min_size=1, max_size=6)))
+        members.append(u.scaled(1.0 / u.norm()))
+    # every member at least once, the other ladder points at random
+    extra = draw(st.lists(st.integers(0, distinct - 1), min_size=len(ladder) - distinct, max_size=len(ladder) - distinct))
+    member_index = draw(st.permutations(list(range(distinct)) + extra))
+    normalization = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(ladder), max_size=len(ladder)))
+    return QuasimodeFamily(tuple(sorted(ladder, reverse=True)), tuple(members), tuple(member_index), tuple(normalization))
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(family=families())
+def test_random_families_survive_save_and_load(tmp_path_factory, family):
+    out = tmp_path_factory.mktemp("family")
+    family.save(out / "first")
+    loaded = QuasimodeFamily.load(out / "first")
+    assert loaded.h_ladder == family.h_ladder
+    assert loaded.member_index == family.member_index
+    assert loaded.normalization == family.normalization
+    # the manifest lists each member's coefficients sorted by frequency
+    assert loaded.members == family.members
+    for mine, theirs in zip(loaded.members, family.members):
+        assert [a.tobytes() for a in mine.sorted_table()] == [a.tobytes() for a in theirs.sorted_table()]
+    loaded.save(out / "second")
+    assert (out / "second" / "manifest.json").read_bytes() == (out / "first" / "manifest.json").read_bytes()

@@ -37,7 +37,7 @@ from toruslab import (
     verify_quasimode_order,
     wavefront_mass_map,
 )
-from toruslab import quasimode
+from toruslab import quasimode, wavefront
 from toruslab.quasimode import DecayFit
 from toruslab.wavefront import PhaseSpaceGrid, symbol_scale
 
@@ -251,8 +251,8 @@ def test_factory_pure_character_whole_torus(sqrt2_basis):
 
 
 def test_factory_golden_residual_bound(golden):
-    for h, u in golden.family.items():
-        residual = apply_model_operator(golden.spec, u, h).norm()
+    for h in golden.ladder:
+        residual = apply_model_operator(golden.spec, golden.family.member(h), h).norm()
         assert residual <= 1e-10 * h * h
 
 
@@ -368,7 +368,7 @@ def test_family_normalization_enforced():
     ladder = default_h_ladder()
     off = TrigPolynomial(1, {(0,): 2.0})
     with pytest.raises(ValueError):
-        QuasimodeFamily(ladder, tuple([off] * len(ladder)), tuple([2.0] * len(ladder)))
+        QuasimodeFamily(ladder, (off,), (0,) * len(ladder), (2.0,) * len(ladder))
     family = QuasimodeFamily.from_members(ladder, [off] * len(ladder))
     assert family.normalization[0] == pytest.approx(2.0)
     assert family.members[0].norm() == pytest.approx(1.0)
@@ -385,6 +385,13 @@ def test_family_save_load_round_trip(tmp_path, golden):
     manifest = json.loads((tmp_path / "fam" / "manifest.json").read_text())
     assert len(manifest["members"]) == 1
     assert manifest["member_index"] == [0] * len(golden.ladder)
+    # nine equal but separate raw members write golden's bytes, which come
+    # from one member object shared by every ladder point
+    torus_profile = {golden.split.to_torus_frequency(golden.alpha0, beta): value for beta, value in golden.v.items()}
+    separate = [TrigPolynomial(2, torus_profile) for _ in golden.ladder]
+    assert len({id(u) for u in separate}) == len(golden.ladder)
+    QuasimodeFamily.from_members(golden.ladder, separate).save(tmp_path / "separate", provenance={"kind": "golden"})
+    assert (tmp_path / "separate" / "manifest.json").read_bytes() == (tmp_path / "fam" / "manifest.json").read_bytes()
     # a family whose members all differ round-trips member for member
     ladder = default_h_ladder()
     family = QuasimodeFamily.from_members(
@@ -397,17 +404,52 @@ def test_family_save_load_round_trip(tmp_path, golden):
     assert loaded.normalization == family.normalization
 
 
+def _family_from(path, tmp_path, family, **fields):
+    """The family with some fields replaced, built by the constructor or
+    loaded from a manifest holding them."""
+    fields = {key: fields.get(key, getattr(family, key)) for key in ("h_ladder", "members", "member_index", "normalization")}
+    if path == "construct":
+        return QuasimodeFamily(**fields)
+    family.save(tmp_path / "fam")
+    manifest_path = tmp_path / "fam" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["members"] = [{"dim": u.dim, "coeffs": u.to_json_obj()} for u in fields.pop("members")]
+    manifest.update({key: list(value) for key, value in fields.items()})
+    manifest_path.write_text(json.dumps(manifest))
+    return QuasimodeFamily.load(tmp_path / "fam")
+
+
 @pytest.mark.parametrize("entry", [-1, True, 1, 0.0])
 def test_family_load_refuses_a_bad_member_index(tmp_path, golden, entry):
-    # one distinct member: -1 would load it from the end, True would act
-    # as index 1, 1 is past the end and 0.0 is not an integer
-    golden.family.save(tmp_path / "fam")
-    path = tmp_path / "fam" / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest["member_index"][3] = entry
-    path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=rf"member_index entry {entry!r} is not an integer in \[0, 1\)"):
-        QuasimodeFamily.load(tmp_path / "fam")
+    # one distinct member: -1 would read it from the end, True would act
+    # as index 1, 1 is past the end and 0.0 is not an integer; the
+    # constructor refuses it, so loading does too
+    index = list(golden.family.member_index)
+    index[3] = entry
+    for path in ("construct", "load"):
+        with pytest.raises(ValueError, match=rf"member_index entry {entry!r} is not an integer in \[0, 1\)"):
+            _family_from(path, tmp_path, golden.family, member_index=index)
+
+
+@pytest.mark.parametrize("path", ["construct", "load"])
+def test_family_refuses_an_index_list_of_the_wrong_length_or_an_unused_member(tmp_path, golden, path):
+    for index in ([0] * (len(golden.ladder) - 1), [0] * (len(golden.ladder) + 1)):
+        with pytest.raises(ValueError, match="member_index and normalization must align with the ladder"):
+            _family_from(path, tmp_path, golden.family, member_index=index)
+    other = TrigPolynomial.character(2, (1, 0))
+    with pytest.raises(ValueError, match="every member must be indexed by a ladder point"):
+        _family_from(path, tmp_path, golden.family, members=golden.family.members + (other,))
+
+
+@pytest.mark.parametrize("path", ["from_members", "load"])
+def test_family_refuses_members_on_different_tori(tmp_path, golden, path):
+    members = (golden.family.members[0], TrigPolynomial.character(1, (2,)))
+    index = [0, 1] + [0] * (len(golden.ladder) - 2)
+    with pytest.raises(ValueError, match="family members live on tori of dimensions 2 and 1"):
+        if path == "from_members":
+            QuasimodeFamily.from_members(golden.ladder, [members[i] for i in index])
+        else:
+            _family_from(path, tmp_path, golden.family, members=members, member_index=index)
 
 
 # ---------------------------------------------------------------------------
@@ -807,16 +849,23 @@ def test_order_and_concentration_visit_each_distinct_member_once(golden, monkeyp
         decomposed.append(u)
         return decompose_along_T(u, split)
 
+    def counting_phase_table(u, nodes):
+        tabled.append(u)
+        return phase_table(u, nodes)
+
+    tabled, phase_table = [], wavefront._phase_table
     monkeypatch.setattr(quasimode, "apply_model_operator", counting_apply)
     monkeypatch.setattr(quasimode, "decompose_along_T", counting_decompose)
+    monkeypatch.setattr(wavefront, "_phase_table", counting_phase_table)
     report = verify_quasimode_order(family, golden.spec, delta=1.0)
     concentration = check_mode_concentration(family, golden.split, golden.alpha0, 0.05)
+    wavefront_mass_map(family, PhaseSpaceGrid.standard(2, 4, golden.ladder))
     assert apply_ladders == [list(golden.ladder[0::2]), list(golden.ladder[1::2])]
-    assert decomposed == [family.members[0], family.members[1]]
+    assert decomposed == tabled == [family.members[0], family.members[1]]
     assert report.residual_norms == tuple(
-        apply_model_operator(golden.spec, u, h).norm() for h, u in family.items()
+        apply_model_operator(golden.spec, family.member(h), h).norm() for h in golden.ladder
     )
-    per_h = [decompose_along_T(u, golden.split) for u in family.members]
+    per_h = [decompose_along_T(family.member(h), golden.split) for h in golden.ladder]
     for mode, fit in list(concentration.mode_fits.items()) + [(golden.alpha0, None)]:
         norms = tuple(d.modes[mode].norm() if mode in d.modes else 0.0 for d in per_h)
         assert (fit.values if fit else concentration.alpha0_norms) == norms

@@ -277,5 +277,4 @@ def test_equality_ignores_insertion_order_and_the_sign_of_zero():
     # a family merges equal members, whatever their order or signed zeros
     ladder = default_h_ladder()[:4]
     family = QuasimodeFamily.from_members(ladder, [p, reordered, unsigned, p.scaled(2.0)])
-    members, member_index = family.distinct_members()
-    assert len(members) == 1 and member_index == [0, 0, 0, 0]
+    assert len(family.members) == 1 and family.member_index == (0, 0, 0, 0)
