@@ -30,7 +30,6 @@ from .exact import (
     FrequencyVector,
     IrrationalBasis,
     InvariantViolation,
-    RESONANCE_BOX,
     find_resonant_mode,
     rational_row,
     relation_lattice,  # not called here: the benchmark tracer probes this name
@@ -283,8 +282,7 @@ def _leaves(obj, path: str = ""):
 
 #: Largest magnitude of a factory frequency entry (factory.alpha0 and
 #: factory.v[i].alpha).  |alpha|^2 + 1 stays exact in float64 and every
-#: frequency fits intp; modes beyond the resonant-mode search box
-#: (RESONANCE_BOX) stay expressible.
+#: frequency fits intp.
 FACTORY_FREQUENCY_MAX = 10**6
 
 # Paths of the fields that hold JSON numbers, and of those that hold JSON
@@ -338,6 +336,16 @@ def _parse_omega(raw, dimension: int, basis: IrrationalBasis) -> FrequencyVector
     if not isinstance(raw, list) or len(raw) != dimension:
         raise ValueError(f"must be a list of {dimension} coordinate rows")
     return FrequencyVector.from_rows(raw, basis.dim)
+
+
+def _check_finite(basis: IrrationalBasis, entry: ExactNumber) -> None:
+    """Refuse a frequency beyond the float range: (D) and (F) read omega as floats."""
+    try:
+        if math.isfinite(basis.to_float(entry)):
+            return
+    except (OverflowError, ValueError):  # a coordinate past float, or inf - inf in fsum
+        pass
+    raise ValueError("value under the basis values is not a finite float")
 
 
 def _parse_hessian(raw, dimension: int) -> HessianForm:
@@ -416,6 +424,8 @@ def parse_config(text: str) -> LabConfig:
     if basis is None:
         raise ConfigError(errors)
     omega = collect("omega", _parse_omega, merged.get("omega"), dimension, basis)
+    for i, entry in enumerate(omega.entries if omega is not None else ()):
+        collect(f"omega[{i}]", _check_finite, basis, entry)
     hessian = collect("hessian", _parse_hessian, merged.get("hessian"), dimension)
     c_spec = merged["c"]
     if c_spec != "resonant":
@@ -573,13 +583,14 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
 def _split_or_refuse(config, requested):
     """The splitting, when a requested stage needs it.  Raises ConfigError
     for a request the config cannot serve: a wavefront grid whose mass map
-    would exceed the budget, or a factory block that does not fit the
-    splitting (the length of alpha0, the dimension of v, a truncation whose
-    dense Galerkin matrix on the transverse torus would exceed the budget,
-    an explicit c that is not resonant with alpha0)."""
+    of the factory member (whose support is that of v) would exceed the
+    budget, or a factory block that does not fit the splitting (the length
+    of alpha0, the dimension of v, a truncation whose dense Galerkin matrix
+    on the transverse torus would exceed the budget, an explicit c that is
+    not resonant with alpha0)."""
     if "wavefront" in requested:
         try:
-            check_massmap_budget(config.grid)
+            check_massmap_budget(config.grid, len(config.factory_v or ()))
         except ValueError as exc:
             raise ConfigError([("grid.points_per_axis", str(exc))])
     if not {"split", "build", "verify", "wavefront"} & set(requested):
@@ -647,12 +658,6 @@ def _splitting_stage(config, split):
         else:
             if resonant is None:
                 notes.append("no integer mode is resonant with explicit c")
-            elif max(map(abs, resonant)) > RESONANCE_BOX:
-                notes.append(
-                    "the integer mode resonant with explicit c lies outside "
-                    f"the search box of max-norm {RESONANCE_BOX}"
-                )
-                resonant = None
     section = {
         "relation_lattice": {"rank": split.relations.rank, "rows": split.relations.to_json_obj()},
         "matrix": [list(row) for row in split.matrix],

@@ -36,13 +36,7 @@ __all__ = [
     "find_resonant_mode",
     "parse_rational",
     "rational_row",
-    "RESONANCE_BOX",
 ]
-
-#: Bound on the max-norm of a resonant mode the pipeline reports.  Exact
-#: coordinatewise solving makes an actual search unnecessary; the box only
-#: rejects absurdly large solutions of pathological inputs.
-RESONANCE_BOX = 10**4
 
 
 class InvariantViolation(RuntimeError):

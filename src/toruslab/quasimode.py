@@ -68,6 +68,9 @@ __all__ = [
 NULL_TOL = 1e-8
 #: Slack allowed between a fitted decay exponent and its target order.
 FIT_TOL = 0.1
+#: Least share of a unit member's mass that the resonant mode keeps at the
+#: smallest h.
+RESONANT_MASS_FLOOR = 0.5
 #: Residual level below which a family counts as an exact kernel element.
 EXACT_KERNEL_TOL = 1e-13
 #: Coefficients below this magnitude are dropped when re-expanding the
@@ -703,7 +706,7 @@ def check_mode_concentration(
     alpha0_norms = tuple(norms[-1])
     threshold = 1.0 - float(epsilon) - FIT_TOL
     passed = all(f.exponent >= threshold for f in fits.values())
-    floor_ok = alpha0_norms[-1] >= 0.5
+    floor_ok = alpha0_norms[-1] ** 2 >= RESONANT_MASS_FLOOR
     return ConcentrationReport(
         mode_fits=fits,
         alpha0_norms=alpha0_norms,

@@ -258,22 +258,20 @@ class MassMap:
     residuals: np.ndarray
 
 
-def check_massmap_budget(grid: PhaseSpaceGrid, support: Optional[int] = None) -> int:
-    """Bytes of the raw mass array of a grid, 8 per covector, node and
-    ladder point.  Given the largest support of a family member, also the
-    decay fit's MASSMAP_FIT_COPIES copies of the masses; 32 bytes per node
-    and coefficient for the member's phase table: its phase arguments and
-    the sort's copies of them while the distinct rows are found, then the
-    phase rows of the distinct nodes and their weighted product; 64 + 24 dim
-    bytes per coefficient for the sorted support, its float copy, the
-    coefficients and their weights; and MASSMAP_CALL_BYTES.  That is what
-    the mass map holds at its peak.  Raises ValueError when the bytes
-    exceed MASSMAP_BYTES_BUDGET."""
+def check_massmap_budget(grid: PhaseSpaceGrid, support: int) -> int:
+    """Bytes that the mass map of a member with the given support holds at
+    its peak on a grid: 8 per covector, node and ladder point for the raw
+    masses, and MASSMAP_FIT_COPIES more such arrays for the decay fit; 32
+    bytes per node and coefficient for the member's phase table: its phase
+    arguments and the sort's copies of them while the distinct rows are
+    found, then the phase rows of the distinct nodes and their weighted
+    product; 64 + 24 dim bytes per coefficient for the sorted support, its
+    float copy, the coefficients and their weights; and MASSMAP_CALL_BYTES.
+    Raises ValueError when the bytes exceed MASSMAP_BYTES_BUDGET."""
     nodes = grid.points_per_axis**grid.dimension
-    size = 8 * len(grid.xi_points) * nodes * len(grid.h_ladder)
-    if support is not None:
-        per_coefficient = 32 * nodes + 64 + 24 * grid.dimension
-        size += MASSMAP_FIT_COPIES * size + per_coefficient * support + MASSMAP_CALL_BYTES
+    masses = 8 * len(grid.xi_points) * nodes * len(grid.h_ladder)
+    per_coefficient = 32 * nodes + 64 + 24 * grid.dimension
+    size = (1 + MASSMAP_FIT_COPIES) * masses + per_coefficient * support + MASSMAP_CALL_BYTES
     if size > MASSMAP_BYTES_BUDGET:
         raise ValueError(
             f"{grid.points_per_axis} points per axis on a {grid.dimension}-torus need a "

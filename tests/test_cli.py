@@ -261,6 +261,25 @@ def test_malformed_configs_give_their_full_error_lists(tmp_path, overrides, erro
     assert err.value.errors == errors
 
 
+@pytest.mark.parametrize("command", ["check-hypotheses", "all"])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # a coordinate past the float range
+        {"omega": [["1e400"], ["1"]]},
+        # finite coordinates whose value under the basis overflows
+        {"basis": {"names": ["1", "b"], "values": [1.0, 1e300]}, "omega": [["0", "1e10"], ["1"]]},
+        # terms that overflow to inf - inf, which fsum refuses
+        {"basis": {"names": ["1", "b", "c"], "values": [1.0, 1e300, 2e300]}, "omega": [["0", "1e10", "-1e10"], ["1"]]},
+    ],
+)
+def test_frequency_beyond_the_float_range_is_a_config_error(tmp_path, capsys, command, overrides):
+    path = _config(tmp_path, {**overrides, "factory": None})
+    assert main([command, "--config", str(path)]) == EXIT_USAGE
+    assert "config error at omega[0]: value under the basis values is not a finite float" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_canonical_json_is_sorted_and_stable():
     payload = {"b": [1.0, float("inf")], "a": {"y": 0.5, "x": None}}
     text = canonical_json(payload)
@@ -356,6 +375,10 @@ def test_huge_bordered_matrix_fails_hypothesis_d(tmp_path, overrides, det):
         ({"truncation": 100000}, "truncation"),
         # with omega_tilde = +-1 an explicit c = 1/2 admits no integer mode
         ({"c": ["1/2"]}, "c"),
+        # the full estimate refuses these, though the raw masses alone fit
+        ({"grid": {"points_per_axis": 377}}, "grid.points_per_axis"),
+        ({"grid": {"points_per_axis": 500}}, "grid.points_per_axis"),
+        ({"grid": {"points_per_axis": 863}}, "grid.points_per_axis"),
     ],
 )
 def test_refusals_after_the_parse_write_nothing(tmp_path, overrides, path):
@@ -373,16 +396,14 @@ def test_refusals_after_the_parse_write_nothing(tmp_path, overrides, path):
 
 
 def test_explicit_c_resonant_beyond_search_box_reports(tmp_path):
-    # c = 20001 resonates with alpha0 = 20001, outside the box that
-    # find_resonant_mode searches; verify must use the factory's mode
+    # c = 20001 resonates with alpha0 = 20001; the exact solve finds that
+    # mode, however large, and verify uses it
     factory = {"alpha0": [20001], "v": [{"alpha": [0], "re": 1.0}]}
     config_path = _config(tmp_path, {"c": "20001", "factory": factory})
     assert main(["all", "--config", str(config_path)]) in (EXIT_PASS, EXIT_CHECK_FAILED)
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["splitting"]["resonant_mode"] is None
-    assert report["notes"] == [
-        "the integer mode resonant with explicit c lies outside the search box of max-norm 10000"
-    ]
+    assert report["splitting"]["resonant_mode"] == [20001]
+    assert report["notes"] == []
     assert report["quasimode_verify"]["concentration"]["pass"] is True
     assert (tmp_path / "out" / "decay.csv").exists()
 
@@ -704,8 +725,9 @@ def test_shipped_and_benchmark_configs_fit_the_galerkin_budget():
 
 
 def test_mass_map_over_budget_is_refused_from_the_estimate(tmp_path, monkeypatch, capsys):
-    # 100000 points per axis on the 2-torus: 8 * 5 * 10^10 * 9 bytes, about
-    # 3.6 TB, refused before the nodes or the masses exist
+    # 100000 points per axis on the 2-torus: the masses, their fit copies and
+    # the phase table of golden's 3 coefficients, about 19 TB, refused before
+    # the nodes or the masses exist
     def no_mass_map(*args, **kwargs):
         raise AssertionError("the mass map was about to be built")
 
@@ -716,7 +738,7 @@ def test_mass_map_over_budget_is_refused_from_the_estimate(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert (
         "config error at grid.points_per_axis: 100000 points per axis on a 2-torus "
-        "need a 3600000 MB mass map, over the budget of 268 MB"
+        "need a 18960000 MB mass map, over the budget of 268 MB"
     ) in err
     assert not (tmp_path / "out").exists()
     # the grid is parsed as before, and stages without the wavefront run
@@ -724,7 +746,32 @@ def test_mass_map_over_budget_is_refused_from_the_estimate(tmp_path, monkeypatch
     code, _ = run_pipeline(config, ("hypotheses", "split"), tmp_path / "out")
     assert code == EXIT_PASS
     golden_grid = parse_config(_config(tmp_path).read_text()).grid
-    assert wavefront.check_massmap_budget(golden_grid) == 8 * 5 * 32**2 * 9
+    # golden's own map: five arrays of masses, 3 phase-table rows, the call's bytes
+    assert wavefront.check_massmap_budget(golden_grid, 3) == 5 * 368640 + 3 * (32 * 32**2 + 112) + 16384 == 1958224
+
+
+def test_mass_map_budget_is_one_estimate_decided_before_any_stage(tmp_path, monkeypatch):
+    # the refusal and the mass map check the same bytes: the factory member
+    # has the support of v, so the stage-time check cannot fail from the CLI
+    calls = []
+    original = wavefront.check_massmap_budget
+
+    def recording(grid, support):
+        calls.append((grid.points_per_axis, support))
+        return original(grid, support)
+
+    monkeypatch.setattr(cli, "check_massmap_budget", recording)
+    monkeypatch.setattr(wavefront, "check_massmap_budget", recording)
+    code, _ = run_pipeline(parse_config(_config(tmp_path).read_text()), cli._STAGES, tmp_path / "out")
+    assert code == EXIT_PASS and calls == [(32, 3), (32, 3)]
+    # 376 points per axis need 268065616 bytes, just under the budget
+    calls.clear()
+    config = parse_config(_config(tmp_path, {"grid": {"points_per_axis": 376}}).read_text())
+    assert cli._split_or_refuse(config, ["wavefront"]) is not None
+    assert calls == [(376, 3)]
+    without_factory = parse_config(_config(tmp_path, {"factory": None}).read_text())
+    cli._split_or_refuse(without_factory, ["wavefront"])
+    assert calls[-1] == (32, 0)
 
 
 def test_golden_run_computes_transverse_form_and_inverse_once(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,6 +164,30 @@ def test_two_three_splitting_elliptic_block(golden):
     assert form.Omega_block[0, 0] == pytest.approx(xi @ xi)
     assert form.Omega_block[0, 0] > 0
     assert np.linalg.eigvalsh(form.Omega_block)[0] > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ArithmeticError,
+    reason="M^-1 H M^-T is formed in floats and checked on 20 covectors, not computed exactly",
+)
+@pytest.mark.parametrize(
+    "den, hessian, transverse",
+    [
+        # H = (den omega)(den omega)^T is exact in floats and null across omega
+        (1000, np.outer([1000.0, 1001.0], [1000.0, 1001.0]), 0.0),
+        (10**6, np.outer([1e6, 1000001.0], [1e6, 1000001.0]), 0.0),
+        # the transverse covector (-1000001, 10^6) gives 1000001^2 - 10^12
+        (10**6, np.diag([1.0, -1.0]), 2000001.0),
+    ],
+)
+def test_degenerate_hessian_transverse_block_is_exact(den, hessian, transverse):
+    # omega = (1, 1 + 1/den) splits with the transverse row (-(den + 1), den)
+    # of M^-1, whose entries make the float form lose the small block
+    split = split_frequencies(FrequencyVector.from_rows([[1], [Fraction(den + 1, den)]]))
+    assert split.inverse[1] == (-(den + 1), den)
+    form = transform_quadratic_form(HessianForm(hessian), split)
+    assert form.Omega_block.tolist() == [[transverse]]
 
 
 def _form_value(form, along, across) -> float:

@@ -296,6 +296,31 @@ def test_factory_reexpansion_grid_fits_the_budget(monkeypatch):
     assert 16 * 64**3 == quasimode.REEXPANSION_BYTES_BUDGET == 16 * 512**2
 
 
+def test_factory_reexpansion_doubles_its_grid_until_it_converges(golden, monkeypatch):
+    # 1 + 0.49 * 2cos(2 pi z) comes within 0.02 of zero, so its multiplier
+    # -(Q v)/v needs 449 coefficients: the grid doubles from 64 to 512 points
+    profile = TrigPolynomial(1, {(0,): 1.0, (1,): 0.49, (-1,): 0.49})
+    args = (golden.omega, golden.hessian, golden.basis, golden.split, golden.alpha0, profile, golden.ladder)
+    sizes = []
+    original = TrigPolynomial.to_grid
+
+    def recording(self, points):
+        sizes.append(points)
+        return original(self, points)
+
+    monkeypatch.setattr(TrigPolynomial, "to_grid", recording)
+    _, _, op = build_factory_quasimode(*args)
+    assert sorted(set(sizes)) == [64, 128, 256, 512] and sizes[-1] == 512
+    assert len(op.zero_mode_multiplier) == 449
+    # negative control: a budget of one 64-point grid stops the doubling
+    # before the multiplier converges
+    monkeypatch.setattr(quasimode, "REEXPANSION_BYTES_BUDGET", 16 * 64)
+    sizes.clear()
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        build_factory_quasimode(*args)
+    assert set(sizes) == {64}
+
+
 @pytest.mark.xfail(strict=True, raises=ValueError, reason="from_grid leaves a Nyquist coefficient unpaired")
 def test_factory_real_profile_with_a_nyquist_coefficient_builds():
     # the transverse torus of (-4, 1/3, 1/2) is T^2; r0 is re-expanded on 64
@@ -891,6 +916,20 @@ def test_concentration_factory_family_vacuous_pass(golden):
     assert not report.mode_fits
     assert report.alpha0_norms[-1] == pytest.approx(1.0)
     assert report.alpha0_floor_ok
+
+
+@pytest.mark.parametrize("mass, floor_ok", [(0.4, False), (0.6, True)])
+def test_concentration_floor_is_half_the_mass(golden, mass, floor_ok):
+    # the resonant mode keeps the given share of a unit member's squared
+    # norm; at 0.4 its norm is 0.63, above 1/2, yet under half the mass
+    coeffs = {
+        golden.split.to_torus_frequency((0,), (0,)): mass**0.5,
+        golden.split.to_torus_frequency((1,), (0,)): (1.0 - mass) ** 0.5,
+    }
+    family = QuasimodeFamily.from_members(golden.ladder, [TrigPolynomial(2, coeffs)] * len(golden.ladder))
+    report = check_mode_concentration(family, golden.split, golden.alpha0, 0.05)
+    assert report.alpha0_norms[-1] ** 2 == pytest.approx(mass)
+    assert report.alpha0_floor_ok is floor_ok
 
 
 def test_concentration_decaying_second_mode_passes(golden):

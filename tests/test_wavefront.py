@@ -120,7 +120,8 @@ def test_mass_map_refuses_grid_over_budget(golden, monkeypatch):
     grid = PhaseSpaceGrid.standard(2, 100000, golden.ladder)
     with pytest.raises(ValueError, match="mass map, over the budget"):
         wavefront_mass_map(golden.family, grid)
-    assert wavefront.check_massmap_budget(PhaseSpaceGrid.standard(2, 32, golden.ladder)) == 368640
+    # the raw masses alone take 8 * 5 * 32^2 * 9 = 368640 bytes at 32 points
+    assert wavefront.check_massmap_budget(PhaseSpaceGrid.standard(2, 32, golden.ladder), 0) == 5 * 368640 + 16384
 
 
 def test_mass_map_refuses_a_grid_ladder_point_off_the_family_ladder(golden, monkeypatch):
@@ -147,14 +148,16 @@ def _wide_family(golden, terms=500):
 
 
 def test_mass_map_budget_counts_the_phase_table(golden, monkeypatch):
-    # at 256 points the raw masses take 23.6 MB, while the phase table of
-    # 1001 coefficients and its weighted product take about 2.1 GB
+    # at 256 points the masses and their fit copies take 118 MB, while the
+    # phase table of 1001 coefficients and its weighted product take 2.1 GB
     def no_table(*args):
         raise AssertionError("the phase table was about to be built")
 
     family = _wide_family(golden)
     grid = PhaseSpaceGrid.standard(2, 256, golden.ladder)
-    assert wavefront.check_massmap_budget(grid) == 8 * 5 * 256**2 * 9
+    assert wavefront.check_massmap_budget(grid, 0) == 5 * 8 * 5 * 256**2 * 9 + 16384
+    with pytest.raises(ValueError, match="256 points per axis on a 2-torus need a 2217 MB mass map"):
+        wavefront.check_massmap_budget(grid, 1001)
     monkeypatch.setattr(wavefront, "_phase_table", no_table)
     with pytest.raises(ValueError, match="mass map, over the budget"):
         wavefront_mass_map(family, grid)
