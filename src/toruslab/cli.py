@@ -169,7 +169,7 @@ def _massmap_lines(mass_map):
     its row's suffixes."""
     grid = mass_map.grid
     nodes = [",".join(node) for node in _float_texts(grid.x_nodes).tolist()]
-    hs = [_format_float(h) for h in grid.h_ladder]
+    hs = [_format_float(h) for h in mass_map.h_ladder]
     row_bytes = np.dtype((np.void, 8 * len(hs)))
     for xi, plane in zip(grid.xi_points, mass_map.masses):
         xi_text = ",".join(map(_format_float, xi))
@@ -220,6 +220,7 @@ class LabConfig:
     factory_alpha0: Optional[tuple[int, ...]]
     factory_v: Optional[TrigPolynomial]
     remainder: bool
+    h_ladder: tuple[float, ...]
     truncation: int
     delta: float
     epsilon: float
@@ -463,9 +464,9 @@ def parse_config(text: str) -> LabConfig:
         elif omega is not None and hessian is not None:  # only now does the document bound d
             grid = collect(
                 "grid.xi",
-                lambda: PhaseSpaceGrid.standard(dimension, points, ladder)
+                lambda: PhaseSpaceGrid.standard(dimension, points)
                 if xi == "units"
-                else PhaseSpaceGrid(dimension, points, xi, ladder),
+                else PhaseSpaceGrid(dimension, points, xi),
             )
 
     thresholds_raw = merged["thresholds"]
@@ -486,7 +487,7 @@ def parse_config(text: str) -> LabConfig:
         **{key: merged[key] for key in ("dimension", "remainder", "truncation", "thresholds", "out")},
         **_operator_json(basis, omega, hessian, c_spec),
         "factory": None if factory_v is None else {"alpha0": list(factory_alpha0), "v": factory_v.to_json_obj()},
-        "h_ladder": list(grid.h_ladder),
+        "h_ladder": list(ladder),
         "delta": float(merged["delta"]),
         "epsilon": float(merged["epsilon"]),
         "subdomain": [float(x) for x in subdomain],
@@ -504,6 +505,7 @@ def parse_config(text: str) -> LabConfig:
         factory_alpha0=factory_alpha0,
         factory_v=factory_v,
         remainder=echo["remainder"],
+        h_ladder=ladder,
         truncation=echo["truncation"],
         delta=echo["delta"],
         epsilon=echo["epsilon"],
@@ -582,15 +584,15 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
 
 def _split_or_refuse(config, requested):
     """The splitting, when a requested stage needs it.  Raises ConfigError
-    for a request the config cannot serve: a wavefront grid whose mass map
-    of the factory member (whose support is that of v) would exceed the
-    budget, or a factory block that does not fit the splitting (the length
-    of alpha0, the dimension of v, a truncation whose dense Galerkin matrix
-    on the transverse torus would exceed the budget, an explicit c that is
-    not resonant with alpha0)."""
+    for a request the config cannot serve: a wavefront grid and ladder on
+    which the mass map of the factory member (whose support is that of v)
+    would exceed the budget, or a factory block that does not fit the
+    splitting (the length of alpha0, the dimension of v, a truncation whose
+    dense Galerkin matrix on the transverse torus would exceed the budget,
+    an explicit c that is not resonant with alpha0)."""
     if "wavefront" in requested:
         try:
-            check_massmap_budget(config.grid, len(config.factory_v or ()))
+            check_massmap_budget(config.grid, config.h_ladder, len(config.factory_v or ()))
         except ValueError as exc:
             raise ConfigError([("grid.points_per_axis", str(exc))])
     if not {"split", "build", "verify", "wavefront"} & set(requested):
@@ -679,7 +681,7 @@ def _build_stage(config, split, built):
         raise _Skipped("no factory block in the config", "quasimode stages skipped: no factory block")
     spec, family, op = build_factory_quasimode(
         config.omega, config.hessian, config.basis, split,
-        config.factory_alpha0, config.factory_v, config.grid.h_ladder, remainder=config.remainder,
+        config.factory_alpha0, config.factory_v, config.h_ladder, remainder=config.remainder,
     )
     built.update(spec=spec, family=family, op=op)
     section = {

@@ -84,10 +84,8 @@ NONVANISH_MARGIN = 1e-3
 #: its eigensolve holds a few more matrices of the same size.
 GALERKIN_BYTES_BUDGET = 256 * 2**20
 #: Largest complex re-expansion grid, in bytes, that build_factory_quasimode
-#: divides on (512 points per axis on the 2-torus); grid doubling also stops
-#: at REEXPANSION_MAX_POINTS points per axis.
+#: divides on (262,144 points on the circle, 512 per axis on the 2-torus).
 REEXPANSION_BYTES_BUDGET = 16 * 512**2
-REEXPANSION_MAX_POINTS = 4096
 
 _NORMALIZATION_TOL = 1e-8
 
@@ -378,7 +376,6 @@ def build_factory_quasimode(
             residual_norm = (numerator + r0.convolve(v)).norm()
             if (
                 residual_norm <= 1e-11 * max(1.0, numerator.norm())
-                or grid_points >= REEXPANSION_MAX_POINTS
                 or 16 * (2 * grid_points) ** q > REEXPANSION_BYTES_BUDGET
             ):
                 break

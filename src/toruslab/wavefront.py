@@ -68,14 +68,20 @@ def symbol_scale(dim: int, h: float) -> float:
     return float((4.0 * math.pi * h) ** (dim / 2.0))
 
 
-def _axis_image_range(xi_component: float, h: float) -> np.ndarray:
-    """Integer frequencies along one axis whose Gaussian weight survives."""
+def _axis_image_bounds(xi_component: float, h: float) -> tuple[int, int]:
+    """First and last integer frequency along one axis whose Gaussian weight
+    survives, or the nearest frequency twice when none does."""
     halfwidth = math.sqrt(-h * math.log(IMAGE_DROP))
     lo = math.ceil((xi_component - halfwidth) / (2.0 * math.pi * h))
     hi = math.floor((xi_component + halfwidth) / (2.0 * math.pi * h))
     if hi < lo:
-        center = round(xi_component / (2.0 * math.pi * h))
-        return np.array([center], dtype=float)
+        lo = hi = round(xi_component / (2.0 * math.pi * h))
+    return lo, hi
+
+
+def _axis_image_range(xi_component: float, h: float) -> np.ndarray:
+    """Integer frequencies along one axis whose Gaussian weight survives."""
+    lo, hi = _axis_image_bounds(xi_component, h)
     return np.arange(lo, hi + 1, dtype=float)
 
 
@@ -186,13 +192,12 @@ def coherent_mass(u: TrigPolynomial, x0, xi0, h: float) -> float:
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
-    """Sampling layout: a uniform x grid, a finite covector set that must
-    contain zero, and the h ladder the masses are fitted over."""
+    """Sampling layout: a uniform x grid and a finite set of distinct
+    covectors that must contain zero."""
 
     dimension: int
     points_per_axis: int
     xi_points: tuple[tuple[float, ...], ...]
-    h_ladder: tuple[float, ...]
 
     def __post_init__(self):
         dim = int(self.dimension)
@@ -206,16 +211,15 @@ class PhaseSpaceGrid:
             raise ValueError("covector dimension mismatch")
         if (0.0,) * dim not in xi:
             raise ValueError("the zero covector must be sampled")
-        ladder = tuple(float(h) for h in self.h_ladder)
-        if len(ladder) < 4 or any(h <= 0 for h in ladder):
-            raise ValueError("need a positive ladder with at least four points")
+        # -0.0 == 0.0, so a repeated zero covector is caught in either spelling
+        if len(set(xi)) != len(xi):
+            raise ValueError("covectors must be distinct")
         object.__setattr__(self, "dimension", dim)
         object.__setattr__(self, "points_per_axis", pts)
         object.__setattr__(self, "xi_points", xi)
-        object.__setattr__(self, "h_ladder", ladder)
 
     @staticmethod
-    def standard(dimension: int, points_per_axis: int, h_ladder: Sequence[float]) -> "PhaseSpaceGrid":
+    def standard(dimension: int, points_per_axis: int) -> "PhaseSpaceGrid":
         """Zero covector plus the signed unit covectors."""
         xi = [(0.0,) * dimension]
         for axis in range(dimension):
@@ -223,12 +227,7 @@ class PhaseSpaceGrid:
                 covector = [0.0] * dimension
                 covector[axis] = sign
                 xi.append(tuple(covector))
-        return PhaseSpaceGrid(
-            dimension=dimension,
-            points_per_axis=points_per_axis,
-            xi_points=tuple(xi),
-            h_ladder=tuple(h_ladder),
-        )
+        return PhaseSpaceGrid(dimension=dimension, points_per_axis=points_per_axis, xi_points=tuple(xi))
 
     @cached_property
     def x_nodes(self) -> np.ndarray:
@@ -246,36 +245,43 @@ class PhaseSpaceGrid:
 class MassMap:
     """Raw coherent masses on the grid and per-node decay fits.
 
-    ``masses[i, j, l]`` is the mass at covector i, node j, ladder point l.
+    ``masses[i, j, l]`` is the mass at covector i, node j and point l of
+    ``h_ladder``, the family's ladder.
     Fits are of the symbol-normalized mass (raw divided by the symbol
     scale), so a node where the family keeps order-one symbol mass fits an
     exponent near zero.
     """
 
     grid: PhaseSpaceGrid
+    h_ladder: tuple[float, ...]
     masses: np.ndarray
     exponents: np.ndarray
     residuals: np.ndarray
 
 
-def check_massmap_budget(grid: PhaseSpaceGrid, support: int) -> int:
+def check_massmap_budget(grid: PhaseSpaceGrid, h_ladder: Sequence[float], support: int) -> int:
     """Bytes that the mass map of a member with the given support holds at
-    its peak on a grid: 8 per covector, node and ladder point for the raw
-    masses, and MASSMAP_FIT_COPIES more such arrays for the decay fit; 32
-    bytes per node and coefficient for the member's phase table: its phase
-    arguments and the sort's copies of them while the distinct rows are
-    found, then the phase rows of the distinct nodes and their weighted
-    product; 64 + 24 dim bytes per coefficient for the sorted support, its
-    float copy, the coefficients and their weights; and MASSMAP_CALL_BYTES.
+    its peak on a grid over an h ladder: 8 per covector, node and ladder
+    point for the raw masses, and MASSMAP_FIT_COPIES more such arrays for
+    the decay fit; 32 bytes per node and coefficient for the member's phase
+    table: its phase arguments and the sort's copies of them while the
+    distinct rows are found, then the phase rows of the distinct nodes and
+    their weighted product; 64 + 24 dim bytes per coefficient for the sorted
+    support, its float copy, the coefficients and their weights; 32 bytes
+    per image of the widest probe axis (counted, not built) for the theta
+    sum of its norm: images, gaps and two temporaries; MASSMAP_CALL_BYTES.
     Raises ValueError when the bytes exceed MASSMAP_BYTES_BUDGET."""
     nodes = grid.points_per_axis**grid.dimension
-    masses = 8 * len(grid.xi_points) * nodes * len(grid.h_ladder)
+    masses = 8 * len(grid.xi_points) * nodes * len(h_ladder)
     per_coefficient = 32 * nodes + 64 + 24 * grid.dimension
-    size = (1 + MASSMAP_FIT_COPIES) * masses + per_coefficient * support + MASSMAP_CALL_BYTES
+    components = {c for covector in grid.xi_points for c in covector}
+    images = max(hi - lo + 1 for h in h_ladder for c in components for lo, hi in [_axis_image_bounds(c, h)])
+    size = (1 + MASSMAP_FIT_COPIES) * masses + per_coefficient * support + 32 * images + MASSMAP_CALL_BYTES
     if size > MASSMAP_BYTES_BUDGET:
         raise ValueError(
             f"{grid.points_per_axis} points per axis on a {grid.dimension}-torus need a "
-            f"{size / 1e6:.0f} MB mass map, over the budget of {MASSMAP_BYTES_BUDGET / 1e6:.0f} MB"
+            f"{size / 1e6:.0f} MB mass map, over the budget of {MASSMAP_BYTES_BUDGET / 1e6:.0f} MB "
+            f"({images} probe images per axis down to h = {min(h_ladder)!r})"
         )
     return size
 
@@ -283,32 +289,26 @@ def check_massmap_budget(grid: PhaseSpaceGrid, support: int) -> int:
 def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap:
     """Evaluate coherent masses on the whole grid and fit per-node decay.
 
-    Output is keyed by node and covector, never by evaluation order, and
-    the per-covector mass budget is checked: the exact x-average of the
-    mass (a Parseval sum over the family's coefficients) must not exceed
-    the squared family norm times the symbol scale, and the grid average
-    is held to the same budget whenever the grid resolves the support.
-    What the map holds must fit MASSMAP_BYTES_BUDGET (checked before
-    anything sized by the grid is built).
+    Output is keyed by node, covector and the family's ladder point, never
+    by evaluation order, and the per-covector mass budget is checked: the
+    exact x-average of the mass (a Parseval sum over the coefficients) must
+    not exceed the squared family norm times the symbol scale, and the grid
+    average is held to the same budget whenever the grid resolves the
+    support.  What the map holds must fit MASSMAP_BYTES_BUDGET (checked
+    before anything sized by the grid is built).
     """
     if family.dimension != grid.dimension:
         raise ValueError("family and grid dimensions differ")
-    ladder_slot = dict(zip(family.h_ladder, family.member_index))
-    h_indices: dict[int, list[int]] = {}
-    for h_index, h in enumerate(grid.h_ladder):
-        if h not in ladder_slot:
-            raise ValueError(f"grid ladder point h = {h!r} is not on the family's ladder")
-        h_indices.setdefault(ladder_slot[h], []).append(h_index)
-    check_massmap_budget(grid, max(map(len, family.members)))
+    ladder = family.h_ladder
+    check_massmap_budget(grid, ladder, max(map(len, family.members)))
     nodes = grid.x_nodes
-    masses = np.zeros((len(grid.xi_points), nodes.shape[0], len(grid.h_ladder)))
-    for slot, indices in h_indices.items():
-        u = family.members[slot]
+    masses = np.zeros((len(grid.xi_points), nodes.shape[0], len(ladder)))
+    for slot, u in enumerate(family.members):
         # the phase table depends on the member alone: one per distinct member
         table = _phase_table(u, nodes)
         resolved = 2 * u.support_radius() < grid.points_per_axis
-        for h_index in indices:
-            h = grid.h_ladder[h_index]
+        for h_index in (l for l, index in enumerate(family.member_index) if index == slot):
+            h = ladder[h_index]
             budget = symbol_scale(grid.dimension, h) * (1.0 + _MASS_BUDGET_SLACK)
             for xi_index, xi in enumerate(grid.xi_points):
                 row, exact_average = _mass_from_table(table, xi, h)
@@ -317,11 +317,11 @@ def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap
                     raise ArithmeticError("mass budget exceeded; probe normalization is off")
                 if resolved and float(np.mean(row)) > budget:
                     raise ArithmeticError("grid mass average exceeded the budget")
-    scales = np.array([symbol_scale(grid.dimension, h) for h in grid.h_ladder])
-    fit = fit_decay_exponent(grid.h_ladder, masses / scales)
+    scales = np.array([symbol_scale(grid.dimension, h) for h in ladder])
+    fit = fit_decay_exponent(ladder, masses / scales)
     for arr in (masses, fit.exponent, fit.residual):
         arr.setflags(write=False)
-    return MassMap(grid=grid, masses=masses, exponents=fit.exponent, residuals=fit.residual)
+    return MassMap(grid, ladder, masses, fit.exponent, fit.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +401,7 @@ def nonconcentration_report(
 
     # diagnostic: worst IN fraction over long contiguous ladder windows,
     # a proxy for stability along subsequences of h
-    ladder = grid.h_ladder
+    ladder = mass_map.h_ladder
     window = max(4, len(ladder) // 2)
     min_fill = fill
     scales = np.array([symbol_scale(grid.dimension, h) for h in ladder])

@@ -290,14 +290,14 @@ def test_criterion_07_unique_continuation(golden_setup):
 def test_criterion_08_wavefront_verdicts(golden_setup):
     _, _, _, _, _, ladder, _, family = golden_setup
     start = time.monotonic()
-    grid = PhaseSpaceGrid.standard(2, 32, ladder)
+    grid = PhaseSpaceGrid.standard(2, 32)
     report = nonconcentration_report(wavefront_mass_map(family, grid))
     golden_ok = report.fills_torus and report.lagrangian_supported and report.nonempty_interior
     violator = QuasimodeFamily.from_members(
         ladder, [coherent_state(1, [0.0], [0.0], h) for h in ladder]
     )
     violator_report = nonconcentration_report(
-        wavefront_mass_map(violator, PhaseSpaceGrid.standard(1, 32, ladder))
+        wavefront_mass_map(violator, PhaseSpaceGrid.standard(1, 32))
     )
     elapsed = time.monotonic() - start
     ok = golden_ok and not violator_report.fills_torus and elapsed < 60.0

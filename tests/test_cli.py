@@ -75,7 +75,7 @@ def test_parse_golden_materializes_defaults(tmp_path):
     assert config.echo["c"] == "resonant"
     assert config.echo["remainder"] is False
     assert config.echo["grid"] == {"points_per_axis": 32, "xi": "units"}
-    assert config.grid == wavefront.PhaseSpaceGrid.standard(2, 32, quasimode.default_h_ladder())
+    assert config.grid == wavefront.PhaseSpaceGrid.standard(2, 32)
 
 
 def test_parse_rejects_unknown_key(tmp_path):
@@ -379,6 +379,9 @@ def test_huge_bordered_matrix_fails_hypothesis_d(tmp_path, overrides, det):
         ({"grid": {"points_per_axis": 377}}, "grid.points_per_axis"),
         ({"grid": {"points_per_axis": 500}}, "grid.points_per_axis"),
         ({"grid": {"points_per_axis": 863}}, "grid.points_per_axis"),
+        # the probe norm's theta sums widen as h shrinks: 276 MB and 18 GB
+        ({"h_ladder": "41..44"}, "grid.points_per_axis"),
+        ({"h_ladder": "53..56"}, "grid.points_per_axis"),
     ],
 )
 def test_refusals_after_the_parse_write_nothing(tmp_path, overrides, path):
@@ -393,6 +396,23 @@ def test_refusals_after_the_parse_write_nothing(tmp_path, overrides, path):
     assert [where for where, _ in err.value.errors] == [path]
     assert [child.name for child in out.iterdir()] == ["report.json"]
     assert (out / "report.json").read_text() == "older report\n"
+
+
+def test_mass_map_estimate_counts_the_probe_images_of_the_smallest_h(tmp_path, capsys):
+    # at h = 2^-56 the theta sum of one probe norm holds 550,090,449 images
+    # per axis, 4.4 GB an array; the run is refused before any stage, while
+    # 2^-43 (6,077,699 images, 195 MB in all) still fits the budget
+    out = tmp_path / "out"
+    fine = _config(tmp_path, {"h_ladder": "53..56"}, name="fine.json")
+    assert main(["all", "--config", str(fine)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "config error at grid.points_per_axis: 32 points per axis on a 2-torus need a 17604 MB mass map, "
+        "over the budget of 268 MB (550090449 probe images per axis down to h = 1.3877787807814457e-17)\n"
+    )
+    assert not out.exists()
+    coarser = _config(tmp_path, {"h_ladder": "40..43"}, name="coarser.json")
+    assert main(["wavefront", "--config", str(coarser)]) == EXIT_PASS
+    assert (out / "massmap.csv").exists()
 
 
 def test_explicit_c_resonant_beyond_search_box_reports(tmp_path):
@@ -441,6 +461,9 @@ def test_main_exit_codes(tmp_path, capsys):
         ({"grid": {"points_per_axis": 1}}, "grid.points_per_axis"),
         ({"grid": {"xi": [[1.0, 0.0]]}}, "config error at grid.xi: the zero covector"),
         ({"grid": {"points_per_axis": 1, "xi": [[0.0]]}}, "config error at grid.xi: covector dimension"),
+        # a repeated zero covector, in either spelling, would be read as an off-zero row
+        ({"grid": {"xi": [[0, 0], [0, 0]]}}, "config error at grid.xi: covectors must be distinct"),
+        ({"grid": {"xi": [[0.0, 0.0], [-0.0, 0.0]]}}, "config error at grid.xi: covectors must be distinct"),
         # a string other than "units" is not read character by character
         (
             {"dimension": 1, "omega": [["1"]], "hessian": [[1.0]], "factory": None, "grid": {"xi": "01"}},
@@ -523,7 +546,7 @@ def test_massmap_csv_matches_slow_oracle(tmp_path, monkeypatch):
     lines = ["x0,x1,xi0,xi1,h,mass"]
     for i, covector in enumerate(grid.xi_points):
         for j, node in enumerate(grid.x_nodes):
-            for l, h in enumerate(grid.h_ladder):
+            for l, h in enumerate(mass_map.h_ladder):
                 cells = [*node, *covector, h, mass_map.masses[i, j, l]]
                 lines.append(",".join(format(float(c), ".17g") for c in cells))
     cells = {cell for line in lines[1:] for cell in line.split(",")}
@@ -539,7 +562,7 @@ def massmap_lines_oracle(mass_map):
     texts.  Kept as the reference for massmap.csv's bytes."""
     grid = mass_map.grid
     nodes = [",".join(map(cli._format_float, node)) for node in grid.x_nodes.tolist()]
-    hs = [cli._format_float(h) for h in grid.h_ladder]
+    hs = [cli._format_float(h) for h in mass_map.h_ladder]
     for xi, plane in zip(grid.xi_points, mass_map.masses):
         xi_text = ",".join(map(cli._format_float, xi))
         template = "\n".join(f"{{node}},{xi_text},{h},%.17g" for h in hs)
@@ -552,7 +575,7 @@ def massmap_lines_oracle(mass_map):
 
 
 def test_massmap_writer_matches_per_node_oracle(golden, monkeypatch):
-    grid = wavefront.PhaseSpaceGrid.standard(2, 32, golden.ladder)
+    grid = wavefront.PhaseSpaceGrid.standard(2, 32)
     mass_maps = [wavefront.wavefront_mass_map(golden.family, grid)]
     # repeats, both zeros, NaNs with two payloads, both infinities, the
     # smallest subnormal and two adjacent doubles, in every plane
@@ -560,28 +583,28 @@ def test_massmap_writer_matches_per_node_oracle(golden, monkeypatch):
     special = [1.0, 1.0, 0.0, -0.0, np.nan, payload_nan, np.inf, -np.inf, 5e-324,
                np.nextafter(1.0, 2.0), 0.0, -0.0, 1.0, 2.5]
     ladder = golden.ladder[:7]
-    grid = wavefront.PhaseSpaceGrid(1, 2, ((0.0,), (-0.0,), (1.0,)), ladder)
+    grid = wavefront.PhaseSpaceGrid(1, 2, ((-0.0,), (0.5,), (1.0,)))
     masses = np.array(special * 3).reshape(3, 2, 7)
     masses[2] = 0.25  # a plane of finite masses only
     zeros = np.zeros(masses.shape[:2])
-    mass_maps.append(wavefront.MassMap(grid, masses, zeros, zeros))
+    mass_maps.append(wavefront.MassMap(grid, ladder, masses, zeros, zeros))
     # a 3-D grid (7 planes of 343 nodes, so a last block shorter than the
     # writer's) and a grid with the zero covector only, drawing from the
     # same values and log-normal ones
-    grid = wavefront.PhaseSpaceGrid.standard(3, 7, ladder)
+    grid = wavefront.PhaseSpaceGrid.standard(3, 7)
     full_blocks, rest = divmod(len(grid.x_nodes), cli._MASSMAP_BLOCK_NODES)
     assert full_blocks and rest
     rng = np.random.default_rng(7)
     pool = np.concatenate([special, rng.lognormal(0.0, 30.0, 20)])
-    for grid in (grid, wavefront.PhaseSpaceGrid(2, 2, ((0.0, 0.0),), ladder)):
+    for grid in (grid, wavefront.PhaseSpaceGrid(2, 2, ((0.0, 0.0),))):
         shape = (len(grid.xi_points), len(grid.x_nodes), len(ladder))
         zeros = np.zeros(shape[:2])
-        mass_maps.append(wavefront.MassMap(grid, rng.choice(pool, shape), zeros, zeros))
+        mass_maps.append(wavefront.MassMap(grid, ladder, rng.choice(pool, shape), zeros, zeros))
     # a 1-D grid of 600 nodes (blocks of 256, 256 and 88) whose planes draw
     # their ladder rows from eight: two that differ only by the sign of a
     # zero, two that differ only by a NaN payload, a run of one row across
     # the first block boundary, and a row in the first and last blocks only
-    grid = wavefront.PhaseSpaceGrid.standard(1, 600, ladder)
+    grid = wavefront.PhaseSpaceGrid.standard(1, 600)
     rows = rng.lognormal(0.0, 30.0, (8, len(ladder)))
     rows[1] = rows[0]
     rows[0, 2], rows[1, 2] = 0.0, -0.0
@@ -591,7 +614,7 @@ def test_massmap_writer_matches_per_node_oracle(golden, monkeypatch):
     picks[:, 200:300] = 4
     picks[:, [0, 599]] = 7
     zeros = np.zeros(picks.shape)
-    mass_maps.append(wavefront.MassMap(grid, rows[picks], zeros, zeros))
+    mass_maps.append(wavefront.MassMap(grid, ladder, rows[picks], zeros, zeros))
     cells = set()
     # the kept line suffixes as they are, and dropped at every block
     for kept in (cli._MASSMAP_KEPT_ROWS, 1):
@@ -610,11 +633,11 @@ def test_massmap_writer_memory_follows_the_block_not_the_plane(golden, monkeypat
     # the same on 64 and 128 points per axis (a plane four times larger)
     # and falls with a smaller block
     def walk_peak(points):
-        grid = wavefront.PhaseSpaceGrid(2, points, ((0.0, 0.0), (1.0, 0.0)), golden.ladder[:4])
+        grid = wavefront.PhaseSpaceGrid(2, points, ((0.0, 0.0), (1.0, 0.0)))
         rng = np.random.default_rng(points)
         masses = rng.lognormal(0.0, 30.0, (2, points**2, 4))
         zeros = np.zeros(masses.shape[:2])
-        lines = cli._massmap_lines(wavefront.MassMap(grid, masses, zeros, zeros))
+        lines = cli._massmap_lines(wavefront.MassMap(grid, golden.ladder[:4], masses, zeros, zeros))
         tracemalloc.start()
         try:
             next(lines)
@@ -710,6 +733,25 @@ def test_unique_continuation_makes_no_convolve_calls(tmp_path, monkeypatch):
     assert convolve_calls == []
 
 
+def test_reexpansion_grid_is_bounded_by_its_bytes_alone(tmp_path, monkeypatch):
+    # 3 + cos(2 pi 600 z) starts on 8,192 points and doubles twice to
+    # converge on 32,768 (512 KiB of complex values): the bytes budget is
+    # the only limit on the grid
+    sizes = []
+    original = trigpoly.TrigPolynomial.to_grid
+
+    def recording(self, points):
+        sizes.append(points)
+        return original(self, points)
+
+    monkeypatch.setattr(trigpoly.TrigPolynomial, "to_grid", recording)
+    profile = [{"alpha": [0], "re": 3.0}, {"alpha": [600], "re": 0.5}, {"alpha": [-600], "re": 0.5}]
+    path = _config(tmp_path, {"factory": {**GOLDEN["factory"], "v": profile}})
+    assert main(["build-quasimode", "--config", str(path)]) == EXIT_PASS
+    assert sorted(set(sizes)) == [8192, 16384, 32768] and sizes[-1] == 32768
+    assert 16 * 32768 <= quasimode.REEXPANSION_BYTES_BUDGET
+
+
 def test_shipped_and_benchmark_configs_fit_the_galerkin_budget():
     workloads = _perfbench_module("workloads")
     texts = [path.read_text() for path in sorted((ROOT / "configs").glob("*.json"))]
@@ -727,7 +769,7 @@ def test_shipped_and_benchmark_configs_fit_the_galerkin_budget():
 def test_mass_map_over_budget_is_refused_from_the_estimate(tmp_path, monkeypatch, capsys):
     # 100000 points per axis on the 2-torus: the masses, their fit copies and
     # the phase table of golden's 3 coefficients, about 19 TB, refused before
-    # the nodes or the masses exist
+    # the nodes or the masses exist; the message names the ladder's smallest h
     def no_mass_map(*args, **kwargs):
         raise AssertionError("the mass map was about to be built")
 
@@ -738,16 +780,19 @@ def test_mass_map_over_budget_is_refused_from_the_estimate(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert (
         "config error at grid.points_per_axis: 100000 points per axis on a 2-torus "
-        "need a 18960000 MB mass map, over the budget of 268 MB"
+        "need a 18960000 MB mass map, over the budget of 268 MB "
+        "(131 probe images per axis down to h = 0.000244140625)"
     ) in err
     assert not (tmp_path / "out").exists()
     # the grid is parsed as before, and stages without the wavefront run
     config = parse_config(path.read_text())
     code, _ = run_pipeline(config, ("hypotheses", "split"), tmp_path / "out")
     assert code == EXIT_PASS
-    golden_grid = parse_config(_config(tmp_path).read_text()).grid
-    # golden's own map: five arrays of masses, 3 phase-table rows, the call's bytes
-    assert wavefront.check_massmap_budget(golden_grid, 3) == 5 * 368640 + 3 * (32 * 32**2 + 112) + 16384 == 1958224
+    golden = parse_config(_config(tmp_path).read_text())
+    # golden's own map: five arrays of masses, 3 phase-table rows, the theta
+    # sum of 131 probe images at h = 2^-12, the call's bytes
+    estimate = wavefront.check_massmap_budget(golden.grid, golden.h_ladder, 3)
+    assert estimate == 5 * 368640 + 3 * (32 * 32**2 + 112) + 32 * 131 + 16384 == 1962416
 
 
 def test_mass_map_budget_is_one_estimate_decided_before_any_stage(tmp_path, monkeypatch):
@@ -756,22 +801,23 @@ def test_mass_map_budget_is_one_estimate_decided_before_any_stage(tmp_path, monk
     calls = []
     original = wavefront.check_massmap_budget
 
-    def recording(grid, support):
-        calls.append((grid.points_per_axis, support))
-        return original(grid, support)
+    def recording(grid, h_ladder, support):
+        calls.append((grid.points_per_axis, h_ladder, support))
+        return original(grid, h_ladder, support)
 
     monkeypatch.setattr(cli, "check_massmap_budget", recording)
     monkeypatch.setattr(wavefront, "check_massmap_budget", recording)
+    ladder = quasimode.default_h_ladder()
     code, _ = run_pipeline(parse_config(_config(tmp_path).read_text()), cli._STAGES, tmp_path / "out")
-    assert code == EXIT_PASS and calls == [(32, 3), (32, 3)]
-    # 376 points per axis need 268065616 bytes, just under the budget
+    assert code == EXIT_PASS and calls == [(32, ladder, 3), (32, ladder, 3)]
+    # 376 points per axis need 268069808 bytes, just under the budget
     calls.clear()
     config = parse_config(_config(tmp_path, {"grid": {"points_per_axis": 376}}).read_text())
     assert cli._split_or_refuse(config, ["wavefront"]) is not None
-    assert calls == [(376, 3)]
+    assert calls == [(376, ladder, 3)]
     without_factory = parse_config(_config(tmp_path, {"factory": None}).read_text())
     cli._split_or_refuse(without_factory, ["wavefront"])
-    assert calls[-1] == (32, 0)
+    assert calls[-1] == (32, ladder, 0)
 
 
 def test_golden_run_computes_transverse_form_and_inverse_once(tmp_path, monkeypatch):

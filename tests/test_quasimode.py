@@ -167,7 +167,7 @@ def test_stacked_fit_matches_scalar_fit_bit_for_bit():
 
 
 def test_stacked_fit_matches_scalar_fit_on_golden_mass_map(golden):
-    grid = PhaseSpaceGrid.standard(2, 32, golden.ladder)
+    grid = PhaseSpaceGrid.standard(2, 32)
     mass_map = wavefront_mass_map(golden.family, grid)
     scales = np.array([symbol_scale(2, h) for h in golden.ladder])
     normalized = mass_map.masses / scales
@@ -884,7 +884,7 @@ def test_order_and_concentration_visit_each_distinct_member_once(golden, monkeyp
     monkeypatch.setattr(wavefront, "_phase_table", counting_phase_table)
     report = verify_quasimode_order(family, golden.spec, delta=1.0)
     concentration = check_mode_concentration(family, golden.split, golden.alpha0, 0.05)
-    wavefront_mass_map(family, PhaseSpaceGrid.standard(2, 4, golden.ladder))
+    wavefront_mass_map(family, PhaseSpaceGrid.standard(2, 4))
     assert apply_ladders == [list(golden.ladder[0::2]), list(golden.ladder[1::2])]
     assert decomposed == tabled == [family.members[0], family.members[1]]
     assert report.residual_norms == tuple(

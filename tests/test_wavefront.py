@@ -102,14 +102,14 @@ def _constant_family(dim=1):
 
 def test_grid_requires_zero_covector():
     with pytest.raises(ValueError, match="zero covector"):
-        PhaseSpaceGrid(1, 8, ((1.0,),), default_h_ladder())
+        PhaseSpaceGrid(1, 8, ((1.0,),))
 
 
 def test_grid_rejects_fewer_than_two_points_per_axis():
     # a 2-per-axis block, which nonempty interior looks for, needs 2 points
     for points in (0, 1):
         with pytest.raises(ValueError, match="at least 2 points"):
-            PhaseSpaceGrid.standard(1, points, default_h_ladder())
+            PhaseSpaceGrid.standard(1, points)
 
 
 def test_mass_map_refuses_grid_over_budget(golden, monkeypatch):
@@ -117,22 +117,18 @@ def test_mass_map_refuses_grid_over_budget(golden, monkeypatch):
         raise AssertionError("the grid nodes were about to be built")
 
     monkeypatch.setattr(PhaseSpaceGrid, "x_nodes", property(no_nodes))
-    grid = PhaseSpaceGrid.standard(2, 100000, golden.ladder)
+    grid = PhaseSpaceGrid.standard(2, 100000)
     with pytest.raises(ValueError, match="mass map, over the budget"):
         wavefront_mass_map(golden.family, grid)
-    # the raw masses alone take 8 * 5 * 32^2 * 9 = 368640 bytes at 32 points
-    assert wavefront.check_massmap_budget(PhaseSpaceGrid.standard(2, 32, golden.ladder), 0) == 5 * 368640 + 16384
-
-
-def test_mass_map_refuses_a_grid_ladder_point_off_the_family_ladder(golden, monkeypatch):
-    # the grid's ladder 2^-5..2^-13 ends below the family's 2^-4..2^-12
-    def no_nodes(self):
-        raise AssertionError("the grid nodes were about to be built")
-
-    monkeypatch.setattr(PhaseSpaceGrid, "x_nodes", property(no_nodes))
-    grid = PhaseSpaceGrid.standard(2, 8, default_h_ladder(5, 13))
-    with pytest.raises(ValueError, match=r"h = 0\.0001220703125 is not on the family's ladder"):
-        wavefront_mass_map(golden.family, grid)
+    # the raw masses alone take 8 * 5 * 32^2 * 9 = 368640 bytes at 32 points,
+    # and the theta sum of 131 probe images at h = 2^-12 takes 32 * 131
+    estimate = wavefront.check_massmap_budget(PhaseSpaceGrid.standard(2, 32), golden.ladder, 0)
+    assert estimate == 5 * 368640 + 32 * 131 + 16384
+    assert len(wavefront._axis_image_range(1.0, golden.ladder[-1])) == 131
+    # the images grow like h^(-1/2): 67,149 at 2^-30
+    estimate = wavefront.check_massmap_budget(PhaseSpaceGrid.standard(2, 2), default_h_ladder(22, 30), 0)
+    assert estimate == 5 * 8 * 5 * 2**2 * 9 + 32 * 67149 + 16384
+    assert len(wavefront._axis_image_range(0.0, 2.0**-30)) == 67149
 
 
 def _wide_family(golden, terms=500):
@@ -154,10 +150,10 @@ def test_mass_map_budget_counts_the_phase_table(golden, monkeypatch):
         raise AssertionError("the phase table was about to be built")
 
     family = _wide_family(golden)
-    grid = PhaseSpaceGrid.standard(2, 256, golden.ladder)
-    assert wavefront.check_massmap_budget(grid, 0) == 5 * 8 * 5 * 256**2 * 9 + 16384
+    grid = PhaseSpaceGrid.standard(2, 256)
+    assert wavefront.check_massmap_budget(grid, golden.ladder, 0) == 5 * 8 * 5 * 256**2 * 9 + 32 * 131 + 16384
     with pytest.raises(ValueError, match="256 points per axis on a 2-torus need a 2217 MB mass map"):
-        wavefront.check_massmap_budget(grid, 1001)
+        wavefront.check_massmap_budget(grid, golden.ladder, 1001)
     monkeypatch.setattr(wavefront, "_phase_table", no_table)
     with pytest.raises(ValueError, match="mass map, over the budget"):
         wavefront_mass_map(family, grid)
@@ -166,18 +162,21 @@ def test_mass_map_budget_counts_the_phase_table(golden, monkeypatch):
 @pytest.mark.parametrize("points", [2, 7, 32])
 @pytest.mark.parametrize("wide", [False, True])
 def test_mass_map_peak_memory_is_within_the_estimate(golden, wide, points):
-    # on small grids a call's fixed allocations outweigh what grows with it
+    # on small grids a call's fixed allocations outweigh what grows with it,
+    # and down to h = 2^-30 the probe norm's theta sums of 67,149 images do
     family = _wide_family(golden) if wide else golden.family
-    grid = PhaseSpaceGrid.standard(2, points, golden.ladder)
+    grid = PhaseSpaceGrid.standard(2, points)
     support = max(len(u) for u in family.members)
-    estimate = wavefront.check_massmap_budget(grid, support)
-    tracemalloc.start()
-    try:
-        wavefront_mass_map(family, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= estimate
+    for ladder in (golden.ladder, default_h_ladder(22, 30)):
+        family = QuasimodeFamily(ladder, family.members, family.member_index, family.normalization)
+        estimate = wavefront.check_massmap_budget(grid, ladder, support)
+        tracemalloc.start()
+        try:
+            wavefront_mass_map(family, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate
 
 
 def masses_on_every_node(u, nodes, xi0, h):
@@ -204,11 +203,11 @@ def test_mass_map_on_distinct_node_rows_matches_every_node(golden, points, disti
         member = TrigPolynomial(2, {tuple(map(int, a)): complex(*rng.standard_normal(2)) for a in rng.integers(-6, 7, (40, 2))})
         family = QuasimodeFamily.from_members(golden.ladder, [member] * len(golden.ladder))
         distinct = points**2
-    grid = PhaseSpaceGrid.standard(2, points, golden.ladder)
+    grid = PhaseSpaceGrid.standard(2, points)
     assert wavefront._phase_table(family.member(golden.ladder[0]), grid.x_nodes)[2].shape[0] == distinct
     mass_map = wavefront_mass_map(family, grid)
     for i, covector in enumerate(grid.xi_points):
-        for l, h in enumerate(grid.h_ladder):
+        for l, h in enumerate(golden.ladder):
             row, _ = wavefront._mass_on_nodes(family.member(h), grid.x_nodes, covector, h)
             expected = masses_on_every_node(family.member(h), grid.x_nodes, covector, h)
             assert mass_map.masses[i, :, l].tobytes() == row.tobytes() == expected.tobytes()
@@ -216,25 +215,24 @@ def test_mass_map_on_distinct_node_rows_matches_every_node(golden, points, disti
 
 def test_mass_map_with_two_distinct_members_matches_per_h_masses():
     # the phase table is built once per distinct member; every mass keeps
-    # the bits of a per-(covector, h) evaluation, also on a grid whose
-    # ladder is a reordered part of the family's
+    # the bits of a per-(covector, h) evaluation, in the family's ladder order
     ladder = default_h_ladder()
     first = TrigPolynomial(2, {(0, 0): 2.0, (1, 0): 0.5, (-1, 0): 0.5})
     second = TrigPolynomial(2, {(0, 1): 1.0 - 0.5j, (2, -1): 0.25j, (-3, 0): 0.75})
     family = QuasimodeFamily.from_members(ladder, [first, second, first, first, second] + [second] * 4)
     assert len(family.members) == 2
     xi = ((0.0, 0.0), (1.0, -0.5), (-0.0, 2.0))
-    for grid_ladder in (ladder, ladder[::-2]):
-        grid = PhaseSpaceGrid(2, 8, xi, grid_ladder)
-        mass_map = wavefront_mass_map(family, grid)
-        for i, covector in enumerate(xi):
-            for l, h in enumerate(grid_ladder):
-                row, _ = wavefront._mass_on_nodes(family.member(h), grid.x_nodes, covector, h)
-                assert mass_map.masses[i, :, l].tobytes() == row.tobytes()
+    grid = PhaseSpaceGrid(2, 8, xi)
+    mass_map = wavefront_mass_map(family, grid)
+    assert mass_map.h_ladder == ladder
+    for i, covector in enumerate(xi):
+        for l, h in enumerate(ladder):
+            row, _ = wavefront._mass_on_nodes(family.member(h), grid.x_nodes, covector, h)
+            assert mass_map.masses[i, :, l].tobytes() == row.tobytes()
 
 
 def test_constant_family_exponents_split_by_covector():
-    grid = PhaseSpaceGrid.standard(1, 8, default_h_ladder())
+    grid = PhaseSpaceGrid.standard(1, 8)
     mass_map = wavefront_mass_map(_constant_family(), grid)
     zero = grid.zero_xi_index
     assert np.all(np.abs(mass_map.exponents[zero]) < 0.1)
@@ -244,7 +242,7 @@ def test_constant_family_exponents_split_by_covector():
 
 
 def test_factory_mass_tracks_profile_squared(golden):
-    grid = PhaseSpaceGrid.standard(2, 32, golden.ladder)
+    grid = PhaseSpaceGrid.standard(2, 32)
     mass_map = wavefront_mass_map(golden.family, grid)
     zero = grid.zero_xi_index
     u = golden.family.members[-1]
@@ -256,16 +254,16 @@ def test_factory_mass_tracks_profile_squared(golden):
 
 
 def test_mass_budget_on_resolved_family(golden):
-    grid = PhaseSpaceGrid.standard(2, 32, golden.ladder)
+    grid = PhaseSpaceGrid.standard(2, 32)
     mass_map = wavefront_mass_map(golden.family, grid)
     for xi_index in range(len(grid.xi_points)):
-        for h_index, h in enumerate(grid.h_ladder):
+        for h_index, h in enumerate(golden.ladder):
             total = float(np.mean(mass_map.masses[xi_index, :, h_index]))
             assert total <= symbol_scale(2, h) * (1.0 + 1e-6)
 
 
 def test_masses_nonnegative(golden):
-    grid = PhaseSpaceGrid.standard(2, 8, golden.ladder)
+    grid = PhaseSpaceGrid.standard(2, 8)
     mass_map = wavefront_mass_map(golden.family, grid)
     assert np.all(mass_map.masses >= 0.0)
 
@@ -276,7 +274,7 @@ def test_masses_nonnegative(golden):
 
 
 def test_golden_family_all_three_verdicts(golden):
-    grid = PhaseSpaceGrid.standard(2, 32, golden.ladder)
+    grid = PhaseSpaceGrid.standard(2, 32)
     report = nonconcentration_report(wavefront_mass_map(golden.family, grid))
     assert report.fills_torus
     assert report.fill_fraction_measured >= 0.95
@@ -285,7 +283,7 @@ def test_golden_family_all_three_verdicts(golden):
 
 
 def test_constant_symbol_all_three_verdicts():
-    grid = PhaseSpaceGrid.standard(1, 32, default_h_ladder())
+    grid = PhaseSpaceGrid.standard(1, 32)
     report = nonconcentration_report(wavefront_mass_map(_constant_family(), grid))
     assert report.fills_torus
     assert report.lagrangian_supported
@@ -301,14 +299,14 @@ def concentrating_family(ladder):
 
 def test_concentrating_violator_fails_fills_torus():
     ladder = default_h_ladder()
-    grid = PhaseSpaceGrid.standard(1, 32, ladder)
+    grid = PhaseSpaceGrid.standard(1, 32)
     report = nonconcentration_report(wavefront_mass_map(concentrating_family(ladder), grid))
     assert not report.fills_torus
     assert report.fill_fraction_measured < 0.5
 
 
 def test_thresholds_are_configurable(golden):
-    grid = PhaseSpaceGrid.standard(2, 8, golden.ladder)
+    grid = PhaseSpaceGrid.standard(2, 8)
     mass_map = wavefront_mass_map(golden.family, grid)
     strict = nonconcentration_report(
         mass_map, VerdictThresholds(in_exponent=-10.0, out_exponent=2.0, fill_fraction=0.95)
@@ -317,8 +315,8 @@ def test_thresholds_are_configurable(golden):
 
 
 def test_grid_doubling_never_flips_in_out(golden):
-    coarse_grid = PhaseSpaceGrid.standard(2, 16, golden.ladder)
-    fine_grid = PhaseSpaceGrid.standard(2, 32, golden.ladder)
+    coarse_grid = PhaseSpaceGrid.standard(2, 16)
+    fine_grid = PhaseSpaceGrid.standard(2, 32)
     coarse = nonconcentration_report(wavefront_mass_map(golden.family, coarse_grid))
     fine = nonconcentration_report(wavefront_mass_map(golden.family, fine_grid))
     coarse_classes = coarse.classifications[coarse_grid.zero_xi_index].reshape(16, 16)
@@ -332,7 +330,7 @@ def test_in_set_invariant_under_flow_translation(golden):
     # WF_h is flow invariant; the IN set at xi = 0 must be stable under
     # x -> x + t omega up to one grid cell
     points = 32
-    grid = PhaseSpaceGrid.standard(2, points, golden.ladder)
+    grid = PhaseSpaceGrid.standard(2, points)
     report = nonconcentration_report(wavefront_mass_map(golden.family, grid))
     in_mask = (report.classifications[grid.zero_xi_index] == 1).reshape(points, points)
     omega = np.array(golden.omega.to_floats(golden.basis))
