@@ -54,7 +54,6 @@ from .quasimode import (
     ConcentrationReport,
     DecayFit,
     GalerkinNullspace,
-    ModeDecomposition,
     OrderReport,
     QuasimodeFamily,
     UniqueContinuation,
@@ -64,7 +63,6 @@ from .quasimode import (
     default_h_ladder,
     fit_decay_exponent,
     galerkin_nullspace,
-    maslov_admissible,
     unique_continuation_constant,
     verify_quasimode_order,
 )
@@ -74,8 +72,6 @@ from .wavefront import (
     PhaseSpaceGrid,
     VerdictThresholds,
     WavefrontReport,
-    coherent_mass,
-    coherent_state,
     nonconcentration_report,
     wavefront_mass_map,
 )

@@ -408,15 +408,6 @@ class IrrationalBasis:
     def dim(self) -> int:
         return len(self.names)
 
-    def number(self, coeffs) -> ExactNumber:
-        x = ExactNumber(tuple(coeffs))
-        if x.dim != self.dim:
-            raise ValueError("coordinate count does not match basis size")
-        return x
-
-    def rational(self, value) -> ExactNumber:
-        return ExactNumber.rational(value, self.dim)
-
     def to_float(self, x: ExactNumber) -> float:
         if x.dim != self.dim:
             raise ValueError("number does not belong to this basis")

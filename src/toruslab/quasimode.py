@@ -7,8 +7,8 @@ torus, derives the zero-mode multiplier -(Q v)/v by grid division, and
 returns an operator instance together with a family that solves the
 eigenvalue problem through second order by construction.  Everything
 downstream (mode decomposition, decay fits, Galerkin nullspaces, the
-unique-continuation constant, the Maslov congruence) measures properties
-that certified families must exhibit.
+unique-continuation constant) measures properties that certified families
+must exhibit.
 """
 
 from __future__ import annotations
@@ -17,18 +17,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .exact import (
-    FrequencyVector,
-    IrrationalBasis,
-    UnimodularSplitting,
-    parse_rational,
-)
+from .exact import FrequencyVector, IrrationalBasis, UnimodularSplitting
 from .nondegeneracy import HessianForm
 from .operator import (
     ModelOperatorSpec,
@@ -44,7 +38,6 @@ __all__ = [
     "fit_decay_exponent",
     "QuasimodeFamily",
     "default_h_ladder",
-    "ModeDecomposition",
     "decompose_along_T",
     "build_factory_quasimode",
     "GalerkinNullspace",
@@ -58,7 +51,6 @@ __all__ = [
     "verify_quasimode_order",
     "ConcentrationReport",
     "check_mode_concentration",
-    "maslov_admissible",
     "NULL_TOL",
     "FIT_TOL",
 ]
@@ -98,16 +90,12 @@ _NORMALIZATION_TOL = 1e-8
 @dataclass(frozen=True)
 class DecayFit:
     """Fitted slope of log(value) against log(h), with the worst absolute
-    deviation of the fit; fits with residual above 0.5 are unreliable.
-    A fit of a stack of series holds arrays of the stack's leading shape."""
+    deviation of the fit.  A fit of a stack of series holds arrays of the
+    stack's leading shape."""
 
     exponent: float | np.ndarray
     residual: float | np.ndarray
     values: tuple[float, ...] | np.ndarray
-
-    @property
-    def reliable(self) -> bool | np.ndarray:
-        return self.residual <= 0.5
 
 
 def fit_decay_exponent(h_ladder: Sequence[float], values: Sequence | np.ndarray) -> DecayFit:
@@ -186,8 +174,9 @@ class QuasimodeFamily:
 
     def __post_init__(self):
         ladder = tuple(float(h) for h in self.h_ladder)
-        if not ladder or any(h <= 0 for h in ladder):
-            raise ValueError("ladder must be positive")
+        # written so that a NaN fails each check
+        if not ladder or not all(0.0 < h < math.inf for h in ladder):
+            raise ValueError("ladder must be positive and finite")
         if any(nxt >= prev for prev, nxt in zip(ladder, ladder[1:])):
             raise ValueError("ladder must be strictly decreasing")
         members, member_index = tuple(self.members), tuple(self.member_index)
@@ -201,12 +190,15 @@ class QuasimodeFamily:
         for u in members:
             if u.dim != members[0].dim:
                 raise ValueError(f"family members live on tori of dimensions {members[0].dim} and {u.dim}")
-            if abs(u.norm() - 1.0) > _NORMALIZATION_TOL:
+            if not abs(u.norm() - 1.0) <= _NORMALIZATION_TOL:
                 raise ValueError("family members must be normalized to unit norm")
+        normalization = tuple(float(x) for x in self.normalization)
+        if not all(0.0 < x < math.inf for x in normalization):
+            raise ValueError("normalization entries must be positive and finite")
         object.__setattr__(self, "h_ladder", ladder)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "member_index", member_index)
-        object.__setattr__(self, "normalization", tuple(float(x) for x in self.normalization))
+        object.__setattr__(self, "normalization", normalization)
 
     @staticmethod
     def from_members(h_ladder, members) -> "QuasimodeFamily":
@@ -223,12 +215,6 @@ class QuasimodeFamily:
     @property
     def dimension(self) -> int:
         return self.members[0].dim
-
-    def member(self, h: float) -> TrigPolynomial:
-        for hh, i in zip(self.h_ladder, self.member_index):
-            if hh == h:
-                return self.members[i]
-        raise KeyError(f"h={h} is not on the ladder")
 
     def save(self, directory, provenance: Optional[dict] = None):
         """Write the family's fields to ``manifest.json``."""
@@ -255,17 +241,9 @@ class QuasimodeFamily:
         )
 
 
-@dataclass(frozen=True)
-class ModeDecomposition:
-    """Coefficients of a torus function regrouped by mode along the orbit
-    closure."""
-
-    modes: Mapping[tuple[int, ...], TrigPolynomial]
-    split: UnimodularSplitting
-
-
-def decompose_along_T(u: TrigPolynomial, split: UnimodularSplitting) -> ModeDecomposition:
-    """Regroup coefficients by their mode along the orbit closure.
+def decompose_along_T(u: TrigPolynomial, split: UnimodularSplitting) -> dict[tuple[int, ...], TrigPolynomial]:
+    """Regroup coefficients by their mode along the orbit closure: the
+    profile on the transverse torus of each mode, in sorted mode order.
 
     Each torus frequency xi is relabeled to (along, across) = M^T xi; the
     relabeling is a bijection on the integer lattice, so no coefficient
@@ -278,8 +256,7 @@ def decompose_along_T(u: TrigPolynomial, split: UnimodularSplitting) -> ModeDeco
     for xi, value in u.items():
         along, across = split.to_split_frequency(xi)
         grouped.setdefault(along, {})[across] = value
-    modes = {alpha: TrigPolynomial(q, coeffs) for alpha, coeffs in sorted(grouped.items())}
-    return ModeDecomposition(modes=modes, split=split)
+    return {alpha: TrigPolynomial(q, coeffs) for alpha, coeffs in sorted(grouped.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +509,10 @@ def galerkin_nullspace(
 
 @dataclass(frozen=True)
 class UniqueContinuation:
-    """Mass lower bound over a subdomain for unit nullspace elements, with
-    the combination achieving it."""
+    """Mass lower bound over a subdomain for unit nullspace elements, the
+    smallest eigenvalue of the basis's Gram matrix over the subdomain."""
 
     constant: float
-    minimizer: TrigPolynomial
     gram: np.ndarray
 
 
@@ -616,14 +592,9 @@ def unique_continuation_constant(
         for j in range(dim):
             gram[i, j] = _box_integral(tables[i], tables[j], weights, radius)
     gram = 0.5 * (gram + gram.conj().T)
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    constant = float(eigvals[0])
-    combo = eigvecs[:, 0]
-    minimizer = TrigPolynomial.zero(q)
-    for coefficient, basis_fn in zip(combo, null.basis):
-        minimizer = minimizer + basis_fn.scaled(coefficient)
+    constant = float(np.linalg.eigh(gram)[0][0])
     gram.setflags(write=False)
-    return UniqueContinuation(constant=constant, minimizer=minimizer, gram=gram)
+    return UniqueContinuation(constant=constant, gram=gram)
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +664,8 @@ def check_mode_concentration(
     alpha0 = tuple(int(a) for a in alpha0)
     decompositions = [decompose_along_T(u, split) for u in family.members]
     per_h = [decompositions[j] for j in family.member_index]
-    modes = sorted(set().union(*(d.modes for d in decompositions)) - {alpha0})
-    norms = [[d.modes[a].norm() if a in d.modes else 0.0 for d in per_h] for a in modes + [alpha0]]
+    modes = sorted(set().union(*decompositions) - {alpha0})
+    norms = [[d[a].norm() if a in d else 0.0 for d in per_h] for a in modes + [alpha0]]
     stack = fit_decay_exponent(family.h_ladder, np.reshape(norms[:-1], (len(modes), len(per_h))))
     fits = {
         alpha: DecayFit(float(stack.exponent[i]), float(stack.residual[i]), tuple(norms[i]))
@@ -712,27 +683,3 @@ def check_mode_concentration(
         passed=passed,
     )
 
-
-# ---------------------------------------------------------------------------
-# Maslov congruence
-# ---------------------------------------------------------------------------
-
-
-def maslov_admissible(liouville, maslov: Sequence[int], h) -> bool:
-    """Exact congruence test for a global single-mode profile.
-
-    ``liouville`` holds the action class per cycle as an exact rational
-    multiple of 2 pi, ``maslov`` the integer index class, and ``h`` an
-    exact rational.  Admissible means that for every cycle the action
-    divided by 2 pi h, minus a quarter of the index, is an integer.
-    """
-    h = parse_rational(h)
-    if h <= 0:
-        raise ValueError("h must be positive")
-    classes = [parse_rational(x) for x in liouville]
-    indices = [int(a) for a in maslov]
-    if len(classes) != len(indices):
-        raise ValueError("class vectors have different lengths")
-    return all(
-        (l / h - Fraction(a, 4)).denominator == 1 for l, a in zip(classes, indices)
-    )

@@ -197,10 +197,6 @@ class TrigPolynomial:
         return TrigPolynomial(dim, {(0,) * dim: value})
 
     @staticmethod
-    def character(dim: int, alpha, coeff=1.0) -> "TrigPolynomial":
-        return TrigPolynomial(dim, {tuple(int(a) for a in alpha): coeff})
-
-    @staticmethod
     def cosine(dim: int, alpha, amplitude=1.0) -> "TrigPolynomial":
         """amplitude * cos(2 pi alpha . x)."""
         a = tuple(int(v) for v in alpha)
@@ -215,9 +211,6 @@ class TrigPolynomial:
         """The table() with its frequencies in lexicographic order."""
         order = np.lexsort(self._freqs.T[::-1]) if self.dim else np.arange(len(self))
         return self._freqs[order], self._values[order]
-
-    def support(self) -> list[Frequency]:
-        return list(map(tuple, self.sorted_table()[0].tolist()))
 
     def sorted_items(self) -> list[tuple[Frequency, complex]]:
         freqs, values = self.sorted_table()

@@ -35,8 +35,6 @@ __all__ = [
     "MassMap",
     "VerdictThresholds",
     "WavefrontReport",
-    "coherent_mass",
-    "coherent_state",
     "wavefront_mass_map",
     "nonconcentration_report",
     "symbol_scale",
@@ -104,32 +102,6 @@ def _probe_norm_squared(xi0: Sequence[float], h: float, dim: int) -> float:
     return total
 
 
-def coherent_state(
-    dim: int, x0: Sequence[float], xi0: Sequence[float], h: float
-) -> TrigPolynomial:
-    """The normalized periodized Gaussian probe as a trig polynomial."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if dim == 0:
-        return TrigPolynomial.constant(0, 1.0)
-    axes = [_axis_image_range(float(c), h) for c in np.asarray(xi0, dtype=float)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    alphas = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    weights = _weights(alphas, xi0, h)
-    phases = np.exp(-2j * np.pi * (alphas @ np.asarray(x0, dtype=float)))
-    coeffs = weights * phases
-    norm = math.sqrt(float(np.sum(weights * weights)))
-    coeffs = coeffs / norm
-    keep = np.abs(coeffs) > 0
-    return TrigPolynomial(
-        dim,
-        {
-            tuple(int(a) for a in alphas[i]): complex(coeffs[i])
-            for i in np.nonzero(keep)[0]
-        },
-    )
-
-
 def _phase_table(u: TrigPolynomial, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """u's sorted support as a float array, its coefficients, the phase rows
     exp(2 pi i x . alpha^T) of the nodes' distinct argument rows x . alpha^T,
@@ -163,28 +135,6 @@ def _mass_from_table(table, xi0: Sequence[float], h: float) -> tuple[np.ndarray,
     return (np.abs(amplitude) ** 2 / norm_sq)[inverse], exact_average
 
 
-def _mass_on_nodes(
-    u: TrigPolynomial, nodes: np.ndarray, xi0: Sequence[float], h: float
-) -> tuple[np.ndarray, float]:
-    """|<u, probe at each node>|^2, vectorized over the x grid, and the
-    exact x-average of that mass."""
-    if not u:
-        return np.zeros(nodes.shape[0]), 0.0
-    return _mass_from_table(_phase_table(u, nodes), xi0, h)
-
-
-def coherent_mass(u: TrigPolynomial, x0, xi0, h: float) -> float:
-    """Squared overlap of u with the normalized probe at (x0, xi0)."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if u.dim == 0:
-        return float(abs(u.coefficient(())) ** 2)
-    node = np.asarray(x0, dtype=float).reshape(1, -1)
-    if node.shape[1] != u.dim:
-        raise ValueError("base point has wrong dimension")
-    return float(_mass_on_nodes(u, node, xi0, h)[0][0])
-
-
 # ---------------------------------------------------------------------------
 # Grids and mass maps
 # ---------------------------------------------------------------------------
@@ -209,6 +159,9 @@ class PhaseSpaceGrid:
         xi = tuple(tuple(float(c) for c in covector) for covector in self.xi_points)
         if any(len(covector) != dim for covector in xi):
             raise ValueError("covector dimension mismatch")
+        for covector in xi:
+            if not all(map(math.isfinite, covector)):
+                raise ValueError(f"covector {covector} has a non-finite entry")
         if (0.0,) * dim not in xi:
             raise ValueError("the zero covector must be sampled")
         # -0.0 == 0.0, so a repeated zero covector is caught in either spelling

@@ -1,5 +1,6 @@
 """The per-coefficient dict loops that TrigPolynomial's array kernels
-reproduce bit for bit, kept as the references the tests compare against."""
+reproduce bit for bit, kept as the references the tests compare against,
+and the Gaussian probe that the negative-control families are built from."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import math
 import numpy as np
 
 from toruslab import TrigPolynomial
+from toruslab.wavefront import _axis_image_range, _weights
 
 
 def conjugate(p: TrigPolynomial) -> TrigPolynomial:
@@ -57,6 +59,11 @@ def evaluate(p: TrigPolynomial, points) -> np.ndarray:
     for alpha, value in p.sorted_items():
         out += value * np.exp(2j * np.pi * (pts @ np.array(alpha, dtype=float)))
     return out
+
+
+def support(p: TrigPolynomial) -> list[tuple[int, ...]]:
+    """The frequencies of the series in sorted order."""
+    return [alpha for alpha, _ in p.sorted_items()]
 
 
 def inner(p: TrigPolynomial, q: TrigPolynomial) -> complex:
@@ -114,3 +121,24 @@ def bits(p: TrigPolynomial) -> tuple[list, bytes]:
     """The frequencies in the series' order and the bytes of its
     coefficients."""
     return [alpha for alpha, _ in p.items()], np.array([v for _, v in p.items()], dtype=complex).tobytes()
+
+
+def coherent_state(dim: int, x0, xi0, h: float) -> TrigPolynomial:
+    """The normalized periodized Gaussian probe at (x0, xi0) as a trig
+    polynomial: every frequency-lattice image that the mass map's probe
+    keeps.  It holds the full product of the per-axis image ranges, so it
+    is meant for small dim and moderate h only."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    if dim == 0:
+        return TrigPolynomial.constant(0, 1.0)
+    axes = [_axis_image_range(float(c), h) for c in np.asarray(xi0, dtype=float)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    alphas = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    weights = _weights(alphas, xi0, h)
+    phases = np.exp(-2j * np.pi * (alphas @ np.asarray(x0, dtype=float)))
+    coeffs = weights * phases / math.sqrt(float(np.sum(weights * weights)))
+    keep = np.abs(coeffs) > 0
+    return TrigPolynomial(
+        dim, {tuple(int(a) for a in alphas[i]): complex(coeffs[i]) for i in np.nonzero(keep)[0]}
+    )

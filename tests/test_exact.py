@@ -158,9 +158,9 @@ def test_unimodular_inverse_exact():
 # ---------------------------------------------------------------------------
 
 
-def test_relation_lattice_independent_coordinates(sqrt2_basis):
+def test_relation_lattice_independent_coordinates():
     omega = FrequencyVector(
-        (sqrt2_basis.number([1, 0]), sqrt2_basis.number([0, 1]))
+        (ExactNumber((1, 0)), ExactNumber((0, 1)))
     )
     assert relation_lattice(omega).rank == 0
 
@@ -249,9 +249,9 @@ def test_relation_lattice_random_rational_properties():
 # ---------------------------------------------------------------------------
 
 
-def test_split_already_irrational(sqrt2_basis):
+def test_split_already_irrational():
     omega = FrequencyVector(
-        (sqrt2_basis.number([1, 0]), sqrt2_basis.number([0, 1]))
+        (ExactNumber((1, 0)), ExactNumber((0, 1)))
     )
     split = split_frequencies(omega)
     assert split.orbit_dimension == 2
@@ -318,12 +318,12 @@ def test_resonant_mode_non_integer():
     assert find_resonant_mode((one,), ExactNumber.rational(Fraction(1, 2))) is None
 
 
-def test_resonant_mode_coordinatewise(sqrt2_basis):
-    omega_tilde = (sqrt2_basis.number([1, 0]), sqrt2_basis.number([0, 1]))
-    c = sqrt2_basis.number([-3, -2])
+def test_resonant_mode_coordinatewise():
+    omega_tilde = (ExactNumber((1, 0)), ExactNumber((0, 1)))
+    c = ExactNumber((-3, -2))
     assert find_resonant_mode(omega_tilde, c) == (3, 2)
     # inconsistent system: no solution
-    assert find_resonant_mode(omega_tilde, sqrt2_basis.number([Fraction(1, 3), 0])) is None
+    assert find_resonant_mode(omega_tilde, ExactNumber((Fraction(1, 3), 0))) is None
 
 
 def test_resonant_mode_box_bound():
@@ -339,16 +339,16 @@ def test_resonant_mode_rejects_rationally_related_input():
         find_resonant_mode((one, one), ExactNumber.rational(-5))
 
 
-def test_resonant_mode_unique_on_random_instances(sqrt2_basis):
+def test_resonant_mode_unique_on_random_instances():
     rng = random.Random(31)
     for _ in range(100):
         k = rng.randint(1, 2)
         if k == 1:
-            omega_tilde = (sqrt2_basis.number([rng.randint(1, 5), rng.randint(0, 3)]),)
+            omega_tilde = (ExactNumber((rng.randint(1, 5), rng.randint(0, 3))),)
         else:
             omega_tilde = (
-                sqrt2_basis.number([1, 0]),
-                sqrt2_basis.number([0, rng.randint(1, 4)]),
+                ExactNumber((1, 0)),
+                ExactNumber((0, rng.randint(1, 4))),
             )
         target = tuple(rng.randint(-8, 8) for _ in range(k))
         c = ExactNumber.rational(0, 2)
@@ -364,8 +364,8 @@ def test_resonant_mode_unique_on_random_instances(sqrt2_basis):
 
 
 def test_exact_number_arithmetic_and_floats(sqrt2_basis):
-    x = sqrt2_basis.number([Fraction(1, 2), 1])
-    y = sqrt2_basis.number([Fraction(1, 2), -1])
+    x = ExactNumber((Fraction(1, 2), 1))
+    y = ExactNumber((Fraction(1, 2), -1))
     assert (x + y).coeffs == (Fraction(1), Fraction(0))
     assert (x - x).is_zero
     assert (-x).coeffs == (Fraction(-1, 2), Fraction(-1))

@@ -1,11 +1,18 @@
-"""Importing toruslab pins BLAS to one thread, or warns when it is too late."""
+"""Importing toruslab pins BLAS to one thread, or warns when it is too late;
+every name the package and its layers export resolves."""
 
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pytest
+
+import toruslab
+from toruslab import cli, exact, nondegeneracy, operator, quasimode, trigpoly, wavefront
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PINNED = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -32,3 +39,23 @@ def test_import_after_numpy_warns_once():
 def test_import_before_numpy_or_with_blas_pinned_is_silent():
     assert _import_stderr("import toruslab") == ""
     assert _import_stderr("import os; os.environ['OPENBLAS_NUM_THREADS'] = '1'; import numpy, toruslab") == ""
+
+
+LAYERS = (cli, exact, nondegeneracy, operator, quasimode, trigpoly, wavefront)
+
+
+@pytest.mark.parametrize("module", LAYERS, ids=lambda m: m.__name__)
+def test_every_all_entry_resolves(module):
+    # a stale entry would otherwise surface only on "from module import *"
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_package_exports_only_names_its_layers_export():
+    # the package has no __all__ of its own: its public names are the
+    # layers' exports it imports
+    public = [
+        name for name, value in vars(toruslab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert public
+    assert [name for name in public if not any(name in layer.__all__ for layer in LAYERS)] == []

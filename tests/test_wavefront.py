@@ -12,8 +12,6 @@ from toruslab import (
     PhaseSpaceGrid,
     QuasimodeFamily,
     TrigPolynomial,
-    coherent_mass,
-    coherent_state,
     default_h_ladder,
     nonconcentration_report,
     wavefront_mass_map,
@@ -21,7 +19,7 @@ from toruslab import (
 from toruslab import wavefront
 from toruslab.wavefront import VerdictThresholds, symbol_scale
 
-from series_oracles import evaluate
+from series_oracles import coherent_state, evaluate
 
 
 def mass_by_quadrature(u, x0, xi0, h, points=4096, images=6):
@@ -36,18 +34,32 @@ def mass_by_quadrature(u, x0, xi0, h, points=4096, images=6):
     return float(abs(overlap) ** 2)
 
 
+def mass_on_nodes(u, nodes, xi0, h):
+    """Masses of u on the nodes and their exact x-average, through the
+    phase table and mass kernel that the mass map runs."""
+    return wavefront._mass_from_table(wavefront._phase_table(u, np.asarray(nodes, dtype=float)), xi0, h)
+
+
+def mass_at(u, x0, xi0, h):
+    """The mass of u at the one phase-space point (x0, xi0)."""
+    return float(mass_on_nodes(u, [x0], xi0, h)[0][0])
+
+
 def test_zero_input_gives_zero_mass():
-    assert coherent_mass(TrigPolynomial.zero(1), [0.3], [0.0], 0.01) == 0.0
+    # a family refuses a zero member, so only the exact average is defined
+    with pytest.raises(ValueError, match="cannot normalize a vanishing member"):
+        QuasimodeFamily.from_members(default_h_ladder(), [TrigPolynomial.zero(1)] * 9)
+    assert mass_on_nodes(TrigPolynomial.zero(1), [[0.3]], [0.0], 0.01)[1] == 0.0
 
 
 def test_constant_symbol_mass_closed_form_vs_quadrature():
     h = 2.0**-6
     u = TrigPolynomial.constant(1, 1.0)
     for x0 in (0.0, 0.3):
-        closed = coherent_mass(u, [x0], [0.0], h)
+        closed = mass_at(u, [x0], [0.0], h)
         assert abs(closed - mass_by_quadrature(u, x0, 0.0, h)) <= 1e-8
     # the Gaussian-constant pairing carries the symbol scale
-    assert coherent_mass(u, [0.0], [0.0], h) == pytest.approx(
+    assert mass_at(u, [0.0], [0.0], h) == pytest.approx(
         symbol_scale(1, h), rel=1e-4
     )
 
@@ -57,14 +69,14 @@ def test_general_mass_matches_quadrature_at_offset_covector():
     u = TrigPolynomial(1, {(0,): 0.8, (2,): 0.36, (-2,): 0.36, (5,): 0.2j})
     u = u.scaled(1.0 / u.norm())
     for xi0 in (0.0, 1.0):
-        closed = coherent_mass(u, [0.17], [xi0], h)
+        closed = mass_at(u, [0.17], [xi0], h)
         assert abs(closed - mass_by_quadrature(u, 0.17, xi0, h)) <= 1e-8
 
 
 def test_constant_symbol_off_lagrangian_decays_superpolynomially():
     ladder = default_h_ladder()
     u = TrigPolynomial.constant(1, 1.0)
-    masses = [coherent_mass(u, [0.0], [1.0], h) for h in ladder]
+    masses = [mass_at(u, [0.0], [1.0], h) for h in ladder]
     from toruslab import fit_decay_exponent
 
     fit = fit_decay_exponent(ladder, masses)
@@ -77,8 +89,8 @@ def test_mass_invariant_under_global_phase():
     u = u.scaled(1.0 / u.norm())
     rotated = u.scaled(np.exp(0.7j))
     for h in (2.0**-4, 2.0**-8):
-        a = coherent_mass(u, [0.2], [0.0], h)
-        b = coherent_mass(rotated, [0.2], [0.0], h)
+        a = mass_at(u, [0.2], [0.0], h)
+        b = mass_at(rotated, [0.2], [0.0], h)
         assert b == pytest.approx(a, rel=1e-12)
 
 
@@ -86,7 +98,7 @@ def test_coherent_state_is_normalized_unit_mass_at_center():
     for h in (2.0**-4, 2.0**-8):
         probe = coherent_state(1, [0.25], [0.5], h)
         assert probe.norm() == pytest.approx(1.0, rel=1e-12)
-        assert coherent_mass(probe, [0.25], [0.5], h) == pytest.approx(1.0, rel=1e-10)
+        assert mass_at(probe, [0.25], [0.5], h) == pytest.approx(1.0, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +115,13 @@ def _constant_family(dim=1):
 def test_grid_requires_zero_covector():
     with pytest.raises(ValueError, match="zero covector"):
         PhaseSpaceGrid(1, 8, ((1.0,),))
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_grid_rejects_a_non_finite_covector(entry):
+    # the mass map's budget would convert it to an integer image count
+    with pytest.raises(ValueError, match=rf"covector \(0\.5, {entry}\) has a non-finite entry"):
+        PhaseSpaceGrid(2, 8, [(0.0, 0.0), (0.5, entry)])
 
 
 def test_grid_rejects_fewer_than_two_points_per_axis():
@@ -204,12 +223,13 @@ def test_mass_map_on_distinct_node_rows_matches_every_node(golden, points, disti
         family = QuasimodeFamily.from_members(golden.ladder, [member] * len(golden.ladder))
         distinct = points**2
     grid = PhaseSpaceGrid.standard(2, points)
-    assert wavefront._phase_table(family.member(golden.ladder[0]), grid.x_nodes)[2].shape[0] == distinct
+    (member,) = family.members
+    assert wavefront._phase_table(member, grid.x_nodes)[2].shape[0] == distinct
     mass_map = wavefront_mass_map(family, grid)
     for i, covector in enumerate(grid.xi_points):
         for l, h in enumerate(golden.ladder):
-            row, _ = wavefront._mass_on_nodes(family.member(h), grid.x_nodes, covector, h)
-            expected = masses_on_every_node(family.member(h), grid.x_nodes, covector, h)
+            row, _ = mass_on_nodes(member, grid.x_nodes, covector, h)
+            expected = masses_on_every_node(member, grid.x_nodes, covector, h)
             assert mass_map.masses[i, :, l].tobytes() == row.tobytes() == expected.tobytes()
 
 
@@ -227,7 +247,7 @@ def test_mass_map_with_two_distinct_members_matches_per_h_masses():
     assert mass_map.h_ladder == ladder
     for i, covector in enumerate(xi):
         for l, h in enumerate(ladder):
-            row, _ = wavefront._mass_on_nodes(family.member(h), grid.x_nodes, covector, h)
+            row, _ = mass_on_nodes(family.members[family.member_index[l]], grid.x_nodes, covector, h)
             assert mass_map.masses[i, :, l].tobytes() == row.tobytes()
 
 
