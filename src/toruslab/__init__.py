@@ -1,10 +1,10 @@
 """Laboratory for quasimode nonconcentration on completely integrable tori.
 
 Exact rational-relation arithmetic decides the resonance structure of a
-frequency vector, numerical linear algebra decides the nondegeneracy
-hypotheses, a factory builds certified quasimode families for the model
-operator, and coherent-state mass maps render the nonconcentration
-verdicts.
+frequency vector, exact integer arithmetic on the values of the floats
+decides the nondegeneracy hypotheses, a factory builds certified quasimode
+families for the model operator, and coherent-state mass maps render the
+nonconcentration verdicts.
 """
 
 import os

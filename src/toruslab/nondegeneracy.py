@@ -1,33 +1,31 @@
 """Nondegeneracy checks for the frequency data at an invariant torus.
 
-Two open conditions are decided with scale-relative thresholds: whether the
-frequency map is isoenergetically nondegenerate (the bordered matrix of the
-action Hessian and the frequency vector is nonsingular), and whether the
-Hessian is quasiconvex (strictly positive definite on the orthocomplement
-of the frequency vector).  Both are pointwise checks at the torus; nothing
+Two open conditions are decided on the exact values of the floats given:
+whether the frequency map is isoenergetically nondegenerate (the bordered
+matrix of the action Hessian and the frequency vector is nonsingular), and
+whether the Hessian is quasiconvex (strictly positive definite on the
+orthocomplement of the frequency vector).  A finite float is a dyadic
+rational, so after clearing denominators both are questions about integer
+matrices, answered by the exact layer's Bareiss determinant and integer
+kernel.  No tolerance enters, so both verdicts are invariant under exact
+rescaling of either input.  Both are pointwise checks at the torus; nothing
 here inspects a neighborhood.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import _det_int, _mat_mul, _transpose, integer_kernel
+
 __all__ = [
     "HessianForm",
     "bordered_determinant",
-    "frequency_orthocomplement",
     "is_quasiconvex",
-    "TOL_DET_SCALE",
-    "TOL_PD",
 ]
-
-#: |det| of the bordered matrix divided by its max-norm must exceed
-#: TOL_DET_SCALE.
-TOL_DET_SCALE = 1e-9
-#: Minimum restricted eigenvalue must exceed TOL_PD * maxabs(H).
-TOL_PD = 1e-9
 
 _SYMMETRY_TOL = 1e-12
 
@@ -43,6 +41,8 @@ class HessianForm:
         H = np.array(self.entries, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError("Hessian must be a square matrix")
+        if not np.all(np.isfinite(H)):
+            raise ValueError("Hessian entries must be finite")
         scale = np.max(np.abs(H)) if H.size else 0.0
         if scale > 0 and np.max(np.abs(H - H.T)) > _SYMMETRY_TOL * scale:
             raise ValueError("Hessian must be symmetric to machine precision")
@@ -55,68 +55,53 @@ class HessianForm:
         return self.entries.shape[0]
 
 
+def _frequency(hessian: HessianForm, omega) -> np.ndarray:
+    w = np.asarray(omega, dtype=float)
+    if w.shape != (hessian.dimension,):
+        raise ValueError("frequency vector length does not match the Hessian")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("frequency vector entries must be finite")
+    return w
+
+
+def _integer_rows(rows) -> list[list[int]]:
+    """The exact values of a float matrix times their least common
+    denominator, a positive power of two."""
+    ratios = [[float(x).as_integer_ratio() for x in row] for row in rows]
+    scale = math.lcm(*(q for row in ratios for _, q in row))
+    return [[p * (scale // q) for p, q in row] for row in ratios]
+
+
 def bordered_determinant(hessian: HessianForm, omega) -> tuple[float, bool]:
     """Determinant of the Hessian bordered by the frequency vector (zero in
     the corner) and the nondegeneracy verdict.
 
-    Nondegenerate means |det| exceeds a threshold relative to the matrix
-    max-norm raised to the matrix size, which makes the open condition
-    decidable in floating point.
+    Nondegenerate means the exact determinant is nonzero.  The float
+    determinant is reported, as an infinity when it overflows.
     """
-    w = np.asarray(omega, dtype=float)
+    w = _frequency(hessian, omega)
     n = hessian.dimension
-    if w.shape != (n,):
-        raise ValueError("frequency vector length does not match the Hessian")
     bordered = np.zeros((n + 1, n + 1))
     bordered[:n, :n] = hessian.entries
     bordered[:n, n] = w
     bordered[n, :n] = w
-    scale = float(np.max(np.abs(bordered)))
-    # scale^(n+1) overflows long before det(B / scale) can; det(B) itself
-    # is reported, as an infinity when it overflows
-    nondegenerate = scale > 0 and abs(float(np.linalg.det(bordered / scale))) > TOL_DET_SCALE
+    nondegenerate = _det_int(_integer_rows(bordered)) != 0
     with np.errstate(over="ignore"):
-        return float(np.linalg.det(bordered)), bool(nondegenerate)
-
-
-def frequency_orthocomplement(omega) -> np.ndarray:
-    """Deterministic orthonormal basis of the orthocomplement of omega.
-
-    Columns 2..n of the Householder reflection sending omega/|omega| to a
-    multiple of the first coordinate vector.  Shape (n, n-1).
-    """
-    w = np.asarray(omega, dtype=float)
-    n = w.shape[0]
-    norm = float(np.linalg.norm(w))
-    if norm == 0.0:
-        raise ValueError("frequency vector must not vanish")
-    unit = w / norm
-    v = unit.copy()
-    v[0] += 1.0 if unit[0] >= 0 else -1.0
-    Q = np.eye(n) - 2.0 * np.outer(v, v) / float(v @ v)
-    return Q[:, 1:]
+        return float(np.linalg.det(bordered)), nondegenerate
 
 
 def is_quasiconvex(hessian: HessianForm, omega) -> bool:
     """Whether the Hessian is positive definite transverse to omega.
 
-    Decided by the smallest eigenvalue of the Hessian restricted to an
-    orthonormal basis of the orthocomplement of omega; in one dimension
-    the orthocomplement is trivial and the condition holds vacuously.
+    The Hessian is restricted to an integer basis K of the orthocomplement
+    of omega, and KᵀHK is positive definite when every leading principal
+    minor is positive (Sylvester's criterion).  In one dimension K is
+    empty and the condition holds vacuously.
     """
-    w = np.asarray(omega, dtype=float)
-    if w.shape != (hessian.dimension,):
-        raise ValueError("frequency vector length does not match the Hessian")
-    peak = float(np.max(np.abs(w)))
-    if peak == 0.0:
+    w = _frequency(hessian, omega)
+    if not np.any(w):
         raise ValueError("frequency vector must not vanish")
-    n = hessian.dimension
-    if n == 1:
-        return True
-    # only omega's direction matters, and |omega|^2 may overflow
-    B = frequency_orthocomplement(w / peak)
-    restricted = B.T @ hessian.entries @ B
-    restricted = 0.5 * (restricted + restricted.T)
-    smallest = float(np.linalg.eigvalsh(restricted)[0])
-    scale = float(np.max(np.abs(hessian.entries)))
-    return bool(smallest > TOL_PD * scale)
+    # integer_kernel lists the basis vectors, which are the rows of K^T
+    kernel = integer_kernel(_integer_rows([w]))
+    restricted = _mat_mul(_mat_mul(kernel, _integer_rows(hessian.entries)), _transpose(kernel))
+    return all(_det_int([row[:k] for row in restricted[:k]]) > 0 for k in range(1, len(restricted) + 1))

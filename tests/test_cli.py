@@ -66,6 +66,12 @@ def _config(tmp_path, overrides=None, name="config.json"):
     return path
 
 
+def _three_torus_text(**overrides) -> str:
+    payload = json.loads((ROOT / "perfbench" / "three_torus.json").read_text())
+    payload.update(overrides)
+    return json.dumps(payload)
+
+
 def test_parse_golden_materializes_defaults(tmp_path):
     config = parse_config(_config(tmp_path).read_text())
     assert config.dimension == 2
@@ -350,20 +356,46 @@ def test_pipeline_without_factory_skips_quasimode_stages(tmp_path):
 @pytest.mark.parametrize(
     "overrides, det",
     [
-        # max-norm 1e300: the old threshold 1e-9 * 1e300^3 overflowed
+        # max-norm 1e300: det(B) is -1.3e301, exactly nonzero
         ({"hessian": [[1e300, 0.0], [0.0, 1e300]]}, -1.3e301),
-        # omega = (2 + 1e308, 3): det(B) itself overflows and |omega|^2 too
+        # omega = (2 + 1e308, 3): det(B) overflows as a float, and its exact
+        # value is nonzero
         (
             {"basis": {"names": ["1", "b"], "values": [1.0, 1e308]}, "omega": [["2", "1"], ["3"]], "factory": None},
             -math.inf,
         ),
     ],
 )
-def test_huge_bordered_matrix_fails_hypothesis_d(tmp_path, overrides, det):
+def test_huge_bordered_matrix_passes_hypothesis_d(tmp_path, overrides, det):
     config = parse_config(_config(tmp_path, overrides).read_text())
     code, report = run_pipeline(config, ("hypotheses",), tmp_path / "out")
-    assert code == EXIT_CHECK_FAILED and report["failures"] == ["hypothesis (D)"]
+    assert code == EXIT_PASS and report["failures"] == []
     assert report["hypotheses"]["D_isoenergetically_nondegenerate"]["bordered_determinant"] == pytest.approx(det)
+
+
+@pytest.mark.parametrize(
+    "payload, command, failures",
+    [
+        # golden with omega * 2^30 and three-torus with H * 2^-14 run every
+        # stage and pass, as the unscaled configs do
+        ({**GOLDEN, "omega": [[str(2**31)], [str(3 * 2**30)]]}, "all", []),
+        (json.loads(_three_torus_text(hessian=(2.0**-14 * np.eye(3)).tolist())), "all", []),
+        # det(B) = -1.4e-13, exactly nonzero
+        (json.loads(_three_torus_text(hessian=(1e-7 * np.eye(3)).tolist())), "check-hypotheses", []),
+        # H = omega omega^T vanishes on all of omega's orthocomplement
+        (
+            json.loads(_three_torus_text(hessian=[[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 9.0]])),
+            "check-hypotheses",
+            ["hypothesis (D)", "hypothesis (F)"],
+        ),
+    ],
+    ids=["golden-omega-times-2^30", "three-torus-H-times-2^-14", "H-1e-7-identity", "H-omega-omega^T"],
+)
+def test_hypotheses_do_not_depend_on_scale(tmp_path, payload, command, failures):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**payload, "out": str(tmp_path / "out")}))
+    assert main([command, "--config", str(path)]) == (EXIT_CHECK_FAILED if failures else EXIT_PASS)
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["failures"] == failures
 
 
 @pytest.mark.parametrize(
@@ -700,12 +732,6 @@ def test_benchmark_tracer_probes_exist(tmp_path):
         assert totals[metric] > 0, metric
 
 
-def _three_torus_text(**overrides) -> str:
-    payload = json.loads((ROOT / "perfbench" / "three_torus.json").read_text())
-    payload.update(overrides)
-    return json.dumps(payload)
-
-
 def test_unique_continuation_makes_no_convolve_calls(tmp_path, monkeypatch):
     # the Gram is one array kernel per entry, not a dict convolution
     inside, convolve_calls, uc_calls = [], [], []
@@ -853,12 +879,15 @@ def test_golden_run_computes_transverse_form_and_inverse_once(tmp_path, monkeypa
         ({"thresholds": {"in_exponent": -5}}, ["fills torus", "nonempty interior"]),
         # a covector 0.001 off the Lagrangian's covector keeps its mass
         ({"grid": {"xi": [[0, 0], [0.001, 0]]}}, ["lagrangian supported"]),
-        # an indefinite Hessian whose form vanishes on the transverse covector
-        # (3, -2): the Galerkin kernel takes in every retained character, and
-        # a combination of them vanishes on the subdomain
+        # fl(13/12) < 13/12, so the form on the transverse covector (3, -2)
+        # is +2^-50: (D) and (F) hold exactly, but the Galerkin kernel takes
+        # in every retained character, and a combination of them vanishes on
+        # the subdomain
+        ({"hessian": [[1.0, 13 / 12], [13 / 12, 1.0]]}, ["unique continuation"]),
+        # the form on (3, -2) is 9 - 15 + 6 = 0 exactly
         (
-            {"hessian": [[1.0, 13 / 12], [13 / 12, 1.0]]},
-            ["hypothesis (D)", "hypothesis (F)", "unique continuation"],
+            {"hessian": [[1.0, 1.25], [1.25, 1.5]]},
+            ["hypothesis (D)", "hypothesis (F)", "quasimode verification"],
         ),
     ],
 )

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toruslab import HessianForm, bordered_determinant, is_quasiconvex
-from toruslab.nondegeneracy import frequency_orthocomplement
 
 
 def test_bordered_identity_two_torus():
@@ -59,14 +61,17 @@ def test_hessian_symmetry_enforced():
         HessianForm(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
-def test_orthocomplement_is_orthonormal_and_orthogonal():
-    rng = np.random.default_rng(12)
-    for n in range(2, 6):
-        omega = rng.standard_normal(n)
-        B = frequency_orthocomplement(omega)
-        assert B.shape == (n, n - 1)
-        assert np.allclose(B.T @ B, np.eye(n - 1), atol=1e-12)
-        assert np.allclose(B.T @ omega, 0.0, atol=1e-10)
+@pytest.mark.parametrize("entries", [[[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]])
+def test_hessian_refuses_non_finite_entries(entries):
+    with pytest.raises(ValueError, match="finite"):
+        HessianForm(np.array(entries))
+
+
+@pytest.mark.parametrize("check", [bordered_determinant, is_quasiconvex])
+@pytest.mark.parametrize("omega", [[np.inf, 1.0], [1.0, -np.inf], [np.nan, 1.0]])
+def test_checks_refuse_non_finite_frequency(check, omega):
+    with pytest.raises(ValueError, match="finite"):
+        check(HessianForm(np.eye(2)), omega)
 
 
 def test_quasiconvexity_implies_nondegeneracy_sampled():
@@ -76,15 +81,59 @@ def test_quasiconvexity_implies_nondegeneracy_sampled():
         n = int(rng.integers(2, 6))
         base = rng.standard_normal((n, n))
         if rng.random() < 0.5:
-            H = HessianForm(base @ base.T + 0.1 * np.eye(n))
+            H = base @ base.T + 0.1 * np.eye(n)
         else:
-            H = HessianForm(0.5 * (base + base.T))
+            H = 0.5 * (base + base.T)
         omega = rng.standard_normal(n)
-        if is_quasiconvex(H, omega):
-            quasiconvex_seen += 1
-            _, nondegenerate = bordered_determinant(H, omega)
-            assert nondegenerate
-    assert quasiconvex_seen >= 20
+        # the same inputs rescaled by exact powers of two, each way
+        for s, t in itertools.product((1.0, 2.0**40, 2.0**-40), repeat=2):
+            form = HessianForm(s * H)
+            if is_quasiconvex(form, t * omega):
+                quasiconvex_seen += 1
+                _, nondegenerate = bordered_determinant(form, t * omega)
+                assert nondegenerate
+    assert quasiconvex_seen >= 20 * 9
+
+
+def _dyadic(bits):
+    """Floats k / 2^bits with |k| <= 2^bits, each an exact dyadic rational."""
+    return st.integers(-(2**bits), 2**bits).map(lambda k: k / 2**bits)
+
+
+@st.composite
+def _hypotheses_and_transforms(draw):
+    """(H, omega) with small dyadic entries, a permutation matrix P, and a
+    B in GL(n, Z) built as a product of elementary row operations."""
+    n = draw(st.integers(2, 4))
+    H = np.zeros((n, n))
+    for i in range(n):
+        H[i, i:] = H[i:, i] = draw(st.lists(_dyadic(3), min_size=n - i, max_size=n - i))
+    omega = np.array(draw(st.lists(_dyadic(3), min_size=n, max_size=n).filter(any)))
+    P = np.eye(n)[draw(st.permutations(range(n)))]
+    B = np.eye(n)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        B[i] += draw(st.sampled_from([-1, 1])) * B[j]
+    return H, omega, P, B
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(case=_hypotheses_and_transforms(), a=st.integers(-60, 60), b=st.integers(-60, 60))
+def test_verdicts_are_coordinate_free(case, a, b):
+    """(D) and (F) do not move under omega -> 2^a omega, H -> 2^b H, an axis
+    permutation, or (omega, H) -> (B omega, B H B^T) with B in GL(n, Z);
+    every transform is exact on these dyadic inputs."""
+    H, omega, P, B = case
+
+    def verdicts(H, omega):
+        form = HessianForm(H)
+        return bordered_determinant(form, omega)[1], is_quasiconvex(form, omega)
+
+    expected = verdicts(H, omega)
+    assert verdicts(H, 2.0**a * omega) == expected
+    assert verdicts(2.0**b * H, omega) == expected
+    assert verdicts(P @ H @ P.T, P @ omega) == expected
+    assert verdicts(B @ H @ B.T, B @ omega) == expected
 
 
 def test_determinant_orthogonal_invariance():
