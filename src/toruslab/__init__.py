@@ -34,7 +34,6 @@ from .exact import (
     IrrationalBasis,
     UnimodularSplitting,
     find_resonant_mode,
-    hermite_normal_form,
     integer_kernel,
     relation_lattice,
     smith_normal_form,

@@ -8,9 +8,13 @@ something this module verifies.  Under that contract, "is there an integer
 relation among these frequencies" is decidable, and it is decided here with
 exact integer matrix algebra instead of floating point.
 
+One integer elimination, the row Hermite form ``_row_hnf``, answers every
+lattice question: integer kernels, relation lattices, unimodular inverses
+and resonant modes, the last as the relation lattice of (omega_tilde, c).
 Lattices of integer vectors are kept in a canonical column Hermite normal
 form, so two lattices are equal exactly when their stored matrices are
-equal.
+equal.  Besides it, Bareiss elimination gives exact determinants, and the
+Smith form completes a lattice basis to the splitting matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ __all__ = [
     "FrequencyVector",
     "IntegerLattice",
     "UnimodularSplitting",
-    "hermite_normal_form",
     "smith_normal_form",
     "integer_kernel",
     "unimodular_inverse",
@@ -91,10 +94,6 @@ def _mat_mul(A, B) -> list[list[int]]:
         [sum(A[i][t] * B[t][j] for t in range(inner)) for j in range(width)]
         for i in range(len(A))
     ]
-
-
-def _mat_vec(A, v) -> list[int]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in A]
 
 
 def _det_int(M: Sequence[Sequence[int]]) -> int:
@@ -176,25 +175,6 @@ def _row_hnf(B: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int
     return H, V
 
 
-def hermite_normal_form(A: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Column Hermite normal form: (H, U) with H = A @ U and U unimodular.
-
-    Convention: transpose of the row Hermite form of the transpose.  The
-    pivot of each nonzero column is its topmost nonzero entry; pivot rows
-    strictly increase left to right (a lower-triangular profile), pivots
-    are positive, entries in a pivot row right of the pivot are zero and
-    entries left of it are reduced into [0, pivot).  Zero columns come
-    last.  The map is idempotent, so HNF matrices are canonical lattice
-    representatives.
-    """
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
-    if nrows == 0 or ncols == 0:
-        return [[] for _ in range(nrows)], _identity(ncols)
-    Hrow, V = _row_hnf(_transpose(A))
-    return _transpose(Hrow) or [[] for _ in range(nrows)], _transpose(V)
-
-
 def smith_normal_form(A: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Smith normal form: (S, U, V) with S = U @ A @ V.
 
@@ -274,57 +254,25 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
 
 
 def integer_kernel(A: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis, as a list of column vectors, of {x in Z^n : A @ x = 0}.
+    """Basis, as a list of column vectors, of {x in Z^n : A @ x = 0}: the
+    rows of V past the rank, where V @ A^T is the row Hermite form.
 
     The kernel of an integer matrix is automatically saturated: the
     quotient of Z^n by it is torsion-free.
     """
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
-    H, U = hermite_normal_form(A)
-    rank = sum(1 for j in range(ncols) if any(H[i][j] != 0 for i in range(nrows)))
-    return [[U[i][j] for i in range(ncols)] for j in range(rank, ncols)]
-
-
-def _reduce_rows(aug: list[list[Fraction]], k: int) -> int:
-    """Gauss-Jordan: reduce the Fraction rows of ``aug`` in place to reduced
-    row echelon form over their first k columns and return the rank.
-
-    Each pivot is the first nonzero entry at or below the current row; a
-    column without one is skipped.  Pivot rows are scaled to a leading 1.
-    """
-    row = 0
-    for col in range(k):
-        pivot = next((i for i in range(row, len(aug)) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        lead = aug[row][col]
-        aug[row] = [x / lead for x in aug[row]]
-        for i in range(len(aug)):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        row += 1
-    return row
+    H, V = _row_hnf(_transpose(A))
+    return V[sum(1 for row in H if any(row)) :]
 
 
 def unimodular_inverse(M: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact integer inverse of a matrix with determinant +-1."""
-    n = len(M)
-    aug = [
-        [Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    if _reduce_rows(aug, n) < n:
+    """Exact integer inverse of a matrix with determinant +-1: the V with
+    V @ M = I, read off the row Hermite form V @ M = H."""
+    H, V = _row_hnf(M)
+    if any(not any(row) for row in H):
         raise InvariantViolation("matrix is singular, expected unimodular")
-    if any(q.denominator != 1 for row in aug for q in row[n:]):
+    if H != _identity(len(H)):
         raise InvariantViolation("matrix inverse is not integral, expected unimodular")
-    return [[int(q) for q in row[n:]] for row in aug]
+    return V
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +417,14 @@ class FrequencyVector:
 
 @dataclass(frozen=True)
 class IntegerLattice:
-    """A sublattice of Z^n stored as the canonical column HNF of a basis.
+    """A sublattice of Z^n stored as the canonical column HNF of a basis:
+    the transpose of the row Hermite form of the basis vectors.
 
     rows[i][j] is entry i of basis vector j, so the basis vectors are the
-    columns of the stored matrix.
+    columns of the stored matrix.  The pivot of each column is its topmost
+    nonzero entry; pivot rows strictly increase left to right, pivots are
+    positive, entries in a pivot row right of the pivot are zero and those
+    left of it are reduced into [0, pivot).
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -490,12 +442,10 @@ class IntegerLattice:
         cols = [list(map(int, c)) for c in columns]
         if any(len(c) != ambient_dimension for c in cols):
             raise ValueError("column length does not match the ambient dimension")
-        matrix = [[c[i] for c in cols] for i in range(ambient_dimension)]
-        H, _ = hermite_normal_form(matrix)
-        nonzero = [j for j in range(len(cols)) if any(H[i][j] != 0 for i in range(ambient_dimension))]
-        if len(nonzero) != len(cols):
+        H, _ = _row_hnf(cols)
+        if any(not any(row) for row in H):
             raise ValueError("basis columns are linearly dependent")
-        return IntegerLattice(tuple(tuple(H[i][j] for j in nonzero) for i in range(ambient_dimension)))
+        return IntegerLattice(tuple(tuple(row[i] for row in H) for i in range(ambient_dimension)))
 
     def columns(self) -> list[list[int]]:
         return [[self.rows[i][j] for i in range(self.ambient_dimension)] for j in range(self.rank)]
@@ -511,15 +461,11 @@ def relation_lattice(omega: FrequencyVector) -> IntegerLattice:
     product must vanish separately, so the lattice is the integer kernel
     of the cleared-denominator coordinate matrix.
     """
-    n = omega.dimension
     rows = []
     for coords in omega.coordinate_rows():
-        if all(c == 0 for c in coords):
-            continue
         denom_lcm = math.lcm(*(c.denominator for c in coords))
         rows.append([int(c * denom_lcm) for c in coords])
-    kernel = integer_kernel(rows) if rows else [[int(i == j) for i in range(n)] for j in range(n)]
-    return IntegerLattice.from_columns(kernel, n)
+    return IntegerLattice.from_columns(integer_kernel(rows), omega.dimension)
 
 
 @dataclass(frozen=True)
@@ -559,17 +505,6 @@ class UnimodularSplitting:
     @property
     def dimension(self) -> int:
         return len(self.matrix)
-
-    def to_split_frequency(self, xi: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Relabel a torus frequency xi as (along, across) = M^T xi."""
-        eta = _mat_vec(_transpose([list(r) for r in self.matrix]), [int(x) for x in xi])
-        k = self.orbit_dimension
-        return tuple(eta[:k]), tuple(eta[k:])
-
-    def to_torus_frequency(self, along: Sequence[int], across: Sequence[int]) -> tuple[int, ...]:
-        """Inverse relabeling: xi = M^{-T} (along, across)."""
-        eta = list(map(int, along)) + list(map(int, across))
-        return tuple(_mat_vec(_transpose([list(r) for r in self.inverse]), eta))
 
 
 def _complete_basis(columns: list[list[int]], n: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -636,31 +571,23 @@ def find_resonant_mode(
 ) -> Optional[tuple[int, ...]]:
     """The unique integer vector a with omega_tilde . a + c = 0, if any.
 
-    Solved coordinatewise in the irrationality basis by exact Gaussian
-    elimination.  Because the reduced frequencies admit no rational
-    relation, the coordinate matrix has a trivial kernel and the rational
-    solution, when the system is consistent, is unique; rank deficiency
-    therefore signals a violated input contract and raises.
+    Read off the relation lattice of (omega_tilde, c), whose members are
+    the integer (a, t) with omega_tilde . a + c t = 0.  The reduced
+    frequencies admit no rational relation, so that lattice has rank at
+    most 1 and a generator (a, t) with t != 0; anything else signals a
+    violated input contract and raises.  A primitive generator gives an
+    integer solution exactly when t = +-1, and the solution is t a.
     """
-    k = len(omega_tilde)
-    if k == 0:
+    if not omega_tilde:
         return None
-    m = omega_tilde[0].dim
-    if any(w.dim != m for w in omega_tilde) or c.dim != m:
-        raise ValueError("mixed coordinate bases")
-    # rows: one equation per irrationality-basis coordinate
-    aug = [
-        [omega_tilde[j].coeffs[i] for j in range(k)] + [-c.coeffs[i]]
-        for i in range(m)
-    ]
-    rank = _reduce_rows(aug, k)
-    if rank < k:
-        raise InvariantViolation(
-            "reduced frequencies admit a rational relation; resonant mode not unique"
-        )
-    if any(row[k] != 0 for row in aug[rank:]):
-        return None  # inconsistent: no solution at all
-    solution = [row[k] for row in aug[:k]]
-    if any(q.denominator != 1 for q in solution):
+    related = InvariantViolation("reduced frequencies admit a rational relation; resonant mode not unique")
+    # checked first, since (omega_tilde, c) may vanish altogether
+    if all(w.is_zero for w in omega_tilde):
+        raise related
+    generators = relation_lattice(FrequencyVector(tuple(omega_tilde) + (c,))).columns()
+    if len(generators) > 1 or (generators and generators[0][-1] == 0):
+        raise related
+    if not generators or abs(generators[0][-1]) != 1:
         return None
-    return tuple(int(q) for q in solution)
+    *a, t = generators[0]
+    return tuple(t * x for x in a)

@@ -245,18 +245,32 @@ def decompose_along_T(u: TrigPolynomial, split: UnimodularSplitting) -> dict[tup
     """Regroup coefficients by their mode along the orbit closure: the
     profile on the transverse torus of each mode, in sorted mode order.
 
-    Each torus frequency xi is relabeled to (along, across) = M^T xi; the
-    relabeling is a bijection on the integer lattice, so no coefficient
-    arithmetic happens and the l2 mass is preserved exactly.
+    Each torus frequency xi is relabeled to (along, across) = M^T xi, and
+    each profile keeps u's order.  The relabeling is a bijection on the
+    integer lattice, so each coefficient is only added to 0.0: a -0.0 part
+    becomes +0.0, and the l2 mass is preserved exactly.
     """
     if u.dim != split.dimension:
         raise ValueError("function lives on the wrong torus")
-    q = split.dimension - split.orbit_dimension
-    grouped: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
-    for xi, value in u.items():
-        along, across = split.to_split_frequency(xi)
-        grouped.setdefault(along, {})[across] = value
-    return {alpha: TrigPolynomial(q, coeffs) for alpha, coeffs in sorted(grouped.items())}
+    k = split.orbit_dimension
+    freqs, values = u.map_frequencies(list(zip(*split.matrix))).table()
+    # a stable sort by mode keeps each profile in u's order
+    order = np.lexsort(freqs[:, :k].T[::-1])
+    freqs, values = freqs[order], values[order]
+    cuts = np.flatnonzero((freqs[1:, :k] != freqs[:-1, :k]).any(axis=1)) + 1
+    return {
+        tuple(f[0, :k].tolist()): TrigPolynomial._from_table(split.dimension - k, f[:, k:], v)
+        for f, v in zip(np.split(freqs, cuts), np.split(values, cuts))
+        if len(v)
+    }
+
+
+def _lift_mode(w: TrigPolynomial, split: UnimodularSplitting, alpha: Sequence[int]) -> TrigPolynomial:
+    """The series on the torus that decompose_along_T takes to {alpha: w}:
+    each transverse frequency beta of w relabeled to M^{-T} (alpha, beta)."""
+    freqs, values = w.table()
+    split_freqs = np.hstack([np.tile(np.array(alpha, dtype=np.intp), (len(w), 1)), freqs])
+    return TrigPolynomial._from_table(split.dimension, split_freqs, values).map_frequencies(list(zip(*split.inverse)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +377,12 @@ def build_factory_quasimode(
                 "the profile is too close to a zero"
             )
 
-    # lift the transverse multiplier to the torus, constant along the orbit
-    lift_rows = [
-        [split.inverse[j][i] for j in range(k, n)] for i in range(n)
-    ]
-    r_x = r0.map_frequencies(lift_rows) if q else TrigPolynomial.constant(n, r0.coefficient(()))
-
+    # the multiplier is constant along the orbit; the member is v on alpha0
+    r_x = _lift_mode(r0, split, (0,) * k)
     spec = ModelOperatorSpec(
         omega=omega, hessian=hessian, c=c, r=r_x, basis=basis, remainder=remainder
     )
-
-    coeffs = {
-        split.to_torus_frequency(alpha0, beta): value for beta, value in v.items()
-    }
-    member = TrigPolynomial(n, coeffs)
+    member = _lift_mode(v, split, alpha0)
     ladder = tuple(float(h) for h in h_ladder)
     family = QuasimodeFamily.from_members(ladder, [member] * len(ladder))
     return spec, family, assemble_Q_alpha(form, alpha0, r0)

@@ -1,6 +1,8 @@
 """The per-coefficient dict loops that TrigPolynomial's array kernels
 reproduce bit for bit, kept as the references the tests compare against,
-and the Gaussian probe that the negative-control families are built from."""
+the per-frequency relabelings of a splitting with the frequency vectors
+they are checked on, and the Gaussian probe that the negative-control
+families are built from."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import math
 
 import numpy as np
 
-from toruslab import TrigPolynomial
+from toruslab import FrequencyVector, TrigPolynomial, split_frequencies
 from toruslab.wavefront import _axis_image_range, _weights
 
 
@@ -33,6 +35,47 @@ def map_frequencies_oracle(p: TrigPolynomial, matrix) -> TrigPolynomial:
         key = tuple(sum(r[j] * alpha[j] for j in range(p.dim)) for r in rows)
         out[key] = out.get(key, 0j) + value
     return TrigPolynomial(len(rows), out)
+
+
+#: omega's rows over the basis (1,) or (1, sqrt2): golden's (q = 1), the
+#: three-torus's (q = 2), and (1, sqrt2, 1 + sqrt2), whose orbit closure
+#: has dimension k = 2 and whose splitting matrix is not the identity
+SPLITTINGS = {
+    "golden": [[2], [3]],
+    "three-torus": [[1], [2], [3]],
+    "sqrt2-sum": [[1], [0, 1], [1, 1]],
+}
+
+
+def splitting(name: str):
+    """The frequency vector of SPLITTINGS[name] and its splitting."""
+    rows = SPLITTINGS[name]
+    omega = FrequencyVector.from_rows(rows, max(map(len, rows)))
+    return omega, split_frequencies(omega)
+
+
+def to_split_frequency(split, xi) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Relabel a torus frequency xi as (along, across) = M^T xi."""
+    eta = [sum(split.matrix[i][j] * int(xi[i]) for i in range(split.dimension)) for j in range(split.dimension)]
+    k = split.orbit_dimension
+    return tuple(eta[:k]), tuple(eta[k:])
+
+
+def to_torus_frequency(split, along, across) -> tuple[int, ...]:
+    """The inverse relabeling: xi = M^{-T} (along, across)."""
+    eta = [int(x) for x in (*along, *across)]
+    return tuple(sum(split.inverse[i][j] * eta[i] for i in range(split.dimension)) for j in range(split.dimension))
+
+
+def decompose_oracle(u: TrigPolynomial, split) -> dict:
+    """decompose_along_T as a dict loop over u's terms, relabeled one at a
+    time: modes in sorted order, each profile in u's order."""
+    grouped: dict = {}
+    for xi, value in u.items():
+        along, across = to_split_frequency(split, xi)
+        grouped.setdefault(along, {})[across] = value
+    q = split.dimension - split.orbit_dimension
+    return {alpha: TrigPolynomial(q, coeffs) for alpha, coeffs in sorted(grouped.items())}
 
 
 def hermitian_defect_oracle(p: TrigPolynomial) -> float:

@@ -47,7 +47,7 @@ from toruslab import (
 from toruslab.exact import _det_int, unimodular_inverse
 from toruslab.wavefront import PhaseSpaceGrid
 
-from series_oracles import coherent_state, evaluate, inner
+from series_oracles import coherent_state, evaluate, inner, to_torus_frequency
 from test_exact import enumerate_relations, spans_rationally
 
 
@@ -198,10 +198,10 @@ def test_criterion_05_mode_concentration(golden_setup):
         for h in ladder:
             coeffs = {}
             for beta, value in v.items():
-                coeffs[split.to_torus_frequency((0,), beta)] = value
+                coeffs[to_torus_frequency(split, (0,), beta)] = value
             factor = h if scale_by_h else 1.0
             for beta, value in w.items():
-                coeffs[split.to_torus_frequency((1,), beta)] = factor * value
+                coeffs[to_torus_frequency(split, (1,), beta)] = factor * value
             members.append(TrigPolynomial(2, coeffs))
         return QuasimodeFamily.from_members(ladder, members)
 

@@ -477,6 +477,32 @@ def test_explicit_c_resonant_mode_notes(tmp_path, c, note):
     assert (report["splitting"]["resonant_mode"] is None) == (note is not None)
 
 
+@pytest.mark.parametrize(
+    "c, mode, note",
+    [
+        # omega_tilde = (-1, 1 + sqrt2): -1 + 3 (1 + sqrt2) - 2 - 3 sqrt2 = 0
+        (["-2", "-3"], [1, 3], None),
+        (["1/3", "0"], None, "no integer mode is resonant with explicit c"),
+    ],
+)
+def test_explicit_c_resonant_mode_on_a_two_dimensional_orbit_closure(tmp_path, c, mode, note):
+    # omega = (1, sqrt2, 1 + sqrt2) splits with k = 2 and a splitting
+    # matrix other than the identity
+    overrides = {
+        "dimension": 3,
+        "omega": [["1"], ["0", "1"], ["1", "1"]],
+        "hessian": np.eye(3).tolist(),
+        "basis": {"names": ["1", "sqrt2"], "values": [1.0, 2.0**0.5]},
+        "c": c,
+        "factory": None,
+    }
+    config = parse_config(_config(tmp_path, overrides).read_text())
+    _, report = run_pipeline(config, ("split",), tmp_path / "out")
+    assert report["splitting"]["orbit_dimension"] == 2
+    assert report["splitting"]["resonant_mode"] == mode
+    assert report["notes"] == ([note] if note else [])
+
+
 def test_main_exit_codes(tmp_path, capsys):
     config_path = _config(tmp_path)
     assert main(["check-hypotheses", "--config", str(config_path)]) == EXIT_PASS

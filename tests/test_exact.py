@@ -15,14 +15,106 @@ from toruslab import (
     InvariantViolation,
     UnimodularSplitting,
     find_resonant_mode,
-    hermite_normal_form,
     integer_kernel,
     relation_lattice,
     smith_normal_form,
     split_frequencies,
     unimodular_inverse,
 )
-from toruslab.exact import _det_int, _mat_mul, _reduce_rows
+from toruslab.exact import _det_int, _mat_mul, _row_hnf, _transpose
+
+from series_oracles import SPLITTINGS, splitting, to_split_frequency, to_torus_frequency
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the column Hermite form and a Fraction Gauss-Jordan elimination
+# ---------------------------------------------------------------------------
+
+
+def hermite_normal_form(A):
+    """Column Hermite normal form: (H, U) with H = A @ U and U unimodular.
+
+    Convention: transpose of the row Hermite form of the transpose (the
+    layout IntegerLattice stores).  Zero columns come last.  The map is
+    idempotent, so HNF matrices are canonical lattice representatives.
+    """
+    nrows = len(A)
+    ncols = len(A[0]) if nrows else 0
+    if nrows == 0 or ncols == 0:
+        return [[] for _ in range(nrows)], [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    Hrow, V = _row_hnf(_transpose(A))
+    return _transpose(Hrow) or [[] for _ in range(nrows)], _transpose(V)
+
+
+def _reduce_rows(aug, k):
+    """Gauss-Jordan: reduce the Fraction rows of ``aug`` in place to reduced
+    row echelon form over their first k columns and return the rank.
+
+    Each pivot is the first nonzero entry at or below the current row; a
+    column without one is skipped.  Pivot rows are scaled to a leading 1.
+    """
+    row = 0
+    for col in range(k):
+        pivot = next((i for i in range(row, len(aug)) if aug[i][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        lead = aug[row][col]
+        aug[row] = [x / lead for x in aug[row]]
+        for i in range(len(aug)):
+            if i != row and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
+        row += 1
+    return row
+
+
+def kernel_oracle(A):
+    """integer_kernel read off the column Hermite form: the columns of U
+    past the rank."""
+    H, U = hermite_normal_form(A)
+    ncols = len(U)
+    rank = sum(1 for j in range(ncols) if any(row[j] != 0 for row in H))
+    return [[U[i][j] for i in range(ncols)] for j in range(rank, ncols)]
+
+
+def lattice_oracle(columns, n):
+    """IntegerLattice.from_columns(columns, n).rows from the column Hermite
+    form, or None where the columns are dependent."""
+    H, _ = hermite_normal_form([[c[i] for c in columns] for i in range(n)])
+    nonzero = [j for j in range(len(columns)) if any(H[i][j] != 0 for i in range(n))]
+    if len(nonzero) != len(columns):
+        return None
+    return tuple(tuple(H[i][j] for j in nonzero) for i in range(n))
+
+
+def inverse_oracle(M):
+    """The inverse of M by Gauss-Jordan over the rationals, or the reason
+    unimodular_inverse refuses M."""
+    n = len(M)
+    aug = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    if _reduce_rows(aug, n) < n:
+        return "singular"
+    if any(q.denominator != 1 for row in aug for q in row[n:]):
+        return "not integral"
+    return [[int(q) for q in row[n:]] for row in aug]
+
+
+def resonant_mode_oracle(omega_tilde, c):
+    """The integer a with omega_tilde . a + c = 0 by Gauss-Jordan over the
+    rationals, one equation per basis coordinate; "related" where the
+    reduced frequencies have a rational relation."""
+    k = len(omega_tilde)
+    aug = [[w.coeffs[i] for w in omega_tilde] + [-c.coeffs[i]] for i in range(c.dim)]
+    rank = _reduce_rows(aug, k)
+    if rank < k:
+        return "related"
+    if any(row[k] != 0 for row in aug[rank:]):
+        return None
+    solution = [row[k] for row in aug[:k]]
+    if any(q.denominator != 1 for q in solution):
+        return None
+    return tuple(int(q) for q in solution)
 
 
 def spans_rationally(lattice: IntegerLattice, vector) -> bool:
@@ -109,6 +201,17 @@ def test_hnf_idempotent_and_factorization_random():
         assert _is_column_hnf(H)
         H2, _ = hermite_normal_form(H)
         assert H2 == H
+        assert integer_kernel(A) == kernel_oracle(A)
+        _check_lattice_against_oracle(_transpose(A), nrows)
+
+
+def _check_lattice_against_oracle(columns, n):
+    expected = lattice_oracle(columns, n)
+    if expected is None:
+        with pytest.raises(ValueError, match="linearly dependent"):
+            IntegerLattice.from_columns(columns, n)
+    else:
+        assert IntegerLattice.from_columns(columns, n).rows == expected
 
 
 def test_smith_normal_form_random():
@@ -142,15 +245,30 @@ def test_integer_kernel_members():
 
 def test_unimodular_inverse_exact():
     # the last two need row swaps: their leading entries are zero
-    for M in ([[2, 1], [3, 2]], [[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 5], [1, 2, 3]]):
+    unimodular = ([[2, 1], [3, 2]], [[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 5], [1, 2, 3]])
+    for M in unimodular:
         identity = [[int(i == j) for j in range(len(M))] for i in range(len(M))]
         Minv = unimodular_inverse(M)
         assert _mat_mul(M, Minv) == _mat_mul(Minv, M) == identity
     with pytest.raises(InvariantViolation, match="not integral"):
         unimodular_inverse([[2, 0], [0, 2]])
-    for singular in ([[1, 2], [2, 4]], [[0, 0], [0, 1]], [[0, 1, 1], [0, 2, 2], [1, 0, 0]]):
+    singulars = ([[1, 2], [2, 4]], [[0, 0], [0, 1]], [[0, 1, 1], [0, 2, 2], [1, 0, 0]])
+    for singular in singulars:
         with pytest.raises(InvariantViolation, match="singular"):
             unimodular_inverse(singular)
+    # the same inputs, and random ones, against the Gauss-Jordan inverse
+    # and the column Hermite form's kernel and lattice
+    rng = random.Random(3)
+    randoms = [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)] for n in (1, 2, 2, 3, 3, 3, 4) * 30]
+    for M in [*unimodular, [[2, 0], [0, 2]], *singulars, *randoms]:
+        expected = inverse_oracle(M)
+        if isinstance(expected, str):
+            with pytest.raises(InvariantViolation, match=expected):
+                unimodular_inverse(M)
+        else:
+            assert unimodular_inverse(M) == expected
+        assert integer_kernel(M) == kernel_oracle(M)
+        _check_lattice_against_oracle(_transpose(M), len(M))
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +410,18 @@ def test_split_random_rational_invariants():
 
 
 def test_split_frequency_relabeling_round_trip():
-    omega = FrequencyVector.from_rows([[2], [3]])
-    split = split_frequencies(omega)
-    # the stored inverse is checked, not trusted
-    for wrong in (((1, 0), (0, 1)), split.inverse[:1]):
-        with pytest.raises(ValueError, match="unimodular"):
-            UnimodularSplitting(split.matrix, 1, split.omega_tilde, wrong, split.relations)
-    for xi in [(0, 0), (1, 0), (-2, 5), (7, -3)]:
-        along, across = split.to_split_frequency(xi)
-        assert split.to_torus_frequency(along, across) == xi
+    for name in SPLITTINGS:
+        _, split = splitting(name)
+        n, k = split.dimension, split.orbit_dimension
+        # the stored inverse is checked, not trusted; no M here is the identity
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        for wrong in (identity, split.inverse[:1]):
+            with pytest.raises(ValueError, match="unimodular"):
+                UnimodularSplitting(split.matrix, k, split.omega_tilde, wrong, split.relations)
+        for xi in itertools.product((0, 1, -2, 5, 7, -3), repeat=n):
+            along, across = to_split_frequency(split, xi)
+            assert (len(along), len(across)) == (k, n - k)
+            assert to_torus_frequency(split, along, across) == xi
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +460,28 @@ def test_resonant_mode_rejects_rationally_related_input():
         find_resonant_mode((one, one), ExactNumber.rational(-5))
 
 
+def _random_reduced_frequencies(rng, k, m, kind):
+    """k exact numbers over an m-element basis.  "independent" ones have no
+    rational relation and leave the last basis coordinate free when k < m;
+    "related" ones have one, "zero entry" ones a vanishing entry and
+    "all zero" ones vanish altogether."""
+    while True:
+        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)] for _ in range(k)]
+        if kind == "all zero":
+            rows = [[0] * m for _ in range(k)]
+        elif kind == "zero entry":
+            rows[rng.randrange(k)] = [0] * m
+        elif kind == "related":
+            rows[-1] = [sum(Fraction(rng.randint(-2, 2)) * row[i] for row in rows[:-1]) for i in range(m)]
+        elif k < m:
+            for row in rows:
+                row[-1] = 0
+        omega_tilde = tuple(ExactNumber(tuple(row)) for row in rows)
+        independent = resonant_mode_oracle(omega_tilde, ExactNumber.rational(0, m)) != "related"
+        if independent == (kind == "independent"):
+            return omega_tilde
+
+
 def test_resonant_mode_unique_on_random_instances():
     rng = random.Random(31)
     for _ in range(100):
@@ -356,6 +499,42 @@ def test_resonant_mode_unique_on_random_instances():
             c = c + w.scaled(a)
         solution = find_resonant_mode(omega_tilde, -c)
         assert solution == target
+    # against Gauss-Jordan over the rationals: c resonant with an integer
+    # mode, with a non-integer rational one or with none (a coordinate
+    # omega_tilde lacks); reduced frequencies with a relation, a zero entry
+    # or no nonzero entry raise
+    seen = set()
+    for _ in range(400):
+        m = rng.randint(1, 3)
+        k = rng.randint(1, m)
+        kind = rng.choice(["independent"] * 3 + ["related", "zero entry", "all zero"])
+        if kind == "related" and k == 1:
+            kind = "zero entry"
+        omega_tilde = _random_reduced_frequencies(rng, k, m, kind)
+        c_kind = rng.choice(["integral", "non-integral", "inconsistent"] if k < m else ["integral", "non-integral"])
+        x = [Fraction(rng.randint(-8, 8)) for _ in range(k)]
+        if c_kind == "non-integral":
+            x[rng.randrange(k)] += Fraction(rng.randint(1, 4), 5)
+        c = -sum((w.scaled(a) for a, w in zip(x, omega_tilde)), ExactNumber.rational(0, m))
+        if c_kind == "inconsistent":
+            c = c + ExactNumber((0,) * (m - 1) + (Fraction(rng.randint(1, 3), 2),))
+        expected = resonant_mode_oracle(omega_tilde, c)
+        if expected == "related":
+            with pytest.raises(InvariantViolation, match="admit a rational relation"):
+                find_resonant_mode(omega_tilde, c)
+            seen.add(kind)
+            continue
+        assert find_resonant_mode(omega_tilde, c) == expected
+        seen.add(c_kind)
+        if c_kind == "integral":
+            assert expected == tuple(map(int, x))
+            (generator,) = relation_lattice(FrequencyVector(omega_tilde + (c,))).columns()
+            seen.add(f"t = {generator[-1]}")
+        else:
+            assert expected is None
+    assert seen == {
+        "related", "zero entry", "all zero", "integral", "non-integral", "inconsistent", "t = 1", "t = -1"
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,18 @@ from toruslab import quasimode, wavefront
 from toruslab.quasimode import DecayFit
 from toruslab.wavefront import PhaseSpaceGrid, symbol_scale
 
-from series_oracles import coherent_state, evaluate, gram_oracle, inner, support
+from series_oracles import (
+    SPLITTINGS,
+    bits,
+    coherent_state,
+    decompose_oracle,
+    evaluate,
+    gram_oracle,
+    inner,
+    splitting,
+    support,
+    to_torus_frequency,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +419,32 @@ def test_family_save_load_round_trip(tmp_path, golden):
     assert manifest["member_index"] == [0] * len(golden.ladder)
     # nine equal but separate raw members write golden's bytes, which come
     # from one member object shared by every ladder point
-    torus_profile = {golden.split.to_torus_frequency(golden.alpha0, beta): value for beta, value in golden.v.items()}
+    torus_profile = {to_torus_frequency(golden.split, golden.alpha0, beta): value for beta, value in golden.v.items()}
     separate = [TrigPolynomial(2, torus_profile) for _ in golden.ladder]
     assert len({id(u) for u in separate}) == len(golden.ladder)
     QuasimodeFamily.from_members(golden.ladder, separate).save(tmp_path / "separate", provenance={"kind": "golden"})
     assert (tmp_path / "separate" / "manifest.json").read_bytes() == (tmp_path / "fam" / "manifest.json").read_bytes()
+    # so do the factory members on a q = 2 splitting and on a k = 2 one, on
+    # a resonant mode other than zero; the Hessian M M^T has no cross term
+    # in the split coordinates, so any real profile builds
+    profiles = {
+        "three-torus": ((2,), {(0, 0): 3.0, (-1, 0): 0.5, (1, 0): 0.5, (0, -1): 0.5, (0, 1): 0.5}),
+        "sqrt2-sum": ((1, -3), {(1,): 0.5, (0,): 2.0, (-1,): 0.5}),
+    }
+    for name, (alpha0, profile) in profiles.items():
+        omega, split = splitting(name)
+        matrix = np.array(split.matrix, dtype=float)
+        basis = IrrationalBasis(("1", "sqrt2")[: omega.basis_dim], (1.0, 2.0**0.5)[: omega.basis_dim])
+        v = TrigPolynomial(split.dimension - split.orbit_dimension, profile)
+        _, family, _ = build_factory_quasimode(
+            omega, HessianForm(matrix @ matrix.T), basis, split, alpha0, v, golden.ladder
+        )
+        member = TrigPolynomial(split.dimension, {to_torus_frequency(split, alpha0, beta): x for beta, x in profile.items()})
+        by_hand = QuasimodeFamily.from_members(golden.ladder, [member] * len(golden.ladder))
+        assert bits(family.members[0]) == bits(by_hand.members[0])
+        family.save(tmp_path / name)
+        by_hand.save(tmp_path / f"{name}-by-hand")
+        assert (tmp_path / f"{name}-by-hand" / "manifest.json").read_bytes() == (tmp_path / name / "manifest.json").read_bytes()
     # a family whose members all differ round-trips member for member
     ladder = default_h_ladder()
     family = QuasimodeFamily.from_members(
@@ -517,8 +549,29 @@ def _reassemble(modes, split) -> TrigPolynomial:
     out = {}
     for along, profile in modes.items():
         for across, value in profile.items():
-            out[split.to_torus_frequency(along, across)] = value
+            out[to_torus_frequency(split, along, across)] = value
     return TrigPolynomial(split.dimension, out)
+
+
+@pytest.mark.parametrize("name", list(SPLITTINGS))
+def test_decompose_matches_dict_loop(name):
+    # modes in sorted order, each profile in u's scrambled order, bit for bit
+    _, split = splitting(name)
+    rng = np.random.default_rng(7)
+    coeffs = {
+        tuple(int(x) for x in rng.integers(-4, 5, size=split.dimension)): complex(*rng.standard_normal(2))
+        for _ in range(80)
+    }
+    u = TrigPolynomial(split.dimension, coeffs)
+    modes, expected = decompose_along_T(u, split), decompose_oracle(u, split)
+    assert list(modes) == list(expected)
+    assert len(modes) > 1
+    for alpha in modes:
+        assert bits(modes[alpha]) == bits(expected[alpha])
+    # each coefficient is added to 0.0, so only the sign of a zero part moves
+    signed_zero = TrigPolynomial(split.dimension, {(1,) * split.dimension: complex(-0.0, 1.0)})
+    ((_, profile),) = decompose_along_T(signed_zero, split).items()
+    assert math.copysign(1.0, profile.items()[0][1].real) == 1.0
 
 
 def test_decompose_identity_split_slices():
@@ -929,10 +982,10 @@ def _two_mode_family(golden, decay: bool):
     for h in golden.ladder:
         coeffs = {}
         for beta, value in golden.v.items():
-            coeffs[golden.split.to_torus_frequency((0,), beta)] = value
+            coeffs[to_torus_frequency(golden.split, (0,), beta)] = value
         scale = h if decay else 1.0
         for beta, value in w.items():
-            coeffs[golden.split.to_torus_frequency((1,), beta)] = scale * value
+            coeffs[to_torus_frequency(golden.split, (1,), beta)] = scale * value
         members.append(TrigPolynomial(2, coeffs))
     return QuasimodeFamily.from_members(golden.ladder, members)
 
@@ -950,8 +1003,8 @@ def test_concentration_floor_is_half_the_mass(golden, mass, floor_ok):
     # the resonant mode keeps the given share of a unit member's squared
     # norm; at 0.4 its norm is 0.63, above 1/2, yet under half the mass
     coeffs = {
-        golden.split.to_torus_frequency((0,), (0,)): mass**0.5,
-        golden.split.to_torus_frequency((1,), (0,)): (1.0 - mass) ** 0.5,
+        to_torus_frequency(golden.split, (0,), (0,)): mass**0.5,
+        to_torus_frequency(golden.split, (1,), (0,)): (1.0 - mass) ** 0.5,
     }
     family = QuasimodeFamily.from_members(golden.ladder, [TrigPolynomial(2, coeffs)] * len(golden.ladder))
     report = check_mode_concentration(family, golden.split, golden.alpha0, 0.05)

@@ -19,7 +19,7 @@ from toruslab import (
 from toruslab import wavefront
 from toruslab.wavefront import VerdictThresholds, symbol_scale
 
-from series_oracles import coherent_state, evaluate
+from series_oracles import coherent_state, evaluate, to_torus_frequency
 
 
 def mass_by_quadrature(u, x0, xi0, h, points=4096, images=6):
@@ -157,7 +157,7 @@ def _wide_family(golden, terms=500):
     for k in range(1, terms + 1):
         profile[(k,)] = profile[(-k,)] = 0.5e-4 / k
     member = TrigPolynomial(
-        2, {golden.split.to_torus_frequency(golden.alpha0, beta): value for beta, value in profile.items()}
+        2, {to_torus_frequency(golden.split, golden.alpha0, beta): value for beta, value in profile.items()}
     )
     return QuasimodeFamily.from_members(golden.ladder, [member] * len(golden.ladder))
 
