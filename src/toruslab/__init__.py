@@ -41,14 +41,7 @@ from .exact import (
     unimodular_inverse,
 )
 from .nondegeneracy import HessianForm, bordered_determinant, is_quasiconvex
-from .operator import (
-    ModelOperatorSpec,
-    OperatorOnTPrime,
-    TransformedQuadraticForm,
-    apply_model_operator,
-    assemble_Q_alpha,
-    transform_quadratic_form,
-)
+from .operator import ModelOperatorSpec, OperatorOnTPrime, apply_model_operator, transverse_operator
 from .quasimode import (
     ConcentrationReport,
     DecayFit,

@@ -1,4 +1,5 @@
-"""The model operator on the torus and its split-coordinate quadratic forms.
+"""The model operator on the torus and its transverse operator in split
+coordinates.
 
 The operator acts diagonally on characters through the first-order
 frequency multiplier and the quadratic form of the action Hessian, plus an
@@ -24,10 +25,8 @@ from .trigpoly import TrigPolynomial, _merge_keys
 
 __all__ = [
     "ModelOperatorSpec",
-    "TransformedQuadraticForm",
     "OperatorOnTPrime",
-    "transform_quadratic_form",
-    "assemble_Q_alpha",
+    "transverse_operator",
     "apply_model_operator",
 ]
 
@@ -81,37 +80,6 @@ class ModelOperatorSpec:
 
 
 @dataclass(frozen=True)
-class TransformedQuadraticForm:
-    """Blocks of the Hessian form rewritten in split dual coordinates.
-
-    The form evaluates as a' rho1 a + a' rho2 b + b' Omega_block b on a
-    split frequency (a, b); rho2 already carries the factor 2 from the
-    symmetric cross block.
-    """
-
-    rho1: np.ndarray
-    rho2: np.ndarray
-    Omega_block: np.ndarray
-
-    def __post_init__(self):
-        rho1 = np.atleast_2d(np.asarray(self.rho1, dtype=float))
-        rho2 = np.asarray(self.rho2, dtype=float).reshape(rho1.shape[0], -1)
-        omega = np.asarray(self.Omega_block, dtype=float)
-        omega = omega.reshape(rho2.shape[1], rho2.shape[1])
-        if omega.size and np.max(np.abs(omega - omega.T)) > _REAL_TOL * max(1.0, np.max(np.abs(omega))):
-            raise ValueError("elliptic block must be symmetric")
-        for arr in (rho1, rho2, omega):
-            arr.setflags(write=False)
-        object.__setattr__(self, "rho1", rho1)
-        object.__setattr__(self, "rho2", rho2)
-        object.__setattr__(self, "Omega_block", omega)
-
-    @property
-    def along_dimension(self) -> int:
-        return self.rho1.shape[0]
-
-
-@dataclass(frozen=True)
 class OperatorOnTPrime:
     """Constant coefficient elliptic operator on the transverse torus for
     one mode along the orbit closure, plus the zero-mode multiplier."""
@@ -142,31 +110,32 @@ class OperatorOnTPrime:
         b = np.asarray(beta, dtype=float)
         return float(b @ self.Omega_block @ b + self.gamma @ b + self.rho)
 
-    def apply(self, w: TrigPolynomial) -> TrigPolynomial:
-        if w.dim != self.dimension:
-            raise ValueError("argument lives on the wrong torus")
-        diagonal = {beta: self.symbol(beta) * value for beta, value in w.items()}
-        out = TrigPolynomial(self.dimension, diagonal)
-        if self.zero_mode_multiplier:
-            out = out + self.zero_mode_multiplier.convolve(w)
-        return out
 
-
-def transform_quadratic_form(
-    hessian: HessianForm, split: UnimodularSplitting
-) -> TransformedQuadraticForm:
-    """Rewrite the Hessian form in the dual coordinates of the splitting.
+def transverse_operator(
+    hessian: HessianForm,
+    split: UnimodularSplitting,
+    alpha: Sequence[int],
+    r0: TrigPolynomial,
+) -> OperatorOnTPrime:
+    """The transverse operator Q_alpha + r0 for one mode alpha along the
+    orbit closure.
 
     Frequencies transform contragrediently under x = M (y, z), so the form
-    matrix becomes M^{-1} H M^{-T}; the blocks follow the (k, n-k)
-    partition.  Agreement of the transformed form with the original one is
-    verified on a fixed batch of pseudo-random covectors and a failure
-    raises, as a guard against partitioning mistakes.
+    matrix becomes M^{-1} H M^{-T}, partitioned (k, n-k) into the along
+    block, the cross block and the elliptic block.  The drift is the cross
+    block contracted with alpha (doubled, as the form counts it twice), the
+    shift is the along block's value on alpha, and the elliptic block is
+    shared by every mode.  Agreement of the transformed form with the
+    original one is verified on a fixed batch of pseudo-random covectors
+    and a failure raises, as a guard against partitioning mistakes.
     """
     n = hessian.dimension
     if split.dimension != n:
         raise ValueError("splitting dimension does not match the Hessian")
     k = split.orbit_dimension
+    a = np.asarray([int(x) for x in alpha], dtype=float)
+    if a.shape != (k,):
+        raise ValueError("mode vector has wrong length")
     Minv = np.array(split.inverse, dtype=float)
     transformed = Minv @ hessian.entries @ Minv.T
     transformed = 0.5 * (transformed + transformed.T)
@@ -179,47 +148,25 @@ def transform_quadratic_form(
         scale = max(abs(lhs), abs(rhs), 1e-300)
         if abs(lhs - rhs) > _FORM_CHECK_TOL * scale:
             raise ArithmeticError("transformed form disagrees with the original form")
-    return TransformedQuadraticForm(
-        rho1=transformed[:k, :k],
-        rho2=2.0 * transformed[:k, k:],
-        Omega_block=transformed[k:, k:],
-    )
-
-
-def assemble_Q_alpha(
-    form: TransformedQuadraticForm,
-    alpha: Sequence[int],
-    r0_hat: TrigPolynomial,
-) -> OperatorOnTPrime:
-    """The transverse operator for one mode along the orbit closure.
-
-    The drift is the cross-term contraction of the form with alpha (linear
-    in alpha) and the shift is the along-block form value (quadratic in
-    alpha); the elliptic block is shared by every mode.
-    """
-    a = np.asarray([int(x) for x in alpha], dtype=float)
-    if a.shape != (form.along_dimension,):
-        raise ValueError("mode vector has wrong length")
-    gamma = form.rho2.T @ a
-    rho = float(a @ form.rho1 @ a)
     return OperatorOnTPrime(
-        Omega_block=form.Omega_block,
-        gamma=gamma,
-        rho=rho,
-        zero_mode_multiplier=r0_hat,
+        Omega_block=transformed[k:, k:],
+        gamma=(2.0 * transformed[:k, k:]).T @ a,
+        rho=float(a @ transformed[:k, :k] @ a),
+        zero_mode_multiplier=r0,
     )
 
 
 def apply_model_operator(
-    spec: ModelOperatorSpec, u: TrigPolynomial, h: float | Sequence[float]
-) -> TrigPolynomial | list[TrigPolynomial]:
-    """Apply the model operator at semiclassical parameter h.
+    spec: ModelOperatorSpec, u: TrigPolynomial, h_ladder: Sequence[float]
+) -> list[TrigPolynomial]:
+    """Apply the model operator at each semiclassical parameter h of a
+    ladder, one result per h; the parts that do not depend on h are
+    computed once.
 
     Characters are eigenvectors of the differential part; the multiplier
     term is an exact convolution.  The per-character constant
     omega . alpha + c is computed exactly and converted to a float only
-    here.  Given a ladder of h values, returns one result per h and
-    computes the parts that do not depend on h once.
+    here.
 
     Each result is the sum, in this order, of the diagonal part, h^2 r u
     and h^3 times the remainder tail, with the value bits that
@@ -229,8 +176,7 @@ def apply_model_operator(
     zero is an absent key, which starts again from 0j.  Results keep the
     union order.
     """
-    scalar = np.ndim(h) == 0
-    ladder = [h] if scalar else list(h)
+    ladder = list(h_ladder)
     if any(step <= 0 for step in ladder):
         raise ValueError("h must be positive")
     if u.dim != spec.dimension:
@@ -260,5 +206,4 @@ def apply_model_operator(
         acc = np.where(acc != 0, acc, 0j)  # drop exact zeros
         term = np.array(factors, dtype=float)[:, None] * series.table()[1]
         acc[:, cols] = np.where(term != 0, acc[:, cols] + term, acc[:, cols])
-    results = [TrigPolynomial._from_table(spec.dimension, keys.T, row) for row in acc]
-    return results[0] if scalar else results
+    return [TrigPolynomial._from_table(spec.dimension, keys.T, row) for row in acc]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -24,14 +24,8 @@ import numpy as np
 
 from .exact import FrequencyVector, IrrationalBasis, UnimodularSplitting
 from .nondegeneracy import HessianForm
-from .operator import (
-    ModelOperatorSpec,
-    OperatorOnTPrime,
-    apply_model_operator,
-    assemble_Q_alpha,
-    transform_quadratic_form,
-)
-from .trigpoly import TrigPolynomial, _product_table
+from .operator import ModelOperatorSpec, OperatorOnTPrime, apply_model_operator, transverse_operator
+from .trigpoly import _INT64_MAX, TrigPolynomial, _product_table
 
 __all__ = [
     "DecayFit",
@@ -241,6 +235,19 @@ class QuasimodeFamily:
         )
 
 
+def _relabel(freqs: np.ndarray, values: np.ndarray, matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The table (freqs @ matrix, values + 0.0) of a series relabeled by a
+    unimodular matrix.  A unimodular relabeling is a bijection of the
+    lattice, so no labels merge and the series keeps its order; each
+    coefficient is still added to 0.0, as a merge would add it, which turns
+    a -0.0 part into +0.0.  Raises OverflowError when a relabeled frequency
+    could leave int64."""
+    largest_column = max((sum(abs(int(x)) for x in column) for column in zip(*matrix)), default=0)
+    if int(np.abs(freqs).max(initial=0)) * largest_column > _INT64_MAX:
+        raise OverflowError("relabeled frequencies overflow int64")
+    return freqs @ np.array(matrix, dtype=np.intp), values + 0.0
+
+
 def decompose_along_T(u: TrigPolynomial, split: UnimodularSplitting) -> dict[tuple[int, ...], TrigPolynomial]:
     """Regroup coefficients by their mode along the orbit closure: the
     profile on the transverse torus of each mode, in sorted mode order.
@@ -253,7 +260,7 @@ def decompose_along_T(u: TrigPolynomial, split: UnimodularSplitting) -> dict[tup
     if u.dim != split.dimension:
         raise ValueError("function lives on the wrong torus")
     k = split.orbit_dimension
-    freqs, values = u.map_frequencies(list(zip(*split.matrix))).table()
+    freqs, values = _relabel(*u.table(), split.matrix)
     # a stable sort by mode keeps each profile in u's order
     order = np.lexsort(freqs[:, :k].T[::-1])
     freqs, values = freqs[order], values[order]
@@ -270,7 +277,7 @@ def _lift_mode(w: TrigPolynomial, split: UnimodularSplitting, alpha: Sequence[in
     each transverse frequency beta of w relabeled to M^{-T} (alpha, beta)."""
     freqs, values = w.table()
     split_freqs = np.hstack([np.tile(np.array(alpha, dtype=np.intp), (len(w), 1)), freqs])
-    return TrigPolynomial._from_table(split.dimension, split_freqs, values).map_frequencies(list(zip(*split.inverse)))
+    return TrigPolynomial._from_table(split.dimension, *_relabel(split_freqs, values, split.inverse))
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +328,8 @@ def build_factory_quasimode(
     if not v:
         raise ValueError("transverse profile vanishes identically")
 
-    form = transform_quadratic_form(hessian, split)
-    bare = assemble_Q_alpha(form, alpha0, TrigPolynomial.zero(q))
-    numerator = bare.apply(v)
+    bare = transverse_operator(hessian, split, alpha0, TrigPolynomial.zero(q))
+    numerator = TrigPolynomial(q, {beta: bare.symbol(beta) * value for beta, value in v.items()})
 
     # subprincipal constant: exactly minus the reduced frequency pairing
     c = -FrequencyVector(split.omega_tilde).dot(alpha0)
@@ -385,7 +391,7 @@ def build_factory_quasimode(
     member = _lift_mode(v, split, alpha0)
     ladder = tuple(float(h) for h in h_ladder)
     family = QuasimodeFamily.from_members(ladder, [member] * len(ladder))
-    return spec, family, assemble_Q_alpha(form, alpha0, r0)
+    return spec, family, replace(bare, zero_mode_multiplier=r0)
 
 
 # ---------------------------------------------------------------------------

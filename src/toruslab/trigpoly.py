@@ -6,16 +6,16 @@ norms and inner products are plain l2 operations on the coefficients.  A
 series is its coefficient table: a read-only (len, dim) intp array of
 distinct frequencies and a complex array of nonzero coefficients, both in
 insertion order.  Sums, exact products (convolutions over the finite
-supports), relabelings and the Hermitian check are array kernels over the
-tables with the bits and key order of the plain loops over the
-coefficients (see _product_table).  Grid transforms go through numpy's FFT.
+supports) and the Hermitian check are array kernels over the tables
+with the bits and key order of the plain loops over the coefficients
+(see _product_table).  Grid transforms go through numpy's FFT.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -307,24 +307,6 @@ class TrigPolynomial:
         if not np.isfinite(self._values).all():
             return False
         return bool(self.hermitian_defect() <= tol * _magnitudes(self._values).max(initial=0.0))
-
-    def map_frequencies(self, matrix: Sequence[Sequence[int]]) -> "TrigPolynomial":
-        """Relabel each frequency alpha to matrix @ alpha (an exact integer
-        relabeling; with a unimodular matrix this permutes coefficients).
-        Coefficients whose labels collide are summed from 0.0 in the
-        series' order, and the labels keep the order first reached."""
-        rows = [tuple(int(x) for x in row) for row in matrix]
-        for row in rows:
-            if len(row) != self.dim:
-                raise ValueError(f"matrix row {list(row)} has length {len(row)}, not the series dimension {self.dim}")
-        largest_row = max((sum(abs(x) for x in row) for row in rows), default=0)
-        if self.support_radius() * largest_row > _INT64_MAX:
-            raise OverflowError("relabeled frequencies overflow int64")
-        lift = np.array(rows, dtype=np.intp).reshape(len(rows), self.dim)
-        keys, ids = _merge_keys(np.empty((len(rows), 0), dtype=np.intp), lift @ self._freqs.T)
-        sums = np.zeros(keys.shape[1], dtype=complex)
-        np.add.at(sums, ids, self._values)
-        return TrigPolynomial._from_table(len(rows), keys.T, sums)
 
     def to_grid(self, points_per_axis: int) -> np.ndarray:
         """Values on the uniform grid (j_1/G, ..., j_dim/G)."""

@@ -110,14 +110,17 @@ def _phase_table(u: TrigPolynomial, nodes: np.ndarray) -> tuple[np.ndarray, np.n
     support, coeffs = u.sorted_table()
     alphas = support.astype(float)
     args = nodes @ alphas.T
-    rows = args.view(np.dtype((np.void, args.itemsize * args.shape[1]))).ravel()
-    first, inverse = np.unique(rows, return_index=True, return_inverse=True)[1:]
+    if args.shape[1]:
+        rows = np.dtype((np.void, args.itemsize * args.shape[1]))
+        first, inverse = np.unique(args.view(rows).ravel(), return_index=True, return_inverse=True)[1:]
+    else:  # no coefficients: every node shares the one empty row
+        first, inverse = np.arange(min(len(args), 1)), np.zeros(len(args), dtype=np.intp)
     # 2 pi i x . alpha^T is written into the imaginary part of zeroed phase
     # rows, with no complex copy of the arguments; the arguments are freed
     # before the exponential, which runs in place
     phase = np.zeros((first.size, args.shape[1]), dtype=complex)
     np.multiply(args[first], 2.0 * np.pi, out=phase.imag)
-    del args, rows
+    del args
     return alphas, coeffs, np.exp(phase, out=phase), inverse
 
 

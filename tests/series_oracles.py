@@ -28,15 +28,6 @@ def convolve_oracle(p: TrigPolynomial, q: TrigPolynomial) -> TrigPolynomial:
     return TrigPolynomial(p.dim, out)
 
 
-def map_frequencies_oracle(p: TrigPolynomial, matrix) -> TrigPolynomial:
-    rows = [tuple(int(x) for x in row) for row in matrix]
-    out: dict = {}
-    for alpha, value in p.items():
-        key = tuple(sum(r[j] * alpha[j] for j in range(p.dim)) for r in rows)
-        out[key] = out.get(key, 0j) + value
-    return TrigPolynomial(len(rows), out)
-
-
 #: omega's rows over the basis (1,) or (1, sqrt2): golden's (q = 1), the
 #: three-torus's (q = 2), and (1, sqrt2, 1 + sqrt2), whose orbit closure
 #: has dimension k = 2 and whose splitting matrix is not the identity
@@ -69,13 +60,21 @@ def to_torus_frequency(split, along, across) -> tuple[int, ...]:
 
 def decompose_oracle(u: TrigPolynomial, split) -> dict:
     """decompose_along_T as a dict loop over u's terms, relabeled one at a
-    time: modes in sorted order, each profile in u's order."""
+    time: modes in sorted order, each profile in u's order, each value
+    added to 0j."""
     grouped: dict = {}
     for xi, value in u.items():
         along, across = to_split_frequency(split, xi)
-        grouped.setdefault(along, {})[across] = value
+        grouped.setdefault(along, {})[across] = 0j + value
     q = split.dimension - split.orbit_dimension
     return {alpha: TrigPolynomial(q, coeffs) for alpha, coeffs in sorted(grouped.items())}
+
+
+def lift_oracle(w: TrigPolynomial, split, alpha) -> TrigPolynomial:
+    """The series that decompose_oracle takes to {alpha: w}, as a dict loop
+    over w's terms: each value added to 0j at M^{-T} (alpha, beta)."""
+    coeffs = {to_torus_frequency(split, alpha, beta): 0j + value for beta, value in w.items()}
+    return TrigPolynomial(split.dimension, coeffs)
 
 
 def hermitian_defect_oracle(p: TrigPolynomial) -> float:

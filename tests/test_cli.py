@@ -8,11 +8,13 @@ import importlib.util
 import json
 import math
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toruslab import cli, exact, operator, quasimode, trigpoly, wavefront
 from toruslab.cli import (
@@ -396,6 +398,50 @@ def test_hypotheses_do_not_depend_on_scale(tmp_path, payload, command, failures)
     path.write_text(json.dumps({**payload, "out": str(tmp_path / "out")}))
     assert main([command, "--config", str(path)]) == (EXIT_CHECK_FAILED if failures else EXIT_PASS)
     assert json.loads((tmp_path / "out" / "report.json").read_text())["failures"] == failures
+
+
+def _axes_permuted(payload: dict, perm) -> dict:
+    """The config with its torus axes permuted: omega -> P omega and
+    H -> P H P^T.  The factory lives in split coordinates and the unit
+    covectors of the grid are mapped to themselves, so both stay."""
+    out = json.loads(json.dumps(payload))
+    out["omega"] = [payload["omega"][i] for i in perm]
+    out["hessian"] = [[payload["hessian"][i][j] for j in perm] for i in perm]
+    return out
+
+
+def _coordinate_free_verdicts(payload: dict):
+    """Exit code, checks, status, orbit dimension and relation-lattice rank
+    of one `all` run through main."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({**payload, "out": str(Path(tmp) / "out")}))
+        code = main(["all", "--config", str(path)])
+        report = json.loads((Path(tmp) / "out" / "report.json").read_text())
+    splitting = report["splitting"]
+    return code, report["checks"], report["status"], splitting["orbit_dimension"], splitting["relation_lattice"]["rank"]
+
+
+_AXIS_ORDER_WORKLOADS = {"golden": GOLDEN, "three-torus": json.loads(_three_torus_text())}
+
+
+@functools.cache
+def _unpermuted_verdicts(name: str):
+    return _coordinate_free_verdicts(_AXIS_ORDER_WORKLOADS[name])
+
+
+@pytest.mark.parametrize("name", list(_AXIS_ORDER_WORKLOADS))
+@settings(max_examples=max(3, settings.default.max_examples // 8), deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_verdicts_do_not_depend_on_axis_order(name, data):
+    # the paper's hypotheses and conclusions do not depend on the order of
+    # the action-angle coordinates; three examples a workload by default,
+    # more under the long profile
+    payload = _AXIS_ORDER_WORKLOADS[name]
+    perm = data.draw(st.permutations(range(payload["dimension"])), label="perm")
+    expected = _unpermuted_verdicts(name)
+    assert expected[0] == EXIT_PASS
+    assert _coordinate_free_verdicts(_axes_permuted(payload, perm)) == expected
 
 
 @pytest.mark.parametrize(
@@ -875,7 +921,7 @@ def test_mass_map_budget_is_one_estimate_decided_before_any_stage(tmp_path, monk
 def test_golden_run_computes_transverse_form_and_inverse_once(tmp_path, monkeypatch):
     calls = []
     for module, name in (
-        (operator, "transform_quadratic_form"),
+        (operator, "transverse_operator"),
         (exact, "unimodular_inverse"),
         (exact, "relation_lattice"),
     ):
@@ -891,7 +937,7 @@ def test_golden_run_computes_transverse_form_and_inverse_once(tmp_path, monkeypa
                 monkeypatch.setattr(owner, name, counting)
     config = parse_config(_config(tmp_path).read_text())
     run_pipeline(config, cli._STAGES, tmp_path / "out")
-    assert sorted(calls) == ["relation_lattice", "transform_quadratic_form", "unimodular_inverse"]
+    assert sorted(calls) == ["relation_lattice", "transverse_operator", "unimodular_inverse"]
 
 
 @pytest.mark.parametrize(

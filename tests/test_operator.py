@@ -1,4 +1,4 @@
-"""Model operator application and split-coordinate quadratic forms."""
+"""Model operator application and the transverse operator in split coordinates."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toruslab import operator
+from toruslab import operator, quasimode
 from toruslab import (
     ExactNumber,
     FrequencyVector,
@@ -17,12 +17,11 @@ from toruslab import (
     ModelOperatorSpec,
     TrigPolynomial,
     apply_model_operator,
-    assemble_Q_alpha,
     split_frequencies,
-    transform_quadratic_form,
+    transverse_operator,
 )
 
-from series_oracles import evaluate, inner, support
+from series_oracles import SPLITTINGS, evaluate, inner, splitting, support
 
 RATIONAL = IrrationalBasis(("1",), (1.0,))
 
@@ -40,7 +39,7 @@ def _spec_1d(omega_value, c_value, hessian, r=None, remainder=False):
 
 def test_constants_in_the_kernel():
     spec = _spec_1d(1, 0, 1.0)
-    out = apply_model_operator(spec, TrigPolynomial.constant(1, 1.0), 0.25)
+    (out,) = apply_model_operator(spec, TrigPolynomial.constant(1, 1.0), [0.25])
     assert out == TrigPolynomial.zero(1)
 
 
@@ -48,7 +47,7 @@ def test_diagonal_action_on_characters():
     spec = _spec_1d(2, 3, 1.5)
     h = 0.125
     u = TrigPolynomial(1, {(4,): 1.0})
-    out = apply_model_operator(spec, u, h)
+    (out,) = apply_model_operator(spec, u, [h])
     expected = (h * (2 * 4 + 3) + h * h * 1.5 * 16) * 1.0
     assert out.coefficient((4,)) == pytest.approx(expected)
     assert support(out) == [(4,)]
@@ -60,7 +59,7 @@ def test_resonant_character_with_multiplier_grid_oracle():
     spec = _spec_1d(1, -5, 1.0, r=r)
     u = TrigPolynomial(1, {(5,): 1.0})
     h = 2.0**-4
-    out = apply_model_operator(spec, u, h)
+    (out,) = apply_model_operator(spec, u, [h])
     assert out.coefficient((5,)) == pytest.approx(h * h * 25.0)
     assert out.coefficient((6,)) == pytest.approx(h * h * 0.5)
     assert out.coefficient((4,)) == pytest.approx(h * h * 0.5)
@@ -93,7 +92,7 @@ def test_coefficient_vs_grid_application_random():
             for _ in range(6)
         }
         u = TrigPolynomial(1, coeffs)
-        out = apply_model_operator(spec, u, h)
+        (out,) = apply_model_operator(spec, u, [h])
         G = 64
         grid = np.arange(G) / G
         freqs = np.fft.fftfreq(G, d=1.0 / G)
@@ -112,8 +111,8 @@ def test_linearity():
     u = TrigPolynomial(1, {(k,): complex(*rng.standard_normal(2)) for k in range(-4, 5)})
     v = TrigPolynomial(1, {(k,): complex(*rng.standard_normal(2)) for k in range(-3, 6)})
     a, b = 1.7 - 0.3j, -0.8 + 2.1j
-    lhs = apply_model_operator(spec, u.scaled(a) + v.scaled(b), h)
-    rhs = apply_model_operator(spec, u, h).scaled(a) + apply_model_operator(spec, v, h).scaled(b)
+    (lhs,) = apply_model_operator(spec, u.scaled(a) + v.scaled(b), [h])
+    rhs = apply_model_operator(spec, u, [h])[0].scaled(a) + apply_model_operator(spec, v, [h])[0].scaled(b)
     assert (lhs - rhs).norm() <= 1e-12 * max(1.0, lhs.norm())
 
 
@@ -127,22 +126,34 @@ def test_formal_self_adjointness_with_real_multiplier():
     for _ in range(10):
         u = TrigPolynomial(1, {(k,): float(rng.standard_normal()) for k in range(-5, 6)})
         v = TrigPolynomial(1, {(k,): float(rng.standard_normal()) for k in range(-5, 6)})
-        lhs = inner(apply_model_operator(spec, u, h), v)
-        rhs = inner(u, apply_model_operator(spec, v, h))
+        lhs = inner(apply_model_operator(spec, u, [h])[0], v)
+        rhs = inner(u, apply_model_operator(spec, v, [h])[0])
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
 def test_rejects_nonpositive_h_and_nonreal_multiplier():
     spec = _spec_1d(1, 0, 1.0)
     with pytest.raises(ValueError):
-        apply_model_operator(spec, TrigPolynomial.constant(1, 1.0), 0.0)
+        apply_model_operator(spec, TrigPolynomial.constant(1, 1.0), [0.0])
     with pytest.raises(ValueError):
         _spec_1d(1, 0, 1.0, r=TrigPolynomial(1, {(1,): 1.0}))
 
 
 # ---------------------------------------------------------------------------
-# Quadratic form in split coordinates
+# The transverse operator in split coordinates
 # ---------------------------------------------------------------------------
+
+
+def _bare(hessian, split, alpha):
+    """The transverse operator of one mode with no multiplier."""
+    q = split.dimension - split.orbit_dimension
+    return transverse_operator(hessian, split, alpha, TrigPolynomial.zero(q))
+
+
+def _form_on_torus(hessian, split, along, across) -> float:
+    """The Hessian form on the torus covector xi = M^{-T} (along, across)."""
+    xi = np.array(split.inverse, dtype=float).T @ np.array([*along, *across], dtype=float)
+    return float(xi @ hessian.entries @ xi)
 
 
 def test_identity_splitting_partitions_hessian():
@@ -151,19 +162,23 @@ def test_identity_splitting_partitions_hessian():
     )
     split = split_frequencies(omega)
     H = HessianForm(np.array([[2.0, 0.5], [0.5, 1.0]]))
-    form = transform_quadratic_form(H, split)
-    assert np.allclose(form.rho1, H.entries)
-    assert form.Omega_block.shape == (0, 0)
+    # the along block is H itself and the transverse torus is a point
+    for alpha, value in [((1, 0), 2.0), ((0, 1), 1.0), ((1, 1), 4.0), ((2, -1), 7.0)]:
+        op = _bare(H, split, alpha)
+        assert op.rho == value
+        assert op.Omega_block.shape == (0, 0) and op.gamma.shape == (0,)
 
 
 def test_two_three_splitting_elliptic_block(golden):
-    form = transform_quadratic_form(golden.hessian, golden.split)
+    op = _bare(golden.hessian, golden.split, (0,))
     Minv = np.array(golden.split.inverse, dtype=float)
     # direct evaluation on the transverse dual basis covector
     xi = Minv.T @ np.array([0.0, 1.0])
-    assert form.Omega_block[0, 0] == pytest.approx(xi @ xi)
-    assert form.Omega_block[0, 0] > 0
-    assert np.linalg.eigvalsh(form.Omega_block)[0] > 0
+    assert op.Omega_block[0, 0] == pytest.approx(xi @ xi)
+    assert op.Omega_block[0, 0] > 0
+    assert np.linalg.eigvalsh(op.Omega_block)[0] > 0
+    # the factory's operator carries the same block
+    assert golden.op.Omega_block.tolist() == op.Omega_block.tolist()
 
 
 @pytest.mark.xfail(
@@ -186,27 +201,17 @@ def test_degenerate_hessian_transverse_block_is_exact(den, hessian, transverse):
     # of M^-1, whose entries make the float form lose the small block
     split = split_frequencies(FrequencyVector.from_rows([[1], [Fraction(den + 1, den)]]))
     assert split.inverse[1] == (-(den + 1), den)
-    form = transform_quadratic_form(HessianForm(hessian), split)
-    assert form.Omega_block.tolist() == [[transverse]]
-
-
-def _form_value(form, along, across) -> float:
-    """The transformed form a' rho1 a + a' rho2 b + b' Omega_block b on a
-    split frequency (a, b), evaluated from its blocks."""
-    a = np.asarray(along, dtype=float)
-    b = np.asarray(across, dtype=float)
-    return float(a @ form.rho1 @ a + a @ form.rho2 @ b + b @ form.Omega_block @ b)
+    op = _bare(HessianForm(hessian), split, (0,))
+    assert op.Omega_block.tolist() == [[transverse]]
 
 
 def test_form_agrees_on_random_covectors(golden):
-    form = transform_quadratic_form(golden.hessian, golden.split)
-    Minv = np.array(golden.split.inverse, dtype=float)
+    # the symbol of mode a at b is the Hessian form on M^{-T} (a, b)
     rng = np.random.default_rng(31)
     for _ in range(20):
-        eta = rng.standard_normal(2)
-        xi = Minv.T @ eta
-        value = _form_value(form, eta[:1], eta[1:])
-        assert value == pytest.approx(xi @ golden.hessian.entries @ xi, rel=1e-10)
+        along, across = rng.integers(-40, 41, size=(2, 1)).tolist()
+        value = _bare(golden.hessian, golden.split, along).symbol(across)
+        assert value == pytest.approx(_form_on_torus(golden.hessian, golden.split, along, across), rel=1e-10)
 
 
 def test_quasiconvex_source_gives_positive_definite_block():
@@ -222,49 +227,61 @@ def test_quasiconvex_source_gives_positive_definite_block():
         base = rng.standard_normal((2, 2))
         H = HessianForm(base @ base.T + 0.05 * np.eye(2))
         if is_quasiconvex(H, [float(rows[0][0]), float(rows[1][0])]):
-            form = transform_quadratic_form(H, split)
-            assert np.linalg.eigvalsh(form.Omega_block)[0] > 0
+            op = _bare(H, split, (0,))
+            assert np.linalg.eigvalsh(op.Omega_block)[0] > 0
 
 
 def test_assemble_zero_mode(golden):
-    form = transform_quadratic_form(golden.hessian, golden.split)
-    op = assemble_Q_alpha(form, (0,), TrigPolynomial.zero(1))
+    op = _bare(golden.hessian, golden.split, (0,))
     assert np.allclose(op.gamma, 0.0)
     assert op.rho == 0.0
-    assert op.symbol((3,)) == pytest.approx(9.0 * form.Omega_block[0, 0])
+    assert op.symbol((3,)) == pytest.approx(9.0 * op.Omega_block[0, 0])
 
 
 def test_assemble_homogeneity(golden):
-    form = transform_quadratic_form(golden.hessian, golden.split)
-    one = assemble_Q_alpha(form, (3,), TrigPolynomial.zero(1))
-    two = assemble_Q_alpha(form, (6,), TrigPolynomial.zero(1))
+    one = _bare(golden.hessian, golden.split, (3,))
+    two = _bare(golden.hessian, golden.split, (6,))
     assert np.allclose(two.gamma, 2.0 * one.gamma)
     assert two.rho == pytest.approx(4.0 * one.rho)
 
 
-def test_assemble_matches_full_form_coefficients(golden):
-    # applying the full transformed form to a product character must give
-    # the per-mode symbol
-    form = transform_quadratic_form(golden.hessian, golden.split)
-    alpha = (5,)
-    op = assemble_Q_alpha(form, alpha, TrigPolynomial.zero(1))
-    for beta in [(-2,), (0,), (3,)]:
-        direct = _form_value(form, alpha, beta)
-        assert op.symbol(beta) == pytest.approx(direct, rel=1e-12)
+def test_assemble_matches_full_form_coefficients():
+    # the form of a product character, evaluated on the torus, must give
+    # the per-mode symbol; sqrt2-sum has a two-dimensional orbit closure
+    for name in SPLITTINGS:
+        _, split = splitting(name)
+        k, q = split.orbit_dimension, split.dimension - split.orbit_dimension
+        base = np.arange(1.0, 1.0 + split.dimension**2).reshape(split.dimension, -1) / 7.0
+        hessian = HessianForm(base @ base.T + np.eye(split.dimension))
+        for alpha in [(5,) * k, tuple(range(-1, k - 1)), (0,) * k]:
+            op = _bare(hessian, split, alpha)
+            for beta in [(-2,) * q, (0,) * q, tuple(range(3, 3 + q))]:
+                assert op.symbol(beta) == pytest.approx(_form_on_torus(hessian, split, alpha, beta), rel=1e-12)
 
 
 def test_operator_on_transverse_torus_apply(golden):
-    form = transform_quadratic_form(golden.hessian, golden.split)
+    # the Galerkin matrix applies the symbol on the diagonal and
+    # convolution with r0 off it
     r0 = TrigPolynomial(1, {(1,): 0.5, (-1,): 0.5})
-    op = assemble_Q_alpha(form, (2,), r0)
+    op = transverse_operator(golden.hessian, golden.split, (2,), r0)
     w = TrigPolynomial(1, {(0,): 1.0, (1,): 2.0})
-    out = op.apply(w)
-    for beta in [(0,), (1,)]:
-        assert out.coefficient(beta) == pytest.approx(
+    betas, matrix = quasimode._galerkin_matrix(op, 4)
+    out = matrix @ np.array([w.coefficient(beta) for beta in betas])
+    for beta, value in zip(betas, out):
+        assert value == pytest.approx(
             op.symbol(beta) * w.coefficient(beta)
             + 0.5 * w.coefficient((beta[0] - 1,))
             + 0.5 * w.coefficient((beta[0] + 1,))
         )
+
+
+def test_transverse_operator_rejects_mismatched_inputs(golden):
+    with pytest.raises(ValueError, match="mode vector has wrong length"):
+        _bare(golden.hessian, golden.split, (0, 0))
+    with pytest.raises(ValueError, match="splitting dimension"):
+        _bare(HessianForm(np.eye(3)), golden.split, (0,))
+    with pytest.raises(ValueError, match="wrong torus"):
+        transverse_operator(golden.hessian, golden.split, (0,), TrigPolynomial.zero(2))
 
 
 def test_remainder_term_is_order_three():
@@ -272,7 +289,7 @@ def test_remainder_term_is_order_three():
     spec_tail = _spec_1d(1, 0, 1.0, remainder=True)
     u = TrigPolynomial(1, {(0,): 1.0, (2,): 0.5})
     for h in (2.0**-4, 2.0**-6, 2.0**-8):
-        tail = apply_model_operator(spec_tail, u, h) - apply_model_operator(spec_plain, u, h)
+        tail = apply_model_operator(spec_tail, u, [h])[0] - apply_model_operator(spec_plain, u, [h])[0]
         assert tail.norm() <= 2.0 * h**3 * u.norm()
         assert tail.norm() >= 0.1 * h**3 * u.norm()
 
@@ -285,7 +302,7 @@ def test_remainder_tail_squares_frequencies_exactly(frequency):
     spec = _spec_1d(1, -frequency, 0.0, remainder=True)
     u = TrigPolynomial(1, {(frequency,): 1.0})
     h = 0.5
-    result = apply_model_operator(spec, u, h)
+    (result,) = apply_model_operator(spec, u, [h])
     assert result.coefficient((frequency,)) == h**3 * (1.0 / (1.0 + float(frequency**2)))
 
 
@@ -374,9 +391,8 @@ def test_ladder_call_matches_per_h_calls_bit_for_bit(golden, sqrt2_basis, case):
     results = apply_model_operator(spec, u, ladder)
     assert isinstance(results, list) and len(results) == len(ladder)
     for h, result in zip(ladder, results):
-        single = apply_model_operator(spec, u, h)
+        (single,) = apply_model_operator(spec, u, [h])
         reference = _apply_per_h_reference(spec, u, h)
-        assert isinstance(single, TrigPolynomial)
         assert _sorted_bits(result) == _sorted_bits(single) == _sorted_bits(reference)
         assert result.norm().hex() == single.norm().hex() == reference.norm().hex()
         keys = [alpha for alpha, _ in result.items()]
@@ -387,6 +403,6 @@ def test_ladder_call_matches_per_h_calls_bit_for_bit(golden, sqrt2_basis, case):
     if case == "irrational":
         assert (3, 2) not in dict(results[0].items())
     if case == "cancel":
-        assert (1, 0) not in dict(apply_model_operator(dataclasses.replace(spec, remainder=False), u, 0.5).items())
+        assert (1, 0) not in dict(apply_model_operator(dataclasses.replace(spec, remainder=False), u, [0.5])[0].items())
     with pytest.raises(ValueError):
         apply_model_operator(spec, u, [0.25, 0.0])

@@ -21,7 +21,6 @@ from toruslab import (
     QuasimodeFamily,
     TrigPolynomial,
     apply_model_operator,
-    assemble_Q_alpha,
     build_factory_quasimode,
     check_mode_concentration,
     nonconcentration_report,
@@ -30,7 +29,7 @@ from toruslab import (
     fit_decay_exponent,
     galerkin_nullspace,
     split_frequencies,
-    transform_quadratic_form,
+    transverse_operator,
     unique_continuation_constant,
     verify_quasimode_order,
     wavefront_mass_map,
@@ -253,20 +252,18 @@ def test_factory_pure_character_whole_torus(sqrt2_basis):
     assert spec.c.coeffs == (Fraction(-3), Fraction(-2))
     u = family.members[0]
     assert support(u) == [(3, 2)]
-    for h in ladder:
-        assert apply_model_operator(spec, u, h) == TrigPolynomial.zero(2)
+    assert apply_model_operator(spec, u, ladder) == [TrigPolynomial.zero(2)] * len(ladder)
 
 
 def test_factory_golden_residual_bound(golden):
     for i, h in zip(golden.family.member_index, golden.ladder):
-        residual = apply_model_operator(golden.spec, golden.family.members[i], h).norm()
+        residual = apply_model_operator(golden.spec, golden.family.members[i], [h])[0].norm()
         assert residual <= 1e-10 * h * h
 
 
 def test_factory_derived_multiplier_matches_closed_form(golden):
     # r0 = -Omega_zz cos(2 pi z) / (2 + cos(2 pi z)) on the transverse torus
-    form = transform_quadratic_form(golden.hessian, golden.split)
-    omega_zz = form.Omega_block[0, 0]
+    omega_zz = golden.op.Omega_block[0, 0]
     r0 = golden.op.zero_mode_multiplier
     # the lifted multiplier is r0, constant along the orbit closure
     assert decompose_along_T(golden.spec.r, golden.split) == {(0,): r0}
@@ -618,8 +615,7 @@ def test_decompose_round_trip_preserves_mass():
 
 
 def test_galerkin_zero_operator_nullspace_is_constants(golden):
-    form = transform_quadratic_form(golden.hessian, golden.split)
-    op = assemble_Q_alpha(form, (0,), TrigPolynomial.zero(1))
+    op = transverse_operator(golden.hessian, golden.split, (0,), TrigPolynomial.zero(1))
     null = galerkin_nullspace(op, 8)
     assert len(null.basis) == 1
     assert null.eigenvalues[0] == 0.0
@@ -640,7 +636,6 @@ def test_galerkin_factory_nullspace_contains_profile(golden):
 
 def test_galerkin_generic_multiplier_has_empty_nullspace(golden):
     rng = np.random.default_rng(99)
-    form = transform_quadratic_form(golden.hessian, golden.split)
     for _ in range(5):
         raw = {(0,): float(rng.standard_normal())}
         for k in (1, 2, 3):
@@ -649,7 +644,7 @@ def test_galerkin_generic_multiplier_has_empty_nullspace(golden):
             raw[(-k,)] = z.conjugate()
         r0 = TrigPolynomial(1, raw)
         r0 = r0.scaled(1.0 / r0.norm())
-        op = assemble_Q_alpha(form, (0,), r0)
+        op = transverse_operator(golden.hessian, golden.split, (0,), r0)
         null = galerkin_nullspace(op, 16)
         assert len(null.basis) == 0
 
@@ -664,12 +659,7 @@ def test_galerkin_near_zero_eigenvalue_monotone_in_truncation(golden):
 
 
 def test_galerkin_guards(golden):
-    coerced = TrigPolynomial.zero(1)
-    bad_block = assemble_Q_alpha(
-        transform_quadratic_form(HessianForm(np.zeros((2, 2))), golden.split),
-        (0,),
-        coerced,
-    )
+    bad_block = transverse_operator(HessianForm(np.zeros((2, 2))), golden.split, (0,), TrigPolynomial.zero(1))
     with pytest.raises(ValueError, match="positive definite"):
         galerkin_nullspace(bad_block, 8)
     op = golden.op
@@ -776,8 +766,7 @@ def test_factory_mode_galerkin_residual(golden):
 
 
 def test_unique_continuation_constants_nullspace(golden):
-    form = transform_quadratic_form(golden.hessian, golden.split)
-    op = assemble_Q_alpha(form, (0,), TrigPolynomial.zero(1))
+    op = transverse_operator(golden.hessian, golden.split, (0,), TrigPolynomial.zero(1))
     null = galerkin_nullspace(op, 8)
     result = unique_continuation_constant(null, [(0.4, 0.5)])
     assert result.constant == pytest.approx(0.1, abs=1e-12)
@@ -880,15 +869,13 @@ def test_unique_continuation_gram_matches_nested_loop_on_golden(golden, interval
     null = galerkin_nullspace(golden.op, 16)
     assert len(null.basis) == 1
     _assert_gram_matches_oracle(list(null.basis), [interval])
-    form = transform_quadratic_form(golden.hessian, golden.split)
-    constants = galerkin_nullspace(assemble_Q_alpha(form, (0,), TrigPolynomial.zero(1)), 8)
+    constants = galerkin_nullspace(transverse_operator(golden.hessian, golden.split, (0,), TrigPolynomial.zero(1)), 8)
     _assert_gram_matches_oracle(list(constants.basis) + list(null.basis), [interval])
 
 
 def test_unique_continuation_requires_nullspace(golden):
-    form = transform_quadratic_form(golden.hessian, golden.split)
     r0 = TrigPolynomial(1, {(0,): 0.5, (2,): 0.25, (-2,): 0.25})
-    op = assemble_Q_alpha(form, (0,), r0)
+    op = transverse_operator(golden.hessian, golden.split, (0,), r0)
     null = galerkin_nullspace(op, 16)
     assert not null.basis
     with pytest.raises(ValueError, match="empty"):
@@ -968,7 +955,7 @@ def test_order_and_concentration_visit_each_distinct_member_once(golden, monkeyp
     assert decomposed == tabled == [family.members[0], family.members[1]]
     unit_members = [family.members[j] for j in family.member_index]
     assert report.residual_norms == tuple(
-        apply_model_operator(golden.spec, u, h).norm() for u, h in zip(unit_members, golden.ladder)
+        apply_model_operator(golden.spec, u, [h])[0].norm() for u, h in zip(unit_members, golden.ladder)
     )
     per_h = [decompose_along_T(u, golden.split) for u in unit_members]
     for mode, fit in list(concentration.mode_fits.items()) + [(golden.alpha0, None)]:

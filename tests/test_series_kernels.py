@@ -1,6 +1,7 @@
-"""The array kernels behind TrigPolynomial's products, relabelings,
-Hermitian check and norm, against the dict loops they replace: the same
-frequencies in the same order and the same coefficient bytes."""
+"""The array kernels behind TrigPolynomial's products, Hermitian check and
+norm, and the relabelings through a splitting, against the dict loops they
+replace: the same frequencies in the same order and the same coefficient
+bytes."""
 
 from __future__ import annotations
 
@@ -16,14 +17,17 @@ from hypothesis import given, settings, strategies as st
 from toruslab import TrigPolynomial, quasimode, trigpoly
 
 from series_oracles import (
+    SPLITTINGS,
     bits,
     box_weights_oracle,
     conjugate,
     convolve_oracle,
+    decompose_oracle,
     gram_oracle,
     hermitian_defect_oracle,
-    map_frequencies_oracle,
+    lift_oracle,
     norm_oracle,
+    splitting,
 )
 
 # parts that give signed zeros, products that cancel to exact zeros,
@@ -82,14 +86,32 @@ def test_convolve_with_a_radix_beyond_int64_matches_dict_loop():
     assert bits(p.convolve(q)) == bits(convolve_oracle(p, q))
 
 
-def test_frequencies_beyond_int64_raise():
+def _assert_same_modes(modes, expected):
+    assert list(modes) == list(expected)
+    for alpha in modes:
+        assert bits(modes[alpha]) == bits(expected[alpha])
+
+
+def test_frequencies_beyond_int64_raise(golden):
     # the dict loops compute these in Python integers; int64 would wrap
     big = TrigPolynomial(1, {(2**62,): 1.0, (0,): 1.0})
     with pytest.raises(OverflowError):
         big.convolve(big)
-    with pytest.raises(OverflowError):
-        big.map_frequencies([[2]])
-    assert bits(big.map_frequencies([[1]])) == bits(map_frequencies_oracle(big, [[1]]))
+    # golden's splitting matrix M has a column of abs sum 5 and M^{-1} one
+    # of abs sum 4, so a radius of 2**62 would wrap in either relabeling
+    # and 2**60 fits
+    _, split = splitting("golden")
+    far = TrigPolynomial(2, {(2**62, 0): 1.0, (0, 0): 1.0})
+    with pytest.raises(OverflowError, match="relabeled frequencies overflow int64"):
+        quasimode.decompose_along_T(far, split)
+    near = TrigPolynomial(2, {(2**60, -(2**60)): 1.0, (0, 0): -0.0 + 1j})
+    _assert_same_modes(quasimode.decompose_along_T(near, split), decompose_oracle(near, split))
+    with pytest.raises(OverflowError, match="relabeled frequencies overflow int64"):
+        quasimode.build_factory_quasimode(
+            golden.omega, golden.hessian, golden.basis, split, (2**62,), golden.v, golden.ladder
+        )
+    profile = TrigPolynomial(1, {(2**60,): 1.0})
+    assert bits(quasimode._lift_mode(profile, split, (0,))) == bits(lift_oracle(profile, split, (0,)))
 
 
 @_SETTINGS
@@ -121,13 +143,23 @@ def test_box_weights_match_the_per_offset_loop(radius):
 
 @_SETTINGS
 @given(st.data())
-def test_map_frequencies_matches_dict_loop(data):
-    dim = data.draw(st.integers(0, 3))
-    p = data.draw(series(dim))
-    # singular matrices make relabel targets collide
-    row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
-    matrix = data.draw(st.lists(row, max_size=3))
-    assert bits(p.map_frequencies(matrix)) == bits(map_frequencies_oracle(p, matrix))
+def test_relabel_matches_dict_loop(data):
+    # decompose_along_T and the factory lift relabel by M^T and M^{-T}: the
+    # same frequencies in the same order and the same coefficient bytes as
+    # the loops that relabel one term at a time and add it to 0j, which
+    # turns a -0.0 part into +0.0
+    _, split = splitting(data.draw(st.sampled_from(sorted(SPLITTINGS))))
+    k, q = split.orbit_dimension, split.dimension - split.orbit_dimension
+    u = data.draw(series(split.dimension))
+    _assert_same_modes(quasimode.decompose_along_T(u, split), decompose_oracle(u, split))
+    w = data.draw(series(q))
+    alpha = data.draw(st.tuples(*[_ENTRIES] * k))
+    lifted = quasimode._lift_mode(w, split, alpha)
+    assert bits(lifted) == bits(lift_oracle(w, split, alpha))
+    # the round trip gives w back in w's order, up to the sign of zero parts
+    back = quasimode.decompose_along_T(lifted, split)
+    assert back == ({alpha: w} if w else {})
+    assert [bits(p)[0] for p in back.values()] == ([bits(w)[0]] if w else [])
 
 
 @_SETTINGS

@@ -11,10 +11,9 @@ import pytest
 from toruslab import (
     QuasimodeFamily,
     TrigPolynomial,
-    assemble_Q_alpha,
     default_h_ladder,
     galerkin_nullspace,
-    transform_quadratic_form,
+    transverse_operator,
 )
 
 from series_oracles import conjugate, evaluate, inner, support
@@ -99,20 +98,8 @@ def test_non_finite_coefficient_is_not_real_valued(golden):
     r = TrigPolynomial(2, {(1, 0): 1.0, (-1, 0): complex(1.0, math.nan)})
     with pytest.raises(ValueError, match="real-valued"):
         dataclasses.replace(golden.spec, r=r)
-    form = transform_quadratic_form(golden.hessian, golden.split)
     with pytest.raises(ValueError, match="real-valued"):
-        galerkin_nullspace(assemble_Q_alpha(form, (0,), nan_series), 8)
-
-
-def test_map_frequencies_rejects_rows_of_the_wrong_length():
-    p = TrigPolynomial(2, {(1, 2): 1.0, (0, -1): 0.5})
-    with pytest.raises(ValueError, match="has length 3, not the series dimension 2"):
-        p.map_frequencies([[1, 0, 7]])
-    with pytest.raises(ValueError, match="has length 1, not the series dimension 2"):
-        p.map_frequencies([[1]])
-    with pytest.raises(ValueError, match="has length 1"):
-        p.map_frequencies([[1, 0], [1]])
-    assert p.map_frequencies([[1, 1]]) == TrigPolynomial(1, {(3,): 1.0, (-1,): 0.5})
+        galerkin_nullspace(transverse_operator(golden.hessian, golden.split, (0,), nan_series), 8)
 
 
 def test_evaluate_matches_naive_sum():
@@ -126,15 +113,6 @@ def test_evaluate_matches_naive_sum():
             for alpha, c in p.items()
         )
         assert value == pytest.approx(naive, rel=1e-12)
-
-
-def test_map_frequencies_unimodular_preserves_norm():
-    rng = np.random.default_rng(12)
-    p = _random_poly(rng, 2, 5, 10)
-    mapped = p.map_frequencies([[2, 1], [3, 2]])
-    assert mapped.norm() == pytest.approx(p.norm())
-    back = mapped.map_frequencies([[2, -1], [-3, 2]])
-    assert back == p
 
 
 def test_json_round_trip_and_schema():

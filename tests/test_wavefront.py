@@ -46,10 +46,21 @@ def mass_at(u, x0, xi0, h):
 
 
 def test_zero_input_gives_zero_mass():
-    # a family refuses a zero member, so only the exact average is defined
+    # a family refuses a zero member; the table path gives one zero per node
     with pytest.raises(ValueError, match="cannot normalize a vanishing member"):
         QuasimodeFamily.from_members(default_h_ladder(), [TrigPolynomial.zero(1)] * 9)
-    assert mass_on_nodes(TrigPolynomial.zero(1), [[0.3]], [0.0], 0.01)[1] == 0.0
+    masses, average = mass_on_nodes(TrigPolynomial.zero(1), [[0.3]], [0.0], 0.01)
+    assert masses.tolist() == [0.0] and average == 0.0
+
+
+@pytest.mark.parametrize("dim, nodes", [(1, 3), (2, 5), (2, 1), (1, 0)])
+def test_member_without_coefficients_has_one_zero_mass_per_node(dim, nodes):
+    points = np.linspace(0.0, 0.9, nodes * dim).reshape(nodes, dim)
+    alphas, coeffs, phase, inverse = wavefront._phase_table(TrigPolynomial.zero(dim), points)
+    assert alphas.shape == (0, dim) and coeffs.shape == (0,)
+    assert phase.shape == (min(nodes, 1), 0) and inverse.tolist() == [0] * nodes
+    masses, average = mass_on_nodes(TrigPolynomial.zero(dim), points, [0.5] * dim, 2.0**-6)
+    assert masses.tolist() == [0.0] * nodes and average == 0.0
 
 
 def test_constant_symbol_mass_closed_form_vs_quadrature():
