@@ -28,10 +28,15 @@ __all__ = [
     "OperatorOnTPrime",
     "transverse_operator",
     "apply_model_operator",
+    "REAL_TOL",
 ]
 
-_REAL_TOL = 1e-12
+#: Largest Hermitian defect, relative to the peak coefficient, of a series
+#: that counts as a real multiplier.
+REAL_TOL = 1e-12
 _FORM_CHECK_TOL = 1e-10
+#: Floor of the form check's scale, so that a zero form compares absolutely.
+_FORM_CHECK_FLOOR = 1e-300
 _FORM_CHECK_COUNT = 20
 _FORM_CHECK_SEED = 20140613
 
@@ -70,7 +75,7 @@ class ModelOperatorSpec:
             raise ValueError("multiplier r lives on the wrong torus")
         if self.omega.basis_dim != self.basis.dim or self.c.dim != self.basis.dim:
             raise ValueError("exact numbers declared over a different basis")
-        if not self.r.is_real_valued(_REAL_TOL):
+        if not self.r.is_real_valued(REAL_TOL):
             raise ValueError("multiplier r must be real-valued (Hermitian coefficients)")
         # c is real by construction: ExactNumber has no imaginary part.
 
@@ -145,7 +150,7 @@ def transverse_operator(
         xi = Minv.T @ eta
         lhs = float(eta @ transformed @ eta)
         rhs = float(xi @ hessian.entries @ xi)
-        scale = max(abs(lhs), abs(rhs), 1e-300)
+        scale = max(abs(lhs), abs(rhs), _FORM_CHECK_FLOOR)
         if abs(lhs - rhs) > _FORM_CHECK_TOL * scale:
             raise ArithmeticError("transformed form disagrees with the original form")
     return OperatorOnTPrime(

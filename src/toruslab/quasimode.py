@@ -24,7 +24,7 @@ import numpy as np
 
 from .exact import FrequencyVector, IrrationalBasis, UnimodularSplitting
 from .nondegeneracy import HessianForm
-from .operator import ModelOperatorSpec, OperatorOnTPrime, apply_model_operator, transverse_operator
+from .operator import REAL_TOL, ModelOperatorSpec, OperatorOnTPrime, apply_model_operator, transverse_operator
 from .trigpoly import _INT64_MAX, TrigPolynomial, _product_table
 
 __all__ = [
@@ -65,6 +65,20 @@ REEXPANSION_TRUNC = 1e-14
 #: The transverse profile must satisfy min |v| >= margin * max |v| on the
 #: division grid.
 NONVANISH_MARGIN = 1e-3
+#: Largest imaginary part, relative to the peak, of the profile's grid values.
+PROFILE_REAL_TOL = 1e-12
+#: Largest imaginary part, relative to the peak, of the divided multiplier.
+MULTIPLIER_REAL_TOL = 1e-10
+#: Re-expansion residual, relative to max(1, |Q v|), that stops the doubling.
+REEXPANSION_CONVERGED = 1e-11
+#: Re-expansion residual, relative to max(1, |Q v|), above which the build fails.
+REEXPANSION_REFUSED = 1e-9
+#: Share of the multiplier's peak above which a coefficient is essential
+#: support, which the Galerkin truncation must clear by two rows.
+ESSENTIAL_SHARE = 1e-3
+#: Eigenvalues below this multiple of the null threshold get their Rayleigh
+#: quotient in place of eigh's value.
+RAYLEIGH_WINDOW = 1e3
 
 #: Largest dense Galerkin matrix, in bytes, that galerkin_nullspace builds;
 #: its eigensolve holds a few more matrices of the same size.
@@ -285,16 +299,6 @@ def _lift_mode(w: TrigPolynomial, split: UnimodularSplitting, alpha: Sequence[in
 # ---------------------------------------------------------------------------
 
 
-def _real_grid_values(poly: TrigPolynomial, grid_points: int, what: str) -> np.ndarray:
-    values = poly.to_grid(grid_points) if poly.dim else np.array(poly.coefficient(()))
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    if scale == 0.0:
-        raise ValueError(f"{what} vanishes identically")
-    if float(np.max(np.abs(values.imag))) > 1e-12 * scale:
-        raise ValueError(f"{what} must be real-valued")
-    return values.real
-
-
 def build_factory_quasimode(
     omega: FrequencyVector,
     hessian: HessianForm,
@@ -335,11 +339,7 @@ def build_factory_quasimode(
     c = -FrequencyVector(split.omega_tilde).dot(alpha0)
 
     if q == 0:
-        value = v.coefficient(())
-        if value == 0:
-            raise ValueError("transverse profile vanishes identically")
         r0 = TrigPolynomial(0, {(): -bare.rho})
-        residual_norm = 0.0
     else:
         grid_points = max(64, 4 * (numerator.support_radius() + v.support_radius() + 1))
         grid_points = 1 << (grid_points - 1).bit_length()
@@ -349,22 +349,19 @@ def build_factory_quasimode(
                 f"({16 * grid_points**q / 1e6:.0f} MB), over the budget of "
                 f"{REEXPANSION_BYTES_BUDGET / 1e6:.0f} MB"
             )
+        residual_scale = max(1.0, numerator.norm())
         while True:
-            v_vals = _real_grid_values(v, grid_points, "transverse profile")
-            vmax = float(np.max(np.abs(v_vals)))
-            vmin = float(np.min(np.abs(v_vals)))
-            if vmin < NONVANISH_MARGIN * vmax:
-                raise ValueError(
-                    "transverse profile is vanishing or nearly vanishing on the grid"
-                )
-            num_vals = (
-                numerator.to_grid(grid_points)
-                if numerator
-                else np.zeros((grid_points,) * q, dtype=complex)
-            )
-            ratio = -num_vals / v_vals
-            ratio_scale = float(np.max(np.abs(ratio))) if ratio.size else 0.0
-            if ratio_scale > 0 and float(np.max(np.abs(ratio.imag))) > 1e-10 * ratio_scale:
+            values = v.to_grid(grid_points)
+            scale = float(np.max(np.abs(values)))
+            if scale == 0.0:
+                raise ValueError("transverse profile vanishes identically")
+            if float(np.max(np.abs(values.imag))) > PROFILE_REAL_TOL * scale:
+                raise ValueError("transverse profile must be real-valued")
+            magnitudes = np.abs(values.real)
+            if float(magnitudes.min()) < NONVANISH_MARGIN * float(magnitudes.max()):
+                raise ValueError("transverse profile is vanishing or nearly vanishing on the grid")
+            ratio = -numerator.to_grid(grid_points) / values.real
+            if float(np.max(np.abs(ratio.imag))) > MULTIPLIER_REAL_TOL * float(np.max(np.abs(ratio))):
                 raise ValueError(
                     "derived multiplier is not real-valued; pick a mode without "
                     "transverse drift or a profile constant along it"
@@ -372,12 +369,12 @@ def build_factory_quasimode(
             r0 = TrigPolynomial.from_grid(ratio.real, tol=REEXPANSION_TRUNC)
             residual_norm = (numerator + r0.convolve(v)).norm()
             if (
-                residual_norm <= 1e-11 * max(1.0, numerator.norm())
+                residual_norm <= REEXPANSION_CONVERGED * residual_scale
                 or 16 * (2 * grid_points) ** q > REEXPANSION_BYTES_BUDGET
             ):
                 break
             grid_points *= 2
-        if residual_norm > 1e-9 * max(1.0, numerator.norm()):
+        if residual_norm > REEXPANSION_REFUSED * residual_scale:
             raise ArithmeticError(
                 "re-expansion of the derived multiplier did not converge; "
                 "the profile is too close to a zero"
@@ -474,11 +471,11 @@ def galerkin_nullspace(
         if smallest <= 0:
             raise ValueError("quadratic block is not positive definite")
     r0 = op.zero_mode_multiplier
-    if not r0.is_real_valued(1e-12):
+    if not r0.is_real_valued(REAL_TOL):
         raise ValueError("multiplier must be real-valued for a Hermitian problem")
     if q > 0 and r0:
         peak = max(abs(value) for _, value in r0.items())
-        essential = r0.prune(1e-3 * peak).support_radius()
+        essential = r0.prune(ESSENTIAL_SHARE * peak).support_radius()
         if N < essential + 2:
             raise ValueError(
                 f"truncation {N} too small for multiplier support {essential}"
@@ -492,7 +489,7 @@ def galerkin_nullspace(
     # eigh noise on tiny eigenvalues grows with the matrix norm; a Rayleigh
     # quotient with the computed eigenvector is quadratically more accurate
     for i in range(size):
-        if abs(eigvals[i]) < 1e3 * null_tol * scale:
+        if abs(eigvals[i]) < RAYLEIGH_WINDOW * null_tol * scale:
             column = eigvecs[:, i]
             eigvals[i] = float(np.real(np.vdot(column, matrix @ column)))
     retained = [i for i in range(size) if abs(eigvals[i]) < null_tol * scale]

@@ -77,12 +77,6 @@ def _axis_image_bounds(xi_component: float, h: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _axis_image_range(xi_component: float, h: float) -> np.ndarray:
-    """Integer frequencies along one axis whose Gaussian weight survives."""
-    lo, hi = _axis_image_bounds(xi_component, h)
-    return np.arange(lo, hi + 1, dtype=float)
-
-
 def _weights(alphas: np.ndarray, xi0: Sequence[float], h: float) -> np.ndarray:
     """Gaussian coefficient weights (2 pi h)^(n/2) exp(-|xi0-2 pi h a|^2/2h)."""
     dim = alphas.shape[1]
@@ -96,7 +90,8 @@ def _probe_norm_squared(xi0: Sequence[float], h: float, dim: int) -> float:
     """Squared norm of the periodized probe via separable theta sums."""
     total = (2.0 * math.pi * h) ** dim
     for component in (np.asarray(xi0, dtype=float) if dim else ()):
-        images = _axis_image_range(float(component), h)
+        lo, hi = _axis_image_bounds(float(component), h)
+        images = np.arange(lo, hi + 1, dtype=float)
         gaps = float(component) - 2.0 * math.pi * h * images
         total *= float(np.sum(np.exp(-gaps * gaps / h)))
     return total

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from toruslab import FrequencyVector, TrigPolynomial, split_frequencies
-from toruslab.wavefront import _axis_image_range, _weights
+from toruslab.wavefront import _axis_image_bounds, _weights
 
 
 def conjugate(p: TrigPolynomial) -> TrigPolynomial:
@@ -174,7 +174,8 @@ def coherent_state(dim: int, x0, xi0, h: float) -> TrigPolynomial:
         raise ValueError("h must be positive")
     if dim == 0:
         return TrigPolynomial.constant(0, 1.0)
-    axes = [_axis_image_range(float(c), h) for c in np.asarray(xi0, dtype=float)]
+    bounds = [_axis_image_bounds(float(c), h) for c in np.asarray(xi0, dtype=float)]
+    axes = [np.arange(lo, hi + 1, dtype=float) for lo, hi in bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     alphas = np.stack([m.reshape(-1) for m in mesh], axis=1)
     weights = _weights(alphas, xi0, h)

@@ -10,6 +10,7 @@ import math
 import sys
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +445,51 @@ def test_verdicts_do_not_depend_on_axis_order(name, data):
     assert _coordinate_free_verdicts(_axes_permuted(payload, perm)) == expected
 
 
+def _lattice_basis_changed(payload: dict, matrix: np.ndarray) -> dict:
+    """The config with omega -> B omega and H -> B H B^T for B in GL(n, Z),
+    exactly, and without its factory block: neither the factory's split
+    coordinates nor the grid map to themselves under B."""
+    out = {key: value for key, value in payload.items() if key != "factory"}
+    columns = zip(*payload["omega"])
+    omega = [[Fraction(x) for x in column] for column in columns]
+    out["omega"] = [[str(sum(int(b) * x for b, x in zip(row, column))) for column in omega] for row in matrix]
+    out["hessian"] = (matrix @ np.array(payload["hessian"]) @ matrix.T).tolist()
+    return out
+
+
+def _hypotheses_and_splitting(payload: dict):
+    """(D), (F), orbit dimension and relation-lattice rank from the
+    check-hypotheses and split commands through main."""
+    reports = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({**payload, "out": str(Path(tmp) / "out")}))
+        for command in ("check-hypotheses", "split"):
+            main([command, "--config", str(path)])
+            reports.append(json.loads((Path(tmp) / "out" / "report.json").read_text()))
+    checks, splitting = reports[0]["checks"], reports[1]["splitting"]
+    return checks["hypothesis (D)"], checks["hypothesis (F)"], splitting["orbit_dimension"], splitting["relation_lattice"]["rank"]
+
+
+@pytest.mark.parametrize("name", list(_AXIS_ORDER_WORKLOADS))
+@settings(max_examples=max(3, settings.default.max_examples // 8), deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_hypotheses_and_splitting_do_not_depend_on_the_lattice_basis(name, data):
+    # (omega, H) -> (B omega, B H B^T) is the change of action-angle
+    # coordinates by B in GL(n, Z); B is a product of shears row_i += s row_j
+    # and a sign per row
+    payload = _AXIS_ORDER_WORKLOADS[name]
+    n = payload["dimension"]
+    matrix = np.eye(n, dtype=np.int64)
+    shear = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.sampled_from([-2, -1, 1, 2]))
+    for i, offset, s in data.draw(st.lists(shear, min_size=1, max_size=4), label="shears"):
+        matrix[i] += s * matrix[(i + offset) % n]
+    matrix *= np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n), label="signs"))[:, None]
+    expected = _hypotheses_and_splitting(_lattice_basis_changed(payload, np.eye(n, dtype=np.int64)))
+    assert expected == (True, True, 1, n - 1)
+    assert _hypotheses_and_splitting(_lattice_basis_changed(payload, matrix)) == expected
+
+
 @pytest.mark.parametrize(
     "overrides, path",
     [
@@ -513,11 +559,14 @@ def test_explicit_c_resonant_beyond_search_box_reports(tmp_path):
         (["1/2"], "no integer mode is resonant with explicit c"),
         # omega_tilde is rational, so a sqrt2 part in c can never cancel
         (["0", "1"], "no integer mode is resonant with explicit c"),
+        # a resonant c takes its mode from the factory block, here dropped
+        ("resonant", "c declared resonant but no factory block supplies the mode"),
     ],
 )
 def test_explicit_c_resonant_mode_notes(tmp_path, c, note):
     basis = {"names": ["1", "sqrt2"], "values": [1.0, 2.0**0.5]}
-    config = parse_config(_config(tmp_path, {"c": c, "basis": basis}).read_text())
+    overrides = {"c": c, "basis": basis, **({"factory": None} if c == "resonant" else {})}
+    config = parse_config(_config(tmp_path, overrides).read_text())
     _, report = run_pipeline(config, ("split",), tmp_path / "out")
     assert report["notes"] == ([note] if note else [])
     assert (report["splitting"]["resonant_mode"] is None) == (note is not None)
@@ -596,6 +645,15 @@ def test_main_exit_codes(tmp_path, capsys):
         ({"dimension": 10**20}, f"config error at omega: must be a list of {10**20} coordinate rows"),
     ):
         rejected = _config(tmp_path, overrides, name="rejected.json")
+        assert main(["all", "--config", str(rejected)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert cause in err and "Traceback" not in err
+    # documents that are not a JSON object
+    for text, cause in (
+        ("{", "config error at <document>: not valid JSON"),
+        ("[]", "config error at <document>: top level must be an object"),
+    ):
+        rejected.write_text(text)
         assert main(["all", "--config", str(rejected)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert cause in err and "Traceback" not in err

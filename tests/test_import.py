@@ -1,8 +1,10 @@
 """Importing toruslab pins BLAS to one thread, or warns when it is too late;
-every name the package and its layers export resolves."""
+every name the package and its layers export resolves; no function body
+holds an unnamed tolerance."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -59,3 +61,18 @@ def test_package_exports_only_names_its_layers_export():
     ]
     assert public
     assert [name for name in public if not any(name in layer.__all__ for layer in LAYERS)] == []
+
+
+def test_no_function_body_holds_an_unnamed_tolerance():
+    # a float literal below 0.01 in a function is a tolerance or floor, and
+    # those are module constants with a comment that says what they bound
+    found = set()
+    for path in sorted((SRC / "toruslab").glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found |= {
+                    f"{path.name}:{node.lineno} {node.value!r}"
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Constant) and type(node.value) is float and 0 < abs(node.value) < 0.01
+                }
+    assert sorted(found) == []

@@ -351,17 +351,21 @@ def test_factory_real_profile_with_a_nyquist_coefficient_builds():
 
 
 def test_factory_rejects_vanishing_profile(golden):
-    vanishing = TrigPolynomial.cosine(1, (1,))
-    with pytest.raises(ValueError, match="vanishing"):
-        build_factory_quasimode(
-            golden.omega,
-            golden.hessian,
-            golden.basis,
-            golden.split,
-            (0,),
-            vanishing,
-            golden.ladder,
-        )
+    # cos 2 pi z has zeros; the grid values of 5e-324 underflow to zero
+    for vanishing, message in (
+        (TrigPolynomial.cosine(1, (1,)), "transverse profile is vanishing or nearly vanishing"),
+        (TrigPolynomial(1, {(0,): 5e-324}), "transverse profile vanishes identically"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build_factory_quasimode(
+                golden.omega,
+                golden.hessian,
+                golden.basis,
+                golden.split,
+                (0,),
+                vanishing,
+                golden.ladder,
+            )
 
 
 def test_factory_rejects_nonreal_profile(golden):

@@ -154,11 +154,16 @@ def test_mass_map_refuses_grid_over_budget(golden, monkeypatch):
     # and the theta sum of 131 probe images at h = 2^-12 takes 32 * 131
     estimate = wavefront.check_massmap_budget(PhaseSpaceGrid.standard(2, 32), golden.ladder, 0)
     assert estimate == 5 * 368640 + 32 * 131 + 16384
-    assert len(wavefront._axis_image_range(1.0, golden.ladder[-1])) == 131
+    assert wavefront._axis_image_bounds(1.0, golden.ladder[-1]) == (587, 717)
     # the images grow like h^(-1/2): 67,149 at 2^-30
     estimate = wavefront.check_massmap_budget(PhaseSpaceGrid.standard(2, 2), default_h_ladder(22, 30), 0)
     assert estimate == 5 * 8 * 5 * 2**2 * 9 + 32 * 67149 + 16384
-    assert len(wavefront._axis_image_range(0.0, 2.0**-30)) == 67149
+    assert wavefront._axis_image_bounds(0.0, 2.0**-30) == (-33574, 33574)
+    # no image of xi = 50 survives at h = 16, so the nearest one, 0, stands in
+    assert wavefront._axis_image_bounds(50.0, 16.0) == (0, 0)
+    norm_sq = wavefront._probe_norm_squared([50.0], 16.0, 1)
+    assert norm_sq == pytest.approx(2.0 * math.pi * 16.0 * math.exp(-(50.0**2) / 16.0), rel=1e-14)
+    assert norm_sq == pytest.approx(1.39e-66, rel=1e-2)
 
 
 def _wide_family(golden, terms=500):
