@@ -46,7 +46,8 @@ class HessianForm:
         scale = np.max(np.abs(H)) if H.size else 0.0
         if scale > 0 and np.max(np.abs(H - H.T)) > _SYMMETRY_TOL * scale:
             raise ValueError("Hessian must be symmetric to machine precision")
-        H = 0.5 * (H + H.T)
+        # summed halves cannot overflow; symmetric entries are kept, so no subnormal is halved
+        H = np.where(H == H.T, H, 0.5 * H + 0.5 * H.T)
         H.setflags(write=False)
         object.__setattr__(self, "entries", H)
 

@@ -117,6 +117,23 @@ def fit_decay_exponent(h_ladder: Sequence[float], values: Sequence | np.ndarray)
     (numpy's log and sum round differently), scalar ladder terms, and only
     elementwise numpy arithmetic.  Non-finite values are refused.
     """
+    xs, vals = _decay_series(h_ladder, values)
+    live = ~np.any(vals == 0.0, axis=-1)
+    ys = _logs(vals[live])
+    slope, intercept = _fit_line(xs, ys)
+    fitted = intercept[:, None] + slope[:, None] * np.array(xs)
+    exponent = np.full(vals.shape[:-1], math.inf)
+    residual = np.zeros(vals.shape[:-1])
+    exponent[live] = slope
+    residual[live] = np.max(np.abs(ys - fitted), axis=1)
+    if vals.ndim == 1:
+        return DecayFit(float(exponent), float(residual), tuple(vals.tolist()))
+    return DecayFit(exponent, residual, vals)
+
+
+def _decay_series(h_ladder: Sequence[float], values) -> tuple[list[float], np.ndarray]:
+    """log h over a ladder of at least four positive points, and the values,
+    finite, nonnegative and aligned with it, as a float array."""
     hs = [float(h) for h in h_ladder]
     vals = np.array(values, dtype=float)
     if vals.ndim == 0 or vals.shape[-1] != len(hs):
@@ -129,26 +146,24 @@ def fit_decay_exponent(h_ladder: Sequence[float], values: Sequence | np.ndarray)
         raise ValueError("values must be finite")
     if np.any(vals < 0):
         raise ValueError("values must be nonnegative")
-    live = ~np.any(vals == 0.0, axis=-1)
-    xs = [math.log(h) for h in hs]
+    return [math.log(h) for h in hs], vals
+
+
+def _logs(values: np.ndarray) -> np.ndarray:
+    """math.log of positive values, taken once per distinct value (keyed by its bits)."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    logs = np.fromiter(map(math.log, bits.view(float).tolist()), float, len(bits))
+    return logs[inverse].reshape(values.shape)
+
+
+def _fit_line(xs: list[float], ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares slope and intercept of each row of ys against xs, summed by math.fsum."""
     xbar = math.fsum(xs) / len(xs)
     sxx = math.fsum((x - xbar) ** 2 for x in xs)
-    # one math.log per distinct value, keyed by its bits
-    bits, inverse = np.unique(vals[live].view(np.uint64), return_inverse=True)
-    logs = np.fromiter(map(math.log, bits.view(float).tolist()), float, len(bits))
-    ys = logs[inverse].reshape(-1, len(hs))
     ybar = np.array(list(map(math.fsum, ys.tolist()))) / len(xs)
     deviations = np.array([x - xbar for x in xs]) * (ys - ybar[:, None])
     slope = np.array(list(map(math.fsum, deviations.tolist()))) / sxx
-    intercept = ybar - slope * xbar
-    fitted = intercept[:, None] + slope[:, None] * np.array(xs)
-    exponent = np.full(vals.shape[:-1], math.inf)
-    residual = np.zeros(vals.shape[:-1])
-    exponent[live] = slope
-    residual[live] = np.max(np.abs(ys - fitted), axis=1)
-    if vals.ndim == 1:
-        return DecayFit(float(exponent), float(residual), tuple(vals.tolist()))
-    return DecayFit(exponent, residual, vals)
+    return slope, ybar - slope * xbar
 
 
 def default_h_ladder(start: int = 4, stop: int = 12) -> tuple[float, ...]:

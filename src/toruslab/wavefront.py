@@ -7,15 +7,18 @@ in closed form,
     c_alpha = exp(-2 pi i alpha . x0) (2 pi h)^(n/2)
               exp(-|xi0 - 2 pi h alpha|^2 / (2 h)),
 
-so masses |<u, probe>|^2 are computed entirely in coefficient space; the
-probe's norm is a separable theta sum.  Frequency-lattice images whose
-Gaussian weight falls below 1e-18 of the peak are dropped.
+so masses |<u, probe>|^2 are computed entirely in coefficient space, as
+one array program over a member's (covector, h) pairs; the probe's norm is
+a separable theta sum, one per distinct covector component and h.
+Frequency-lattice images whose Gaussian weight falls below 1e-18 of the
+peak are dropped.
 
 A raw mass at a point carried by the symbol scales like (4 pi h)^(n/2), so
 decay fits divide that factor out; a node whose normalized mass neither
 grows nor decays is where the family lives, and superpolynomial decay is
 the numerical stand-in for negligibility.  The verdict thresholds leave an
-inconclusive band between the two regimes on purpose.
+inconclusive band between the two regimes on purpose; the ladder windows
+of the stability diagnostic fit from one table of the masses' logs.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .quasimode import QuasimodeFamily, fit_decay_exponent
+from .quasimode import QuasimodeFamily, _decay_series, _fit_line, _logs, fit_decay_exponent
 from .trigpoly import TrigPolynomial
 
 __all__ = [
@@ -77,24 +80,11 @@ def _axis_image_bounds(xi_component: float, h: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _weights(alphas: np.ndarray, xi0: Sequence[float], h: float) -> np.ndarray:
-    """Gaussian coefficient weights (2 pi h)^(n/2) exp(-|xi0-2 pi h a|^2/2h)."""
-    dim = alphas.shape[1]
-    xi = np.asarray(xi0, dtype=float)
-    gap = xi[None, :] - 2.0 * math.pi * h * alphas
-    exponent = -np.sum(gap * gap, axis=1) / (2.0 * h)
-    return (2.0 * math.pi * h) ** (dim / 2.0) * np.exp(exponent)
-
-
-def _probe_norm_squared(xi0: Sequence[float], h: float, dim: int) -> float:
-    """Squared norm of the periodized probe via separable theta sums."""
-    total = (2.0 * math.pi * h) ** dim
-    for component in (np.asarray(xi0, dtype=float) if dim else ()):
-        lo, hi = _axis_image_bounds(float(component), h)
-        images = np.arange(lo, hi + 1, dtype=float)
-        gaps = float(component) - 2.0 * math.pi * h * images
-        total *= float(np.sum(np.exp(-gaps * gaps / h)))
-    return total
+def _theta_sum(component: float, h: float) -> float:
+    """The sum of exp(-(component - 2 pi h k)^2 / h) over the surviving images k."""
+    lo, hi = _axis_image_bounds(component, h)
+    gaps = component - 2.0 * math.pi * h * np.arange(lo, hi + 1, dtype=float)
+    return float(np.sum(np.exp(-gaps * gaps / h)))
 
 
 def _phase_table(u: TrigPolynomial, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -117,20 +107,6 @@ def _phase_table(u: TrigPolynomial, nodes: np.ndarray) -> tuple[np.ndarray, np.n
     np.multiply(args[first], 2.0 * np.pi, out=phase.imag)
     del args
     return alphas, coeffs, np.exp(phase, out=phase), inverse
-
-
-def _mass_from_table(table, xi0: Sequence[float], h: float) -> tuple[np.ndarray, float]:
-    """Masses on the nodes of a phase table and their exact x-average (a
-    Parseval sum over the coefficients).  Each distinct phase row is summed
-    once, as the same contiguous row sum as on every node, and its mass is
-    gathered back to the nodes that share it."""
-    alphas, coeffs, phase, inverse = table
-    weighted = coeffs * _weights(alphas, xi0, h)
-    # <u, probe> = sum_a u(a) w_a exp(+2 pi i a . x0), a trig polynomial in x0
-    amplitude = np.sum(phase * weighted[None, :], axis=1)
-    norm_sq = _probe_norm_squared(xi0, h, alphas.shape[1])
-    exact_average = float(np.sum(np.abs(weighted) ** 2) / norm_sq)
-    return (np.abs(amplitude) ** 2 / norm_sq)[inverse], exact_average
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +148,9 @@ class PhaseSpaceGrid:
     @staticmethod
     def standard(dimension: int, points_per_axis: int) -> "PhaseSpaceGrid":
         """Zero covector plus the signed unit covectors."""
-        xi = [(0.0,) * dimension]
-        for axis in range(dimension):
-            for sign in (1.0, -1.0):
-                covector = [0.0] * dimension
-                covector[axis] = sign
-                xi.append(tuple(covector))
-        return PhaseSpaceGrid(dimension=dimension, points_per_axis=points_per_axis, xi_points=tuple(xi))
+        zero = (0.0,) * dimension
+        units = [zero[:axis] + (sign,) + zero[axis + 1:] for axis in range(dimension) for sign in (1.0, -1.0)]
+        return PhaseSpaceGrid(dimension, points_per_axis, (zero, *units))
 
     @cached_property
     def x_nodes(self) -> np.ndarray:
@@ -212,22 +184,19 @@ class MassMap:
 
 def check_massmap_budget(grid: PhaseSpaceGrid, h_ladder: Sequence[float], support: int) -> int:
     """Bytes that the mass map of a member with the given support holds at
-    its peak on a grid over an h ladder: 8 per covector, node and ladder
-    point for the raw masses, and MASSMAP_FIT_COPIES more such arrays for
-    the decay fit; 32 bytes per node and coefficient for the member's phase
-    table: its phase arguments and the sort's copies of them while the
-    distinct rows are found, then the phase rows of the distinct nodes and
-    their weighted product; 64 + 24 dim bytes per coefficient for the sorted
-    support, its float copy, the coefficients and their weights; 32 bytes
-    per image of the widest probe axis (counted, not built) for the theta
-    sum of its norm: images, gaps and two temporaries; MASSMAP_CALL_BYTES.
+    its peak on a grid over an h ladder (README's `grid` row details each
+    term): the masses, 8 bytes a covector, node and ladder point, and
+    MASSMAP_FIT_COPIES more such arrays; per coefficient, 32 bytes a node for
+    the phase table, 16 dim + 32 a (covector, h) pair for the weights, and
+    64 + 24 dim; 16 bytes a node for one block's amplitudes; 32 bytes per
+    image of the widest probe axis for a theta sum; MASSMAP_CALL_BYTES.
     Raises ValueError when the bytes exceed MASSMAP_BYTES_BUDGET."""
-    nodes = grid.points_per_axis**grid.dimension
-    masses = 8 * len(grid.xi_points) * nodes * len(h_ladder)
-    per_coefficient = 32 * nodes + 64 + 24 * grid.dimension
+    nodes, pairs = grid.points_per_axis**grid.dimension, len(grid.xi_points) * len(h_ladder)
+    per_coefficient = 32 * nodes + (16 * grid.dimension + 32) * pairs + 64 + 24 * grid.dimension
     components = {c for covector in grid.xi_points for c in covector}
     images = max(hi - lo + 1 for h in h_ladder for c in components for lo, hi in [_axis_image_bounds(c, h)])
-    size = (1 + MASSMAP_FIT_COPIES) * masses + per_coefficient * support + 32 * images + MASSMAP_CALL_BYTES
+    size = (1 + MASSMAP_FIT_COPIES) * 8 * pairs * nodes + 16 * nodes + per_coefficient * support
+    size += 32 * images + MASSMAP_CALL_BYTES
     if size > MASSMAP_BYTES_BUDGET:
         raise ValueError(
             f"{grid.points_per_axis} points per axis on a {grid.dimension}-torus need a "
@@ -250,25 +219,38 @@ def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap
     """
     if family.dimension != grid.dimension:
         raise ValueError("family and grid dimensions differ")
-    ladder = family.h_ladder
+    ladder, dim = family.h_ladder, grid.dimension
     check_massmap_budget(grid, ladder, max(map(len, family.members)))
-    nodes = grid.x_nodes
-    masses = np.zeros((len(grid.xi_points), nodes.shape[0], len(ladder)))
+    nodes, xi, h = grid.x_nodes, np.array(grid.xi_points), np.array(ladder)
+    # a probe's squared norm is (2 pi h)^n times a theta sum per covector component, one per distinct (component, h)
+    theta = {(c, t): _theta_sum(c, t) for c in set(xi.ravel().tolist()) for t in ladder}
+    norm_sq = np.array([
+        [math.prod((theta[c, t] for c in k), start=(2.0 * math.pi * t) ** dim) for t in ladder] for k in xi.tolist()
+    ])
+    prefactor = np.array([(2.0 * math.pi * t) ** (dim / 2.0) for t in ladder])
+    scales = np.array([symbol_scale(dim, t) for t in ladder])
+    masses = np.zeros((len(xi), nodes.shape[0], len(ladder)))
     for slot, u in enumerate(family.members):
         # the phase table depends on the member alone: one per distinct member
-        table = _phase_table(u, nodes)
-        resolved = 2 * u.support_radius() < grid.points_per_axis
-        for h_index in (l for l, index in enumerate(family.member_index) if index == slot):
-            h = ladder[h_index]
-            budget = symbol_scale(grid.dimension, h) * (1.0 + _MASS_BUDGET_SLACK)
-            for xi_index, xi in enumerate(grid.xi_points):
-                row, exact_average = _mass_from_table(table, xi, h)
-                masses[xi_index, :, h_index] = row
-                if exact_average > budget:
-                    raise ArithmeticError("mass budget exceeded; probe normalization is off")
-                if resolved and float(np.mean(row)) > budget:
-                    raise ArithmeticError("grid mass average exceeded the budget")
-    scales = np.array([symbol_scale(grid.dimension, h) for h in ladder])
+        alphas, coeffs, phase, inverse = _phase_table(u, nodes)
+        ls = [l for l, index in enumerate(family.member_index) if index == slot]
+        budget = scales[ls] * (1.0 + _MASS_BUDGET_SLACK)
+        # weights (2 pi h)^(n/2) exp(-|xi - 2 pi h a|^2 / 2h) of every (covector, h) pair and coefficient a;
+        # <u, probe> = sum_a u(a) w_a exp(+2 pi i a . x0), a trig polynomial in x0
+        squares = np.sum(np.square(xi[:, None, None, :] - (2.0 * math.pi * h[ls])[:, None, None] * alphas), axis=-1)
+        weighted = coeffs * (prefactor[ls, None] * np.exp(-squares / (2.0 * h[ls])[:, None]))
+        # the exact x-average of a mass is a Parseval sum over the coefficients
+        if np.any(np.sum(np.abs(weighted) ** 2, axis=-1) / norm_sq[:, ls] > budget):
+            raise ArithmeticError("mass budget exceeded; probe normalization is off")
+        # each distinct phase row is summed once, as the same row sum as on every node, in blocks
+        # of pairs whose product is no larger than one pair's on every node
+        pairs, step = weighted.reshape(-1, len(coeffs)), max(1, nodes.shape[0] // len(phase))
+        blocks = [np.abs(np.sum(phase * pairs[i:i + step, None], axis=-1)) ** 2 for i in range(0, len(pairs), step)]
+        rows = (np.concatenate(blocks) / norm_sq[:, ls].reshape(-1, 1))[:, inverse].reshape(len(xi), len(ls), -1)
+        if 2 * u.support_radius() < grid.points_per_axis and np.any(np.mean(rows, axis=-1) > budget):
+            raise ArithmeticError("grid mass average exceeded the budget")
+        masses[:, :, ls] = rows.transpose(0, 2, 1)
+        del squares, weighted, pairs, blocks, rows  # before the fit and its copies
     fit = fit_decay_exponent(ladder, masses / scales)
     for arr in (masses, fit.exponent, fit.residual):
         arr.setflags(write=False)
@@ -343,24 +325,25 @@ def nonconcentration_report(
     zero_classes = classes[zero_index]
     fill = float(np.mean(zero_classes == IN))
     fills_torus = fill >= thresholds.fill_fraction
-    off_rows = [i for i in range(len(grid.xi_points)) if i != zero_index]
-    lagrangian_supported = all(
-        bool(np.all(classes[i] == OUT)) for i in off_rows
-    ) and bool(off_rows)
+    lagrangian_supported = len(classes) > 1 and bool(np.all(np.delete(classes, zero_index, axis=0) == OUT))
     shape = (grid.points_per_axis,) * grid.dimension
     interior = _has_full_block((zero_classes == IN).reshape(shape))
 
-    # diagnostic: worst IN fraction over long contiguous ladder windows,
-    # a proxy for stability along subsequences of h
+    # diagnostic: worst IN fraction over long contiguous ladder windows, a proxy
+    # for stability along subsequences of h; a window fits its rows without a zero
     ladder = mass_map.h_ladder
     window = max(4, len(ladder) // 2)
     min_fill = fill
-    scales = np.array([symbol_scale(grid.dimension, h) for h in ladder])
-    normalized = mass_map.masses[zero_index] / scales
-    for start in range(0, len(ladder) - window + 1):
-        stop = start + window
-        exponents = fit_decay_exponent(ladder[start:stop], normalized[:, start:stop]).exponent
-        min_fill = min(min_fill, float(np.mean(exponents < thresholds.in_exponent)))
+    if len(ladder) >= window:
+        scales = np.array([symbol_scale(grid.dimension, h) for h in ladder])
+        xs, normalized = _decay_series(ladder, mass_map.masses[zero_index] / scales)
+        # a zero stands in as 1, whose log is never read
+        positive = normalized > 0.0
+        logs = _logs(np.where(positive, normalized, 1.0))
+        for start in range(0, len(ladder) - window + 1):
+            live = positive[:, start:start + window].all(axis=1)
+            slope, _ = _fit_line(xs[start:start + window], logs[live, start:start + window])
+            min_fill = min(min_fill, np.count_nonzero(slope < thresholds.in_exponent) / len(live))
 
     return WavefrontReport(
         classifications=classes,

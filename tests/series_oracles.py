@@ -2,7 +2,8 @@
 reproduce bit for bit, kept as the references the tests compare against,
 the per-frequency relabelings of a splitting with the frequency vectors
 they are checked on, and the Gaussian probe that the negative-control
-families are built from."""
+families are built from, and the coherent-mass loop over (covector, h)
+pairs that the mass map's array program reproduces bit for bit."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import math
 import numpy as np
 
 from toruslab import FrequencyVector, TrigPolynomial, split_frequencies
-from toruslab.wavefront import _axis_image_bounds, _weights
+from toruslab.wavefront import _axis_image_bounds, _phase_table
 
 
 def conjugate(p: TrigPolynomial) -> TrigPolynomial:
@@ -178,10 +179,55 @@ def coherent_state(dim: int, x0, xi0, h: float) -> TrigPolynomial:
     axes = [np.arange(lo, hi + 1, dtype=float) for lo, hi in bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     alphas = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    weights = _weights(alphas, xi0, h)
+    weights = probe_weights(alphas, xi0, h)
     phases = np.exp(-2j * np.pi * (alphas @ np.asarray(x0, dtype=float)))
     coeffs = weights * phases / math.sqrt(float(np.sum(weights * weights)))
     keep = np.abs(coeffs) > 0
     return TrigPolynomial(
         dim, {tuple(int(a) for a in alphas[i]): complex(coeffs[i]) for i in np.nonzero(keep)[0]}
     )
+
+
+def probe_weights(alphas: np.ndarray, xi0, h: float) -> np.ndarray:
+    """Gaussian coefficient weights (2 pi h)^(n/2) exp(-|xi0-2 pi h a|^2/2h)."""
+    dim = alphas.shape[1]
+    xi = np.asarray(xi0, dtype=float)
+    gap = xi[None, :] - 2.0 * math.pi * h * alphas
+    exponent = -np.sum(gap * gap, axis=1) / (2.0 * h)
+    return (2.0 * math.pi * h) ** (dim / 2.0) * np.exp(exponent)
+
+
+def probe_norm_squared(xi0, h: float, dim: int) -> float:
+    """Squared norm of the periodized probe via separable theta sums, one
+    per component of xi0."""
+    total = (2.0 * math.pi * h) ** dim
+    for component in (np.asarray(xi0, dtype=float) if dim else ()):
+        lo, hi = _axis_image_bounds(float(component), h)
+        images = np.arange(lo, hi + 1, dtype=float)
+        gaps = float(component) - 2.0 * math.pi * h * images
+        total *= float(np.sum(np.exp(-gaps * gaps / h)))
+    return total
+
+
+def mass_from_table(table, xi0, h: float) -> tuple[np.ndarray, float]:
+    """Masses at one (covector, h) pair on the nodes of a phase table, and
+    their exact x-average (a Parseval sum over the coefficients)."""
+    alphas, coeffs, phase, inverse = table
+    weighted = coeffs * probe_weights(alphas, xi0, h)
+    amplitude = np.sum(phase * weighted[None, :], axis=1)
+    norm_sq = probe_norm_squared(xi0, h, alphas.shape[1])
+    exact_average = float(np.sum(np.abs(weighted) ** 2) / norm_sq)
+    return (np.abs(amplitude) ** 2 / norm_sq)[inverse], exact_average
+
+
+def mass_map_oracle(family, grid) -> np.ndarray:
+    """The masses of wavefront_mass_map, one mass_from_table call per
+    distinct member, ladder point and covector."""
+    nodes = grid.x_nodes
+    masses = np.zeros((len(grid.xi_points), nodes.shape[0], len(family.h_ladder)))
+    for slot, u in enumerate(family.members):
+        table = _phase_table(u, nodes)
+        for l in (l for l, index in enumerate(family.member_index) if index == slot):
+            for i, xi in enumerate(grid.xi_points):
+                masses[i, :, l] = mass_from_table(table, xi, family.h_ladder[l])[0]
+    return masses

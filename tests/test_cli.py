@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toruslab import cli, exact, operator, quasimode, trigpoly, wavefront
 from toruslab.cli import (
@@ -490,6 +490,32 @@ def test_hypotheses_and_splitting_do_not_depend_on_the_lattice_basis(name, data)
     assert _hypotheses_and_splitting(_lattice_basis_changed(payload, matrix)) == expected
 
 
+def _scaled(payload: dict, a: int, b: int) -> dict:
+    """The config with omega -> 2^a omega and H -> 2^b H, both exact."""
+    out = dict(payload)
+    out["omega"] = [[str(Fraction(x) * Fraction(2) ** a) for x in row] for row in payload["omega"]]
+    out["hessian"] = [[math.ldexp(x, b) for x in row] for row in payload["hessian"]]
+    return out
+
+
+@pytest.mark.parametrize("name", list(_AXIS_ORDER_WORKLOADS))
+@settings(max_examples=max(3, settings.default.max_examples // 8), deadline=None, derandomize=True, database=None)
+@given(a=st.integers(-1074, 1022), b=st.integers(-1074, 1023))
+@example(a=30, b=0)
+@example(a=0, b=-14)
+@example(a=0, b=1023)
+def test_hypotheses_and_splitting_do_not_depend_on_power_of_two_scalings(name, a, b):
+    # (D), (F) and the splitting are homogeneous in omega and in H.  Every
+    # a and b keeps the scaled entries of golden's omega = (2, 3), the
+    # three-torus's (1, 2, 3) and their unit Hessians exact finite floats;
+    # the examples are test_hypotheses_do_not_depend_on_scale's two scalings
+    # and H = 2^1023 I, whose symmetrization H + H^T would overflow
+    payload = _AXIS_ORDER_WORKLOADS[name]
+    n = payload["dimension"]
+    assert _hypotheses_and_splitting(payload) == (True, True, 1, n - 1)
+    assert _hypotheses_and_splitting(_scaled(payload, a, b)) == (True, True, 1, n - 1)
+
+
 @pytest.mark.parametrize(
     "overrides, path",
     [
@@ -500,7 +526,7 @@ def test_hypotheses_and_splitting_do_not_depend_on_the_lattice_basis(name, data)
         # with omega_tilde = +-1 an explicit c = 1/2 admits no integer mode
         ({"c": ["1/2"]}, "c"),
         # the full estimate refuses these, though the raw masses alone fit
-        ({"grid": {"points_per_axis": 377}}, "grid.points_per_axis"),
+        ({"grid": {"points_per_axis": 375}}, "grid.points_per_axis"),
         ({"grid": {"points_per_axis": 500}}, "grid.points_per_axis"),
         ({"grid": {"points_per_axis": 863}}, "grid.points_per_axis"),
         # the probe norm's theta sums widen as h shrinks: 276 MB and 18 GB
@@ -936,7 +962,7 @@ def test_mass_map_over_budget_is_refused_from_the_estimate(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert (
         "config error at grid.points_per_axis: 100000 points per axis on a 2-torus "
-        "need a 18960000 MB mass map, over the budget of 268 MB "
+        "need a 19120000 MB mass map, over the budget of 268 MB "
         "(131 probe images per axis down to h = 0.000244140625)"
     ) in err
     assert not (tmp_path / "out").exists()
@@ -945,10 +971,11 @@ def test_mass_map_over_budget_is_refused_from_the_estimate(tmp_path, monkeypatch
     code, _ = run_pipeline(config, ("hypotheses", "split"), tmp_path / "out")
     assert code == EXIT_PASS
     golden = parse_config(_config(tmp_path).read_text())
-    # golden's own map: five arrays of masses, 3 phase-table rows, the theta
-    # sum of 131 probe images at h = 2^-12, the call's bytes
+    # golden's own map: five arrays of masses, one block's amplitudes, 3
+    # coefficients' phase-table rows and weights at 45 (covector, h) pairs,
+    # the theta sum of 131 probe images at h = 2^-12, the call's bytes
     estimate = wavefront.check_massmap_budget(golden.grid, golden.h_ladder, 3)
-    assert estimate == 5 * 368640 + 3 * (32 * 32**2 + 112) + 32 * 131 + 16384 == 1962416
+    assert estimate == 5 * 368640 + 16 * 32**2 + 3 * (32 * 32**2 + 64 * 45 + 112) + 32 * 131 + 16384 == 1987440
 
 
 def test_mass_map_budget_is_one_estimate_decided_before_any_stage(tmp_path, monkeypatch):
@@ -966,11 +993,11 @@ def test_mass_map_budget_is_one_estimate_decided_before_any_stage(tmp_path, monk
     ladder = quasimode.default_h_ladder()
     code, _ = run_pipeline(parse_config(_config(tmp_path).read_text()), cli._STAGES, tmp_path / "out")
     assert code == EXIT_PASS and calls == [(32, ladder, 3), (32, ladder, 3)]
-    # 376 points per axis need 268069808 bytes, just under the budget
+    # 374 points per axis need 267472464 bytes, just under the budget
     calls.clear()
-    config = parse_config(_config(tmp_path, {"grid": {"points_per_axis": 376}}).read_text())
+    config = parse_config(_config(tmp_path, {"grid": {"points_per_axis": 374}}).read_text())
     assert cli._split_or_refuse(config, ["wavefront"]) is not None
-    assert calls == [(376, ladder, 3)]
+    assert calls == [(374, ladder, 3)] and original(config.grid, ladder, 3) == 267472464
     without_factory = parse_config(_config(tmp_path, {"factory": None}).read_text())
     cli._split_or_refuse(without_factory, ["wavefront"])
     assert calls[-1] == (32, ladder, 0)

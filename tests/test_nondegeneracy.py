@@ -61,6 +61,16 @@ def test_hessian_symmetry_enforced():
         HessianForm(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
+def test_hessian_symmetrization_keeps_the_float_range():
+    # entries of 2^1023 would overflow H + H^T, and 2^-1074 would round to 0
+    # if halved; a symmetric entry is kept, an asymmetric pair averaged
+    big, tiny = 2.0**1023, 2.0**-1074
+    entries = [[big, tiny, 1.0], [tiny, -big, -big], [1.5, -big, tiny]]
+    form = HessianForm(np.array(entries))
+    assert form.entries.tolist() == [[big, tiny, 1.25], [tiny, -big, -big], [1.25, -big, tiny]]
+    assert bordered_determinant(HessianForm(big * np.eye(2)), [2.0, 3.0])[1]
+
+
 @pytest.mark.parametrize("entries", [[[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]])
 def test_hessian_refuses_non_finite_entries(entries):
     with pytest.raises(ValueError, match="finite"):

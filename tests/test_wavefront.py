@@ -13,13 +13,22 @@ from toruslab import (
     QuasimodeFamily,
     TrigPolynomial,
     default_h_ladder,
+    fit_decay_exponent,
     nonconcentration_report,
     wavefront_mass_map,
 )
 from toruslab import wavefront
 from toruslab.wavefront import VerdictThresholds, symbol_scale
 
-from series_oracles import coherent_state, evaluate, to_torus_frequency
+from series_oracles import (
+    coherent_state,
+    evaluate,
+    mass_from_table,
+    mass_map_oracle,
+    probe_norm_squared,
+    probe_weights,
+    to_torus_frequency,
+)
 
 
 def mass_by_quadrature(u, x0, xi0, h, points=4096, images=6):
@@ -36,8 +45,8 @@ def mass_by_quadrature(u, x0, xi0, h, points=4096, images=6):
 
 def mass_on_nodes(u, nodes, xi0, h):
     """Masses of u on the nodes and their exact x-average, through the
-    phase table and mass kernel that the mass map runs."""
-    return wavefront._mass_from_table(wavefront._phase_table(u, np.asarray(nodes, dtype=float)), xi0, h)
+    mass map's phase table and the per-pair mass loop."""
+    return mass_from_table(wavefront._phase_table(u, np.asarray(nodes, dtype=float)), xi0, h)
 
 
 def mass_at(u, x0, xi0, h):
@@ -151,17 +160,18 @@ def test_mass_map_refuses_grid_over_budget(golden, monkeypatch):
     with pytest.raises(ValueError, match="mass map, over the budget"):
         wavefront_mass_map(golden.family, grid)
     # the raw masses alone take 8 * 5 * 32^2 * 9 = 368640 bytes at 32 points,
-    # and the theta sum of 131 probe images at h = 2^-12 takes 32 * 131
+    # one block's amplitudes 16 * 32^2, and the theta sum of 131 probe
+    # images at h = 2^-12 takes 32 * 131
     estimate = wavefront.check_massmap_budget(PhaseSpaceGrid.standard(2, 32), golden.ladder, 0)
-    assert estimate == 5 * 368640 + 32 * 131 + 16384
+    assert estimate == 5 * 368640 + 16 * 32**2 + 32 * 131 + 16384
     assert wavefront._axis_image_bounds(1.0, golden.ladder[-1]) == (587, 717)
     # the images grow like h^(-1/2): 67,149 at 2^-30
     estimate = wavefront.check_massmap_budget(PhaseSpaceGrid.standard(2, 2), default_h_ladder(22, 30), 0)
-    assert estimate == 5 * 8 * 5 * 2**2 * 9 + 32 * 67149 + 16384
+    assert estimate == 5 * 8 * 5 * 2**2 * 9 + 16 * 2**2 + 32 * 67149 + 16384
     assert wavefront._axis_image_bounds(0.0, 2.0**-30) == (-33574, 33574)
     # no image of xi = 50 survives at h = 16, so the nearest one, 0, stands in
     assert wavefront._axis_image_bounds(50.0, 16.0) == (0, 0)
-    norm_sq = wavefront._probe_norm_squared([50.0], 16.0, 1)
+    norm_sq = 2.0 * math.pi * 16.0 * wavefront._theta_sum(50.0, 16.0)
     assert norm_sq == pytest.approx(2.0 * math.pi * 16.0 * math.exp(-(50.0**2) / 16.0), rel=1e-14)
     assert norm_sq == pytest.approx(1.39e-66, rel=1e-2)
 
@@ -186,8 +196,8 @@ def test_mass_map_budget_counts_the_phase_table(golden, monkeypatch):
 
     family = _wide_family(golden)
     grid = PhaseSpaceGrid.standard(2, 256)
-    assert wavefront.check_massmap_budget(grid, golden.ladder, 0) == 5 * 8 * 5 * 256**2 * 9 + 32 * 131 + 16384
-    with pytest.raises(ValueError, match="256 points per axis on a 2-torus need a 2217 MB mass map"):
+    assert wavefront.check_massmap_budget(grid, golden.ladder, 0) == 5 * 8 * 5 * 256**2 * 9 + 16 * 256**2 + 32 * 131 + 16384
+    with pytest.raises(ValueError, match="256 points per axis on a 2-torus need a 2221 MB mass map"):
         wavefront.check_massmap_budget(grid, golden.ladder, 1001)
     monkeypatch.setattr(wavefront, "_phase_table", no_table)
     with pytest.raises(ValueError, match="mass map, over the budget"):
@@ -220,9 +230,9 @@ def masses_on_every_node(u, nodes, xi0, h):
     support, coeffs = zip(*u.sorted_items())
     alphas = np.array(support, dtype=float)
     phase = np.exp(2j * np.pi * (nodes @ alphas.T))
-    weighted = np.array(coeffs) * wavefront._weights(alphas, xi0, h)
+    weighted = np.array(coeffs) * probe_weights(alphas, xi0, h)
     amplitude = np.sum(phase * weighted[None, :], axis=1)
-    return np.abs(amplitude) ** 2 / wavefront._probe_norm_squared(xi0, h, alphas.shape[1])
+    return np.abs(amplitude) ** 2 / probe_norm_squared(xi0, h, alphas.shape[1])
 
 
 @pytest.mark.parametrize("points, distinct", [(7, 40), (32, 154)])
@@ -265,6 +275,116 @@ def test_mass_map_with_two_distinct_members_matches_per_h_masses():
         for l, h in enumerate(ladder):
             row, _ = mass_on_nodes(family.members[family.member_index[l]], grid.x_nodes, covector, h)
             assert mass_map.masses[i, :, l].tobytes() == row.tobytes()
+
+
+def _spread_member(dim=2, terms=40, seed=3):
+    """A member whose frequencies span the torus: at 7 or 32 points per
+    axis no two nodes share a phase row."""
+    rng = np.random.default_rng(seed)
+    return TrigPolynomial(dim, {tuple(map(int, a)): complex(*rng.standard_normal(2)) for a in rng.integers(-6, 7, (terms, dim))})
+
+
+def _oracle_case(golden, case):
+    """(family, grid) of one mass-map case."""
+    first = TrigPolynomial(2, {(0, 0): 2.0, (1, 0): 0.5, (-1, 0): 0.5})
+    second = TrigPolynomial(2, {(0, 1): 1.0 - 0.5j, (2, -1): 0.25j, (-3, 0): 0.75})
+    if case.startswith("golden"):
+        return golden.family, PhaseSpaceGrid.standard(2, int(case.split("-")[1]))
+    if case == "spread":
+        return QuasimodeFamily.from_members(golden.ladder, [_spread_member()] * 9), PhaseSpaceGrid.standard(2, 7)
+    if case == "two-members":
+        # a partial ladder whose points alternate between the members
+        ladder = tuple(2.0**-j for j in (5, 6, 8, 9, 11, 12))
+        members = [second, first, first, second, first, second]
+        return QuasimodeFamily.from_members(ladder, members), PhaseSpaceGrid.standard(2, 8)
+    if case == "1-torus":
+        member = TrigPolynomial(1, {(0,): 1.5, (2,): 0.5j, (-3,): 0.25})
+        return QuasimodeFamily.from_members(golden.ladder, [member] * 9), PhaseSpaceGrid.standard(1, 16)
+    if case == "3-torus":
+        return QuasimodeFamily.from_members(golden.ladder, [_spread_member(3, 12)] * 9), PhaseSpaceGrid.standard(3, 4)
+    # explicit covectors sharing the components 0, 1 and -0.5
+    xi = ((0.0, 0.0), (1.0, 0.0), (1.0, -0.5), (-0.0, -0.5), (-0.5, 1.0))
+    return QuasimodeFamily.from_members(golden.ladder, [first] * 4 + [second] * 5), PhaseSpaceGrid(2, 8, xi)
+
+
+@pytest.mark.parametrize(
+    "case, theta_sums",
+    [
+        ("golden-2", 27),
+        ("golden-7", 27),
+        ("golden-32", 27),
+        ("spread", 27),
+        ("two-members", 18),
+        ("1-torus", 27),
+        ("3-torus", 27),
+        ("shared-components", 27),
+    ],
+)
+def test_mass_map_matches_the_per_pair_loop(golden, monkeypatch, case, theta_sums):
+    # the array program over (covector, h) pairs gives every mass the bits
+    # of one mass_from_table call per pair, and takes one theta sum per
+    # distinct covector component and ladder point
+    family, grid = _oracle_case(golden, case)
+    if case == "spread":
+        # one pair a block: the product of a block stays one pair on every node
+        assert wavefront._phase_table(family.members[0], grid.x_nodes)[2].shape[0] == grid.points_per_axis**2
+    calls = []
+    theta_sum = wavefront._theta_sum
+    monkeypatch.setattr(wavefront, "_theta_sum", lambda c, h: calls.append((c, h)) or theta_sum(c, h))
+    mass_map = wavefront_mass_map(family, grid)
+    assert len(calls) == theta_sums
+    assert mass_map.masses.tobytes() == mass_map_oracle(family, grid).tobytes()
+
+
+def _window_fits(ladder, normalized, in_exponent):
+    """Per-window exponents and worst IN fraction, one fit_decay_exponent
+    call per ladder slice, as the report took them before it shared one
+    table of logs."""
+    window = max(4, len(ladder) // 2)
+    exponents = [
+        fit_decay_exponent(ladder[start : start + window], normalized[:, start : start + window]).exponent
+        for start in range(len(ladder) - window + 1)
+    ]
+    return exponents, [float(np.mean(e < in_exponent)) for e in exponents]
+
+
+@pytest.mark.parametrize("length", [4, 5, 9])
+def test_subsequence_windows_match_per_slice_fits(monkeypatch, length):
+    # window = max(4, L // 2): one window at 4 points, two at 5, six at 9.
+    # Rows with an exact zero inside some windows only are fitted in the
+    # others; each window's exponents and the worst fill keep their bits
+    ladder = default_h_ladder(4, 3 + length)
+    grid = PhaseSpaceGrid.standard(1, 16)
+    rng = np.random.default_rng(length)
+    normalized = np.array(ladder) ** rng.uniform(-0.5, 1.5, (16, 1)) * rng.uniform(0.5, 2.0, (16, length))
+    normalized[1, 0] = normalized[2, -1] = normalized[3, length // 2] = 0.0
+    normalized[4] = 0.0
+    # rows that grow like 1/h down to the middle point and then decay like
+    # h^1.5 fit an IN exponent on the whole ladder but not on the last window
+    h, middle = np.array(ladder), ladder[length // 2]
+    normalized[5:8] = np.where(h >= middle, 1.0 / h, (h / middle) ** 1.5 / middle) * [[1.0], [2.0], [3.0]]
+    scales = np.array([symbol_scale(1, h) for h in ladder])
+    masses = np.stack([normalized * scales] * 3)
+    fit = fit_decay_exponent(ladder, masses / scales)
+    mass_map = wavefront.MassMap(grid, ladder, masses, fit.exponent, fit.residual)
+    zero = grid.zero_xi_index
+    thresholds = VerdictThresholds()
+    expected, fills = _window_fits(ladder, masses[zero] / scales, thresholds.in_exponent)
+    slopes = []
+    fit_line = wavefront._fit_line
+    monkeypatch.setattr(wavefront, "_fit_line", lambda xs, ys: slopes.append(fit_line(xs, ys)[0]) or fit_line(xs, ys))
+    monkeypatch.setattr(wavefront, "fit_decay_exponent", None)
+    report = nonconcentration_report(mass_map, thresholds)
+    assert len(slopes) == len(expected) == length - max(4, length // 2) + 1
+    for slope, exponents in zip(slopes, expected):
+        assert slope.tobytes() == exponents[np.isfinite(exponents)].tobytes()
+    # row 4 is zero in every window, rows 1 and 2 only in the first or last
+    dead = [tuple(np.flatnonzero(np.isinf(exponents))) for exponents in expected]
+    assert all(4 in rows for rows in dead) and (length == 4 or len(set(dead)) > 1)
+    min_fill = min([report.fill_fraction_measured] + fills)
+    assert np.float64(report.subsequence_min_fill).tobytes() == np.float64(min_fill).tobytes()
+    if length == 9:
+        assert min_fill < report.fill_fraction_measured
 
 
 def test_constant_family_exponents_split_by_covector():
