@@ -44,8 +44,9 @@ class HessianForm:
         if not np.all(np.isfinite(H)):
             raise ValueError("Hessian entries must be finite")
         scale = np.max(np.abs(H)) if H.size else 0.0
-        if scale > 0 and np.max(np.abs(H - H.T)) > _SYMMETRY_TOL * scale:
-            raise ValueError("Hessian must be symmetric to machine precision")
+        with np.errstate(over="ignore"):  # a difference that overflows is inf, which is refused
+            if scale > 0 and np.max(np.abs(H - H.T)) > _SYMMETRY_TOL * scale:
+                raise ValueError("Hessian must be symmetric to machine precision")
         # summed halves cannot overflow; symmetric entries are kept, so no subnormal is halved
         H = np.where(H == H.T, H, 0.5 * H + 0.5 * H.T)
         H.setflags(write=False)

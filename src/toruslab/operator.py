@@ -142,17 +142,19 @@ def transverse_operator(
     if a.shape != (k,):
         raise ValueError("mode vector has wrong length")
     Minv = np.array(split.inverse, dtype=float)
-    transformed = Minv @ hessian.entries @ Minv.T
-    transformed = 0.5 * (transformed + transformed.T)
     rng = np.random.default_rng(_FORM_CHECK_SEED)
-    for _ in range(_FORM_CHECK_COUNT):
-        eta = rng.standard_normal(n)
-        xi = Minv.T @ eta
-        lhs = float(eta @ transformed @ eta)
-        rhs = float(xi @ hessian.entries @ xi)
-        scale = max(abs(lhs), abs(rhs), _FORM_CHECK_FLOOR)
-        if abs(lhs - rhs) > _FORM_CHECK_TOL * scale:
-            raise ArithmeticError("transformed form disagrees with the original form")
+    # a form that overflows becomes inf or NaN; the check is written so that either fails it
+    with np.errstate(over="ignore", invalid="ignore"):
+        transformed = Minv @ hessian.entries @ Minv.T
+        transformed = 0.5 * (transformed + transformed.T)
+        for _ in range(_FORM_CHECK_COUNT):
+            eta = rng.standard_normal(n)
+            xi = Minv.T @ eta
+            lhs = float(eta @ transformed @ eta)
+            rhs = float(xi @ hessian.entries @ xi)
+            scale = max(abs(lhs), abs(rhs), _FORM_CHECK_FLOOR)
+            if not abs(lhs - rhs) <= _FORM_CHECK_TOL * scale < np.inf:
+                raise ArithmeticError("transformed form disagrees with the original form")
     return OperatorOnTPrime(
         Omega_block=transformed[k:, k:],
         gamma=(2.0 * transformed[:k, k:]).T @ a,

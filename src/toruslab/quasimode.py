@@ -13,7 +13,6 @@ must exhibit.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -25,7 +24,7 @@ import numpy as np
 from .exact import FrequencyVector, IrrationalBasis, UnimodularSplitting
 from .nondegeneracy import HessianForm
 from .operator import REAL_TOL, ModelOperatorSpec, OperatorOnTPrime, apply_model_operator, transverse_operator
-from .trigpoly import _INT64_MAX, TrigPolynomial, _product_table
+from .trigpoly import TrigPolynomial, box_gram
 
 __all__ = [
     "DecayFit",
@@ -264,19 +263,6 @@ class QuasimodeFamily:
         )
 
 
-def _relabel(freqs: np.ndarray, values: np.ndarray, matrix) -> tuple[np.ndarray, np.ndarray]:
-    """The table (freqs @ matrix, values + 0.0) of a series relabeled by a
-    unimodular matrix.  A unimodular relabeling is a bijection of the
-    lattice, so no labels merge and the series keeps its order; each
-    coefficient is still added to 0.0, as a merge would add it, which turns
-    a -0.0 part into +0.0.  Raises OverflowError when a relabeled frequency
-    could leave int64."""
-    largest_column = max((sum(abs(int(x)) for x in column) for column in zip(*matrix)), default=0)
-    if int(np.abs(freqs).max(initial=0)) * largest_column > _INT64_MAX:
-        raise OverflowError("relabeled frequencies overflow int64")
-    return freqs @ np.array(matrix, dtype=np.intp), values + 0.0
-
-
 def decompose_along_T(u: TrigPolynomial, split: UnimodularSplitting) -> dict[tuple[int, ...], TrigPolynomial]:
     """Regroup coefficients by their mode along the orbit closure: the
     profile on the transverse torus of each mode, in sorted mode order.
@@ -289,7 +275,7 @@ def decompose_along_T(u: TrigPolynomial, split: UnimodularSplitting) -> dict[tup
     if u.dim != split.dimension:
         raise ValueError("function lives on the wrong torus")
     k = split.orbit_dimension
-    freqs, values = _relabel(*u.table(), split.matrix)
+    freqs, values = u.relabeled(split.matrix).table()
     # a stable sort by mode keeps each profile in u's order
     order = np.lexsort(freqs[:, :k].T[::-1])
     freqs, values = freqs[order], values[order]
@@ -306,7 +292,7 @@ def _lift_mode(w: TrigPolynomial, split: UnimodularSplitting, alpha: Sequence[in
     each transverse frequency beta of w relabeled to M^{-T} (alpha, beta)."""
     freqs, values = w.table()
     split_freqs = np.hstack([np.tile(np.array(alpha, dtype=np.intp), (len(w), 1)), freqs])
-    return TrigPolynomial._from_table(split.dimension, *_relabel(split_freqs, values, split.inverse))
+    return TrigPolynomial._from_table(split.dimension, split_freqs, values).relabeled(split.inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -423,30 +409,12 @@ class GalerkinNullspace:
     frequencies: tuple[tuple[int, ...], ...] = field(repr=False)
 
 
-def _galerkin_matrix(op: OperatorOnTPrime, N: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Characters with frequencies of max-norm at most N, in lexicographic
-    order, and the Hermitian part of the operator's matrix on them.
-
-    Entry (i, j) is r0(beta_i - beta_j), gathered from one table of r0 on
-    the offset box [-2N, 2N]^q; the diagonal adds op.symbol(beta_i)."""
-    q = op.dimension
-    betas = list(itertools.product(range(-N, N + 1), repeat=q))
-    size = len(betas)
-    # an offset delta sits at (delta + 2N) . strides in the flat table, so
-    # beta_i - beta_j sits at flat(beta_i) - flat(beta_j) + center
-    width = 4 * N + 1
-    strides = width ** np.arange(q - 1, -1, -1)
-    center = 2 * N * int(strides.sum())
-    freqs, values = op.zero_mode_multiplier.table()
-    inside = np.all(np.abs(freqs) <= 2 * N, axis=1)
-    table = np.zeros(width**q, dtype=complex)
-    table[freqs[inside] @ strides + center] += values[inside]
-    flat = np.array(betas, dtype=np.intp).reshape(size, q) @ strides
-    index = np.subtract.outer(flat, flat)
-    index += center
-    matrix = table[index]
-    matrix[np.diag_indices(size)] = np.array([op.symbol(beta) for beta in betas]) + table[center]
-    return betas, 0.5 * (matrix + matrix.conj().T)
+def _galerkin_matrix(op: OperatorOnTPrime, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The characters of max-norm at most N and the Hermitian part of r0's multiplication
+    matrix plus op.symbol(beta_i) on the diagonal (see TrigPolynomial.multiplication_matrix)."""
+    grid, matrix = op.zero_mode_multiplier.multiplication_matrix(N)
+    matrix[np.diag_indices(len(grid))] += np.array([op.symbol(beta) for beta in grid])
+    return grid, 0.5 * (matrix + matrix.conj().T)
 
 
 def check_galerkin_budget(q: int, N: int) -> int:
@@ -495,34 +463,29 @@ def galerkin_nullspace(
             raise ValueError(
                 f"truncation {N} too small for multiplier support {essential}"
             )
-    betas, matrix = _galerkin_matrix(op, N)
-    size = len(betas)
+    grid, matrix = _galerkin_matrix(op, N)
     eigvals, eigvecs = np.linalg.eigh(matrix)
-    diag_peak = float(np.max(np.abs(np.real(np.diagonal(matrix))))) if size else 0.0
+    diag_peak = float(np.max(np.abs(np.real(np.diagonal(matrix)))))
     multiplier_mass = math.fsum(abs(value) for _, value in r0.items())
     scale = max(1.0, diag_peak + multiplier_mass)
     # eigh noise on tiny eigenvalues grows with the matrix norm; a Rayleigh
     # quotient with the computed eigenvector is quadratically more accurate
-    for i in range(size):
-        if abs(eigvals[i]) < RAYLEIGH_WINDOW * null_tol * scale:
-            column = eigvecs[:, i]
-            eigvals[i] = float(np.real(np.vdot(column, matrix @ column)))
-    retained = [i for i in range(size) if abs(eigvals[i]) < null_tol * scale]
-    grid = np.array(betas, dtype=np.intp).reshape(size, q)
+    for i in np.flatnonzero(np.abs(eigvals) < RAYLEIGH_WINDOW * null_tol * scale):
+        column = eigvecs[:, i]
+        eigvals[i] = float(np.real(np.vdot(column, matrix @ column)))
+    retained = np.flatnonzero(np.abs(eigvals) < null_tol * scale)
     basis = []
     for i in retained:
-        column = eigvecs[:, i].copy()
-        anchor = int(np.argmax(np.abs(column)))
-        phase = column[anchor]
-        if abs(phase) > 0:
-            column = column * (abs(phase) / phase)
-        basis.append(TrigPolynomial._from_table(q, grid, column))
+        # the largest entry of a unit eigenvector is nonzero; its phase is divided out
+        column = eigvecs[:, i]
+        phase = column[np.argmax(np.abs(column))]
+        basis.append(TrigPolynomial._from_table(q, grid, column * (abs(phase) / phase)))
     return GalerkinNullspace(
         truncation=N,
         basis=tuple(basis),
-        eigenvalues=tuple(float(eigvals[i]) for i in retained),
+        eigenvalues=tuple(eigvals[retained].tolist()),
         scale=scale,
-        frequencies=tuple(betas),
+        frequencies=tuple(map(tuple, grid.tolist())),
     )
 
 
@@ -540,51 +503,6 @@ class UniqueContinuation:
     gram: np.ndarray
 
 
-def _box_weights(box: Sequence[tuple[float, float]], radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the box integral of each character
-    with frequency in [-2 radius, 2 radius]^q, flattened in C order.
-
-    Each axis's table (exp(f hi) - exp(f lo)) / f over f = 2 pi i d is one
-    array expression over the offsets d, with hi - lo at d = 0; the per-axis
-    factors are multiplied into 1 + 0j axis by axis in explicit real
-    arithmetic, which is what a complex scalar product computes."""
-    factor = 2j * math.pi * np.arange(-2 * radius, 2 * radius + 1)
-    wr, wi = np.ones(()), np.zeros(())
-    for lo, hi in box:
-        with np.errstate(invalid="ignore"):  # 0 / 0 at d = 0, replaced below
-            table = (np.exp(factor * hi) - np.exp(factor * lo)) / factor
-        table[2 * radius] = hi - lo
-        wr, wi = (
-            np.multiply.outer(wr, table.real) - np.multiply.outer(wi, table.imag),
-            np.multiply.outer(wr, table.imag) + np.multiply.outer(wi, table.real),
-        )
-    return wr.ravel(), wi.ravel()
-
-
-def _sequential_sum(x: np.ndarray) -> float:
-    """0.0 + x[0] + x[1] + ... left to right, as a running Python sum
-    from 0j gives it (np.sum sums pairwise)."""
-    return float(np.add.accumulate(x)[-1]) + 0.0 if x.size else 0.0
-
-
-def _box_integral(left, right, weights, radius: int) -> complex:
-    """Integral over the box of left * conj(right), from the table() of
-    each series and the box weights of _box_weights.
-
-    Bit for bit what the dict convolution of left with conj(right)
-    followed by a running sum of value * weight over the product's keys
-    gives: the product is the order-preserving kernel of convolve, and
-    each value * weight is written in explicit real arithmetic."""
-    fb, b = right
-    offsets, values = _product_table(left, (-fb, b.conj()))
-    width = 4 * radius + 1
-    # offset delta sits at (delta + 2 radius) . strides in the flat box
-    flat = (offsets + 2 * radius) @ (width ** np.arange(offsets.shape[1] - 1, -1, -1))
-    vr, vi = values.real, values.imag
-    wr, wi = weights[0][flat], weights[1][flat]
-    return complex(_sequential_sum(vr * wr - vi * wi), _sequential_sum(vr * wi + vi * wr))
-
-
 def unique_continuation_constant(
     null: GalerkinNullspace, subdomain: Sequence[tuple[float, float]]
 ) -> UniqueContinuation:
@@ -594,7 +512,7 @@ def unique_continuation_constant(
     The Gram matrix of the basis over an axis-aligned box is integrated
     in closed form per frequency, which is exact for trig polynomials of
     any degree; the constant is its smallest eigenvalue.  Each entry is
-    one array kernel over the coefficient tables (see _box_integral).
+    one array kernel over the coefficient tables (see trigpoly.box_gram).
     """
     if not null.basis:
         raise ValueError("nullspace is empty")
@@ -607,14 +525,7 @@ def unique_continuation_constant(
             raise ValueError("subdomain must be an axis-aligned box inside [0,1]^q")
     if q and math.prod(hi - lo for lo, hi in box) <= 0.0:
         raise ValueError("subdomain must have positive volume")
-    dim = len(null.basis)
-    tables = [u.table() for u in null.basis]
-    radius = max(int(np.abs(f).max(initial=0)) for f, _ in tables)
-    weights = _box_weights(box, radius)
-    gram = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            gram[i, j] = _box_integral(tables[i], tables[j], weights, radius)
+    gram = box_gram(null.basis, box)
     gram = 0.5 * (gram + gram.conj().T)
     constant = float(np.linalg.eigh(gram)[0][0])
     gram.setflags(write=False)

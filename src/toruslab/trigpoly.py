@@ -6,20 +6,22 @@ norms and inner products are plain l2 operations on the coefficients.  A
 series is its coefficient table: a read-only (len, dim) intp array of
 distinct frequencies and a complex array of nonzero coefficients, both in
 insertion order.  Sums, exact products (convolutions over the finite
-supports) and the Hermitian check are array kernels over the tables
-with the bits and key order of the plain loops over the coefficients
-(see _product_table).  Grid transforms go through numpy's FFT.
+supports), the Hermitian check, unimodular relabelings, multiplication
+matrices and box Gram matrices are array kernels over the tables with the
+bits and key order of the plain loops over the coefficients (see
+_product_table); the last two index one offset-box table (_box_position).
+Grid transforms go through numpy's FFT.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["TrigPolynomial", "PRODUCT_SCRATCH_BYTES"]
+__all__ = ["TrigPolynomial", "box_gram", "PRODUCT_SCRATCH_BYTES"]
 
 Frequency = tuple[int, ...]
 
@@ -129,6 +131,56 @@ def _product_table(left, right) -> tuple[np.ndarray, np.ndarray]:
         np.add.at(sums.imag, ids, (np.multiply.outer(ar[A], bi[B]) + np.multiply.outer(ai[A], br[B])).ravel())
     keep = sums != 0
     return known.T[keep], sums[keep]
+
+
+def _box_position(offsets: np.ndarray, radius: int) -> np.ndarray:
+    """The place of each offset (a row of max-norm at most 2 radius) in the
+    C-order flat table of the offset box [-2 radius, 2 radius]^dim."""
+    return (offsets + 2 * radius) @ (4 * radius + 1) ** np.arange(offsets.shape[-1] - 1, -1, -1)
+
+
+def _box_weights(box: Sequence[tuple[float, float]], radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the box integral of each character with
+    frequency in [-2 radius, 2 radius]^q, flattened in C order: per axis,
+    (exp(f hi) - exp(f lo)) / f over f = 2 pi i d as one array expression,
+    with hi - lo at d = 0, multiplied into 1 + 0j axis by axis in the real
+    arithmetic of a complex scalar product."""
+    factor = 2j * math.pi * np.arange(-2 * radius, 2 * radius + 1)
+    wr, wi = np.ones(()), np.zeros(())
+    for lo, hi in box:
+        with np.errstate(invalid="ignore"):  # 0 / 0 at d = 0, replaced below
+            table = (np.exp(factor * hi) - np.exp(factor * lo)) / factor
+        table[2 * radius] = hi - lo
+        wr, wi = (
+            np.multiply.outer(wr, table.real) - np.multiply.outer(wi, table.imag),
+            np.multiply.outer(wr, table.imag) + np.multiply.outer(wi, table.real),
+        )
+    return wr.ravel(), wi.ravel()
+
+
+def _sequential_sum(x: np.ndarray) -> float:
+    """0.0 + x[0] + x[1] + ... left to right, as a running sum from 0j (np.sum sums pairwise)."""
+    return float(np.add.accumulate(x)[-1]) + 0.0 if x.size else 0.0
+
+
+def box_gram(series: Sequence["TrigPolynomial"], box: Sequence[tuple[float, float]]) -> np.ndarray:
+    """The Gram matrix of series over an axis-aligned box, entry (i, j) the
+    integral of series[i] * conj(series[j]) in closed form per frequency.
+
+    Bit for bit the dict convolution of series[i] with conj(series[j]) and
+    a running sum of value * weight over its keys from 0j: _product_table,
+    then each value * weight in explicit real arithmetic, with the weights
+    computed once, on the offset box of the widest series."""
+    radius = max((u.support_radius() for u in series), default=0)
+    wr, wi = _box_weights(box, radius)
+    gram = np.zeros((len(series), len(series)), dtype=complex)
+    for i, left in enumerate(series):
+        for j, right in enumerate(series):
+            offsets, values = _product_table(left.table(), (-right._freqs, right._values.conj()))
+            place = _box_position(offsets, radius)
+            vr, vi, xr, xi = values.real, values.imag, wr[place], wi[place]
+            gram[i, j] = complex(_sequential_sum(vr * xr - vi * xi), _sequential_sum(vr * xi + vi * xr))
+    return gram
 
 
 def _magnitudes(values: np.ndarray) -> np.ndarray:
@@ -281,6 +333,35 @@ class TrigPolynomial:
         product; exact over the finite supports (see _product_table)."""
         self._check_dim(other)
         return TrigPolynomial._from_table(self.dim, *_product_table(self.table(), other.table()))
+
+    def relabeled(self, matrix) -> "TrigPolynomial":
+        """The series with each frequency alpha relabeled to alpha @ matrix,
+        for a unimodular integer matrix: a bijection of the lattice, so no
+        labels merge and the order stays.  Each coefficient is still added to
+        0.0, as a merge would add it, which turns a -0.0 part into +0.0.
+        Raises OverflowError when a relabeled frequency could leave int64."""
+        largest_column = max((sum(abs(int(x)) for x in column) for column in zip(*matrix)), default=0)
+        if self.support_radius() * largest_column > _INT64_MAX:
+            raise OverflowError("relabeled frequencies overflow int64")
+        relabeling = np.array(matrix, dtype=np.intp)
+        if relabeling.shape != (self.dim, self.dim):
+            raise ValueError(f"relabeling matrix must be {self.dim} x {self.dim}")
+        return TrigPolynomial._from_table(self.dim, self._freqs @ relabeling, self._values + 0.0)
+
+    def multiplication_matrix(self, N: int) -> tuple[np.ndarray, np.ndarray]:
+        """The characters beta of max-norm at most N, the rows of a (size,
+        dim) intp array in lexicographic order, and the matrix of
+        multiplication by the series on them: entry (i, j) is the coefficient
+        at beta_i - beta_j, gathered from one table of the series on the
+        offset box [-2N, 2N]^dim (a coefficient outside it joins no pair)."""
+        width = 2 * N + 1
+        betas = np.indices((width,) * self.dim).reshape(self.dim, width**self.dim).T - N
+        inside = np.all(np.abs(self._freqs) <= 2 * N, axis=1)
+        table = np.zeros((4 * N + 1) ** self.dim, dtype=complex)
+        table[_box_position(self._freqs[inside], N)] += self._values[inside]
+        # beta_i - beta_j sits at position(beta_i) - position(beta_j) + position(0)
+        position = _box_position(betas, N)
+        return betas, table[np.subtract.outer(position, position - _box_position(np.zeros(self.dim, int), N))]
 
     def norm(self) -> float:
         return math.sqrt(math.fsum(abs(v) ** 2 for v in self._values.tolist()))

@@ -194,7 +194,10 @@ def check_massmap_budget(grid: PhaseSpaceGrid, h_ladder: Sequence[float], suppor
     nodes, pairs = grid.points_per_axis**grid.dimension, len(grid.xi_points) * len(h_ladder)
     per_coefficient = 32 * nodes + (16 * grid.dimension + 32) * pairs + 64 + 24 * grid.dimension
     components = {c for covector in grid.xi_points for c in covector}
-    images = max(hi - lo + 1 for h in h_ladder for c in components for lo, hi in [_axis_image_bounds(c, h)])
+    try:
+        images = max(hi - lo + 1 for h in h_ladder for c in components for lo, hi in [_axis_image_bounds(c, h)])
+    except OverflowError:  # an image count beyond the floats is beyond any budget
+        images = math.inf
     size = (1 + MASSMAP_FIT_COPIES) * 8 * pairs * nodes + 16 * nodes + per_coefficient * support
     size += 32 * images + MASSMAP_CALL_BYTES
     if size > MASSMAP_BYTES_BUDGET:

@@ -129,7 +129,7 @@ def interval_integral(delta: int, lo: float, hi: float) -> complex:
 
 
 def box_weights_oracle(box, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """quasimode._box_weights with one interval_integral call per axis and
+    """trigpoly._box_weights with one interval_integral call per axis and
     offset."""
     offsets = range(-2 * radius, 2 * radius + 1)
     wr, wi = np.ones(()), np.zeros(())
@@ -143,8 +143,14 @@ def box_weights_oracle(box, radius: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gram_oracle(basis, box) -> np.ndarray:
-    """The unique-continuation Gram as a dict convolution and a running
-    sum per entry, with the kernel's final symmetrization."""
+    """The unique-continuation Gram: raw_gram_oracle with the kernel's
+    final symmetrization."""
+    gram = raw_gram_oracle(basis, box)
+    return 0.5 * (gram + gram.conj().T)
+
+
+def raw_gram_oracle(basis, box) -> np.ndarray:
+    """The box Gram as a dict convolution and a running sum per entry."""
     dim = len(basis)
     gram = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):
@@ -157,7 +163,7 @@ def gram_oracle(basis, box) -> np.ndarray:
                     weight *= interval_integral(d, lo, hi)
                 total += value * weight
             gram[i, j] = total
-    return 0.5 * (gram + gram.conj().T)
+    return gram
 
 
 def bits(p: TrigPolynomial) -> tuple[list, bytes]:

@@ -289,6 +289,16 @@ def test_frequency_beyond_the_float_range_is_a_config_error(tmp_path, capsys, co
     assert not (tmp_path / "out").exists()
 
 
+def test_asymmetric_hessian_near_the_float_range_is_a_config_error(tmp_path, capsys):
+    # H - H^T overflows for entries of opposite sign near +-2^1023; the
+    # matrix is refused as asymmetric, with no overflow warning on the way
+    big = 2.0**1023
+    path = _config(tmp_path, {"hessian": [[1.0, big], [-big, 1.0]]})
+    assert main(["check-hypotheses", "--config", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "config error at hessian: Hessian must be symmetric to machine precision\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_canonical_json_is_sorted_and_stable():
     payload = {"b": [1.0, float("inf")], "a": {"y": 0.5, "x": None}}
     text = canonical_json(payload)
@@ -532,6 +542,8 @@ def test_hypotheses_and_splitting_do_not_depend_on_power_of_two_scalings(name, a
         # the probe norm's theta sums widen as h shrinks: 276 MB and 18 GB
         ({"h_ladder": "41..44"}, "grid.points_per_axis"),
         ({"h_ladder": "53..56"}, "grid.points_per_axis"),
+        # and at 2^-1027 their count overflows a float
+        ({"h_ladder": "1020..1027"}, "grid.points_per_axis"),
     ],
 )
 def test_refusals_after_the_parse_write_nothing(tmp_path, overrides, path):
@@ -558,6 +570,13 @@ def test_mass_map_estimate_counts_the_probe_images_of_the_smallest_h(tmp_path, c
     assert capsys.readouterr().err == (
         "config error at grid.points_per_axis: 32 points per axis on a 2-torus need a 17604 MB mass map, "
         "over the budget of 268 MB (550090449 probe images per axis down to h = 1.3877787807814457e-17)\n"
+    )
+    assert not out.exists()
+    # at h = 2^-1027 the image count overflows a float: refused, not a crash
+    assert main(["wavefront", "--config", str(fine), "--ladder", "1020..1027"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "config error at grid.points_per_axis: 32 points per axis on a 2-torus need a inf MB mass map, "
+        "over the budget of 268 MB (inf probe images per axis down to h = 6.953355807835e-310)\n"
     )
     assert not out.exists()
     coarser = _config(tmp_path, {"h_ladder": "40..43"}, name="coarser.json")
@@ -1046,6 +1065,9 @@ def test_golden_run_computes_transverse_form_and_inverse_once(tmp_path, monkeypa
             {"hessian": [[1.0, 1.25], [1.25, 1.5]]},
             ["hypothesis (D)", "hypothesis (F)", "quasimode verification"],
         ),
+        # (D) and (F) are exact and hold, but M^-1 H M^-T overflows to inf
+        # and NaN, which the transverse form check refuses
+        ({"hessian": [[1e308, 0.0], [0.0, 1e308]]}, ["factory construction"]),
     ],
 )
 def test_negative_controls_fail_their_checks(tmp_path, overrides, failures):

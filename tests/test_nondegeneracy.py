@@ -59,6 +59,11 @@ def test_quasiconvex_rejects_zero_frequency():
 def test_hessian_symmetry_enforced():
     with pytest.raises(ValueError):
         HessianForm(np.array([[1.0, 0.5], [0.2, 1.0]]))
+    # H - H^T overflows here; under the tests' warning filter an overflow
+    # warning would raise before the refusal
+    big = 2.0**1023
+    with pytest.raises(ValueError, match="Hessian must be symmetric to machine precision"):
+        HessianForm([[1.0, big], [-big, 1.0]])
 
 
 def test_hessian_symmetrization_keeps_the_float_range():

@@ -282,6 +282,10 @@ def test_transverse_operator_rejects_mismatched_inputs(golden):
         _bare(HessianForm(np.eye(3)), golden.split, (0,))
     with pytest.raises(ValueError, match="wrong torus"):
         transverse_operator(golden.hessian, golden.split, (0,), TrigPolynomial.zero(2))
+    # M^-1 H M^-T overflows: the form check sees inf and NaN values and
+    # refuses them, with no overflow warning on the way
+    with pytest.raises(ArithmeticError, match="transformed form disagrees"):
+        _bare(HessianForm(1e308 * np.eye(2)), golden.split, (0,))
 
 
 def test_remainder_term_is_order_three():

@@ -36,6 +36,7 @@ from toruslab import (
 )
 from toruslab import quasimode, wavefront
 from toruslab.quasimode import DecayFit
+from toruslab.trigpoly import box_gram
 from toruslab.wavefront import PhaseSpaceGrid, symbol_scale
 
 from series_oracles import (
@@ -46,6 +47,7 @@ from series_oracles import (
     evaluate,
     gram_oracle,
     inner,
+    raw_gram_oracle,
     splitting,
     support,
     to_torus_frequency,
@@ -716,6 +718,33 @@ def _galerkin_matrix_per_coefficient(op, N):
     return betas, 0.5 * (matrix + matrix.conj().T)
 
 
+def _assert_multiplication_matrix_matches_oracles(r0, N):
+    """r0's multiplication matrix against the entry-by-entry gather of its
+    coefficients, and its Hermitian part bit for bit against the
+    per-coefficient Galerkin matrix of an operator whose symbol is zero."""
+    q = r0.dim
+    grid, product = r0.multiplication_matrix(N)
+    betas = sorted(itertools.product(range(-N, N + 1), repeat=q))
+    assert list(map(tuple, grid.tolist())) == betas
+    # entry (i, j) is r0(beta_i - beta_j)
+    dense = [[r0.coefficient(tuple(a - b for a, b in zip(bi, bj))) for bj in betas] for bi in betas]
+    np.testing.assert_array_equal(product, np.array(dense).reshape(product.shape))
+    silent = OperatorOnTPrime(np.zeros((q, q)), np.zeros(q), 0.0, r0)
+    hermitian = 0.5 * (product + product.conj().T)
+    assert hermitian.tobytes() == _galerkin_matrix_per_coefficient(silent, N)[1].tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_multiplication_matrix_on_the_three_torus(N):
+    # shifts beyond the offset box [-2N, 2N]^3 at N = 1, a -0.0 part and
+    # values that are not Hermitian
+    r0 = TrigPolynomial(
+        3,
+        {(0, 0, 0): 0.5, (1, 0, -1): 0.25 + 0.5j, (0, 2, 1): -0.75, (3, 0, 0): 0.3j, (-1, -1, -1): complex(-0.0, 0.125)},
+    )
+    _assert_multiplication_matrix_matches_oracles(r0, N)
+
+
 @pytest.mark.parametrize("name", ["q0", "q1-golden", "q2-shifts-leave-box"])
 def test_galerkin_matrix_matches_dense_oracle(golden, name):
     op, N = _galerkin_case(name, golden)
@@ -734,8 +763,9 @@ def test_galerkin_matrix_matches_dense_oracle(golden, name):
         ]
     )
     frequencies, matrix = quasimode._galerkin_matrix(op, N)
-    assert frequencies == betas
+    assert list(map(tuple, frequencies.tolist())) == betas
     assert matrix.tobytes() == _galerkin_matrix_per_coefficient(op, N)[1].tobytes()
+    _assert_multiplication_matrix_matches_oracles(r0, N)
     # the re-expanded golden multiplier is Hermitian only up to rounding
     np.testing.assert_array_equal(matrix, 0.5 * (oracle + oracle.conj().T))
     null = galerkin_nullspace(op, N)
@@ -753,6 +783,7 @@ def test_galerkin_matrix_ignores_shifts_wider_than_the_box(golden):
     wide_op = OperatorOnTPrime(op.Omega_block, op.gamma, op.rho, wide)
     assert quasimode._galerkin_matrix(wide_op, N)[1].tobytes() == quasimode._galerkin_matrix(op, N)[1].tobytes()
     assert _galerkin_matrix_per_coefficient(wide_op, N)[1].tobytes() == quasimode._galerkin_matrix(op, N)[1].tobytes()
+    assert wide.multiplication_matrix(N)[1].tobytes() == op.zero_mode_multiplier.multiplication_matrix(N)[1].tobytes()
 
 
 def test_factory_mode_galerkin_residual(golden):
@@ -832,6 +863,7 @@ def _random_series(rng, q, radius, count):
 
 
 def _assert_gram_matches_oracle(basis, box):
+    assert box_gram(basis, box).tobytes() == raw_gram_oracle(basis, box).tobytes()
     result = unique_continuation_constant(_hand_built_nullspace(basis), box)
     oracle = gram_oracle(basis, box)
     assert result.gram.tobytes() == oracle.tobytes()
@@ -846,6 +878,10 @@ def test_unique_continuation_gram_matches_nested_loop_bit_for_bit(q, interval):
     for size in (1, 2, 3):
         basis = [_random_series(rng, q, radius, int(rng.integers(1, 40))) for _ in range(size)]
         _assert_gram_matches_oracle(basis, [interval] * q)
+    # supports of different widths: the weights live on the widest one's
+    # offset box, and the narrow pairs index its middle
+    basis = [_random_series(rng, q, 1, 5), _random_series(rng, q, radius + 2, 30), TrigPolynomial.zero(q)]
+    _assert_gram_matches_oracle(basis, [interval] * q)
 
 
 @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.4, 0.5)])

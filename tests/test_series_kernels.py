@@ -27,7 +27,9 @@ from series_oracles import (
     hermitian_defect_oracle,
     lift_oracle,
     norm_oracle,
+    raw_gram_oracle,
     splitting,
+    to_split_frequency,
 )
 
 # parts that give signed zeros, products that cancel to exact zeros,
@@ -102,8 +104,11 @@ def test_frequencies_beyond_int64_raise(golden):
     # and 2**60 fits
     _, split = splitting("golden")
     far = TrigPolynomial(2, {(2**62, 0): 1.0, (0, 0): 1.0})
-    with pytest.raises(OverflowError, match="relabeled frequencies overflow int64"):
-        quasimode.decompose_along_T(far, split)
+    for relabel in (lambda: far.relabeled(split.matrix), lambda: quasimode.decompose_along_T(far, split)):
+        with pytest.raises(OverflowError, match="relabeled frequencies overflow int64"):
+            relabel()
+    with pytest.raises(ValueError, match="relabeling matrix must be 2 x 2"):
+        far.relabeled([[1, 0, 0], [0, 1, 0]])
     near = TrigPolynomial(2, {(2**60, -(2**60)): 1.0, (0, 0): -0.0 + 1j})
     _assert_same_modes(quasimode.decompose_along_T(near, split), decompose_oracle(near, split))
     with pytest.raises(OverflowError, match="relabeled frequencies overflow int64"):
@@ -124,8 +129,10 @@ def test_unique_continuation_gram_matches_dict_loop(data):
     null = quasimode.GalerkinNullspace(
         truncation=4, basis=tuple(basis), eigenvalues=(0.0,) * len(basis), scale=1.0, frequencies=()
     )
-    result = _with_budget(data.draw(_BUDGETS), quasimode.unique_continuation_constant, null, box)
+    budget = data.draw(_BUDGETS)
+    result = _with_budget(budget, quasimode.unique_continuation_constant, null, box)
     assert result.gram.tobytes() == gram_oracle(basis, box).tobytes()
+    assert _with_budget(budget, trigpoly.box_gram, basis, box).tobytes() == raw_gram_oracle(basis, box).tobytes()
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2, 5, 16])
@@ -137,7 +144,7 @@ def test_box_weights_match_the_per_offset_loop(radius):
     boxes = [[(0.0, 0.25)], [(0.0, 1.0), (1 / 3, 2 / 3)], [(-0.75, 0.1), (0.2, 0.2 + 1e-9), (0.5, 1.5)]]
     boxes += [[tuple(sorted(rng.uniform(-1.0, 2.0, 2))) for _ in range(q)] for q in (1, 2, 2, 3)]
     for box in boxes:
-        got, want = quasimode._box_weights(box, radius), box_weights_oracle(box, radius)
+        got, want = trigpoly._box_weights(box, radius), box_weights_oracle(box, radius)
         assert [part.tobytes() for part in got] == [part.tobytes() for part in want]
 
 
@@ -150,10 +157,15 @@ def test_relabel_matches_dict_loop(data):
     # turns a -0.0 part into +0.0
     _, split = splitting(data.draw(st.sampled_from(sorted(SPLITTINGS))))
     k, q = split.orbit_dimension, split.dimension - split.orbit_dimension
-    u = data.draw(series(split.dimension))
+    n = split.dimension
+    u = data.draw(series(n))
+    relabeled = {(*along, *across): 0j + value for xi, value in u.items() for along, across in [to_split_frequency(split, xi)]}
+    assert bits(u.relabeled(split.matrix)) == bits(TrigPolynomial(n, relabeled))
     _assert_same_modes(quasimode.decompose_along_T(u, split), decompose_oracle(u, split))
     w = data.draw(series(q))
     alpha = data.draw(st.tuples(*[_ENTRIES] * k))
+    on_split = TrigPolynomial(n, {(*alpha, *beta): value for beta, value in w.items()})
+    assert bits(on_split.relabeled(split.inverse)) == bits(lift_oracle(w, split, alpha))
     lifted = quasimode._lift_mode(w, split, alpha)
     assert bits(lifted) == bits(lift_oracle(w, split, alpha))
     # the round trip gives w back in w's order, up to the sign of zero parts

@@ -169,6 +169,10 @@ def test_mass_map_refuses_grid_over_budget(golden, monkeypatch):
     estimate = wavefront.check_massmap_budget(PhaseSpaceGrid.standard(2, 2), default_h_ladder(22, 30), 0)
     assert estimate == 5 * 8 * 5 * 2**2 * 9 + 16 * 2**2 + 32 * 67149 + 16384
     assert wavefront._axis_image_bounds(0.0, 2.0**-30) == (-33574, 33574)
+    # below h = 2^-1026 the image count of xi = 1 overflows a float, which
+    # no budget holds
+    with pytest.raises(ValueError, match=r"need a inf MB mass map, .* \(inf probe images per axis down to h = 6.9"):
+        wavefront.check_massmap_budget(PhaseSpaceGrid.standard(2, 2), default_h_ladder(1020, 1027), 0)
     # no image of xi = 50 survives at h = 16, so the nearest one, 0, stands in
     assert wavefront._axis_image_bounds(50.0, 16.0) == (0, 0)
     norm_sq = 2.0 * math.pi * 16.0 * wavefront._theta_sum(50.0, 16.0)
