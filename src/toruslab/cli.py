@@ -246,6 +246,8 @@ def parse_ladder(value) -> tuple[float, ...]:
         raise ValueError("ladder needs at least four points")
     if any(h <= 0 for h in ladder) or any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be positive and strictly decreasing")
+    if ladder[0] > 1:
+        raise ValueError(f"ladder values are semiclassical h and must be at most 1, not {ladder[0]!r}")
     return ladder
 
 

@@ -18,7 +18,8 @@ decay fits divide that factor out; a node whose normalized mass neither
 grows nor decays is where the family lives, and superpolynomial decay is
 the numerical stand-in for negligibility.  The verdict thresholds leave an
 inconclusive band between the two regimes on purpose; the ladder windows
-of the stability diagnostic fit from one table of the masses' logs.
+of the stability diagnostic fit each distinct ladder row of the masses once,
+from one table of their logs.
 """
 
 from __future__ import annotations
@@ -240,7 +241,9 @@ def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap
         budget = scales[ls] * (1.0 + _MASS_BUDGET_SLACK)
         # weights (2 pi h)^(n/2) exp(-|xi - 2 pi h a|^2 / 2h) of every (covector, h) pair and coefficient a;
         # <u, probe> = sum_a u(a) w_a exp(+2 pi i a . x0), a trig polynomial in x0
-        squares = np.sum(np.square(xi[:, None, None, :] - (2.0 * math.pi * h[ls])[:, None, None] * alphas), axis=-1)
+        # a covector far from every 2 pi h a (|gap| above ~1e154) squares to +inf, whose weight is exactly 0
+        with np.errstate(over="ignore"):
+            squares = np.sum(np.square(xi[:, None, None, :] - (2.0 * math.pi * h[ls])[:, None, None] * alphas), axis=-1)
         weighted = coeffs * (prefactor[ls, None] * np.exp(-squares / (2.0 * h[ls])[:, None]))
         # the exact x-average of a mass is a Parseval sum over the coefficients
         if np.any(np.sum(np.abs(weighted) ** 2, axis=-1) / norm_sq[:, ls] > budget):
@@ -333,20 +336,24 @@ def nonconcentration_report(
     interior = _has_full_block((zero_classes == IN).reshape(shape))
 
     # diagnostic: worst IN fraction over long contiguous ladder windows, a proxy
-    # for stability along subsequences of h; a window fits its rows without a zero
+    # for stability along subsequences of h; a window fits each distinct row (keyed
+    # by its bytes) without a zero once, and an IN row counts each node that has it
     ladder = mass_map.h_ladder
     window = max(4, len(ladder) // 2)
     min_fill = fill
     if len(ladder) >= window:
         scales = np.array([symbol_scale(grid.dimension, h) for h in ladder])
         xs, normalized = _decay_series(ladder, mass_map.masses[zero_index] / scales)
-        # a zero stands in as 1, whose log is never read
-        positive = normalized > 0.0
-        logs = _logs(np.where(positive, normalized, 1.0))
+        row_bytes = np.dtype((np.void, normalized.itemsize * len(ladder)))
+        first, nodes = np.unique(normalized.view(row_bytes).ravel(), return_index=True, return_counts=True)[1:]
+        rows = normalized[first]
+        # a zero stands in as 1, whose log is never read; a row with a zero in a window is not IN there
+        positive = rows > 0.0
+        logs = _logs(np.where(positive, rows, 1.0))
         for start in range(0, len(ladder) - window + 1):
             live = positive[:, start:start + window].all(axis=1)
             slope, _ = _fit_line(xs[start:start + window], logs[live, start:start + window])
-            min_fill = min(min_fill, np.count_nonzero(slope < thresholds.in_exponent) / len(live))
+            min_fill = min(min_fill, int(np.sum(nodes[live][slope < thresholds.in_exponent])) / len(normalized))
 
     return WavefrontReport(
         classifications=classes,

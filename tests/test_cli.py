@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import functools
 import hashlib
 import importlib.util
@@ -203,6 +204,7 @@ _THRESHOLD_KEYS = "['fill_fraction', 'in_exponent', 'null_tol', 'out_exponent']"
         ({"remainder": 1}, [("remainder", "must be a boolean")]),
         ({"h_ladder": "x"}, [("h_ladder", "ladder must look like '4..12' or be a list of floats")]),
         ({"h_ladder": [0.1, 0.2, 0.01, 0.001]}, [("h_ladder", "ladder must be positive and strictly decreasing")]),
+        ({"h_ladder": [2.0, 1.0, 0.5, 0.25]}, [("h_ladder", "ladder values are semiclassical h and must be at most 1, not 2.0")]),
         ({"truncation": 3}, [("truncation", "must be an integer of at least 4")]),
         ({"truncation": 4.0}, [("truncation", "must be an integer of at least 4")]),
         ({"delta": 0}, [("delta", "must be a number in (0, inf)")]),
@@ -675,6 +677,8 @@ def test_main_exit_codes(tmp_path, capsys):
         ({"h_ladder": "0..1100"}, "config error at h_ladder: ladder exponents above 1074"),
         ({"h_ladder": "4..4000000"}, "config error at h_ladder: ladder exponents above 1074"),
         ({"h_ladder": "12..4"}, "config error at h_ladder"),
+        # h is the semiclassical parameter: above 1 it reaches no stage
+        ({"h_ladder": [1e300, 1e299, 1e298, 1e297]}, "config error at h_ladder: ladder values are semiclassical h"),
         # thresholds that would let a check pass vacuously
         ({"thresholds": {"fill_fraction": -1}}, "config error at thresholds: fill_fraction"),
         ({"thresholds": {"fill_fraction": 1.5}}, "config error at thresholds: fill_fraction"),
@@ -722,6 +726,31 @@ def test_main_ladder_override(tmp_path):
     assert main(["split", "--config", str(config_path), "--ladder", "4..8"]) == EXIT_PASS
     echo = json.loads((tmp_path / "out" / "config.echo").read_text())
     assert len(echo["h_ladder"]) == 5
+
+
+def test_ladder_above_one_is_refused_and_writes_nothing(tmp_path, capsys):
+    # h is refused above 1 at the parse, before verify (values must be
+    # finite) and wavefront (a raw OverflowError) could fail on it; h = 1 stays
+    assert cli.parse_ladder("0..3") == (1.0, 0.5, 0.25, 0.125)
+    path = _config(tmp_path, {"h_ladder": [1e300, 1e299, 1e298, 1e297]})
+    assert main(["all", "--config", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "config error at h_ladder: ladder values are semiclassical h and must be at most 1, not 1e+300\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_far_covector_has_zero_mass_without_a_warning(tmp_path):
+    # |xi - 2 pi h alpha|^2 overflows to +inf at xi = 1e300, whose Gaussian
+    # weight is exactly 0; under the suite's filterwarnings = error an
+    # overflow warning would end the run
+    path = _config(tmp_path, {"grid": {"points_per_axis": 4, "xi": [[0, 0], [1e300, 0]]}})
+    assert main(["all", "--config", str(path)]) == EXIT_PASS
+    with open(tmp_path / "out" / "massmap.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    far = [row["mass"] for row in rows if float(row["xi0"]) == 1e300]
+    assert len(far) == 16 * 9 and set(far) == {"0"}
+    assert all(float(row["mass"]) > 0 for row in rows if float(row["xi0"]) == 0)
 
 
 def test_echoed_config_reparses_identically(tmp_path):

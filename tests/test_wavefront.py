@@ -355,8 +355,9 @@ def _window_fits(ladder, normalized, in_exponent):
 @pytest.mark.parametrize("length", [4, 5, 9])
 def test_subsequence_windows_match_per_slice_fits(monkeypatch, length):
     # window = max(4, L // 2): one window at 4 points, two at 5, six at 9.
-    # Rows with an exact zero inside some windows only are fitted in the
-    # others; each window's exponents and the worst fill keep their bits
+    # Each window fits every distinct row without a zero in it exactly once;
+    # gathered back to the nodes, each window's exponents and the worst fill
+    # keep the bits of one fit_decay_exponent call per ladder slice
     ladder = default_h_ladder(4, 3 + length)
     grid = PhaseSpaceGrid.standard(1, 16)
     rng = np.random.default_rng(length)
@@ -367,28 +368,60 @@ def test_subsequence_windows_match_per_slice_fits(monkeypatch, length):
     # h^1.5 fit an IN exponent on the whole ladder but not on the last window
     h, middle = np.array(ladder), ladder[length // 2]
     normalized[5:8] = np.where(h >= middle, 1.0 / h, (h / middle) ** 1.5 / middle) * [[1.0], [2.0], [3.0]]
+    # shared rows: one zero in the first window only, one zero everywhere, one IN row
+    normalized[[9, 10]] = normalized[1]
+    normalized[11] = normalized[4]
+    normalized[[12, 13]] = normalized[5]
     scales = np.array([symbol_scale(1, h) for h in ladder])
     masses = np.stack([normalized * scales] * 3)
     fit = fit_decay_exponent(ladder, masses / scales)
     mass_map = wavefront.MassMap(grid, ladder, masses, fit.exponent, fit.residual)
     zero = grid.zero_xi_index
     thresholds = VerdictThresholds()
-    expected, fills = _window_fits(ladder, masses[zero] / scales, thresholds.in_exponent)
-    slopes = []
+    normalized = masses[zero] / scales
+    expected, fills = _window_fits(ladder, normalized, thresholds.in_exponent)
+    calls = []
     fit_line = wavefront._fit_line
-    monkeypatch.setattr(wavefront, "_fit_line", lambda xs, ys: slopes.append(fit_line(xs, ys)[0]) or fit_line(xs, ys))
+    monkeypatch.setattr(wavefront, "_fit_line", lambda xs, ys: calls.append((ys.copy(), fit_line(xs, ys)[0])) or fit_line(xs, ys))
     monkeypatch.setattr(wavefront, "fit_decay_exponent", None)
     report = nonconcentration_report(mass_map, thresholds)
-    assert len(slopes) == len(expected) == length - max(4, length // 2) + 1
-    for slope, exponents in zip(slopes, expected):
-        assert slope.tobytes() == exponents[np.isfinite(exponents)].tobytes()
-    # row 4 is zero in every window, rows 1 and 2 only in the first or last
+    window = max(4, length // 2)
+    assert len(calls) == len(expected) == length - window + 1
+    # the distinct-row index: ladder rows keyed by their bytes
+    first, inverse = np.unique(normalized.view(np.dtype((np.void, 8 * length))).ravel(), return_index=True, return_inverse=True)[1:]
+    rows = normalized[first]
+    assert len(rows) == 11
+    for start, ((ys, slope), exponents) in enumerate(zip(calls, expected)):
+        part = rows[:, start : start + window]
+        live = part.all(axis=1)
+        assert ys.tobytes() == np.array([[math.log(v) for v in row] for row in part[live]]).tobytes()
+        per_row = np.full(len(rows), math.inf)
+        per_row[live] = slope
+        assert per_row[inverse].tobytes() == exponents.tobytes()
+    # rows 4 and 11 are zero in every window; rows 1, 9 and 10 only in the first, row 2 only in the last
     dead = [tuple(np.flatnonzero(np.isinf(exponents))) for exponents in expected]
-    assert all(4 in rows for rows in dead) and (length == 4 or len(set(dead)) > 1)
+    assert all({4, 11} <= set(nodes) for nodes in dead)
+    assert {1, 9, 10} <= set(dead[0]) and all(not {1, 9, 10} & set(nodes) for nodes in dead[1:])
+    assert length == 4 or len(set(dead)) > 1
     min_fill = min([report.fill_fraction_measured] + fills)
     assert np.float64(report.subsequence_min_fill).tobytes() == np.float64(min_fill).tobytes()
     if length == 9:
         assert min_fill < report.fill_fraction_measured
+
+
+@pytest.mark.parametrize("points, estimate", [(32, 1_987_440), (128, 31_355_760)])
+def test_report_peak_memory_is_within_the_mass_map_estimate(golden, points, estimate):
+    # the windows fit golden's distinct zero-covector rows (63 of 1,024 nodes at 32 points)
+    grid = PhaseSpaceGrid.standard(2, points)
+    assert wavefront.check_massmap_budget(grid, golden.ladder, len(golden.v)) == estimate
+    mass_map = wavefront_mass_map(golden.family, grid)
+    tracemalloc.start()
+    try:
+        nonconcentration_report(mass_map)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < estimate
 
 
 def test_constant_family_exponents_split_by_covector():
