@@ -145,10 +145,6 @@ def _write_csv(path: Path, header: Sequence[str], lines) -> None:
 #: points per axis); 256 nodes of golden's 9-point ladder make strings of
 #: about 160 kB and leave the peak where per-node strings had it.
 _MASSMAP_BLOCK_NODES = 256
-#: Distinct ladder rows of a plane whose line suffixes the writer keeps
-#: before it drops them all: about 1 kB each on golden's 9-point ladder, and
-#: more than the 1,276 distinct rows of a golden plane at 256 points per axis.
-_MASSMAP_KEPT_ROWS = 8 * _MASSMAP_BLOCK_NODES
 
 
 def _float_texts(values: np.ndarray) -> np.ndarray:
@@ -163,27 +159,21 @@ def _float_texts(values: np.ndarray) -> np.ndarray:
 def _massmap_lines(mass_map):
     """Lines for ``masses[xi, node, h]`` in C order (x coordinates,
     covector, h, mass), one string of lines per block of nodes.  A node's
-    ladder row is keyed by its bytes, and the suffixes ``,xi,h,mass`` of a
-    distinct row are formatted once and kept for the rest of the plane (up
-    to _MASSMAP_KEPT_ROWS rows); a node's lines are its text joined with
-    its row's suffixes."""
-    grid = mass_map.grid
+    lines are its text joined with the suffixes ``,xi,h,mass`` of its map
+    row, formatted once and kept while consecutive blocks use that row."""
+    grid, keys = mass_map.grid, mass_map.node_row.tolist()
     nodes = [",".join(node) for node in _float_texts(grid.x_nodes).tolist()]
     hs = [_format_float(h) for h in mass_map.h_ladder]
-    row_bytes = np.dtype((np.void, 8 * len(hs)))
-    for xi, plane in zip(grid.xi_points, mass_map.masses):
+    for xi, plane in zip(grid.xi_points, mass_map.rows):
         xi_text = ",".join(map(_format_float, xi))
         heads = np.array([f",{xi_text},{h}," for h in hs], dtype=object)
-        suffixes: dict[bytes, list[str]] = {}
+        suffixes: dict[int, list[str]] = {}
         for start in range(0, len(nodes), _MASSMAP_BLOCK_NODES):
-            rows = np.ascontiguousarray(plane[start:start + _MASSMAP_BLOCK_NODES])
-            keys = rows.view(row_bytes).ravel().tolist()
-            if len(suffixes) > _MASSMAP_KEPT_ROWS:
-                suffixes.clear()
-            fresh = {key: i for i, key in enumerate(keys) if key not in suffixes}
-            suffixes.update(zip(fresh, (heads + _float_texts(rows[list(fresh.values())])).tolist()))
-            block = nodes[start:start + _MASSMAP_BLOCK_NODES]
-            yield "\n".join(node + ("\n" + node).join(suffixes[key]) for node, key in zip(block, keys))
+            block = slice(start, start + _MASSMAP_BLOCK_NODES)
+            suffixes = {key: suffixes.get(key) for key in keys[block]}
+            fresh = [key for key, texts in suffixes.items() if texts is None]
+            suffixes.update(zip(fresh, (heads + _float_texts(plane[fresh])).tolist()))
+            yield "\n".join(node + ("\n" + node).join(suffixes[key]) for node, key in zip(nodes[block], keys[block]))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +355,11 @@ def _parse_factory(raw) -> tuple[Optional[tuple[int, ...]], Optional[TrigPolynom
     if not isinstance(raw, dict) or set(raw) != {"alpha0", "v"}:
         raise ValueError("must be an object with keys 'alpha0' and 'v'")
     alpha0 = tuple(int(a) for a in raw["alpha0"])
-    return alpha0, TrigPolynomial.from_json_obj(raw["v"], dim=None if raw["v"] else 0)
+    v = TrigPolynomial.from_json_obj(raw["v"], dim=None if raw["v"] else 0)
+    norm = math.hypot(*v.table()[1].view(float).tolist())  # a nonzero norm must square to a normal float
+    if not (norm == 0.0 or sys.float_info.min <= norm * norm <= sys.float_info.max):
+        raise ConfigError([("factory.v", f"profile norm {norm!r} {'over' if norm > 1 else 'under'}flows when squared")])
+    return alpha0, v
 
 
 def _parse_thresholds(filled: dict) -> tuple[VerdictThresholds, float]:
@@ -420,7 +414,7 @@ def parse_config(text: str) -> LabConfig:
         try:
             return parse(*args)
         except (TypeError, ValueError, LookupError, ZeroDivisionError) as exc:
-            errors.append((path, str(exc)))
+            errors.extend(exc.errors if isinstance(exc, ConfigError) else [(path, str(exc))])
             return None
 
     basis = collect("basis", _parse_basis, merged["basis"])

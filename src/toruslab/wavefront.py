@@ -17,9 +17,9 @@ A raw mass at a point carried by the symbol scales like (4 pi h)^(n/2), so
 decay fits divide that factor out; a node whose normalized mass neither
 grows nor decays is where the family lives, and superpolynomial decay is
 the numerical stand-in for negligibility.  The verdict thresholds leave an
-inconclusive band between the two regimes on purpose; the ladder windows
-of the stability diagnostic fit each distinct ladder row of the masses once,
-from one table of their logs.
+inconclusive band between the two regimes on purpose.  Nodes whose masses
+agree bit for bit at every covector and h share one row of the map, and the
+decay fit, the verdicts' ladder windows and massmap.csv read each row once.
 """
 
 from __future__ import annotations
@@ -167,20 +167,25 @@ class PhaseSpaceGrid:
 
 @dataclass(frozen=True)
 class MassMap:
-    """Raw coherent masses on the grid and per-node decay fits.
+    """Raw coherent masses on the grid and decay fits, per distinct node row.
 
-    ``masses[i, j, l]`` is the mass at covector i, node j and point l of
-    ``h_ladder``, the family's ladder.
-    Fits are of the symbol-normalized mass (raw divided by the symbol
-    scale), so a node where the family keeps order-one symbol mass fits an
-    exponent near zero.
+    ``rows[i, r, l]`` is the mass of row r at covector i and point l of
+    ``h_ladder``, the family's ladder, node j has row ``node_row[j]``, and
+    ``exponents[i, r]`` fits row r at covector i.  Fits are of the
+    symbol-normalized mass (raw divided by the symbol scale), so a node where
+    the family keeps order-one symbol mass fits an exponent near zero.
     """
 
     grid: PhaseSpaceGrid
     h_ladder: tuple[float, ...]
-    masses: np.ndarray
+    rows: np.ndarray
+    node_row: np.ndarray
     exponents: np.ndarray
     residuals: np.ndarray
+
+    @property
+    def masses(self) -> np.ndarray:  # masses[i, j, l]: covector i, node j, ladder point l
+        return self.rows[:, self.node_row]
 
 
 def check_massmap_budget(grid: PhaseSpaceGrid, h_ladder: Sequence[float], support: int) -> int:
@@ -211,7 +216,7 @@ def check_massmap_budget(grid: PhaseSpaceGrid, h_ladder: Sequence[float], suppor
 
 
 def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap:
-    """Evaluate coherent masses on the whole grid and fit per-node decay.
+    """Evaluate coherent masses on the whole grid and fit each distinct node row's decay.
 
     Output is keyed by node, covector and the family's ladder point, never
     by evaluation order, and the per-covector mass budget is checked: the
@@ -256,11 +261,17 @@ def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap
         if 2 * u.support_radius() < grid.points_per_axis and np.any(np.mean(rows, axis=-1) > budget):
             raise ArithmeticError("grid mass average exceeded the budget")
         masses[:, :, ls] = rows.transpose(0, 2, 1)
-        del squares, weighted, pairs, blocks, rows  # before the fit and its copies
-    fit = fit_decay_exponent(ladder, masses / scales)
-    for arr in (masses, fit.exponent, fit.residual):
+        del squares, weighted, pairs, blocks, rows  # before the keys, the fit and its copies
+    # nodes whose masses agree bit for bit at every covector and h share one row, keyed by its bytes
+    keys = masses.transpose(1, 0, 2).reshape(nodes.shape[0], -1)  # C-contiguous, as the void view needs
+    del masses  # before np.unique's copies of the keys
+    first, node_row = np.unique(keys.view((np.void, keys[0].nbytes))[:, 0], return_index=True, return_inverse=True)[1:]
+    rows = keys[first].reshape(len(first), len(xi), -1).transpose(1, 0, 2)
+    del keys  # before the fit and its copies
+    fit = fit_decay_exponent(ladder, rows / scales)
+    for arr in (rows, node_row, fit.exponent, fit.residual):
         arr.setflags(write=False)
-    return MassMap(grid, ladder, masses, fit.exponent, fit.residual)
+    return MassMap(grid, ladder, rows, node_row, fit.exponent, fit.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +310,16 @@ class WavefrontReport:
 
 
 def _classify(exponents: np.ndarray, thresholds: VerdictThresholds) -> np.ndarray:
-    out = np.full(exponents.shape, INCONCLUSIVE, dtype=np.int8)
-    out[exponents < thresholds.in_exponent] = IN
-    out[exponents > thresholds.out_exponent] = OUT
-    return out
+    conditions = [exponents < thresholds.in_exponent, exponents > thresholds.out_exponent]
+    return np.select(conditions, [IN, OUT], INCONCLUSIVE).astype(np.int8)
 
 
 def _has_full_block(mask: np.ndarray) -> bool:
     """Whether a 2-per-axis contiguous block of True exists, wrapping
     around the torus."""
-    acc = mask.copy()
     for axis in range(mask.ndim):
-        acc = acc & np.roll(acc, -1, axis=axis)
-    return bool(acc.any())
+        mask = mask & np.roll(mask, -1, axis=axis)
+    return bool(mask.any())
 
 
 def nonconcentration_report(
@@ -325,8 +333,8 @@ def nonconcentration_report(
     full 2-per-axis block of grid nodes.
     """
     thresholds = thresholds or VerdictThresholds()
-    grid = mass_map.grid
-    classes = _classify(mass_map.exponents, thresholds)
+    grid, node_row = mass_map.grid, mass_map.node_row
+    classes = _classify(mass_map.exponents, thresholds)[:, node_row]
     zero_index = grid.zero_xi_index
     zero_classes = classes[zero_index]
     fill = float(np.mean(zero_classes == IN))
@@ -336,24 +344,22 @@ def nonconcentration_report(
     interior = _has_full_block((zero_classes == IN).reshape(shape))
 
     # diagnostic: worst IN fraction over long contiguous ladder windows, a proxy
-    # for stability along subsequences of h; a window fits each distinct row (keyed
-    # by its bytes) without a zero once, and an IN row counts each node that has it
+    # for stability along subsequences of h; a window fits each row of the map
+    # without a zero there once, and an IN row counts each node that has it
     ladder = mass_map.h_ladder
     window = max(4, len(ladder) // 2)
     min_fill = fill
     if len(ladder) >= window:
         scales = np.array([symbol_scale(grid.dimension, h) for h in ladder])
-        xs, normalized = _decay_series(ladder, mass_map.masses[zero_index] / scales)
-        row_bytes = np.dtype((np.void, normalized.itemsize * len(ladder)))
-        first, nodes = np.unique(normalized.view(row_bytes).ravel(), return_index=True, return_counts=True)[1:]
-        rows = normalized[first]
+        xs, rows = _decay_series(ladder, mass_map.rows[zero_index] / scales)
+        nodes = np.bincount(node_row, minlength=len(rows))
         # a zero stands in as 1, whose log is never read; a row with a zero in a window is not IN there
         positive = rows > 0.0
         logs = _logs(np.where(positive, rows, 1.0))
         for start in range(0, len(ladder) - window + 1):
             live = positive[:, start:start + window].all(axis=1)
             slope, _ = _fit_line(xs[start:start + window], logs[live, start:start + window])
-            min_fill = min(min_fill, int(np.sum(nodes[live][slope < thresholds.in_exponent])) / len(normalized))
+            min_fill = min(min_fill, int(np.sum(nodes[live][slope < thresholds.in_exponent])) / len(node_row))
 
     return WavefrontReport(
         classifications=classes,

@@ -157,6 +157,18 @@ _FACTORY_V = GOLDEN["factory"]["v"]
 _THRESHOLD_KEYS = "['fill_fraction', 'in_exponent', 'null_tol', 'out_exponent']"
 
 
+def _scaled_factory(scale):
+    """Golden's factory block with every coefficient of v times scale."""
+    return {"alpha0": [0], "v": [{**entry, "re": entry["re"] * scale} for entry in _FACTORY_V]}
+
+
+def _profile_range_error(scale):
+    """The factory.v error of golden's profile times scale, whose norm is
+    sqrt(4.5) times scale."""
+    norm = math.hypot(*(entry["re"] * scale for entry in _FACTORY_V))
+    return [("factory.v", f"profile norm {norm!r} {'over' if scale > 1 else 'under'}flows when squared")]
+
+
 @pytest.mark.parametrize(
     "overrides, errors",
     [
@@ -201,6 +213,13 @@ _THRESHOLD_KEYS = "['fill_fraction', 'in_exponent', 'null_tol', 'out_exponent']"
             {"factory": {"alpha0": [2000000], "v": _FACTORY_V}},
             [("factory.alpha0[0]", "frequency 2000000 is outside [-1000000, 1000000]")],
         ),
+        # a profile whose squared norm overflows a float or is subnormal
+        *[
+            ({"factory": _scaled_factory(scale)}, _profile_range_error(scale))
+            for scale in (1e154, 1e300, 1e-160, 1e-200, 1e-310)
+        ],
+        # and it is collected with the fields that follow
+        ({"factory": _scaled_factory(1e300), "remainder": 1}, [*_profile_range_error(1e300), ("remainder", "must be a boolean")]),
         ({"remainder": 1}, [("remainder", "must be a boolean")]),
         ({"h_ladder": "x"}, [("h_ladder", "ladder must look like '4..12' or be a list of floats")]),
         ({"h_ladder": [0.1, 0.2, 0.01, 0.001]}, [("h_ladder", "ladder must be positive and strictly decreasing")]),
@@ -810,7 +829,13 @@ def massmap_lines_oracle(mass_map):
             yield template.replace("{node}", node) % tuple(row)
 
 
-def test_massmap_writer_matches_per_node_oracle(golden, monkeypatch):
+def _per_node_map(grid, ladder, masses):
+    """A mass map whose every node has its own row, with zero fits."""
+    zeros = np.zeros(masses.shape[:2])
+    return wavefront.MassMap(grid, ladder, masses, np.arange(masses.shape[1]), zeros, zeros)
+
+
+def test_massmap_writer_matches_per_node_oracle(golden):
     grid = wavefront.PhaseSpaceGrid.standard(2, 32)
     mass_maps = [wavefront.wavefront_mass_map(golden.family, grid)]
     # repeats, both zeros, NaNs with two payloads, both infinities, the
@@ -822,8 +847,7 @@ def test_massmap_writer_matches_per_node_oracle(golden, monkeypatch):
     grid = wavefront.PhaseSpaceGrid(1, 2, ((-0.0,), (0.5,), (1.0,)))
     masses = np.array(special * 3).reshape(3, 2, 7)
     masses[2] = 0.25  # a plane of finite masses only
-    zeros = np.zeros(masses.shape[:2])
-    mass_maps.append(wavefront.MassMap(grid, ladder, masses, zeros, zeros))
+    mass_maps.append(_per_node_map(grid, ladder, masses))
     # a 3-D grid (7 planes of 343 nodes, so a last block shorter than the
     # writer's) and a grid with the zero covector only, drawing from the
     # same values and log-normal ones
@@ -834,31 +858,28 @@ def test_massmap_writer_matches_per_node_oracle(golden, monkeypatch):
     pool = np.concatenate([special, rng.lognormal(0.0, 30.0, 20)])
     for grid in (grid, wavefront.PhaseSpaceGrid(2, 2, ((0.0, 0.0),))):
         shape = (len(grid.xi_points), len(grid.x_nodes), len(ladder))
-        zeros = np.zeros(shape[:2])
-        mass_maps.append(wavefront.MassMap(grid, ladder, rng.choice(pool, shape), zeros, zeros))
-    # a 1-D grid of 600 nodes (blocks of 256, 256 and 88) whose planes draw
-    # their ladder rows from eight: two that differ only by the sign of a
-    # zero, two that differ only by a NaN payload, a run of one row across
-    # the first block boundary, and a row in the first and last blocks only
+        mass_maps.append(_per_node_map(grid, ladder, rng.choice(pool, shape)))
+    # a 1-D grid of 600 nodes (blocks of 256, 256 and 88) whose nodes draw
+    # their rows from eight, given directly with node_row; in every plane two
+    # rows differ only by the sign of a zero and two only by a NaN payload,
+    # one row runs across the first block boundary, and one row is in the
+    # first and last blocks only
     grid = wavefront.PhaseSpaceGrid.standard(1, 600)
-    rows = rng.lognormal(0.0, 30.0, (8, len(ladder)))
-    rows[1] = rows[0]
-    rows[0, 2], rows[1, 2] = 0.0, -0.0
-    rows[3] = rows[2]
-    rows[2, 5], rows[3, 5] = np.nan, payload_nan
-    picks = rng.integers(0, 7, (len(grid.xi_points), 600))
-    picks[:, 200:300] = 4
-    picks[:, [0, 599]] = 7
-    zeros = np.zeros(picks.shape)
-    mass_maps.append(wavefront.MassMap(grid, ladder, rows[picks], zeros, zeros))
+    rows = rng.lognormal(0.0, 30.0, (len(grid.xi_points), 8, len(ladder)))
+    rows[:, 1] = rows[:, 0]
+    rows[:, 0, 2], rows[:, 1, 2] = 0.0, -0.0
+    rows[:, 3] = rows[:, 2]
+    rows[:, 2, 5], rows[:, 3, 5] = np.nan, payload_nan
+    node_row = rng.integers(0, 7, 600)
+    node_row[200:300] = 4
+    node_row[[0, 599]] = 7
+    zeros = np.zeros(rows.shape[:2])
+    mass_maps.append(wavefront.MassMap(grid, ladder, rows, node_row, zeros, zeros))
     cells = set()
-    # the kept line suffixes as they are, and dropped at every block
-    for kept in (cli._MASSMAP_KEPT_ROWS, 1):
-        monkeypatch.setattr(cli, "_MASSMAP_KEPT_ROWS", kept)
-        for mass_map in mass_maps:
-            expected = "\n".join(massmap_lines_oracle(mass_map))
-            assert "\n".join(cli._massmap_lines(mass_map)).encode() == expected.encode()
-            cells.update(expected.replace("\n", ",").split(","))
+    for mass_map in mass_maps:
+        expected = "\n".join(massmap_lines_oracle(mass_map))
+        assert "\n".join(cli._massmap_lines(mass_map)).encode() == expected.encode()
+        cells.update(expected.replace("\n", ",").split(","))
     assert {"-0", "0", '"nan"', '"inf"', '"-inf"', "4.9406564584124654e-324",
             "1.0000000000000002", "0.25"} <= cells
 
@@ -872,8 +893,7 @@ def test_massmap_writer_memory_follows_the_block_not_the_plane(golden, monkeypat
         grid = wavefront.PhaseSpaceGrid(2, points, ((0.0, 0.0), (1.0, 0.0)))
         rng = np.random.default_rng(points)
         masses = rng.lognormal(0.0, 30.0, (2, points**2, 4))
-        zeros = np.zeros(masses.shape[:2])
-        lines = cli._massmap_lines(wavefront.MassMap(grid, golden.ladder[:4], masses, zeros, zeros))
+        lines = cli._massmap_lines(_per_node_map(grid, golden.ladder[:4], masses))
         tracemalloc.start()
         try:
             next(lines)
@@ -888,8 +908,25 @@ def test_massmap_writer_memory_follows_the_block_not_the_plane(golden, monkeypat
     small, large = walk_peak(64), walk_peak(128)
     assert large < 1.25 * small
     monkeypatch.setattr(cli, "_MASSMAP_BLOCK_NODES", 64)
-    monkeypatch.setattr(cli, "_MASSMAP_KEPT_ROWS", 8 * 64)
     assert walk_peak(128) < large / 2
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e300, 1e-160, 1e-162, 1e-170, 1e-200, 1e-310, 1e150, 1e-150])
+def test_factory_profile_norm_beyond_the_float_squares_is_a_config_error(tmp_path, capsys, scale):
+    # TrigPolynomial.norm squares Python floats: past sqrt(float max) the
+    # square overflows, and below sqrt(float min) it is subnormal or zero, so
+    # the family's normalization fails; such a profile is refused at parse,
+    # with nothing written, and a profile inside the range builds
+    path = _config(tmp_path, {"factory": _scaled_factory(scale)})
+    code = main(["build-quasimode", "--config", str(path)])
+    if 1e-154 < scale < 1e154:
+        assert code == EXIT_PASS
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["quasimode_build"]["status"] == "built"
+        return
+    assert code == EXIT_USAGE
+    ((where, message),) = _profile_range_error(scale)
+    assert capsys.readouterr().err == f"config error at {where}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("frequency", [10**15, 10**19, 10**30, -(10**30)])
@@ -934,6 +971,10 @@ def test_benchmark_tracer_probes_exist(tmp_path):
         "quasimode.galerkin_dim", "quasimode.nullspace_dim", "quasimode.decompose_s", "quasimode.uc_s",
     ):
         assert totals[metric] > 0, metric
+    # the probe reads MassMap.masses: a mass a covector, node and ladder point
+    grid = config.grid
+    points = len(grid.xi_points) * grid.points_per_axis**grid.dimension * len(config.h_ladder)
+    assert totals["wavefront.mass_evals"] == points
 
 
 def test_unique_continuation_makes_no_convolve_calls(tmp_path, monkeypatch):

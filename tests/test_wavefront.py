@@ -340,6 +340,23 @@ def test_mass_map_matches_the_per_pair_loop(golden, monkeypatch, case, theta_sum
     assert mass_map.masses.tobytes() == mass_map_oracle(family, grid).tobytes()
 
 
+@pytest.mark.parametrize("case, rows", [("golden-32", 82), ("spread", 49), ("two-members", 63)])
+def test_nodes_share_a_row_exactly_when_their_oracle_masses_agree(golden, case, rows):
+    # node_row groups the nodes whose masses, one mass_from_table call per
+    # (covector, h) pair, agree bit for bit at every covector and h: golden
+    # has 82 rows for 1,024 nodes, the spread member one row a node and the
+    # two-member family 63 rows for 64 nodes
+    family, grid = _oracle_case(golden, case)
+    mass_map = wavefront_mass_map(family, grid)
+    oracle = mass_map_oracle(family, grid)
+    labels: dict[bytes, int] = {}
+    expected = [labels.setdefault(oracle[:, j].tobytes(), len(labels)) for j in range(oracle.shape[1])]
+    assert mass_map.rows.shape == (len(grid.xi_points), rows, len(family.h_ladder)) and len(labels) == rows
+    assert len(set(zip(mass_map.node_row.tolist(), expected))) == rows
+    assert mass_map.rows[:, mass_map.node_row].tobytes() == oracle.tobytes()
+    assert mass_map.exponents.shape == mass_map.residuals.shape == (len(grid.xi_points), rows)
+
+
 def _window_fits(ladder, normalized, in_exponent):
     """Per-window exponents and worst IN fraction, one fit_decay_exponent
     call per ladder slice, as the report took them before it shared one
@@ -355,8 +372,8 @@ def _window_fits(ladder, normalized, in_exponent):
 @pytest.mark.parametrize("length", [4, 5, 9])
 def test_subsequence_windows_match_per_slice_fits(monkeypatch, length):
     # window = max(4, L // 2): one window at 4 points, two at 5, six at 9.
-    # Each window fits every distinct row without a zero in it exactly once;
-    # gathered back to the nodes, each window's exponents and the worst fill
+    # Each window fits every row of the map without a zero in it exactly once;
+    # gathered back to the nodes through node_row, each window's exponents and the worst fill
     # keep the bits of one fit_decay_exponent call per ladder slice
     ladder = default_h_ladder(4, 3 + length)
     grid = PhaseSpaceGrid.standard(1, 16)
@@ -374,8 +391,12 @@ def test_subsequence_windows_match_per_slice_fits(monkeypatch, length):
     normalized[[12, 13]] = normalized[5]
     scales = np.array([symbol_scale(1, h) for h in ladder])
     masses = np.stack([normalized * scales] * 3)
-    fit = fit_decay_exponent(ladder, masses / scales)
-    mass_map = wavefront.MassMap(grid, ladder, masses, fit.exponent, fit.residual)
+    # the map's rows: nodes whose masses agree bit for bit share one
+    row_bytes = np.dtype((np.void, 8 * length))
+    first, node_row = np.unique(masses[0].view(row_bytes).ravel(), return_index=True, return_inverse=True)[1:]
+    assert len(first) == 11
+    fit = fit_decay_exponent(ladder, masses[:, first] / scales)
+    mass_map = wavefront.MassMap(grid, ladder, masses[:, first], node_row, fit.exponent, fit.residual)
     zero = grid.zero_xi_index
     thresholds = VerdictThresholds()
     normalized = masses[zero] / scales
@@ -387,17 +408,14 @@ def test_subsequence_windows_match_per_slice_fits(monkeypatch, length):
     report = nonconcentration_report(mass_map, thresholds)
     window = max(4, length // 2)
     assert len(calls) == len(expected) == length - window + 1
-    # the distinct-row index: ladder rows keyed by their bytes
-    first, inverse = np.unique(normalized.view(np.dtype((np.void, 8 * length))).ravel(), return_index=True, return_inverse=True)[1:]
     rows = normalized[first]
-    assert len(rows) == 11
     for start, ((ys, slope), exponents) in enumerate(zip(calls, expected)):
         part = rows[:, start : start + window]
         live = part.all(axis=1)
         assert ys.tobytes() == np.array([[math.log(v) for v in row] for row in part[live]]).tobytes()
         per_row = np.full(len(rows), math.inf)
         per_row[live] = slope
-        assert per_row[inverse].tobytes() == exponents.tobytes()
+        assert per_row[node_row].tobytes() == exponents.tobytes()
     # rows 4 and 11 are zero in every window; rows 1, 9 and 10 only in the first, row 2 only in the last
     dead = [tuple(np.flatnonzero(np.isinf(exponents))) for exponents in expected]
     assert all({4, 11} <= set(nodes) for nodes in dead)
@@ -411,7 +429,7 @@ def test_subsequence_windows_match_per_slice_fits(monkeypatch, length):
 
 @pytest.mark.parametrize("points, estimate", [(32, 1_987_440), (128, 31_355_760)])
 def test_report_peak_memory_is_within_the_mass_map_estimate(golden, points, estimate):
-    # the windows fit golden's distinct zero-covector rows (63 of 1,024 nodes at 32 points)
+    # the windows fit the rows of golden's map at the zero covector (82 for 1,024 nodes at 32 points)
     grid = PhaseSpaceGrid.standard(2, points)
     assert wavefront.check_massmap_budget(grid, golden.ladder, len(golden.v)) == estimate
     mass_map = wavefront_mass_map(golden.family, grid)
