@@ -19,9 +19,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -180,6 +179,10 @@ def _massmap_lines(mass_map):
 # Config schema
 # ---------------------------------------------------------------------------
 
+def _threshold_values(thresholds: VerdictThresholds) -> dict:
+    return {name: getattr(thresholds, name) for name in thresholds._fields}
+
+
 _DEFAULTS = {
     "basis": {"names": ["1"], "values": [1.0]},
     "c": "resonant",
@@ -191,15 +194,14 @@ _DEFAULTS = {
     "epsilon": 0.05,
     "subdomain": [0.0, 0.25],
     "grid": {"points_per_axis": 32, "xi": "units"},
-    "thresholds": {**asdict(VerdictThresholds()), "null_tol": NULL_TOL},
+    "thresholds": {**_threshold_values(VerdictThresholds()), "null_tol": NULL_TOL},
     "out": "results",
 }
 
 _TOP_KEYS = {"dimension", "omega", "hessian"} | set(_DEFAULTS)
 
 
-@dataclass(frozen=True)
-class LabConfig:
+class LabConfig(NamedTuple):
     """Validated pipeline inputs plus the materialized raw config."""
 
     dimension: int
@@ -364,7 +366,7 @@ def _parse_factory(raw) -> tuple[Optional[tuple[int, ...]], Optional[TrigPolynom
 
 def _parse_thresholds(filled: dict) -> tuple[VerdictThresholds, float]:
     """The verdict thresholds and null_tol of a filled thresholds block."""
-    thresholds = VerdictThresholds(*(float(filled[field.name]) for field in fields(VerdictThresholds)))
+    thresholds = VerdictThresholds(*(float(filled[name]) for name in VerdictThresholds._fields))
     return thresholds, float(filled["null_tol"])
 
 
@@ -763,7 +765,7 @@ def _wavefront_stage(config, split, built):
         "lagrangian_supported": verdicts.lagrangian_supported,
         "nonempty_interior": verdicts.nonempty_interior,
         "subsequence_min_fill": verdicts.subsequence_min_fill,
-        "thresholds": asdict(config.thresholds),
+        "thresholds": _threshold_values(config.thresholds),
     }
     checks = {
         "fills torus": verdicts.fills_torus,

@@ -20,9 +20,8 @@ Smith form completes a lattice basis to the splitting matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 __all__ = [
     "InvariantViolation",
@@ -45,6 +44,38 @@ __all__ = [
 class InvariantViolation(RuntimeError):
     """An internal consistency guarantee failed, e.g. a frequency vector
     declared free of rational relations turned out to have one."""
+
+
+class _Record:
+    """Base of the records whose __init__ validates its arguments: each
+    sets the fields named in ``_fields`` through object.__setattr__ and is
+    immutable after, equal to a record of its class with equal fields, and
+    hashed and printed by its fields.  A frozen dataclass would generate
+    and compile these methods for each class at every import."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        inside = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({inside})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def parse_rational(value) -> Fraction:
@@ -280,8 +311,7 @@ def unimodular_inverse(M: Sequence[Sequence[int]]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExactNumber:
+class ExactNumber(_Record):
     """A number given by exact rational coordinates over a fixed basis.
 
     The basis is (1, beta_2, ..., beta_m) with the beta_i assumed linearly
@@ -289,10 +319,10 @@ class ExactNumber:
     equality with no tolerance.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(parse_rational(c) for c in self.coeffs)
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        coeffs = tuple(parse_rational(c) for c in coeffs)
         if len(coeffs) < 1:
             raise ValueError("coordinate vector must have at least one entry")
         object.__setattr__(self, "coeffs", coeffs)
@@ -330,8 +360,7 @@ class ExactNumber:
         return ExactNumber(tuple(q * a for a in self.coeffs))
 
 
-@dataclass(frozen=True)
-class IrrationalBasis:
+class IrrationalBasis(_Record):
     """Declared irrationality basis with decimal values for the one place
     exact numbers ever become floats.
 
@@ -339,12 +368,11 @@ class IrrationalBasis:
     the rest over the rationals is trusted as part of the input contract.
     """
 
-    names: tuple[str, ...]
-    values: tuple[float, ...]
+    __slots__ = _fields = ("names", "values")
 
-    def __post_init__(self):
-        names = tuple(str(s) for s in self.names)
-        values = tuple(float(v) for v in self.values)
+    def __init__(self, names: tuple[str, ...], values: tuple[float, ...]):
+        names = tuple(str(s) for s in names)
+        values = tuple(float(v) for v in values)
         if len(names) != len(values) or not names:
             raise ValueError("basis needs matching, nonempty names and values")
         if values[0] != 1.0:
@@ -362,14 +390,13 @@ class IrrationalBasis:
         return math.fsum(float(c) * v for c, v in zip(x.coeffs, self.values))
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
+class FrequencyVector(_Record):
     """The vector of flow frequencies, each entry an ExactNumber."""
 
-    entries: tuple[ExactNumber, ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
+    def __init__(self, entries: tuple[ExactNumber, ...]):
+        entries = tuple(entries)
         if not entries:
             raise ValueError("frequency vector must have positive dimension")
         m = entries[0].dim
@@ -415,8 +442,7 @@ class FrequencyVector:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntegerLattice:
+class IntegerLattice(NamedTuple):
     """A sublattice of Z^n stored as the canonical column HNF of a basis:
     the transpose of the row Hermite form of the basis vectors.
 
@@ -468,8 +494,7 @@ def relation_lattice(omega: FrequencyVector) -> IntegerLattice:
     return IntegerLattice.from_columns(integer_kernel(rows), omega.dimension)
 
 
-@dataclass(frozen=True)
-class UnimodularSplitting:
+class UnimodularSplitting(_Record):
     """Integer change of coordinates splitting the torus along an orbit
     closure.
 
@@ -480,27 +505,30 @@ class UnimodularSplitting:
     is the relation lattice of the original frequencies.
     """
 
-    matrix: tuple[tuple[int, ...], ...]
-    orbit_dimension: int
-    omega_tilde: tuple[ExactNumber, ...]
-    inverse: tuple[tuple[int, ...], ...]
-    relations: IntegerLattice
+    __slots__ = _fields = ("matrix", "orbit_dimension", "omega_tilde", "inverse", "relations")
 
-    def __post_init__(self):
-        M = tuple(tuple(int(x) for x in row) for row in self.matrix)
-        Minv = tuple(tuple(int(x) for x in row) for row in self.inverse)
+    def __init__(
+        self,
+        matrix: tuple[tuple[int, ...], ...],
+        orbit_dimension: int,
+        omega_tilde: tuple[ExactNumber, ...],
+        inverse: tuple[tuple[int, ...], ...],
+        relations: IntegerLattice,
+    ):
+        M = tuple(tuple(int(x) for x in row) for row in matrix)
+        Minv = tuple(tuple(int(x) for x in row) for row in inverse)
         n = len(M)
         if any(len(row) != n for row in M):
             raise ValueError("splitting matrix must be square")
         # an integer matrix with an integer inverse is unimodular
         if len(Minv) != n or _mat_mul(M, Minv) != _identity(n):
             raise ValueError("splitting matrix must be unimodular with the given inverse")
-        if not (1 <= self.orbit_dimension <= n):
+        if not (1 <= orbit_dimension <= n):
             raise ValueError("orbit dimension out of range")
-        if len(self.omega_tilde) != self.orbit_dimension:
+        if len(omega_tilde) != orbit_dimension:
             raise ValueError("reduced frequency count must equal the orbit dimension")
-        object.__setattr__(self, "matrix", M)
-        object.__setattr__(self, "inverse", Minv)
+        for name, value in zip(self._fields, (M, orbit_dimension, omega_tilde, Minv, relations)):
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self) -> int:

@@ -15,11 +15,10 @@ here inspects a neighborhood.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _det_int, _mat_mul, _transpose, integer_kernel
+from .exact import _det_int, _mat_mul, _Record, _transpose, integer_kernel
 
 __all__ = [
     "HessianForm",
@@ -30,15 +29,14 @@ __all__ = [
 _SYMMETRY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class HessianForm:
+class HessianForm(_Record):
     """Symmetric matrix of second derivatives of the symbol in the action
     variables, evaluated at the torus."""
 
-    entries: np.ndarray
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        H = np.array(self.entries, dtype=float)
+    def __init__(self, entries: np.ndarray):
+        H = np.array(entries, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError("Hessian must be a square matrix")
         if not np.all(np.isfinite(H)):

@@ -14,12 +14,11 @@ character multiplier becomes a float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .exact import ExactNumber, FrequencyVector, IrrationalBasis, UnimodularSplitting
+from .exact import ExactNumber, FrequencyVector, IrrationalBasis, UnimodularSplitting, _Record
 from .nondegeneracy import HessianForm
 from .trigpoly import TrigPolynomial, _merge_keys
 
@@ -49,8 +48,7 @@ def _remainder_potential(dim: int) -> TrigPolynomial:
     return TrigPolynomial.cosine(dim, (1,) + (0,) * (dim - 1))
 
 
-@dataclass(frozen=True)
-class ModelOperatorSpec:
+class ModelOperatorSpec(_Record):
     """Frozen data of one model operator instance.
 
     With ``remainder``, the operator carries a concrete bounded realization
@@ -60,52 +58,52 @@ class ModelOperatorSpec:
     a modeling choice; reports must flag it.
     """
 
-    omega: FrequencyVector
-    hessian: HessianForm
-    c: ExactNumber
-    r: TrigPolynomial
-    basis: IrrationalBasis
-    remainder: bool = False
+    __slots__ = _fields = ("omega", "hessian", "c", "r", "basis", "remainder")
 
-    def __post_init__(self):
-        n = self.omega.dimension
-        if self.hessian.dimension != n:
+    def __init__(
+        self,
+        omega: FrequencyVector,
+        hessian: HessianForm,
+        c: ExactNumber,
+        r: TrigPolynomial,
+        basis: IrrationalBasis,
+        remainder: bool = False,
+    ):
+        n = omega.dimension
+        if hessian.dimension != n:
             raise ValueError("Hessian dimension does not match the frequency vector")
-        if self.r.dim != n:
+        if r.dim != n:
             raise ValueError("multiplier r lives on the wrong torus")
-        if self.omega.basis_dim != self.basis.dim or self.c.dim != self.basis.dim:
+        if omega.basis_dim != basis.dim or c.dim != basis.dim:
             raise ValueError("exact numbers declared over a different basis")
-        if not self.r.is_real_valued(REAL_TOL):
+        if not r.is_real_valued(REAL_TOL):
             raise ValueError("multiplier r must be real-valued (Hermitian coefficients)")
         # c is real by construction: ExactNumber has no imaginary part.
+        for name, value in zip(self._fields, (omega, hessian, c, r, basis, remainder)):
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self) -> int:
         return self.omega.dimension
 
 
-@dataclass(frozen=True)
-class OperatorOnTPrime:
+class OperatorOnTPrime(_Record):
     """Constant coefficient elliptic operator on the transverse torus for
     one mode along the orbit closure, plus the zero-mode multiplier."""
 
-    Omega_block: np.ndarray
-    gamma: np.ndarray
-    rho: float
-    zero_mode_multiplier: TrigPolynomial
+    __slots__ = _fields = ("Omega_block", "gamma", "rho", "zero_mode_multiplier")
 
-    def __post_init__(self):
-        omega = np.asarray(self.Omega_block, dtype=float)
-        gamma = np.asarray(self.gamma, dtype=float).reshape(-1)
+    def __init__(self, Omega_block: np.ndarray, gamma: np.ndarray, rho: float, zero_mode_multiplier: TrigPolynomial):
+        omega = np.asarray(Omega_block, dtype=float)
+        gamma = np.asarray(gamma, dtype=float).reshape(-1)
         q = gamma.shape[0]
         omega = omega.reshape(q, q)
-        if self.zero_mode_multiplier.dim != q:
+        if zero_mode_multiplier.dim != q:
             raise ValueError("zero-mode multiplier lives on the wrong torus")
         omega.setflags(write=False)
         gamma.setflags(write=False)
-        object.__setattr__(self, "Omega_block", omega)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "rho", float(self.rho))
+        for name, value in zip(self._fields, (omega, gamma, float(rho), zero_mode_multiplier)):
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self) -> int:

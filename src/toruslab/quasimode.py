@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .exact import FrequencyVector, IrrationalBasis, UnimodularSplitting
+from .exact import FrequencyVector, IrrationalBasis, UnimodularSplitting, _Record
 from .nondegeneracy import HessianForm
 from .operator import REAL_TOL, ModelOperatorSpec, OperatorOnTPrime, apply_model_operator, transverse_operator
 from .trigpoly import TrigPolynomial, box_gram
@@ -94,8 +93,7 @@ _NORMALIZATION_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     """Fitted slope of log(value) against log(h), with the worst absolute
     deviation of the fit.  A fit of a stack of series holds arrays of the
     stack's leading shape."""
@@ -177,8 +175,7 @@ def default_h_ladder(start: int = 4, stop: int = 12) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuasimodeFamily:
+class QuasimodeFamily(_Record):
     """An h-indexed family of unit-norm trig polynomials, in the form of its
     manifest.
 
@@ -189,20 +186,23 @@ class QuasimodeFamily:
     only ``from_members`` compares members by value.
     """
 
-    h_ladder: tuple[float, ...]
-    members: tuple[TrigPolynomial, ...]
-    member_index: tuple[int, ...]
-    normalization: tuple[float, ...]
+    __slots__ = _fields = ("h_ladder", "members", "member_index", "normalization")
 
-    def __post_init__(self):
-        ladder = tuple(float(h) for h in self.h_ladder)
+    def __init__(
+        self,
+        h_ladder: tuple[float, ...],
+        members: tuple[TrigPolynomial, ...],
+        member_index: tuple[int, ...],
+        normalization: tuple[float, ...],
+    ):
+        ladder = tuple(float(h) for h in h_ladder)
         # written so that a NaN fails each check
         if not ladder or not all(0.0 < h < math.inf for h in ladder):
             raise ValueError("ladder must be positive and finite")
         if any(nxt >= prev for prev, nxt in zip(ladder, ladder[1:])):
             raise ValueError("ladder must be strictly decreasing")
-        members, member_index = tuple(self.members), tuple(self.member_index)
-        if len(member_index) != len(ladder) or len(self.normalization) != len(ladder):
+        members, member_index = tuple(members), tuple(member_index)
+        if len(member_index) != len(ladder) or len(normalization) != len(ladder):
             raise ValueError("member_index and normalization must align with the ladder")
         for i in member_index:
             if type(i) is not int or not 0 <= i < len(members):
@@ -214,7 +214,7 @@ class QuasimodeFamily:
                 raise ValueError(f"family members live on tori of dimensions {members[0].dim} and {u.dim}")
             if not abs(u.norm() - 1.0) <= _NORMALIZATION_TOL:
                 raise ValueError("family members must be normalized to unit norm")
-        normalization = tuple(float(x) for x in self.normalization)
+        normalization = tuple(float(x) for x in normalization)
         if not all(0.0 < x < math.inf for x in normalization):
             raise ValueError("normalization entries must be positive and finite")
         object.__setattr__(self, "h_ladder", ladder)
@@ -350,7 +350,13 @@ def build_factory_quasimode(
                 f"({16 * grid_points**q / 1e6:.0f} MB), over the budget of "
                 f"{REEXPANSION_BYTES_BUDGET / 1e6:.0f} MB"
             )
-        residual_scale = max(1.0, numerator.norm())
+        try:
+            qv_norm = numerator.norm()
+        except OverflowError:  # a square beyond the floats, or their sum
+            qv_norm = math.inf
+        if not qv_norm < math.inf:
+            raise ValueError("Q v overflows: its norm does not square to a float; factory.v or H must be smaller")
+        residual_scale = max(1.0, qv_norm)
         while True:
             values = v.to_grid(grid_points)
             scale = float(np.max(np.abs(values)))
@@ -389,7 +395,7 @@ def build_factory_quasimode(
     member = _lift_mode(v, split, alpha0)
     ladder = tuple(float(h) for h in h_ladder)
     family = QuasimodeFamily.from_members(ladder, [member] * len(ladder))
-    return spec, family, replace(bare, zero_mode_multiplier=r0)
+    return spec, family, OperatorOnTPrime(bare.Omega_block, bare.gamma, bare.rho, r0)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +403,7 @@ def build_factory_quasimode(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GalerkinNullspace:
+class GalerkinNullspace(NamedTuple):
     """Near-kernel of the transverse operator on a truncated character
     basis: the retained eigenvectors and their eigenvalues."""
 
@@ -406,7 +411,7 @@ class GalerkinNullspace:
     basis: tuple[TrigPolynomial, ...]
     eigenvalues: tuple[float, ...]
     scale: float
-    frequencies: tuple[tuple[int, ...], ...] = field(repr=False)
+    frequencies: tuple[tuple[int, ...], ...]
 
 
 def _galerkin_matrix(op: OperatorOnTPrime, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -494,8 +499,7 @@ def galerkin_nullspace(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniqueContinuation:
+class UniqueContinuation(NamedTuple):
     """Mass lower bound over a subdomain for unit nullspace elements, the
     smallest eigenvalue of the basis's Gram matrix over the subdomain."""
 
@@ -537,8 +541,7 @@ def unique_continuation_constant(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(NamedTuple):
     """Residual norms of P u over the ladder and the verdict."""
 
     residual_norms: tuple[float, ...]
@@ -576,8 +579,7 @@ def verify_quasimode_order(
     )
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
+class ConcentrationReport(NamedTuple):
     """Per-mode decay of off-resonant mass and the resonant-mode floor."""
 
     mode_fits: Mapping[tuple[int, ...], DecayFit]

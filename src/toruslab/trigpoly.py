@@ -240,6 +240,9 @@ class TrigPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("TrigPolynomial is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("TrigPolynomial is immutable")
+
     @staticmethod
     def zero(dim: int) -> "TrigPolynomial":
         return TrigPolynomial(dim)

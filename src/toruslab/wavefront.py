@@ -25,12 +25,12 @@ decay fit, the verdicts' ladder windows and massmap.csv read each row once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .exact import _Record
 from .quasimode import QuasimodeFamily, _decay_series, _fit_line, _logs, fit_decay_exponent
 from .trigpoly import TrigPolynomial
 
@@ -115,23 +115,21 @@ def _phase_table(u: TrigPolynomial, nodes: np.ndarray) -> tuple[np.ndarray, np.n
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhaseSpaceGrid:
+class PhaseSpaceGrid(_Record):
     """Sampling layout: a uniform x grid and a finite set of distinct
     covectors that must contain zero."""
 
-    dimension: int
-    points_per_axis: int
-    xi_points: tuple[tuple[float, ...], ...]
+    _fields = ("dimension", "points_per_axis", "xi_points")
+    __slots__ = (*_fields, "__dict__")  # the __dict__ holds x_nodes once it is asked for
 
-    def __post_init__(self):
-        dim = int(self.dimension)
-        pts = int(self.points_per_axis)
+    def __init__(self, dimension: int, points_per_axis: int, xi_points: tuple[tuple[float, ...], ...]):
+        dim = int(dimension)
+        pts = int(points_per_axis)
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         if pts < 2:
             raise ValueError("need at least 2 points per axis")
-        xi = tuple(tuple(float(c) for c in covector) for covector in self.xi_points)
+        xi = tuple(tuple(float(c) for c in covector) for covector in xi_points)
         if any(len(covector) != dim for covector in xi):
             raise ValueError("covector dimension mismatch")
         for covector in xi:
@@ -165,8 +163,7 @@ class PhaseSpaceGrid:
         return self.xi_points.index((0.0,) * self.dimension)
 
 
-@dataclass(frozen=True)
-class MassMap:
+class MassMap(NamedTuple):
     """Raw coherent masses on the grid and decay fits, per distinct node row.
 
     ``rows[i, r, l]`` is the mass of row r at covector i and point l of
@@ -283,22 +280,20 @@ OUT = -1
 INCONCLUSIVE = 0
 
 
-@dataclass(frozen=True)
-class VerdictThresholds:
-    in_exponent: float = 0.5
-    out_exponent: float = 2.0
-    fill_fraction: float = 0.95
+class VerdictThresholds(_Record):
+    __slots__ = _fields = ("in_exponent", "out_exponent", "fill_fraction")
 
-    def __post_init__(self):
+    def __init__(self, in_exponent: float = 0.5, out_exponent: float = 2.0, fill_fraction: float = 0.95):
         # in >= out leaves no inconclusive band, and fill_fraction <= 0 passes every map
-        if not self.in_exponent < self.out_exponent:
+        if not in_exponent < out_exponent:
             raise ValueError("in_exponent must be below out_exponent")
-        if not 0 < self.fill_fraction <= 1:
+        if not 0 < fill_fraction <= 1:
             raise ValueError("fill_fraction must lie in (0, 1]")
+        for name, value in zip(self._fields, (in_exponent, out_exponent, fill_fraction)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class WavefrontReport:
+class WavefrontReport(NamedTuple):
     """Node classifications and the three nonconcentration verdicts."""
 
     classifications: np.ndarray

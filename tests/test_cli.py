@@ -929,6 +929,33 @@ def test_factory_profile_norm_beyond_the_float_squares_is_a_config_error(tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, builds",
+    [
+        ({"factory": _scaled_factory(6e152)}, True),
+        ({"hessian": [[1e150, 0.0], [0.0, 1e150]]}, True),
+        # inside the parse bound on v's norm, but Q v grows past it: its
+        # squares sum past float max, or one square alone overflows
+        ({"factory": _scaled_factory(1.5e153)}, False),
+        ({"factory": _scaled_factory(3e153)}, False),
+        ({"factory": _scaled_factory(6.3e153)}, False),
+        ({"hessian": [[1e300, 0.0], [0.0, 1e300]]}, False),
+    ],
+)
+def test_factory_q_v_overflow_is_a_named_stage_error(tmp_path, overrides, builds):
+    path = _config(tmp_path, overrides)
+    code = main(["build-quasimode", "--config", str(path)])
+    section = json.loads((tmp_path / "out" / "report.json").read_text())["quasimode_build"]
+    if builds:
+        assert (code, section["status"]) == (EXIT_PASS, "built")
+        return
+    assert code == EXIT_CHECK_FAILED
+    assert section == {
+        "status": "error",
+        "detail": "Q v overflows: its norm does not square to a float; factory.v or H must be smaller",
+    }
+
+
 @pytest.mark.parametrize("frequency", [10**15, 10**19, 10**30, -(10**30)])
 @pytest.mark.parametrize("field", ["factory.alpha0", "factory.v"])
 def test_factory_frequencies_out_of_range_are_config_errors(tmp_path, capsys, frequency, field):

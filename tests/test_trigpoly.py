@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from toruslab import (
+    ModelOperatorSpec,
     QuasimodeFamily,
     TrigPolynomial,
     default_h_ladder,
@@ -96,8 +96,9 @@ def test_non_finite_coefficient_is_not_real_valued(golden):
         assert not TrigPolynomial(1, {(1,): bad, (-1,): bad}).is_real_valued(1.0)
     # the checks on the multiplier r and on the Galerkin problem refuse it
     r = TrigPolynomial(2, {(1, 0): 1.0, (-1, 0): complex(1.0, math.nan)})
+    spec = golden.spec
     with pytest.raises(ValueError, match="real-valued"):
-        dataclasses.replace(golden.spec, r=r)
+        ModelOperatorSpec(spec.omega, spec.hessian, spec.c, r, spec.basis, spec.remainder)
     with pytest.raises(ValueError, match="real-valued"):
         galerkin_nullspace(transverse_operator(golden.hessian, golden.split, (0,), nan_series), 8)
 
@@ -142,6 +143,8 @@ def test_immutability():
     p = TrigPolynomial(1, {(0,): 1.0})
     with pytest.raises(AttributeError):
         p.dim = 2
+    with pytest.raises(AttributeError):
+        del p.dim
 
 
 def _bits(p):
