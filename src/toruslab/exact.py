@@ -48,13 +48,18 @@ class InvariantViolation(RuntimeError):
 
 class _Record:
     """Base of the records whose __init__ validates its arguments: each
-    sets the fields named in ``_fields`` through object.__setattr__ and is
-    immutable after, equal to a record of its class with equal fields, and
+    sets the fields named in ``_fields`` through _assign and is immutable
+    after, equal to a record of its class with equal fields, and
     hashed and printed by its fields.  A frozen dataclass would generate
     and compile these methods for each class at every import."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values) -> None:
+        """Set the fields named in ``_fields`` to values, one each, in order."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -325,7 +330,7 @@ class ExactNumber(_Record):
         coeffs = tuple(parse_rational(c) for c in coeffs)
         if len(coeffs) < 1:
             raise ValueError("coordinate vector must have at least one entry")
-        object.__setattr__(self, "coeffs", coeffs)
+        self._assign(coeffs)
 
     @staticmethod
     def rational(value, dim: int = 1) -> "ExactNumber":
@@ -377,8 +382,7 @@ class IrrationalBasis(_Record):
             raise ValueError("basis needs matching, nonempty names and values")
         if values[0] != 1.0:
             raise ValueError("the first basis element must be 1")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "values", values)
+        self._assign(names, values)
 
     @property
     def dim(self) -> int:
@@ -404,7 +408,7 @@ class FrequencyVector(_Record):
             raise ValueError("all entries must share one coordinate basis")
         if all(e.is_zero for e in entries):
             raise ValueError("frequency vector must not vanish")
-        object.__setattr__(self, "entries", entries)
+        self._assign(entries)
 
     @staticmethod
     def from_rows(rows, basis_dim: int = 1) -> "FrequencyVector":
@@ -527,8 +531,7 @@ class UnimodularSplitting(_Record):
             raise ValueError("orbit dimension out of range")
         if len(omega_tilde) != orbit_dimension:
             raise ValueError("reduced frequency count must equal the orbit dimension")
-        for name, value in zip(self._fields, (M, orbit_dimension, omega_tilde, Minv, relations)):
-            object.__setattr__(self, name, value)
+        self._assign(M, orbit_dimension, omega_tilde, Minv, relations)
 
     @property
     def dimension(self) -> int:

@@ -48,7 +48,7 @@ class HessianForm(_Record):
         # summed halves cannot overflow; symmetric entries are kept, so no subnormal is halved
         H = np.where(H == H.T, H, 0.5 * H + 0.5 * H.T)
         H.setflags(write=False)
-        object.__setattr__(self, "entries", H)
+        self._assign(H)
 
     @property
     def dimension(self) -> int:

@@ -79,8 +79,7 @@ class ModelOperatorSpec(_Record):
         if not r.is_real_valued(REAL_TOL):
             raise ValueError("multiplier r must be real-valued (Hermitian coefficients)")
         # c is real by construction: ExactNumber has no imaginary part.
-        for name, value in zip(self._fields, (omega, hessian, c, r, basis, remainder)):
-            object.__setattr__(self, name, value)
+        self._assign(omega, hessian, c, r, basis, remainder)
 
     @property
     def dimension(self) -> int:
@@ -102,8 +101,7 @@ class OperatorOnTPrime(_Record):
             raise ValueError("zero-mode multiplier lives on the wrong torus")
         omega.setflags(write=False)
         gamma.setflags(write=False)
-        for name, value in zip(self._fields, (omega, gamma, float(rho), zero_mode_multiplier)):
-            object.__setattr__(self, name, value)
+        self._assign(omega, gamma, float(rho), zero_mode_multiplier)
 
     @property
     def dimension(self) -> int:

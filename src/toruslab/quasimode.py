@@ -217,10 +217,7 @@ class QuasimodeFamily(_Record):
         normalization = tuple(float(x) for x in normalization)
         if not all(0.0 < x < math.inf for x in normalization):
             raise ValueError("normalization entries must be positive and finite")
-        object.__setattr__(self, "h_ladder", ladder)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "member_index", member_index)
-        object.__setattr__(self, "normalization", normalization)
+        self._assign(ladder, members, member_index, normalization)
 
     @staticmethod
     def from_members(h_ladder, members) -> "QuasimodeFamily":

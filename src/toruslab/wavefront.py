@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .exact import _Record
-from .quasimode import QuasimodeFamily, _decay_series, _fit_line, _logs, fit_decay_exponent
+from .quasimode import QuasimodeFamily, fit_decay_exponent
 from .trigpoly import TrigPolynomial
 
 __all__ = [
@@ -46,18 +46,22 @@ __all__ = [
     "IMAGE_DROP",
     "MASSMAP_BYTES_BUDGET",
     "MASSMAP_FIT_COPIES",
+    "MASSMAP_FIT_SERIES_BYTES",
     "MASSMAP_CALL_BYTES",
 ]
 
 #: Relative Gaussian weight below which frequency-lattice images are dropped.
 IMAGE_DROP = 1e-18
-#: Largest number of bytes that wavefront_mass_map holds (see
-#: check_massmap_budget).
+#: Largest number of bytes that the wavefront stage, wavefront_mass_map and
+#: then nonconcentration_report, holds (see check_massmap_budget).
 MASSMAP_BYTES_BUDGET = 256 * 2**20
-#: Arrays of the size of the masses that the decay fit holds at its peak,
-#: the symbol-normalized copy included (3.7 to 3.8 by tracemalloc on
-#: 2-torus grids of 8 to 64 points per axis).
-MASSMAP_FIT_COPIES = 4
+#: Arrays of the size of the masses that the report's decay fit holds at its
+#: peak, the symbol-normalized copy included, on masses that are all distinct
+#: and positive (9.0 to 9.6 by tracemalloc on ladders of 4 to 20 points).
+MASSMAP_FIT_COPIES = 10
+#: Bytes that the decay fit holds per series, a covector and a distinct row,
+#: beyond its copies: its per-row lists (42 to 52 by tracemalloc).
+MASSMAP_FIT_SERIES_BYTES = 64
 #: Bytes a mass map call holds whatever its grid and member: the call's
 #: small arrays and objects.
 MASSMAP_CALL_BYTES = 16 << 10
@@ -140,9 +144,7 @@ class PhaseSpaceGrid(_Record):
         # -0.0 == 0.0, so a repeated zero covector is caught in either spelling
         if len(set(xi)) != len(xi):
             raise ValueError("covectors must be distinct")
-        object.__setattr__(self, "dimension", dim)
-        object.__setattr__(self, "points_per_axis", pts)
-        object.__setattr__(self, "xi_points", xi)
+        self._assign(dim, pts, xi)
 
     @staticmethod
     def standard(dimension: int, points_per_axis: int) -> "PhaseSpaceGrid":
@@ -164,21 +166,16 @@ class PhaseSpaceGrid(_Record):
 
 
 class MassMap(NamedTuple):
-    """Raw coherent masses on the grid and decay fits, per distinct node row.
+    """Raw coherent masses on the grid, per distinct node row.
 
     ``rows[i, r, l]`` is the mass of row r at covector i and point l of
-    ``h_ladder``, the family's ladder, node j has row ``node_row[j]``, and
-    ``exponents[i, r]`` fits row r at covector i.  Fits are of the
-    symbol-normalized mass (raw divided by the symbol scale), so a node where
-    the family keeps order-one symbol mass fits an exponent near zero.
+    ``h_ladder``, the family's ladder, and node j has row ``node_row[j]``.
     """
 
     grid: PhaseSpaceGrid
     h_ladder: tuple[float, ...]
     rows: np.ndarray
     node_row: np.ndarray
-    exponents: np.ndarray
-    residuals: np.ndarray
 
     @property
     def masses(self) -> np.ndarray:  # masses[i, j, l]: covector i, node j, ladder point l
@@ -186,13 +183,15 @@ class MassMap(NamedTuple):
 
 
 def check_massmap_budget(grid: PhaseSpaceGrid, h_ladder: Sequence[float], support: int) -> int:
-    """Bytes that the mass map of a member with the given support holds at
-    its peak on a grid over an h ladder (README's `grid` row details each
-    term): the masses, 8 bytes a covector, node and ladder point, and
-    MASSMAP_FIT_COPIES more such arrays; per coefficient, 32 bytes a node for
-    the phase table, 16 dim + 32 a (covector, h) pair for the weights, and
-    64 + 24 dim; 16 bytes a node for one block's amplitudes; 32 bytes per
-    image of the widest probe axis for a theta sum; MASSMAP_CALL_BYTES.
+    """Bytes that the mass map of a member with the given support, and then
+    the report's decay fits of it, hold at their peak on a grid over an h
+    ladder (README's `grid` row details each term): the masses, 8 bytes a
+    covector, node and ladder point, MASSMAP_FIT_COPIES more such arrays and
+    MASSMAP_FIT_SERIES_BYTES a covector and node; per coefficient, 32 bytes
+    a node for the phase table, 16 dim + 32 a (covector, h) pair for the
+    weights, and 64 + 24 dim; 16 bytes a node for one block's amplitudes;
+    32 bytes per image of the widest probe axis for a theta sum;
+    MASSMAP_CALL_BYTES.
     Raises ValueError when the bytes exceed MASSMAP_BYTES_BUDGET."""
     nodes, pairs = grid.points_per_axis**grid.dimension, len(grid.xi_points) * len(h_ladder)
     per_coefficient = 32 * nodes + (16 * grid.dimension + 32) * pairs + 64 + 24 * grid.dimension
@@ -201,8 +200,8 @@ def check_massmap_budget(grid: PhaseSpaceGrid, h_ladder: Sequence[float], suppor
         images = max(hi - lo + 1 for h in h_ladder for c in components for lo, hi in [_axis_image_bounds(c, h)])
     except OverflowError:  # an image count beyond the floats is beyond any budget
         images = math.inf
-    size = (1 + MASSMAP_FIT_COPIES) * 8 * pairs * nodes + 16 * nodes + per_coefficient * support
-    size += 32 * images + MASSMAP_CALL_BYTES
+    size = ((1 + MASSMAP_FIT_COPIES) * 8 * pairs + MASSMAP_FIT_SERIES_BYTES * len(grid.xi_points) + 16) * nodes
+    size += per_coefficient * support + 32 * images + MASSMAP_CALL_BYTES
     if size > MASSMAP_BYTES_BUDGET:
         raise ValueError(
             f"{grid.points_per_axis} points per axis on a {grid.dimension}-torus need a "
@@ -213,15 +212,15 @@ def check_massmap_budget(grid: PhaseSpaceGrid, h_ladder: Sequence[float], suppor
 
 
 def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap:
-    """Evaluate coherent masses on the whole grid and fit each distinct node row's decay.
+    """Evaluate coherent masses on the whole grid, one row per set of nodes with equal masses.
 
     Output is keyed by node, covector and the family's ladder point, never
     by evaluation order, and the per-covector mass budget is checked: the
     exact x-average of the mass (a Parseval sum over the coefficients) must
     not exceed the squared family norm times the symbol scale, and the grid
     average is held to the same budget whenever the grid resolves the
-    support.  What the map holds must fit MASSMAP_BYTES_BUDGET (checked
-    before anything sized by the grid is built).
+    support.  The map and the report's fits of it must fit
+    MASSMAP_BYTES_BUDGET (checked before anything sized by the grid is built).
     """
     if family.dimension != grid.dimension:
         raise ValueError("family and grid dimensions differ")
@@ -235,7 +234,7 @@ def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap
     ])
     prefactor = np.array([(2.0 * math.pi * t) ** (dim / 2.0) for t in ladder])
     scales = np.array([symbol_scale(dim, t) for t in ladder])
-    masses = np.zeros((len(xi), nodes.shape[0], len(ladder)))
+    masses = np.zeros((nodes.shape[0], len(xi), len(ladder)))  # node-major, so that a node's masses key its row
     for slot, u in enumerate(family.members):
         # the phase table depends on the member alone: one per distinct member
         alphas, coeffs, phase, inverse = _phase_table(u, nodes)
@@ -257,18 +256,15 @@ def wavefront_mass_map(family: QuasimodeFamily, grid: PhaseSpaceGrid) -> MassMap
         rows = (np.concatenate(blocks) / norm_sq[:, ls].reshape(-1, 1))[:, inverse].reshape(len(xi), len(ls), -1)
         if 2 * u.support_radius() < grid.points_per_axis and np.any(np.mean(rows, axis=-1) > budget):
             raise ArithmeticError("grid mass average exceeded the budget")
-        masses[:, :, ls] = rows.transpose(0, 2, 1)
-        del squares, weighted, pairs, blocks, rows  # before the keys, the fit and its copies
+        masses[:, :, ls] = rows.transpose(2, 0, 1)
+        del squares, weighted, pairs, blocks, rows  # before the keys and np.unique's copies
     # nodes whose masses agree bit for bit at every covector and h share one row, keyed by its bytes
-    keys = masses.transpose(1, 0, 2).reshape(nodes.shape[0], -1)  # C-contiguous, as the void view needs
-    del masses  # before np.unique's copies of the keys
-    first, node_row = np.unique(keys.view((np.void, keys[0].nbytes))[:, 0], return_index=True, return_inverse=True)[1:]
-    rows = keys[first].reshape(len(first), len(xi), -1).transpose(1, 0, 2)
-    del keys  # before the fit and its copies
-    fit = fit_decay_exponent(ladder, rows / scales)
-    for arr in (rows, node_row, fit.exponent, fit.residual):
-        arr.setflags(write=False)
-    return MassMap(grid, ladder, rows, node_row, fit.exponent, fit.residual)
+    keys = masses.reshape(nodes.shape[0], -1).view((np.void, masses[0].nbytes))
+    first, node_row = np.unique(keys[:, 0], return_index=True, return_inverse=True)[1:]
+    rows = masses[first].transpose(1, 0, 2)
+    rows.setflags(write=False)
+    node_row.setflags(write=False)
+    return MassMap(grid, ladder, rows, node_row)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +285,7 @@ class VerdictThresholds(_Record):
             raise ValueError("in_exponent must be below out_exponent")
         if not 0 < fill_fraction <= 1:
             raise ValueError("fill_fraction must lie in (0, 1]")
-        for name, value in zip(self._fields, (in_exponent, out_exponent, fill_fraction)):
-            object.__setattr__(self, name, value)
+        self._assign(in_exponent, out_exponent, fill_fraction)
 
 
 class WavefrontReport(NamedTuple):
@@ -325,11 +320,15 @@ def nonconcentration_report(
     fills-torus: the IN fraction on the zero covector reaches the fill
     threshold.  lagrangian-supported: every node at every nonzero covector
     is OUT.  nonempty-interior: the IN set at the zero covector contains a
-    full 2-per-axis block of grid nodes.
+    full 2-per-axis block of grid nodes.  Each distinct row's decay is fit
+    on the symbol-normalized mass (raw divided by the symbol scale), so a
+    node where the family keeps order-one symbol mass fits an exponent near
+    zero.
     """
     thresholds = thresholds or VerdictThresholds()
-    grid, node_row = mass_map.grid, mass_map.node_row
-    classes = _classify(mass_map.exponents, thresholds)[:, node_row]
+    grid, ladder, node_row = mass_map.grid, mass_map.h_ladder, mass_map.node_row
+    normalized = mass_map.rows / np.array([symbol_scale(grid.dimension, h) for h in ladder])
+    classes = _classify(fit_decay_exponent(ladder, normalized).exponent, thresholds)[:, node_row]
     zero_index = grid.zero_xi_index
     zero_classes = classes[zero_index]
     fill = float(np.mean(zero_classes == IN))
@@ -339,22 +338,15 @@ def nonconcentration_report(
     interior = _has_full_block((zero_classes == IN).reshape(shape))
 
     # diagnostic: worst IN fraction over long contiguous ladder windows, a proxy
-    # for stability along subsequences of h; a window fits each row of the map
-    # without a zero there once, and an IN row counts each node that has it
-    ladder = mass_map.h_ladder
+    # for stability along subsequences of h; each window is fit_decay_exponent
+    # on its ladder slice of the map's rows, and an IN row counts each node that has it
     window = max(4, len(ladder) // 2)
+    nodes = np.bincount(node_row, minlength=normalized.shape[1])
     min_fill = fill
-    if len(ladder) >= window:
-        scales = np.array([symbol_scale(grid.dimension, h) for h in ladder])
-        xs, rows = _decay_series(ladder, mass_map.rows[zero_index] / scales)
-        nodes = np.bincount(node_row, minlength=len(rows))
-        # a zero stands in as 1, whose log is never read; a row with a zero in a window is not IN there
-        positive = rows > 0.0
-        logs = _logs(np.where(positive, rows, 1.0))
-        for start in range(0, len(ladder) - window + 1):
-            live = positive[:, start:start + window].all(axis=1)
-            slope, _ = _fit_line(xs[start:start + window], logs[live, start:start + window])
-            min_fill = min(min_fill, int(np.sum(nodes[live][slope < thresholds.in_exponent])) / len(node_row))
+    for start in range(0, len(ladder) - window + 1):
+        part = slice(start, start + window)
+        exponent = fit_decay_exponent(ladder[part], normalized[zero_index, :, part]).exponent
+        min_fill = min(min_fill, int(np.sum(nodes[exponent < thresholds.in_exponent])) / len(node_row))
 
     return WavefrontReport(
         classifications=classes,

@@ -557,10 +557,10 @@ def test_hypotheses_and_splitting_do_not_depend_on_power_of_two_scalings(name, a
         # with omega_tilde = +-1 an explicit c = 1/2 admits no integer mode
         ({"c": ["1/2"]}, "c"),
         # the full estimate refuses these, though the raw masses alone fit
-        ({"grid": {"points_per_axis": 375}}, "grid.points_per_axis"),
+        ({"grid": {"points_per_axis": 248}}, "grid.points_per_axis"),
         ({"grid": {"points_per_axis": 500}}, "grid.points_per_axis"),
         ({"grid": {"points_per_axis": 863}}, "grid.points_per_axis"),
-        # the probe norm's theta sums widen as h shrinks: 276 MB and 18 GB
+        # the probe norm's theta sums widen as h shrinks: 277 MB and 18 GB
         ({"h_ladder": "41..44"}, "grid.points_per_axis"),
         ({"h_ladder": "53..56"}, "grid.points_per_axis"),
         # and at 2^-1027 their count overflows a float
@@ -584,12 +584,12 @@ def test_refusals_after_the_parse_write_nothing(tmp_path, overrides, path):
 def test_mass_map_estimate_counts_the_probe_images_of_the_smallest_h(tmp_path, capsys):
     # at h = 2^-56 the theta sum of one probe norm holds 550,090,449 images
     # per axis, 4.4 GB an array; the run is refused before any stage, while
-    # 2^-43 (6,077,699 images, 195 MB in all) still fits the budget
+    # 2^-43 (6,077,699 images, 197 MB in all) still fits the budget
     out = tmp_path / "out"
     fine = _config(tmp_path, {"h_ladder": "53..56"}, name="fine.json")
     assert main(["all", "--config", str(fine)]) == EXIT_USAGE
     assert capsys.readouterr().err == (
-        "config error at grid.points_per_axis: 32 points per axis on a 2-torus need a 17604 MB mass map, "
+        "config error at grid.points_per_axis: 32 points per axis on a 2-torus need a 17605 MB mass map, "
         "over the budget of 268 MB (550090449 probe images per axis down to h = 1.3877787807814457e-17)\n"
     )
     assert not out.exists()
@@ -830,9 +830,8 @@ def massmap_lines_oracle(mass_map):
 
 
 def _per_node_map(grid, ladder, masses):
-    """A mass map whose every node has its own row, with zero fits."""
-    zeros = np.zeros(masses.shape[:2])
-    return wavefront.MassMap(grid, ladder, masses, np.arange(masses.shape[1]), zeros, zeros)
+    """A mass map whose every node has its own row."""
+    return wavefront.MassMap(grid, ladder, masses, np.arange(masses.shape[1]))
 
 
 def test_massmap_writer_matches_per_node_oracle(golden):
@@ -873,8 +872,7 @@ def test_massmap_writer_matches_per_node_oracle(golden):
     node_row = rng.integers(0, 7, 600)
     node_row[200:300] = 4
     node_row[[0, 599]] = 7
-    zeros = np.zeros(rows.shape[:2])
-    mass_maps.append(wavefront.MassMap(grid, ladder, rows, node_row, zeros, zeros))
+    mass_maps.append(wavefront.MassMap(grid, ladder, rows, node_row))
     cells = set()
     for mass_map in mass_maps:
         expected = "\n".join(massmap_lines_oracle(mass_map))
@@ -1066,7 +1064,7 @@ def test_shipped_and_benchmark_configs_fit_the_galerkin_budget():
 
 def test_mass_map_over_budget_is_refused_from_the_estimate(tmp_path, monkeypatch, capsys):
     # 100000 points per axis on the 2-torus: the masses, their fit copies and
-    # the phase table of golden's 3 coefficients, about 19 TB, refused before
+    # the phase table of golden's 3 coefficients, about 44 TB, refused before
     # the nodes or the masses exist; the message names the ladder's smallest h
     def no_mass_map(*args, **kwargs):
         raise AssertionError("the mass map was about to be built")
@@ -1078,7 +1076,7 @@ def test_mass_map_over_budget_is_refused_from_the_estimate(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert (
         "config error at grid.points_per_axis: 100000 points per axis on a 2-torus "
-        "need a 19120000 MB mass map, over the budget of 268 MB "
+        "need a 43920000 MB mass map, over the budget of 268 MB "
         "(131 probe images per axis down to h = 0.000244140625)"
     ) in err
     assert not (tmp_path / "out").exists()
@@ -1087,11 +1085,13 @@ def test_mass_map_over_budget_is_refused_from_the_estimate(tmp_path, monkeypatch
     code, _ = run_pipeline(config, ("hypotheses", "split"), tmp_path / "out")
     assert code == EXIT_PASS
     golden = parse_config(_config(tmp_path).read_text())
-    # golden's own map: five arrays of masses, one block's amplitudes, 3
-    # coefficients' phase-table rows and weights at 45 (covector, h) pairs,
-    # the theta sum of 131 probe images at h = 2^-12, the call's bytes
+    # golden's own map and its fits: eleven arrays of masses, the fit's
+    # per-row lists, one block's amplitudes, 3 coefficients' phase-table rows
+    # and weights at 45 (covector, h) pairs, the theta sum of 131 probe
+    # images at h = 2^-12, the call's bytes
     estimate = wavefront.check_massmap_budget(golden.grid, golden.h_ladder, 3)
-    assert estimate == 5 * 368640 + 16 * 32**2 + 3 * (32 * 32**2 + 64 * 45 + 112) + 32 * 131 + 16384 == 1987440
+    fixed = 16 * 32**2 + 3 * (32 * 32**2 + 64 * 45 + 112) + 32 * 131 + 16384
+    assert estimate == 11 * 368640 + 64 * 5 * 32**2 + fixed == 4526960
 
 
 def test_mass_map_budget_is_one_estimate_decided_before_any_stage(tmp_path, monkeypatch):
@@ -1109,11 +1109,11 @@ def test_mass_map_budget_is_one_estimate_decided_before_any_stage(tmp_path, monk
     ladder = quasimode.default_h_ladder()
     code, _ = run_pipeline(parse_config(_config(tmp_path).read_text()), cli._STAGES, tmp_path / "out")
     assert code == EXIT_PASS and calls == [(32, ladder, 3), (32, ladder, 3)]
-    # 374 points per axis need 267472464 bytes, just under the budget
+    # 247 points per axis need 267981080 bytes, just under the budget
     calls.clear()
-    config = parse_config(_config(tmp_path, {"grid": {"points_per_axis": 374}}).read_text())
+    config = parse_config(_config(tmp_path, {"grid": {"points_per_axis": 247}}).read_text())
     assert cli._split_or_refuse(config, ["wavefront"]) is not None
-    assert calls == [(374, ladder, 3)] and original(config.grid, ladder, 3) == 267472464
+    assert calls == [(247, ladder, 3)] and original(config.grid, ladder, 3) == 267981080
     without_factory = parse_config(_config(tmp_path, {"factory": None}).read_text())
     cli._split_or_refuse(without_factory, ["wavefront"])
     assert calls[-1] == (32, ladder, 0)

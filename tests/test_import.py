@@ -1,7 +1,8 @@
 """Importing toruslab pins BLAS to one thread, or warns when it is too late;
 every name the package and its layers export resolves; no function body
 holds an unnamed tolerance; no layer declares a class with dataclasses, and
-every record is immutable."""
+every record is immutable; the wavefront layer fits only through
+fit_decay_exponent."""
 
 from __future__ import annotations
 
@@ -126,6 +127,22 @@ def test_every_record_refuses_assignment_and_deletion(golden):
             if name != "unknown":
                 with pytest.raises(AttributeError):
                     delattr(record, name)
+
+
+def test_a_record_sets_all_its_fields_in_one_call():
+    # one value a field, in the order of _fields; a value list of another length is refused
+    thresholds = object.__new__(wavefront.VerdictThresholds)
+    with pytest.raises(ValueError, match="shorter"):
+        thresholds._assign(0.5, 2.0)
+    thresholds._assign(0.25, 3.0, 0.5)
+    assert thresholds == wavefront.VerdictThresholds(0.25, 3.0, 0.5)
+
+
+def test_the_wavefront_layer_measures_in_the_map_and_fits_in_the_report():
+    # the mass map holds masses only, and every decay fit goes through
+    # fit_decay_exponent, with none of its kernels imported on the side
+    assert [name for name in ("_decay_series", "_fit_line", "_logs") if hasattr(wavefront, name)] == []
+    assert wavefront.MassMap._fields == ("grid", "h_ladder", "rows", "node_row")
 
 
 def test_records_keep_value_equality_and_hash():

@@ -181,8 +181,9 @@ def test_stacked_fit_matches_scalar_fit_on_golden_mass_map(golden):
     normalized = mass_map.masses / scales
     # one fit a distinct node row (82 of 1,024 nodes); each node's fit,
     # gathered through node_row, is the scalar fit of that node's masses
-    assert mass_map.exponents.shape == (5, 82)
-    exponents, residuals = mass_map.exponents[:, mass_map.node_row], mass_map.residuals[:, mass_map.node_row]
+    fit = fit_decay_exponent(golden.ladder, mass_map.rows / scales)
+    assert fit.exponent.shape == (5, 82)
+    exponents, residuals = fit.exponent[:, mass_map.node_row], fit.residual[:, mass_map.node_row]
     _assert_stack_matches_scalar(golden.ladder, normalized, exponents, residuals)
     # the subsequence diagnostic fits 6 windows of 4 ladder points at xi = 0
     zero = normalized[grid.zero_xi_index]

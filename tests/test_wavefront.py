@@ -160,14 +160,15 @@ def test_mass_map_refuses_grid_over_budget(golden, monkeypatch):
     with pytest.raises(ValueError, match="mass map, over the budget"):
         wavefront_mass_map(golden.family, grid)
     # the raw masses alone take 8 * 5 * 32^2 * 9 = 368640 bytes at 32 points,
-    # one block's amplitudes 16 * 32^2, and the theta sum of 131 probe
+    # the report's fit ten more such arrays and 64 * 5 * 32^2 for its per-row
+    # lists, one block's amplitudes 16 * 32^2, and the theta sum of 131 probe
     # images at h = 2^-12 takes 32 * 131
     estimate = wavefront.check_massmap_budget(PhaseSpaceGrid.standard(2, 32), golden.ladder, 0)
-    assert estimate == 5 * 368640 + 16 * 32**2 + 32 * 131 + 16384
+    assert estimate == 11 * 368640 + 64 * 5 * 32**2 + 16 * 32**2 + 32 * 131 + 16384
     assert wavefront._axis_image_bounds(1.0, golden.ladder[-1]) == (587, 717)
     # the images grow like h^(-1/2): 67,149 at 2^-30
     estimate = wavefront.check_massmap_budget(PhaseSpaceGrid.standard(2, 2), default_h_ladder(22, 30), 0)
-    assert estimate == 5 * 8 * 5 * 2**2 * 9 + 16 * 2**2 + 32 * 67149 + 16384
+    assert estimate == 11 * 8 * 5 * 2**2 * 9 + 64 * 5 * 2**2 + 16 * 2**2 + 32 * 67149 + 16384
     assert wavefront._axis_image_bounds(0.0, 2.0**-30) == (-33574, 33574)
     # below h = 2^-1026 the image count of xi = 1 overflows a float, which
     # no budget holds
@@ -193,15 +194,16 @@ def _wide_family(golden, terms=500):
 
 
 def test_mass_map_budget_counts_the_phase_table(golden, monkeypatch):
-    # at 256 points the masses and their fit copies take 118 MB, while the
-    # phase table of 1001 coefficients and its weighted product take 2.1 GB
+    # at 128 points the masses and the fit's copies and lists take 70 MB,
+    # while the phase table of 1001 coefficients and its weighted product take 528 MB
     def no_table(*args):
         raise AssertionError("the phase table was about to be built")
 
     family = _wide_family(golden)
-    grid = PhaseSpaceGrid.standard(2, 256)
-    assert wavefront.check_massmap_budget(grid, golden.ladder, 0) == 5 * 8 * 5 * 256**2 * 9 + 16 * 256**2 + 32 * 131 + 16384
-    with pytest.raises(ValueError, match="256 points per axis on a 2-torus need a 2221 MB mass map"):
+    grid = PhaseSpaceGrid.standard(2, 128)
+    estimate = 11 * 8 * 5 * 128**2 * 9 + 64 * 5 * 128**2 + 16 * 128**2 + 32 * 131 + 16384
+    assert wavefront.check_massmap_budget(grid, golden.ladder, 0) == estimate
+    with pytest.raises(ValueError, match="128 points per axis on a 2-torus need a 598 MB mass map"):
         wavefront.check_massmap_budget(grid, golden.ladder, 1001)
     monkeypatch.setattr(wavefront, "_phase_table", no_table)
     with pytest.raises(ValueError, match="mass map, over the budget"):
@@ -354,13 +356,11 @@ def test_nodes_share_a_row_exactly_when_their_oracle_masses_agree(golden, case, 
     assert mass_map.rows.shape == (len(grid.xi_points), rows, len(family.h_ladder)) and len(labels) == rows
     assert len(set(zip(mass_map.node_row.tolist(), expected))) == rows
     assert mass_map.rows[:, mass_map.node_row].tobytes() == oracle.tobytes()
-    assert mass_map.exponents.shape == mass_map.residuals.shape == (len(grid.xi_points), rows)
 
 
 def _window_fits(ladder, normalized, in_exponent):
     """Per-window exponents and worst IN fraction, one fit_decay_exponent
-    call per ladder slice, as the report took them before it shared one
-    table of logs."""
+    call per ladder slice of every node's series."""
     window = max(4, len(ladder) // 2)
     exponents = [
         fit_decay_exponent(ladder[start : start + window], normalized[:, start : start + window]).exponent
@@ -372,9 +372,10 @@ def _window_fits(ladder, normalized, in_exponent):
 @pytest.mark.parametrize("length", [4, 5, 9])
 def test_subsequence_windows_match_per_slice_fits(monkeypatch, length):
     # window = max(4, L // 2): one window at 4 points, two at 5, six at 9.
-    # Each window fits every row of the map without a zero in it exactly once;
-    # gathered back to the nodes through node_row, each window's exponents and the worst fill
-    # keep the bits of one fit_decay_exponent call per ladder slice
+    # After the full-ladder fit, each window fits every row of the map once on
+    # its ladder slice; gathered back to the nodes through node_row, each
+    # window's exponents and the worst fill keep the bits of one
+    # fit_decay_exponent call per ladder slice of every node's series
     ladder = default_h_ladder(4, 3 + length)
     grid = PhaseSpaceGrid.standard(1, 16)
     rng = np.random.default_rng(length)
@@ -395,27 +396,25 @@ def test_subsequence_windows_match_per_slice_fits(monkeypatch, length):
     row_bytes = np.dtype((np.void, 8 * length))
     first, node_row = np.unique(masses[0].view(row_bytes).ravel(), return_index=True, return_inverse=True)[1:]
     assert len(first) == 11
-    fit = fit_decay_exponent(ladder, masses[:, first] / scales)
-    mass_map = wavefront.MassMap(grid, ladder, masses[:, first], node_row, fit.exponent, fit.residual)
+    mass_map = wavefront.MassMap(grid, ladder, masses[:, first], node_row)
     zero = grid.zero_xi_index
     thresholds = VerdictThresholds()
     normalized = masses[zero] / scales
     expected, fills = _window_fits(ladder, normalized, thresholds.in_exponent)
     calls = []
-    fit_line = wavefront._fit_line
-    monkeypatch.setattr(wavefront, "_fit_line", lambda xs, ys: calls.append((ys.copy(), fit_line(xs, ys)[0])) or fit_line(xs, ys))
-    monkeypatch.setattr(wavefront, "fit_decay_exponent", None)
+    monkeypatch.setattr(
+        wavefront, "fit_decay_exponent",
+        lambda hs, values: calls.append((hs, values.copy())) or fit_decay_exponent(hs, values),
+    )
     report = nonconcentration_report(mass_map, thresholds)
     window = max(4, length // 2)
-    assert len(calls) == len(expected) == length - window + 1
+    assert len(calls) == 1 + len(expected) == 2 + length - window
+    assert calls[0][0] == ladder and calls[0][1].shape == (3, 11, length)
     rows = normalized[first]
-    for start, ((ys, slope), exponents) in enumerate(zip(calls, expected)):
-        part = rows[:, start : start + window]
-        live = part.all(axis=1)
-        assert ys.tobytes() == np.array([[math.log(v) for v in row] for row in part[live]]).tobytes()
-        per_row = np.full(len(rows), math.inf)
-        per_row[live] = slope
-        assert per_row[node_row].tobytes() == exponents.tobytes()
+    for start, ((hs, values), exponents) in enumerate(zip(calls[1:], expected)):
+        assert hs == ladder[start : start + window]
+        assert values.tobytes() == rows[:, start : start + window].tobytes()
+        assert fit_decay_exponent(hs, values).exponent[node_row].tobytes() == exponents.tobytes()
     # rows 4 and 11 are zero in every window; rows 1, 9 and 10 only in the first, row 2 only in the last
     dead = [tuple(np.flatnonzero(np.isinf(exponents))) for exponents in expected]
     assert all({4, 11} <= set(nodes) for nodes in dead)
@@ -427,7 +426,7 @@ def test_subsequence_windows_match_per_slice_fits(monkeypatch, length):
         assert min_fill < report.fill_fraction_measured
 
 
-@pytest.mark.parametrize("points, estimate", [(32, 1_987_440), (128, 31_355_760)])
+@pytest.mark.parametrize("points, estimate", [(32, 4_526_960), (128, 71_988_080)])
 def test_report_peak_memory_is_within_the_mass_map_estimate(golden, points, estimate):
     # the windows fit the rows of golden's map at the zero covector (82 for 1,024 nodes at 32 points)
     grid = PhaseSpaceGrid.standard(2, points)
@@ -442,14 +441,57 @@ def test_report_peak_memory_is_within_the_mass_map_estimate(golden, points, esti
     assert peak < estimate
 
 
+def _random_family(dim, support, ladder, seed):
+    """A member a ladder point, each with support random characters in
+    [-3, 3]^dim and normal complex coefficients, so that the masses of
+    distinct nodes differ."""
+    rng = np.random.default_rng(seed)
+    members = []
+    for _ in ladder:
+        characters = set()
+        while len(characters) < support:
+            characters.add(tuple(rng.integers(-3, 4, dim).tolist()))
+        members.append(TrigPolynomial(dim, {a: complex(*rng.normal(size=2)) for a in sorted(characters)}))
+    return QuasimodeFamily.from_members(ladder, members)
+
+
+@pytest.mark.parametrize(
+    "dim, points, support, length", [(2, 32, 3, 4), (2, 64, 5, 4), (3, 12, 4, 4), (2, 32, 3, 9), (2, 32, 3, 20)]
+)
+def test_wavefront_stage_peak_memory_is_within_the_estimate(dim, points, support, length):
+    # every node has its own row and, with the unit covectors scaled to
+    # 1e-3, every mass is positive down to h = 2^-23: the report's fit takes
+    # the log of every value and builds its per-row lists, its worst case;
+    # the per-row lists weigh most on short ladders
+    ladder = default_h_ladder(4, 3 + length)
+    units = PhaseSpaceGrid.standard(dim, points).xi_points
+    grid = PhaseSpaceGrid(dim, points, [tuple(1e-3 * c for c in xi) for xi in units])
+    family = _random_family(dim, support, ladder, points + length)
+    estimate = wavefront.check_massmap_budget(grid, ladder, support)
+    tracemalloc.start()
+    try:
+        mass_map = wavefront_mass_map(family, grid)
+        nonconcentration_report(mass_map)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mass_map.rows.shape[1] == points**dim and np.all(mass_map.rows > 0.0)
+    assert peak <= estimate
+
+
 def test_constant_family_exponents_split_by_covector():
     grid = PhaseSpaceGrid.standard(1, 8)
     mass_map = wavefront_mass_map(_constant_family(), grid)
+    scales = np.array([symbol_scale(1, h) for h in mass_map.h_ladder])
+    exponents = fit_decay_exponent(mass_map.h_ladder, mass_map.masses / scales).exponent
     zero = grid.zero_xi_index
-    assert np.all(np.abs(mass_map.exponents[zero]) < 0.1)
+    assert np.all(np.abs(exponents[zero]) < 0.1)
     for i in range(len(grid.xi_points)):
         if i != zero:
-            assert np.all(mass_map.exponents[i] >= 4.0)
+            assert np.all(exponents[i] >= 4.0)
+    # the report fits the same exponents, one per distinct row
+    classes = wavefront._classify(exponents, VerdictThresholds())
+    assert nonconcentration_report(mass_map).classifications.tobytes() == classes.tobytes()
 
 
 def test_factory_mass_tracks_profile_squared(golden):
