@@ -71,6 +71,8 @@ _COMMAND_STAGES = {
     "all": _STAGES,
 }
 _ARTIFACTS = ("config.echo", "family", "decay.csv", "massmap.csv", "report.json")
+#: The file of each stage artifact, removed from out_dir by a run that skips it.
+_STAGE_ARTIFACT_FILES = {"family": "family/manifest.json", "decay.csv": "decay.csv", "massmap.csv": "massmap.csv"}
 
 
 class ConfigError(ValueError):
@@ -131,19 +133,21 @@ def write_report(results: dict, path: Path) -> None:
     path.write_text(canonical_json(results) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: Sequence[str], lines) -> None:
-    """Write a header and preformatted lines, streaming them to the file;
-    an item may hold several lines joined by newlines."""
+def _write_csv(path: Path, header: Sequence[str], chunks) -> None:
+    """Write a header and preformatted chunks, streaming them to the file as
+    given; a chunk holds one or more lines, each ended by a newline."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(line + "\n" for line in lines)
+        f.writelines(chunks)
 
 
-#: Nodes per string of massmap.csv lines.  Strings of a whole covector's
-#: plane were as fast but grew with the grid (+71 MB of peak memory at 256
-#: points per axis); 256 nodes of golden's 9-point ladder make strings of
-#: about 160 kB and leave the peak where per-node strings had it.
-_MASSMAP_BLOCK_NODES = 256
+#: Nodes per chunk of massmap.csv.  On the default 32-point grid on T^2 a
+#: plane is one block, so each distinct mass of a plane is formatted once
+#: (golden: 1,093 masses and 51 coordinate, covector and h texts; blocks of
+#: 256 nodes formatted 2,167 floats).  A golden chunk is about 430 kB; the
+#: writer's tracemalloc peak is 1.2 MB there (0.5 MB with 256 nodes) and
+#: within 1% of 256-node blocks' at 128 and 247 points per axis.
+_MASSMAP_BLOCK_NODES = 1024
 
 
 def _float_texts(values: np.ndarray) -> np.ndarray:
@@ -155,24 +159,27 @@ def _float_texts(values: np.ndarray) -> np.ndarray:
     return texts[inverse.reshape(values.shape)]
 
 
-def _massmap_lines(mass_map):
+def _massmap_chunks(mass_map):
     """Lines for ``masses[xi, node, h]`` in C order (x coordinates,
-    covector, h, mass), one string of lines per block of nodes.  A node's
-    lines are its text joined with the suffixes ``,xi,h,mass`` of its map
-    row, formatted once and kept while consecutive blocks use that row."""
+    covector, h, mass), one newline-terminated string per block of nodes.
+    A row's pieces are ``["", ",xi,h_0,mass_0\\n", ...]``, formatted once
+    and kept while consecutive blocks use that row, so a node's lines are
+    one join of its row's pieces with its coordinates as the separator."""
     grid, keys = mass_map.grid, mass_map.node_row.tolist()
-    nodes = [",".join(node) for node in _float_texts(grid.x_nodes).tolist()]
+    nodes = list(map(",".join, _float_texts(grid.x_nodes).tolist()))
     hs = [_format_float(h) for h in mass_map.h_ladder]
     for xi, plane in zip(grid.xi_points, mass_map.rows):
         xi_text = ",".join(map(_format_float, xi))
         heads = np.array([f",{xi_text},{h}," for h in hs], dtype=object)
-        suffixes: dict[int, list[str]] = {}
+        pieces: dict[int, list[str]] = {}
         for start in range(0, len(nodes), _MASSMAP_BLOCK_NODES):
             block = slice(start, start + _MASSMAP_BLOCK_NODES)
-            suffixes = {key: suffixes.get(key) for key in keys[block]}
-            fresh = [key for key, texts in suffixes.items() if texts is None]
-            suffixes.update(zip(fresh, (heads + _float_texts(plane[fresh])).tolist()))
-            yield "\n".join(node + ("\n" + node).join(suffixes[key]) for node, key in zip(nodes[block], keys[block]))
+            used = dict.fromkeys(keys[block])
+            fresh = list(used.keys() - pieces.keys())
+            pieces = dict(zip(used, map(pieces.get, used)))
+            lines = heads + _float_texts(plane[fresh]) + "\n"
+            pieces.update(zip(fresh, np.insert(lines, 0, "", axis=1).tolist()))
+            yield "".join(map(str.join, nodes[block], map(pieces.__getitem__, keys[block])))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +539,8 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
     Every refusal comes before any stage runs (see _split_or_refuse).  The
     build, verify and wavefront stages each return their report section,
     checks, notes and (artifact name, writer); the writers run once every
-    stage has, so a ConfigError leaves out_dir as it was."""
+    stage has, so a ConfigError leaves out_dir as it was.  Before they run,
+    the file of each skipped stage artifact is removed from out_dir."""
     requested = [s for s in _STAGES if s in set(stages)]
     split = _split_or_refuse(config, requested)
     report: dict = {"stages": requested, "notes": []}
@@ -575,6 +583,9 @@ def run_pipeline(config: LabConfig, stages: Sequence[str], out_dir: Path) -> tup
     artifacts = {name: "written" if name in writers else "skipped" for name in _ARTIFACTS}
     report.update(checks=checks, failures=failures, status=status, artifacts=artifacts)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name, file in _STAGE_ARTIFACT_FILES.items():
+        if name not in writers:
+            (out_dir / file).unlink(missing_ok=True)
     for name, write in writers.items():
         write(out_dir / name)
     return (EXIT_PASS if not failures else EXIT_CHECK_FAILED), report
@@ -706,7 +717,7 @@ def _verify_stage(config, split, built):
         for mode in sorted(concentration.mode_fits)
     ]
     hs = [_format_float(h) for h in family.h_ladder]
-    lines = (f"{label},{h},{_format_float(v)}" for label, vs in series for h, v in zip(hs, vs))
+    lines = (f"{label},{h},{_format_float(v)}\n" for label, vs in series for h, v in zip(hs, vs))
     null = galerkin_nullspace(op, config.truncation, null_tol=config.null_tol)
     box = [config.subdomain] * (config.dimension - split.orbit_dimension)
     uc_value = unique_continuation_constant(null, box).constant if null.basis else None
@@ -774,7 +785,7 @@ def _wavefront_stage(config, split, built):
     }
     axes = range(config.dimension)
     header = [f"x{i}" for i in axes] + [f"xi{i}" for i in axes] + ["h", "mass"]
-    massmap = ("massmap.csv", lambda path: _write_csv(path, header, _massmap_lines(mass_map)))
+    massmap = ("massmap.csv", lambda path: _write_csv(path, header, _massmap_chunks(mass_map)))
     return section, checks, [], massmap
 
 

@@ -361,6 +361,24 @@ def test_pipeline_golden_all_passes(tmp_path):
     assert (out / "family" / "manifest.json").exists()
 
 
+def test_rerun_removes_the_artifacts_it_skips(tmp_path):
+    # a narrower command into the same directory leaves no earlier run's
+    # artifact next to a report that calls it skipped; a refused config
+    # leaves the directory as it was
+    config_path = _config(tmp_path, {"grid": {"points_per_axis": 4}})
+    out = tmp_path / "out"
+    stale = ("decay.csv", "massmap.csv", "family/manifest.json")
+    assert main(["all", "--config", str(config_path)]) == EXIT_PASS
+    assert all((out / name).exists() for name in stale)
+    assert main(["wavefront", "--config", str(config_path), "--ladder", "1020..1027"]) == EXIT_USAGE
+    assert all((out / name).exists() for name in stale)
+    assert main(["check-hypotheses", "--config", str(config_path)]) == EXIT_PASS
+    assert not any((out / name).exists() for name in stale)
+    artifacts = json.loads((out / "report.json").read_text())["artifacts"]
+    assert artifacts == {"config.echo": "written", "family": "skipped", "decay.csv": "skipped",
+                         "massmap.csv": "skipped", "report.json": "written"}
+
+
 def test_pipeline_failing_quasiconvexity_names_hypothesis(tmp_path):
     overrides = {"omega": [["1"], ["1"]], "hessian": [[1.0, 0.0], [0.0, -1.0]]}
     config = parse_config(_config(tmp_path, overrides).read_text())
@@ -834,7 +852,9 @@ def _per_node_map(grid, ladder, masses):
     return wavefront.MassMap(grid, ladder, masses, np.arange(masses.shape[1]))
 
 
-def test_massmap_writer_matches_per_node_oracle(golden):
+@pytest.mark.parametrize("block_nodes", [cli._MASSMAP_BLOCK_NODES, 256])
+def test_massmap_writer_matches_per_node_oracle(golden, monkeypatch, block_nodes):
+    monkeypatch.setattr(cli, "_MASSMAP_BLOCK_NODES", block_nodes)
     grid = wavefront.PhaseSpaceGrid.standard(2, 32)
     mass_maps = [wavefront.wavefront_mass_map(golden.family, grid)]
     # repeats, both zeros, NaNs with two payloads, both infinities, the
@@ -847,22 +867,23 @@ def test_massmap_writer_matches_per_node_oracle(golden):
     masses = np.array(special * 3).reshape(3, 2, 7)
     masses[2] = 0.25  # a plane of finite masses only
     mass_maps.append(_per_node_map(grid, ladder, masses))
-    # a 3-D grid (7 planes of 343 nodes, so a last block shorter than the
-    # writer's) and a grid with the zero covector only, drawing from the
-    # same values and log-normal ones
-    grid = wavefront.PhaseSpaceGrid.standard(3, 7)
-    full_blocks, rest = divmod(len(grid.x_nodes), cli._MASSMAP_BLOCK_NODES)
+    # a 3-D grid (7 planes of 343 nodes in blocks of 256, or of 1,331 nodes
+    # in blocks of 1,024, so a last block shorter than the writer's) and a
+    # grid with the zero covector only, drawing from the same values and
+    # log-normal ones
+    grid = wavefront.PhaseSpaceGrid.standard(3, 7 if block_nodes == 256 else 11)
+    full_blocks, rest = divmod(len(grid.x_nodes), block_nodes)
     assert full_blocks and rest
     rng = np.random.default_rng(7)
     pool = np.concatenate([special, rng.lognormal(0.0, 30.0, 20)])
     for grid in (grid, wavefront.PhaseSpaceGrid(2, 2, ((0.0, 0.0),))):
         shape = (len(grid.xi_points), len(grid.x_nodes), len(ladder))
         mass_maps.append(_per_node_map(grid, ladder, rng.choice(pool, shape)))
-    # a 1-D grid of 600 nodes (blocks of 256, 256 and 88) whose nodes draw
-    # their rows from eight, given directly with node_row; in every plane two
-    # rows differ only by the sign of a zero and two only by a NaN payload,
-    # one row runs across the first block boundary, and one row is in the
-    # first and last blocks only
+    # a 1-D grid of 600 nodes (blocks of 256, 256 and 88, or one block)
+    # whose nodes draw their rows from eight, given directly with node_row;
+    # in every plane two rows differ only by the sign of a zero and two only
+    # by a NaN payload, one row runs across the first block boundary of 256,
+    # and one row is in the first and last such blocks only
     grid = wavefront.PhaseSpaceGrid.standard(1, 600)
     rows = rng.lognormal(0.0, 30.0, (len(grid.xi_points), 8, len(ladder)))
     rows[:, 1] = rows[:, 0]
@@ -875,8 +896,8 @@ def test_massmap_writer_matches_per_node_oracle(golden):
     mass_maps.append(wavefront.MassMap(grid, ladder, rows, node_row))
     cells = set()
     for mass_map in mass_maps:
-        expected = "\n".join(massmap_lines_oracle(mass_map))
-        assert "\n".join(cli._massmap_lines(mass_map)).encode() == expected.encode()
+        expected = "".join(line + "\n" for line in massmap_lines_oracle(mass_map))
+        assert "".join(cli._massmap_chunks(mass_map)).encode() == expected.encode()
         cells.update(expected.replace("\n", ",").split(","))
     assert {"-0", "0", '"nan"', '"inf"', '"-inf"', "4.9406564584124654e-324",
             "1.0000000000000002", "0.25"} <= cells
@@ -891,7 +912,7 @@ def test_massmap_writer_memory_follows_the_block_not_the_plane(golden, monkeypat
         grid = wavefront.PhaseSpaceGrid(2, points, ((0.0, 0.0), (1.0, 0.0)))
         rng = np.random.default_rng(points)
         masses = rng.lognormal(0.0, 30.0, (2, points**2, 4))
-        lines = cli._massmap_lines(_per_node_map(grid, golden.ladder[:4], masses))
+        lines = cli._massmap_chunks(_per_node_map(grid, golden.ladder[:4], masses))
         tracemalloc.start()
         try:
             next(lines)
@@ -907,6 +928,27 @@ def test_massmap_writer_memory_follows_the_block_not_the_plane(golden, monkeypat
     assert large < 1.25 * small
     monkeypatch.setattr(cli, "_MASSMAP_BLOCK_NODES", 64)
     assert walk_peak(128) < large / 2
+
+
+def test_massmap_writer_formats_each_plane_mass_once(golden, tmp_path, monkeypatch):
+    # on golden's default grid a plane is one block, so the writer formats
+    # each plane's distinct masses once, plus the texts of the coordinates,
+    # the covectors and the h values (1,093 + 51; blocks of 256 nodes
+    # formatted 2,167 floats)
+    grid = wavefront.PhaseSpaceGrid.standard(2, 32)
+    mass_map = wavefront.wavefront_mass_map(golden.family, grid)
+    format_float, calls = cli._format_float, []
+
+    def counted(x):
+        calls.append(x)
+        return format_float(x)
+
+    monkeypatch.setattr(cli, "_format_float", counted)
+    cli._write_csv(tmp_path / "massmap.csv", ("x0", "x1", "xi0", "xi1", "h", "mass"), cli._massmap_chunks(mass_map))
+    masses = sum(len(np.unique(plane.view(np.uint64))) for plane in mass_map.masses)
+    texts = len(np.unique(grid.x_nodes)) + np.size(grid.xi_points) + len(mass_map.h_ladder)
+    assert (masses, texts) == (1093, 51)
+    assert len(calls) <= masses + texts
 
 
 @pytest.mark.parametrize("scale", [1e154, 1e300, 1e-160, 1e-162, 1e-170, 1e-200, 1e-310, 1e150, 1e-150])
