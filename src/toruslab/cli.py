@@ -364,7 +364,10 @@ def _parse_factory(raw) -> tuple[Optional[tuple[int, ...]], Optional[TrigPolynom
     if not isinstance(raw, dict) or set(raw) != {"alpha0", "v"}:
         raise ValueError("must be an object with keys 'alpha0' and 'v'")
     alpha0 = tuple(int(a) for a in raw["alpha0"])
-    v = TrigPolynomial.from_json_obj(raw["v"], dim=None if raw["v"] else 0)
+    try:
+        v = TrigPolynomial.from_json_obj(raw["v"], dim=None if raw["v"] else 0)
+    except TypeError as exc:  # v, or one of its entries, has the wrong JSON type
+        raise ConfigError([("factory.v", str(exc))]) from None
     norm = math.hypot(*v.table()[1].view(float).tolist())  # a nonzero norm must square to a normal float
     if not (norm == 0.0 or sys.float_info.min <= norm * norm <= sys.float_info.max):
         raise ConfigError([("factory.v", f"profile norm {norm!r} {'over' if norm > 1 else 'under'}flows when squared")])

@@ -172,12 +172,11 @@ def apply_model_operator(
     here.
 
     Each result is the sum, in this order, of the diagonal part, h^2 r u
-    and h^3 times the remainder tail, with the value bits that
-    TrigPolynomial addition gives: the ladder is one complex (h, frequency)
-    array over the union support (u's keys, then the new keys of r u, then
-    those of the tail), a term adds only where it is nonzero, and an exact
-    zero is an absent key, which starts again from 0j.  Results keep the
-    union order.
+    and h^3 times the remainder tail, with the nonzero value bits that
+    TrigPolynomial addition gives (the sign of a zero part may differ): the
+    ladder is one complex (h, frequency) array over the union support (u's
+    keys, then the new keys of r u, then those of the tail), and each
+    result keeps the union order of its nonzero values.
     """
     ladder = list(h_ladder)
     if any(step <= 0 for step in ladder):
@@ -206,7 +205,5 @@ def apply_model_operator(
     acc = np.zeros((len(ladder), keys.shape[1]), dtype=complex)
     acc[:, : len(u)] = (hs * first + (hs * hs) * second) * values
     for (factors, series), cols in zip(terms, columns):
-        acc = np.where(acc != 0, acc, 0j)  # drop exact zeros
-        term = np.array(factors, dtype=float)[:, None] * series.table()[1]
-        acc[:, cols] = np.where(term != 0, acc[:, cols] + term, acc[:, cols])
+        acc[:, cols] += np.array(factors, dtype=float)[:, None] * series.table()[1]
     return [TrigPolynomial._from_table(spec.dimension, keys.T, row) for row in acc]

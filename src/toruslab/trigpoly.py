@@ -1,15 +1,15 @@
 """Finitely supported Fourier series on the torus.
 
-A TrigPolynomial maps integer frequency vectors to complex coefficients;
-the characters e_alpha(x) = exp(2 pi i alpha . x) are orthonormal in L2, so
-norms and inner products are plain l2 operations on the coefficients.  A
-series is its coefficient table: a read-only (len, dim) intp array of
-distinct frequencies and a complex array of nonzero coefficients, both in
-insertion order.  Sums, exact products (convolutions over the finite
-supports), the Hermitian check, unimodular relabelings, multiplication
-matrices and box Gram matrices are array kernels over the tables with the
-bits and key order of the plain loops over the coefficients (see
-_product_table); the last two index one offset-box table (_box_position).
+A TrigPolynomial maps integer frequency vectors to complex coefficients; the
+characters e_alpha(x) = exp(2 pi i alpha . x) are orthonormal in L2, so norms
+and inner products are plain l2 operations on the coefficients.  A series is
+its coefficient table: a read-only (len, dim) intp array of distinct
+frequencies and a complex array of nonzero coefficients, both in insertion
+order; _fill alone drops exact zeros.  Sums, exact products (convolutions over
+the finite supports), the Hermitian check, unimodular relabelings,
+multiplication matrices and box Gram matrices are array kernels over the tables
+with the nonzero bits and key order of the plain loops over the coefficients
+(see _product_table); the last two index one offset-box table (_box_position).
 Grid transforms go through numpy's FFT.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -101,15 +101,15 @@ def _blocks(rows: int, cols: int, dim: int):
 def _product_table(left, right) -> tuple[np.ndarray, np.ndarray]:
     """The table() of the coefficient convolution of two table()s.
 
-    Bit for bit the dict loop over left's terms, then right's, that adds
-    each product to out.get(a + b, 0j) and drops exact zeros: products are
-    formed in the real arithmetic of Python's complex product and summed
-    per frequency with np.add.at from 0.0 in the loop's order; frequencies
-    keep the order in which the loop first reaches them.  Terms go in
-    left-major blocks (see _blocks); _merge_keys merges each block's
-    frequencies into those reached before, with keys exact on any box.
-    Beyond the blocks, a product keeps at most 96 + 32 dim bytes per
-    frequency of the result, the result included."""
+    Bit for bit the dict loop over left's terms, then right's, that adds each
+    product to out.get(a + b, 0j), and keeps a sum that is an exact zero:
+    products are formed in the real arithmetic of Python's complex product and
+    summed per frequency with np.add.at from 0.0 in the loop's order;
+    frequencies keep the order in which the loop first reaches them.  Terms go
+    in left-major blocks (see _blocks); _merge_keys merges each block's
+    frequencies into those reached before, with keys exact on any box.  Beyond
+    the blocks, a product keeps at most 96 + 32 dim bytes per frequency of the
+    result, the result included."""
     fa, a = left
     fb, b = right
     dim = fa.shape[1]
@@ -129,8 +129,7 @@ def _product_table(left, right) -> tuple[np.ndarray, np.ndarray]:
         sums = np.concatenate([sums, np.zeros(known.shape[1] - len(sums), dtype=complex)])
         np.add.at(sums.real, ids, (np.multiply.outer(ar[A], br[B]) - np.multiply.outer(ai[A], bi[B])).ravel())
         np.add.at(sums.imag, ids, (np.multiply.outer(ar[A], bi[B]) + np.multiply.outer(ai[A], br[B])).ravel())
-    keep = sums != 0
-    return known.T[keep], sums[keep]
+    return known.T, sums
 
 
 def _box_position(offsets: np.ndarray, radius: int) -> np.ndarray:
@@ -167,10 +166,11 @@ def box_gram(series: Sequence["TrigPolynomial"], box: Sequence[tuple[float, floa
     """The Gram matrix of series over an axis-aligned box, entry (i, j) the
     integral of series[i] * conj(series[j]) in closed form per frequency.
 
-    Bit for bit the dict convolution of series[i] with conj(series[j]) and
-    a running sum of value * weight over its keys from 0j: _product_table,
-    then each value * weight in explicit real arithmetic, with the weights
-    computed once, on the offset box of the widest series."""
+    Bit for bit the dict convolution of series[i] with conj(series[j]) and a
+    running sum of value * weight over its keys from 0j: _product_table, then
+    each value * weight in explicit real arithmetic, with the weights computed
+    once, on the offset box of the widest series; an exact zero adds a signed
+    zero, which the final + 0.0 absorbs."""
     radius = max((u.support_radius() for u in series), default=0)
     wr, wi = _box_weights(box, radius)
     gram = np.zeros((len(series), len(series)), dtype=complex)
@@ -206,11 +206,7 @@ class TrigPolynomial:
         dim = int(dim)
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        store: dict[Frequency, complex] = {}
-        for alpha, value in (coeffs or {}).items():
-            value = complex(value)
-            if value != 0:
-                store[_as_frequency(alpha, dim)] = value
+        store = {_as_frequency(alpha, dim): complex(value) for alpha, value in (coeffs or {}).items()}
         count = len(store)
         try:
             flat = np.fromiter(itertools.chain.from_iterable(store), dtype=np.intp, count=count * dim)
@@ -428,10 +424,13 @@ class TrigPolynomial:
         return [{"alpha": list(alpha), "re": value.real, "im": value.imag} for alpha, value in self.sorted_items()]
 
     @staticmethod
-    def from_json_obj(obj: Iterable[Mapping], dim: Optional[int] = None) -> "TrigPolynomial":
-        entries = list(obj)
+    def from_json_obj(entries: list[dict], dim: Optional[int] = None) -> "TrigPolynomial":
+        if not isinstance(entries, list):
+            raise TypeError("coefficients must be a list of objects")
         coeffs: dict[Frequency, complex] = {}
         for index, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise TypeError(f"coefficient {index} is not an object")
             unknown = set(entry) - {"alpha", "re", "im"}
             if unknown:
                 raise ValueError(f"unknown coefficient keys {sorted(unknown)}")

@@ -477,6 +477,20 @@ def _family_from(path, tmp_path, family, **fields):
     return QuasimodeFamily.load(tmp_path / "fam")
 
 
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [({"alpha": [0, 0], "re": 1.0}, "coefficients must be a list of objects"), ([[0, 0]], "coefficient 0 is not an object")],
+)
+def test_family_load_refuses_a_malformed_coefficient_list(tmp_path, golden, coeffs, message):
+    golden.family.save(tmp_path / "fam")
+    manifest_path = tmp_path / "fam" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["members"][0]["coeffs"] = coeffs
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(TypeError, match=message):
+        QuasimodeFamily.load(tmp_path / "fam")
+
+
 @pytest.mark.parametrize("entry", [-1, True, 1, 0.0])
 def test_family_load_refuses_a_bad_member_index(tmp_path, golden, entry):
     # one distinct member: -1 would read it from the end, True would act

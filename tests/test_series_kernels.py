@@ -29,6 +29,7 @@ from series_oracles import (
     norm_oracle,
     raw_gram_oracle,
     splitting,
+    support,
     to_split_frequency,
 )
 
@@ -133,6 +134,22 @@ def test_unique_continuation_gram_matches_dict_loop(data):
     result = _with_budget(budget, quasimode.unique_continuation_constant, null, box)
     assert result.gram.tobytes() == gram_oracle(basis, box).tobytes()
     assert _with_budget(budget, trigpoly.box_gram, basis, box).tobytes() == raw_gram_oracle(basis, box).tobytes()
+
+
+@pytest.mark.parametrize("box", [(0.0, 0.25), (0.1, 0.4), (0.25, 0.5)])
+def test_a_zero_sum_offset_stays_in_the_product_table_and_not_in_the_gram(box):
+    # left times conj(right) reaches offset 1 twice, as 1 * 1 and 1 * -1:
+    # the product table keeps it with the exact zero sum, convolve drops it,
+    # and at [0.25, 0.5] its weighted term is -0.0 + 0.0j, first in order
+    left = TrigPolynomial(1, {(2,): 1.0, (1,): 1.0, (0,): 0.5})
+    right = TrigPolynomial(1, {(1,): 1.0, (0,): -1.0})
+    freqs, values = trigpoly._product_table(left.table(), conjugate(right).table())
+    assert freqs.ravel().tolist() == [1, 2, 0, -1] and values.tolist() == [0j, -1, 0.5, 0.5]
+    assert support(left.convolve(conjugate(right))) == [(-1,), (0,), (2,)]
+    basis = (left, right)
+    assert trigpoly.box_gram(basis, [box]).tobytes() == raw_gram_oracle(basis, [box]).tobytes()
+    null = quasimode.GalerkinNullspace(truncation=4, basis=basis, eigenvalues=(0.0, 0.0), scale=1.0, frequencies=())
+    assert quasimode.unique_continuation_constant(null, [box]).gram.tobytes() == gram_oracle(basis, [box]).tobytes()
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2, 5, 16])
