@@ -29,6 +29,7 @@ from .exact import (
     FrequencyVector,
     IrrationalBasis,
     InvariantViolation,
+    _integer_vector,
     find_resonant_mode,
     rational_row,
     relation_lattice,  # not called here: the benchmark tracer probes this name
@@ -363,7 +364,7 @@ def _parse_factory(raw) -> tuple[Optional[tuple[int, ...]], Optional[TrigPolynom
         return None, None
     if not isinstance(raw, dict) or set(raw) != {"alpha0", "v"}:
         raise ValueError("must be an object with keys 'alpha0' and 'v'")
-    alpha0 = tuple(int(a) for a in raw["alpha0"])
+    alpha0 = _integer_vector(raw["alpha0"])
     try:
         v = TrigPolynomial.from_json_obj(raw["v"], dim=None if raw["v"] else 0)
     except TypeError as exc:  # v, or one of its entries, has the wrong JSON type

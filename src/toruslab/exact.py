@@ -15,12 +15,18 @@ Lattices of integer vectors are kept in a canonical column Hermite normal
 form, so two lattices are equal exactly when their stored matrices are
 equal.  Besides it, Bareiss elimination gives exact determinants, and the
 Smith form completes a lattice basis to the splitting matrix.
+
+Every layer reads a caller's rationals by ``parse_rational`` and integers
+by ``_integer`` and ``_integer_vector``, and nothing is rounded: a bool, a
+float (even 8.0) or a string raises TypeError, a vector of the wrong
+length ValueError.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index, mul
 from typing import NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -86,8 +92,8 @@ class _Record:
 def parse_rational(value) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a 'p/q' string.
 
-    Floats are rejected on purpose: the whole point of this layer is that
-    no value has ever been rounded.
+    Floats are rejected on purpose, here and by _integer: the whole point
+    of this layer is that no value has ever been rounded.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not rationals")
@@ -96,6 +102,23 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _integer(value) -> int:
+    """An int or a numpy integer as an int; a bool (numpy's too), a float
+    (even 8.0) or a string raises TypeError, since nothing is rounded."""
+    if isinstance(value, bool):  # a numpy bool has no __index__
+        raise TypeError(f"{value!r} is a boolean, not an integer")
+    return index(value)
+
+
+def _integer_vector(values, length: Optional[int] = None, what: str = "integer vector") -> tuple[int, ...]:
+    """The entries of values read by _integer; a ValueError that names the
+    vector as what when their count is not length (if given)."""
+    vector = tuple(map(_integer, values))
+    if length is not None and len(vector) != length:
+        raise ValueError(f"{what} has wrong length: {vector} does not have dimension {length}")
+    return vector
 
 
 def rational_row(value, dim: int) -> tuple[Fraction, ...]:
@@ -137,9 +160,8 @@ def _det_int(M: Sequence[Sequence[int]]) -> int:
     n = len(M)
     if n == 0:
         return 1
-    a = [[int(x) for x in row] for row in M]
-    sign = 1
-    prev = 1
+    a = [list(map(_integer, row)) for row in M]
+    sign = prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
@@ -161,7 +183,7 @@ def _row_hnf(B: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int
     H is in row echelon shape with positive pivots; entries above each
     pivot are reduced into [0, pivot).
     """
-    H = [[int(x) for x in row] for row in B]
+    H = [list(map(_integer, row)) for row in B]
     m = len(H)
     V = _identity(m)
     ncols = len(H[0]) if m else 0
@@ -217,11 +239,10 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
     S is diagonal with nonnegative entries satisfying d1 | d2 | ...; U and
     V are unimodular.
     """
-    S = [[int(x) for x in row] for row in A]
+    S = [list(map(_integer, row)) for row in A]
     m = len(S)
     n = len(S[0]) if m else 0
-    U = _identity(m)
-    V = _identity(n)
+    U, V = _identity(m), _identity(n)
 
     def row_op(i, j, q):  # row_i -= q * row_j
         for t in range(len(S[i])):
@@ -281,11 +302,8 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
             if offender is None:
                 break
             row_op(t, offender, -1)  # fold the bad row in and re-reduce
-        if t < m and t < n and S[t][t] < 0:
-            for j in range(n):
-                S[t][j] = -S[t][j]
-            for j in range(m):
-                U[t][j] = -U[t][j]
+        if S[t][t] < 0:
+            S[t], U[t] = [-x for x in S[t]], [-x for x in U[t]]
     return S, U, V
 
 
@@ -424,13 +442,8 @@ class FrequencyVector(_Record):
         return self.entries[0].dim
 
     def dot(self, alpha: Sequence[int]) -> ExactNumber:
-        if len(alpha) != self.dimension:
-            raise ValueError("integer vector has wrong length")
-        acc = ExactNumber.rational(0, self.basis_dim)
-        for a, entry in zip(alpha, self.entries):
-            if a:
-                acc = acc + entry.scaled(int(a))
-        return acc
+        alpha = _integer_vector(alpha, self.dimension)
+        return ExactNumber(tuple(sum(map(mul, alpha, row)) for row in self.coordinate_rows()))
 
     def coordinate_rows(self) -> list[list[Fraction]]:
         """The m x n matrix of rational coordinates, one row per basis
@@ -469,10 +482,7 @@ class IntegerLattice(NamedTuple):
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], ambient_dimension: int) -> "IntegerLattice":
-        cols = [list(map(int, c)) for c in columns]
-        if any(len(c) != ambient_dimension for c in cols):
-            raise ValueError("column length does not match the ambient dimension")
-        H, _ = _row_hnf(cols)
+        H, _ = _row_hnf([_integer_vector(c, ambient_dimension, "lattice column") for c in columns])
         if any(not any(row) for row in H):
             raise ValueError("basis columns are linearly dependent")
         return IntegerLattice(tuple(tuple(row[i] for row in H) for i in range(ambient_dimension)))
@@ -519,14 +529,13 @@ class UnimodularSplitting(_Record):
         inverse: tuple[tuple[int, ...], ...],
         relations: IntegerLattice,
     ):
-        M = tuple(tuple(int(x) for x in row) for row in matrix)
-        Minv = tuple(tuple(int(x) for x in row) for row in inverse)
-        n = len(M)
-        if any(len(row) != n for row in M):
-            raise ValueError("splitting matrix must be square")
+        n = len(matrix)
+        M = tuple(_integer_vector(row, n, "splitting matrix row") for row in matrix)
+        Minv = tuple(_integer_vector(row, n, "inverse row") for row in inverse)
         # an integer matrix with an integer inverse is unimodular
         if len(Minv) != n or _mat_mul(M, Minv) != _identity(n):
             raise ValueError("splitting matrix must be unimodular with the given inverse")
+        orbit_dimension = _integer(orbit_dimension)
         if not (1 <= orbit_dimension <= n):
             raise ValueError("orbit dimension out of range")
         if len(omega_tilde) != orbit_dimension:
@@ -576,10 +585,7 @@ def split_frequencies(omega: FrequencyVector) -> UnimodularSplitting:
     n = omega.dimension
     relations = relation_lattice(omega)
     k = n - relations.rank
-    if relations.rank == 0:
-        orbit_basis = [[int(i == j) for i in range(n)] for j in range(n)]
-    else:
-        orbit_basis = integer_kernel(relations.columns())
+    orbit_basis = integer_kernel(relations.columns()) if relations.rank else _identity(n)
     if len(orbit_basis) != k:
         raise InvariantViolation("orbit-closure lattice has unexpected rank")
     M, Minv = _complete_basis(orbit_basis, n)

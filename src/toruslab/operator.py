@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import ExactNumber, FrequencyVector, IrrationalBasis, UnimodularSplitting, _Record
+from .exact import ExactNumber, FrequencyVector, IrrationalBasis, UnimodularSplitting, _integer_vector, _Record
 from .nondegeneracy import HessianForm
 from .trigpoly import TrigPolynomial, _merge_keys
 
@@ -134,9 +134,7 @@ def transverse_operator(
     if split.dimension != n:
         raise ValueError("splitting dimension does not match the Hessian")
     k = split.orbit_dimension
-    a = np.asarray([int(x) for x in alpha], dtype=float)
-    if a.shape != (k,):
-        raise ValueError("mode vector has wrong length")
+    a = np.array(_integer_vector(alpha, k, "mode vector"), dtype=float)
     Minv = np.array(split.inverse, dtype=float)
     rng = np.random.default_rng(_FORM_CHECK_SEED)
     # a form that overflows becomes inf or NaN; the check is written so that either fails it

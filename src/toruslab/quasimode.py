@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .exact import FrequencyVector, IrrationalBasis, UnimodularSplitting, _Record
+from .exact import FrequencyVector, IrrationalBasis, UnimodularSplitting, _integer, _integer_vector, _Record
 from .nondegeneracy import HessianForm
 from .operator import REAL_TOL, ModelOperatorSpec, OperatorOnTPrime, apply_model_operator, transverse_operator
 from .trigpoly import TrigPolynomial, box_gram
@@ -319,12 +319,9 @@ def build_factory_quasimode(
     max on the division grid); profiles that would force a non-real
     multiplier are rejected.
     """
-    n = omega.dimension
     k = split.orbit_dimension
-    q = n - k
-    alpha0 = tuple(int(a) for a in alpha0)
-    if len(alpha0) != k:
-        raise ValueError("resonant mode has wrong length")
+    q = omega.dimension - k
+    alpha0 = _integer_vector(alpha0, k, "resonant mode")
     if v.dim != q:
         raise ValueError("transverse profile lives on the wrong torus")
     if not v:
@@ -423,7 +420,7 @@ def check_galerkin_budget(q: int, N: int) -> int:
     """Bytes of the dense complex Galerkin matrix on T^q at truncation N,
     16 (2N+1)^(2q); raises ValueError when they exceed
     GALERKIN_BYTES_BUDGET."""
-    size = 16 * (2 * int(N) + 1) ** (2 * int(q))
+    size = 16 * (2 * _integer(N) + 1) ** (2 * _integer(q))
     if size > GALERKIN_BYTES_BUDGET:
         raise ValueError(
             f"truncation {N} on a {q}-torus needs a {size / 1e6:.0f} MB Galerkin matrix, "
@@ -447,7 +444,7 @@ def galerkin_nullspace(
     matrix must fit GALERKIN_BYTES_BUDGET (checked before it is built).
     """
     q = op.dimension
-    N = int(N)
+    N = _integer(N)
     if q > 0 and N < 4:
         raise ValueError("truncation must be at least 4")
     check_galerkin_budget(q, N)
@@ -595,7 +592,7 @@ def check_mode_concentration(
     """Verify that every mode other than the resonant one decays at order
     at least 1 - epsilon, and that the resonant mode keeps at least half
     of the mass for small h."""
-    alpha0 = tuple(int(a) for a in alpha0)
+    alpha0 = _integer_vector(alpha0, split.orbit_dimension, "resonant mode")
     decompositions = [decompose_along_T(u, split) for u in family.members]
     per_h = [decompositions[j] for j in family.member_index]
     modes = sorted(set().union(*decompositions) - {alpha0})

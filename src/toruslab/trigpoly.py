@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from numbers import Real
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+
+from .exact import _integer, _integer_vector
 
 __all__ = ["TrigPolynomial", "box_gram", "PRODUCT_SCRATCH_BYTES"]
 
@@ -190,23 +193,16 @@ def _magnitudes(values: np.ndarray) -> np.ndarray:
         return np.hypot(values.real, values.imag)
 
 
-def _as_frequency(alpha, dim: int) -> Frequency:
-    key = tuple(int(a) for a in alpha)
-    if len(key) != dim:
-        raise ValueError(f"frequency {key} does not have dimension {dim}")
-    return key
-
-
 class TrigPolynomial:
     """Immutable finitely supported Fourier series on T^dim."""
 
     __slots__ = ("dim", "_freqs", "_values")
 
     def __init__(self, dim: int, coeffs: Optional[Mapping] = None):
-        dim = int(dim)
+        dim = _integer(dim)
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        store = {_as_frequency(alpha, dim): complex(value) for alpha, value in (coeffs or {}).items()}
+        store = {_integer_vector(alpha, dim, "frequency"): complex(value) for alpha, value in (coeffs or {}).items()}
         count = len(store)
         try:
             flat = np.fromiter(itertools.chain.from_iterable(store), dtype=np.intp, count=count * dim)
@@ -250,12 +246,12 @@ class TrigPolynomial:
     @staticmethod
     def cosine(dim: int, alpha, amplitude=1.0) -> "TrigPolynomial":
         """amplitude * cos(2 pi alpha . x)."""
-        a = tuple(int(v) for v in alpha)
+        a = _integer_vector(alpha, dim, "frequency")
         neg = tuple(-v for v in a)
         return TrigPolynomial(dim, {a: amplitude} if a == neg else {a: 0.5 * amplitude, neg: 0.5 * amplitude})
 
     def coefficient(self, alpha) -> complex:
-        hit = np.flatnonzero((self._freqs == _as_frequency(alpha, self.dim)).all(axis=1))
+        hit = np.flatnonzero((self._freqs == _integer_vector(alpha, self.dim, "frequency")).all(axis=1))
         return complex(self._values[hit[0]]) if len(hit) else 0j
 
     def sorted_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -339,10 +335,11 @@ class TrigPolynomial:
         labels merge and the order stays.  Each coefficient is still added to
         0.0, as a merge would add it, which turns a -0.0 part into +0.0.
         Raises OverflowError when a relabeled frequency could leave int64."""
-        largest_column = max((sum(abs(int(x)) for x in column) for column in zip(*matrix)), default=0)
+        rows = [_integer_vector(row) for row in matrix]
+        largest_column = max((sum(map(abs, column)) for column in zip(*rows)), default=0)
         if self.support_radius() * largest_column > _INT64_MAX:
             raise OverflowError("relabeled frequencies overflow int64")
-        relabeling = np.array(matrix, dtype=np.intp)
+        relabeling = np.array(rows, dtype=np.intp)
         if relabeling.shape != (self.dim, self.dim):
             raise ValueError(f"relabeling matrix must be {self.dim} x {self.dim}")
         return TrigPolynomial._from_table(self.dim, self._freqs @ relabeling, self._values + 0.0)
@@ -390,7 +387,7 @@ class TrigPolynomial:
 
     def to_grid(self, points_per_axis: int) -> np.ndarray:
         """Values on the uniform grid (j_1/G, ..., j_dim/G)."""
-        G = int(points_per_axis)
+        G = _integer(points_per_axis)
         if self.dim == 0:
             return np.array(self.coefficient(()), dtype=complex)
         if G < 1:
@@ -436,15 +433,16 @@ class TrigPolynomial:
                 raise ValueError(f"unknown coefficient keys {sorted(unknown)}")
             if "alpha" not in entry:
                 raise ValueError(f"coefficient {index} has no 'alpha'")
-            alpha = tuple(int(a) for a in entry["alpha"])
-            value = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+            dim = _integer(dim) if dim is not None else len(entry["alpha"])  # if not given, the first entry's length
+            alpha = _integer_vector(entry["alpha"], dim, "frequency")
+            parts = [entry.get(key, 0.0) for key in ("re", "im")]
+            if not all(isinstance(x, Real) and not isinstance(x, bool) for x in parts):
+                raise TypeError(f"coefficient {index} has a value that is not a number")
             if alpha in coeffs:
                 raise ValueError(f"duplicate frequency {alpha}")
-            coeffs[alpha] = value
+            coeffs[alpha] = complex(*map(float, parts))
         if dim is None:
-            if not entries:
-                raise ValueError("cannot infer dimension from an empty coefficient list")
-            dim = len(entries[0]["alpha"])
+            raise ValueError("cannot infer dimension from an empty coefficient list")
         return TrigPolynomial(dim, coeffs)
 
     def __repr__(self) -> str:

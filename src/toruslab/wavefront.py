@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .exact import _Record
+from .exact import _integer, _Record
 from .quasimode import QuasimodeFamily, fit_decay_exponent
 from .trigpoly import TrigPolynomial
 
@@ -127,8 +127,7 @@ class PhaseSpaceGrid(_Record):
     __slots__ = (*_fields, "__dict__")  # the __dict__ holds x_nodes once it is asked for
 
     def __init__(self, dimension: int, points_per_axis: int, xi_points: tuple[tuple[float, ...], ...]):
-        dim = int(dimension)
-        pts = int(points_per_axis)
+        dim, pts = _integer(dimension), _integer(points_per_axis)
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         if pts < 2:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from toruslab import (
@@ -13,15 +15,23 @@ from toruslab import (
     FrequencyVector,
     IntegerLattice,
     InvariantViolation,
+    PhaseSpaceGrid,
+    QuasimodeFamily,
+    TrigPolynomial,
     UnimodularSplitting,
+    build_factory_quasimode,
+    check_mode_concentration,
     find_resonant_mode,
+    galerkin_nullspace,
     integer_kernel,
     relation_lattice,
     smith_normal_form,
     split_frequencies,
+    transverse_operator,
     unimodular_inverse,
 )
 from toruslab.exact import _det_int, _mat_mul, _row_hnf, _transpose
+from toruslab.quasimode import check_galerkin_budget
 
 from series_oracles import SPLITTINGS, splitting, to_split_frequency, to_torus_frequency
 
@@ -568,3 +578,90 @@ def test_lattice_canonicalization_and_serialization():
     assert a.to_json_obj() == [[3], [-2]]
     with pytest.raises(ValueError):
         IntegerLattice.from_columns([[1, 0], [2, 0]], 2)
+
+
+# ---------------------------------------------------------------------------
+# The integer rule: every integer a caller passes in is read exactly
+# ---------------------------------------------------------------------------
+
+
+def _build(g, alpha0):
+    return build_factory_quasimode(g.omega, g.hessian, g.basis, g.split, alpha0, g.v, g.ladder)[1]
+
+
+def _splitting(g, scale):
+    s = g.split
+    matrix = tuple(tuple(scale * x for x in row) for row in s.matrix)
+    return UnimodularSplitting(matrix, s.orbit_dimension, s.omega_tilde, s.inverse, s.relations)
+
+
+# (entry point, an integer it accepts, a non-integer that each entry point
+# once truncated or cast without a word, the call with that value in place)
+INTEGER_ENTRY_POINTS = [
+    ("TrigPolynomial key", 0, 1.5, lambda g, x: TrigPolynomial(1, {(x,): 1.0, (1,): 2.0})),
+    ("TrigPolynomial string key", 3, "3", lambda g, x: TrigPolynomial(1, {(x,): 1.0})),
+    ("TrigPolynomial bool key", 1, True, lambda g, x: TrigPolynomial(1, {(x,): 1.0})),
+    ("TrigPolynomial dim", 1, 1.9, lambda g, x: TrigPolynomial(x, {})),
+    ("TrigPolynomial.cosine", 1, 1.5, lambda g, x: TrigPolynomial.cosine(1, (x,))),
+    ("TrigPolynomial.coefficient", 1, 1.5, lambda g, x: g.v.coefficient((x,))),
+    ("TrigPolynomial.from_json_obj", 1, 1.5, lambda g, x: TrigPolynomial.from_json_obj([{"alpha": [x], "re": 1.0}])),
+    ("TrigPolynomial.relabeled", 1, 1.5, lambda g, x: g.family.members[0].relabeled([[x, 0], [0, 1]])),
+    ("TrigPolynomial.to_grid", 8, 8.9, lambda g, x: g.v.to_grid(x).tolist()),
+    ("integer_kernel", 2, 0.5, lambda g, x: integer_kernel([[x, 1]])),
+    ("smith_normal_form", 2, 1.5, lambda g, x: smith_normal_form([[x]])),
+    ("IntegerLattice.from_columns", 1, 1.5, lambda g, x: IntegerLattice.from_columns([[x, 2]], 2)),
+    ("UnimodularSplitting", 1, 1.0, _splitting),
+    ("FrequencyVector.dot", 1, 1.5, lambda g, x: g.omega.dot((x, 0))),
+    (
+        "transverse_operator",
+        0,
+        0.7,
+        lambda g, x: transverse_operator(g.hessian, g.split, (x,), TrigPolynomial.zero(1)).gamma.tolist(),
+    ),
+    ("build_factory_quasimode", 0, 0.9, lambda g, x: _build(g, (x,))),
+    ("check_mode_concentration", 0, 0.5, lambda g, x: check_mode_concentration(g.family, g.split, (x,), 0.05)),
+    ("check_galerkin_budget", 8, 8.5, lambda g, x: check_galerkin_budget(1, x)),
+    ("galerkin_nullspace", 8, 8.7, lambda g, x: galerkin_nullspace(g.op, x).basis),
+    ("PhaseSpaceGrid.standard", 8, 8.5, lambda g, x: PhaseSpaceGrid.standard(2, x)),
+]
+
+
+@pytest.mark.parametrize(
+    "good, bad, call", [case[1:] for case in INTEGER_ENTRY_POINTS], ids=[case[0] for case in INTEGER_ENTRY_POINTS]
+)
+def test_every_entry_point_reads_integers_exactly(golden, good, bad, call):
+    with pytest.raises(TypeError):
+        call(golden, bad)
+    # a numpy integer is read as the int it holds
+    assert call(golden, np.int64(good)) == call(golden, good)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: TrigPolynomial.cosine(1, (1, 0)),
+        lambda g: IntegerLattice.from_columns([[1]], 2),
+        lambda g: UnimodularSplitting(((1, 0),), 1, g.split.omega_tilde, ((1,),), g.split.relations),
+        lambda g: g.omega.dot((1,)),
+        lambda g: transverse_operator(g.hessian, g.split, (0, 0), TrigPolynomial.zero(1)),
+        lambda g: _build(g, (0, 0)),
+        # a mode of the wrong length was once read as a mode no series has
+        lambda g: check_mode_concentration(g.family, g.split, (0, 0), 0.05),
+    ],
+    ids=["cosine", "from_columns", "UnimodularSplitting", "dot", "transverse_operator", "build", "concentration"],
+)
+def test_every_entry_point_refuses_a_vector_of_the_wrong_length(golden, call):
+    with pytest.raises(ValueError, match="has wrong length: .* does not have dimension"):
+        call(golden)
+
+
+def test_a_manifest_with_fractional_frequencies_is_refused(tmp_path, golden):
+    golden.family.save(tmp_path / "fam")
+    manifest_path = tmp_path / "fam" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for member in manifest["members"]:
+        for entry in member["coeffs"]:
+            entry["alpha"] = [a + 0.4 for a in entry["alpha"]]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(TypeError):
+        QuasimodeFamily.load(tmp_path / "fam")

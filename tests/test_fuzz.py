@@ -5,7 +5,9 @@ to the same echo, a config error from run_pipeline leaves the output
 directory empty, and every mass map written has the bytes of the
 per-node reference writer.  Random quasimode families keep their members,
 member index and normalization through a save and load, and a second save
-writes the same bytes."""
+writes the same bytes.  The integer rule reads every Python and numpy
+integer as its value and refuses every bool, float and string, and a series
+keyed by numpy integers equals the one keyed by the same Python ints."""
 
 from __future__ import annotations
 
@@ -20,9 +22,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as npst
 
 from toruslab import QuasimodeFamily, TrigPolynomial, cli, wavefront
 from toruslab.cli import EXIT_CHECK_FAILED, EXIT_PASS, ConfigError, canonical_json, parse_config, run_pipeline
+from toruslab.exact import _integer
 
 from test_cli import massmap_lines_oracle
 
@@ -185,3 +189,40 @@ def test_random_families_survive_save_and_load(tmp_path_factory, family):
         assert [a.tobytes() for a in mine.sorted_table()] == [a.tobytes() for a in theirs.sorted_table()]
     loaded.save(out / "second")
     assert (out / "second" / "manifest.json").read_bytes() == (out / "first" / "manifest.json").read_bytes()
+
+
+NUMPY_INTEGER_DTYPES = st.one_of(npst.integer_dtypes(), npst.unsigned_integer_dtypes())
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(
+    integer=st.integers() | NUMPY_INTEGER_DTYPES.flatmap(npst.from_dtype),
+    other=st.one_of(
+        st.booleans(),
+        st.booleans().map(np.bool_),
+        st.floats(),
+        npst.floating_dtypes().flatmap(npst.from_dtype),
+        st.text(),
+    ),
+)
+def test_the_integer_rule_reads_integers_and_refuses_the_rest(integer, other):
+    value = _integer(integer)
+    assert type(value) is int and value == integer
+    with pytest.raises(TypeError):
+        _integer(other)
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(
+    keys=st.tuples(NUMPY_INTEGER_DTYPES, st.integers(0, 3), st.integers(0, 6)).flatmap(
+        lambda drawn: npst.arrays(drawn[0], (drawn[2], drawn[1]), elements={"min_value": 0, "max_value": 40})
+    ),
+    data=st.data(),
+)
+def test_series_keyed_by_numpy_integers_equal_series_keyed_by_ints(keys, data):
+    values = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(keys), max_size=len(keys)))
+    dim = keys.shape[1]
+    numpy_keyed = TrigPolynomial(dim, {tuple(row): value for row, value in zip(keys, values)})
+    int_keyed = TrigPolynomial(dim, {tuple(row.tolist()): value for row, value in zip(keys, values)})
+    assert numpy_keyed == int_keyed
+    assert [a.tobytes() for a in numpy_keyed.table()] == [a.tobytes() for a in int_keyed.table()]

@@ -2,7 +2,7 @@
 every name the package and its layers export resolves; no function body
 holds an unnamed tolerance; no layer declares a class with dataclasses, and
 every record is immutable; the wavefront layer fits only through
-fit_decay_exponent."""
+fit_decay_exponent; README's library example runs as written."""
 
 from __future__ import annotations
 
@@ -155,13 +155,29 @@ def test_records_keep_value_equality_and_hash():
         (lattice, exact.IntegerLattice(((3,), (-2,))), exact.IntegerLattice.from_columns([[2, -3]], 2)),
         (
             grid,
-            wavefront.PhaseSpaceGrid(2, 8.0, [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]]),
+            wavefront.PhaseSpaceGrid(2, 8, [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]]),
             wavefront.PhaseSpaceGrid.standard(2, 9),
         ),
     ]:
         assert record == equal and hash(record) == hash(equal) and record is not equal
         assert record != other
     assert half != (Fraction(1), Fraction(1, 2))
+    with pytest.raises(TypeError):  # nothing is rounded, not even 8.0
+        wavefront.PhaseSpaceGrid(2, 8.0, [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
     assert repr(half) == "ExactNumber(coeffs=(Fraction(1, 1), Fraction(1, 2)))"
     assert repr(wavefront.VerdictThresholds()) == "VerdictThresholds(in_exponent=0.5, out_exponent=2.0, fill_fraction=0.95)"
     np.testing.assert_array_equal(grid.x_nodes, wavefront.PhaseSpaceGrid.standard(2, 8).x_nodes)
+
+
+def test_readme_library_example_runs_as_written():
+    # the documented API cannot drift from the code: the block runs, its
+    # order check passes, the nullspace holds one vector and all three
+    # wavefront verdicts PASS
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    names: dict = {}
+    exec(block, names)
+    assert names["report"].passed
+    assert len(names["null"].basis) == 1
+    verdicts = names["verdicts"]
+    assert verdicts.fills_torus and verdicts.lagrangian_supported and verdicts.nonempty_interior

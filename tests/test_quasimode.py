@@ -491,6 +491,19 @@ def test_family_load_refuses_a_malformed_coefficient_list(tmp_path, golden, coef
         QuasimodeFamily.load(tmp_path / "fam")
 
 
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("value", ["2", "nan", True])
+def test_family_load_refuses_a_coefficient_value_that_is_not_a_number(tmp_path, golden, part, value):
+    # float() would read each of these as a number
+    golden.family.save(tmp_path / "fam")
+    manifest_path = tmp_path / "fam" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["members"][0]["coeffs"][1][part] = value
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(TypeError, match="coefficient 1 has a value that is not a number"):
+        QuasimodeFamily.load(tmp_path / "fam")
+
+
 @pytest.mark.parametrize("entry", [-1, True, 1, 0.0])
 def test_family_load_refuses_a_bad_member_index(tmp_path, golden, entry):
     # one distinct member: -1 would read it from the end, True would act

@@ -259,3 +259,13 @@ def test_equality_ignores_insertion_order_and_the_sign_of_zero():
     ladder = default_h_ladder()[:4]
     family = QuasimodeFamily.from_members(ladder, [p, reordered, unsigned, p.scaled(2.0)])
     assert len(family.members) == 1 and family.member_index == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("value", ["2", "nan", True, np.True_, None])
+def test_from_json_obj_reads_coefficient_values_as_numbers(value):
+    for part in ("re", "im"):
+        with pytest.raises(TypeError, match="coefficient 1 has a value that is not a number"):
+            TrigPolynomial.from_json_obj([{"alpha": [0], "re": 1.0}, {"alpha": [1], part: value}])
+    # a value of any real type is read as its float
+    loaded = TrigPolynomial.from_json_obj([{"alpha": [1], "re": 2, "im": np.float64(0.5)}, {"alpha": [0], "re": -1.5}])
+    assert loaded == TrigPolynomial(1, {(1,): 2 + 0.5j, (0,): -1.5})
